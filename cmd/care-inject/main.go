@@ -21,12 +21,14 @@
 // deduplicated bytes are reported on stderr; stdout stays
 // byte-identical to a run without -store.
 //
-// With -shards N (N > 1) the manifestation study splits every
-// campaign's trial index space over N worker subprocesses (the shard
-// coordinator; workers default to this binary re-executed with
-// -shard-serve) and merges the streamed results in trial order — the
-// tables and -trace-out JSONL are byte-identical to a single-process
-// run (wall-clock fields aside), which the CI determinism job diffs.
+// With -shards N (N > 1) the manifestation study spreads every
+// campaign's trials over N worker subprocesses (the shard coordinator;
+// workers default to this binary re-executed with -shard-serve). Each
+// worker prepares the golden profile itself, from the -store directory
+// when one is given, and the coordinator merges the streamed results in
+// trial order — the tables and -trace-out JSONL are byte-identical to a
+// single-process run (wall-clock fields aside), which the CI
+// determinism job diffs.
 package main
 
 import (

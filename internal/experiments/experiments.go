@@ -73,8 +73,8 @@ type StudyOptions struct {
 	// the crash-geography table.
 	Domains bool
 	// Shards > 1 routes campaigns through the shard coordinator
-	// (shard.RunCampaign / shard.RunCoverage): the trial index space
-	// splits into contiguous shards that run in worker subprocesses
+	// (shard.RunCampaign / shard.RunCoverage): chunks of the trial index
+	// space run on whichever shard is idle, in worker subprocesses
 	// (ShardExec argv; empty = in-process shards), and results merge in
 	// trial order — bit-identical to the single-process run for every
 	// shard x worker combination.
@@ -93,10 +93,10 @@ type StudyOptions struct {
 	CheckpointModel        checkpoint.CostModel
 	// Store, when non-nil, is the persistent content-addressed artifact
 	// store: campaigns consult it for a cached golden-run profile
-	// (keyed by CampaignKey) before profiling, populate it on a miss,
-	// and — in subprocess shard mode — ship snapshot segments to
-	// workers as blob references instead of inline payloads. Study
-	// results, traces included, are byte-identical with or without it.
+	// (keyed by CampaignKey) before profiling and populate it on a miss,
+	// and in subprocess shard mode every worker loads its profile from
+	// the same directory. Study results, traces included, are
+	// byte-identical with or without it.
 	Store *store.Store
 }
 

@@ -495,8 +495,8 @@ func (e *CoverageExperiment) Run() (*CoverageResult, error) {
 
 // Prepare validates the experiment and performs its golden pass (plus
 // the warm-start snapshot pass when it applies), returning the profile
-// attempts run against. The shard coordinator calls this once and ships
-// the profile to every worker; Run calls it implicitly.
+// attempts run against. Run calls it implicitly; every shard worker
+// calls it too (see Campaign.Prepare).
 func (e *CoverageExperiment) Prepare() (*profiler.Profile, error) {
 	if e.Trials <= 0 {
 		return nil, fmt.Errorf("faultinject: coverage Trials must be positive")
@@ -505,31 +505,7 @@ func (e *CoverageExperiment) Prepare() (*profiler.Profile, error) {
 		return nil, err
 	}
 	warm := e.WarmStart && !e.Safeguard.Policy.NeedsStore()
-	key := effectiveKey(e.StoreKey, warm, e.SnapEvery)
-	if prof := consultStore(e.Store, key); prof != nil {
-		return prof, nil
-	}
-	prof, err := profiler.Run(e.App, e.Libs, 0)
-	if err != nil {
-		return nil, err
-	}
-	if warm {
-		every := e.SnapEvery
-		if every == 0 {
-			every = prof.TotalDyn/64 + 1
-		}
-		sprof, err := profiler.RunWithSnapshots(e.App, e.Libs, 0, every)
-		if err != nil {
-			return nil, err
-		}
-		if sprof.TotalDyn != prof.TotalDyn {
-			return nil, fmt.Errorf("faultinject: snapshot pass retired %d dyn, golden run %d; workload is nondeterministic and cannot warm-start",
-				sprof.TotalDyn, prof.TotalDyn)
-		}
-		prof = sprof
-	}
-	populateStore(e.Store, key, prof, e.App, e.Libs)
-	return prof, nil
+	return prepareProfile(e.App, e.Libs, e.Store, e.StoreKey, warm, e.SnapEvery)
 }
 
 // AttemptBudget is the experiment's attempt index space [0, budget):

@@ -392,10 +392,11 @@ type Campaign struct {
 	// Safeguard tunes the attached runtime (zero value = the paper's
 	// one-shot configuration; Protected only).
 	Safeguard safeguard.Config
-	// Shards splits the trial index space into this many contiguous
-	// shards executed by the internal/shard coordinator — in worker
-	// subprocesses (ShardExec) or in-process — and merged in trial-index
-	// order, so the result is byte-identical to a single-process run.
+	// Shards spreads the trial index space over this many shards of the
+	// internal/shard coordinator — worker subprocesses (ShardExec) or
+	// in-process runners — which pull chunks of trials as they go idle;
+	// results merge in trial-index order, so the result is
+	// byte-identical to a single-process run.
 	// Campaign.Run itself always runs single-process; callers route
 	// Shards > 1 campaigns through shard.RunCampaign (the CLIs and
 	// experiments do). <=1 means no sharding.
@@ -705,32 +706,50 @@ func (c *Campaign) Run() (*CampaignResult, error) {
 
 // Prepare validates the campaign and performs its golden pass (plus the
 // warm-start snapshot pass when enabled), returning the profile trials
-// run against. The shard coordinator calls this once and ships the
-// profile to every worker, so shards skip the golden-run replay; Run
-// calls it implicitly.
+// run against. Run calls it implicitly; every shard worker calls it
+// too, so a sharded campaign's processes all derive the same profile
+// (or load it from a shared store) without shipping it.
 func (c *Campaign) Prepare() (*profiler.Profile, error) {
 	if c.N <= 0 {
 		return nil, fmt.Errorf("faultinject: campaign N must be positive")
 	}
-	key := effectiveKey(c.StoreKey, c.WarmStart, c.SnapEvery)
-	if prof := consultStore(c.Store, key); prof != nil {
-		return prof, nil
+	return prepareProfile(c.App, c.Libs, c.Store, c.StoreKey, c.WarmStart, c.SnapEvery)
+}
+
+// prepareProfile is the golden pass Campaign.Prepare and
+// CoverageExperiment.Prepare share. A verified store hit under the
+// effective key skips it entirely. Otherwise the golden run profiles
+// the binary; a warm start adds a second pass that captures snapshots
+// every snapEvery retirements (0 = TotalDyn/64+1), taken from a
+// separate run so the profiling pass stays identical to a cold one's;
+// and the fresh profile populates the store. A corrupt entry charges
+// store.fallback inside the store and degrades to the same cold path.
+func prepareProfile(app *core.Binary, libs []*core.Binary, st *store.Store, key store.Key, warm bool, snapEvery uint64) (*profiler.Profile, error) {
+	// Pin the snapshot cadence onto the key from the campaign's own
+	// fields, so an entry with snapshots can never be confused with one
+	// without, even if the caller filled the key inconsistently.
+	key.WarmStart, key.SnapEvery = warm, 0
+	if warm {
+		key.SnapEvery = snapEvery
 	}
-	prof, err := profiler.Run(c.App, c.Libs, 0)
+	if key.Workload == "" {
+		st = nil // an unkeyed campaign never touches the index
+	}
+	if st != nil {
+		if prof, err := st.GetProfile(key); err == nil && prof != nil {
+			return prof, nil
+		}
+	}
+	prof, err := profiler.Run(app, libs, 0)
 	if err != nil {
 		return nil, err
 	}
-	if c.WarmStart {
-		// Second golden pass, now capturing snapshots: the default
-		// cadence needs TotalDyn, and taking it from a separate run
-		// keeps the first (profiling) pass identical to a cold
-		// campaign's. The extra golden run is one trial's worth of work
-		// amortised over N warm trials.
-		every := c.SnapEvery
+	if warm {
+		every := snapEvery
 		if every == 0 {
 			every = prof.TotalDyn/64 + 1
 		}
-		sprof, err := profiler.RunWithSnapshots(c.App, c.Libs, 0, every)
+		sprof, err := profiler.RunWithSnapshots(app, libs, 0, every)
 		if err != nil {
 			return nil, err
 		}
@@ -740,37 +759,10 @@ func (c *Campaign) Prepare() (*profiler.Profile, error) {
 		}
 		prof = sprof
 	}
-	populateStore(c.Store, key, prof, c.App, c.Libs)
+	if st != nil {
+		populateStore(st, key, prof, app, libs)
+	}
 	return prof, nil
-}
-
-// effectiveKey pins the snapshot cadence onto a cache key from the
-// campaign's own fields, so an entry with snapshots can never be
-// confused with one without — even if the caller filled the key
-// inconsistently.
-func effectiveKey(key store.Key, warm bool, snapEvery uint64) store.Key {
-	key.WarmStart = warm
-	if warm {
-		key.SnapEvery = snapEvery
-	} else {
-		key.SnapEvery = 0
-	}
-	return key
-}
-
-// consultStore returns the cached golden-run profile for key, or nil
-// when there is no store, no usable key, a clean miss, or a corrupt
-// entry (the store charges golden-misses / store.fallback itself; the
-// caller always degrades to the cold path).
-func consultStore(s *store.Store, key store.Key) *profiler.Profile {
-	if s == nil || key.Workload == "" {
-		return nil
-	}
-	prof, err := s.GetProfile(key)
-	if err != nil || prof == nil {
-		return nil
-	}
-	return prof
 }
 
 // populateStore caches a freshly derived profile, offering the sealed
@@ -778,9 +770,6 @@ func consultStore(s *store.Store, key store.Key) *profiler.Profile {
 // errors are deliberately non-fatal: a read-only or full store costs
 // the next run a cache miss, never this run its result.
 func populateStore(s *store.Store, key store.Key, prof *profiler.Profile, app *core.Binary, libs []*core.Binary) {
-	if s == nil || key.Workload == "" {
-		return
-	}
 	var text []store.TextImage
 	for _, b := range append([]*core.Binary{app}, libs...) {
 		if b != nil && b.Prog != nil {

@@ -146,6 +146,24 @@ func TestCampaignStoreCorruptionFallsBackToCold(t *testing.T) {
 	if want, got := scrubbedJSONL(t, cold.Trace), scrubbedJSONL(t, res2.Trace); got != want {
 		t.Fatalf("fallback run JSONL differs from cold (%d vs %d bytes)", len(got), len(want))
 	}
+	// The fallback run's repopulate rewrote every rotted blob it needed,
+	// so the store has repaired itself: the next run is a golden hit.
+	s3 := openStoreAt(t, dir)
+	c3 := base()
+	c3.Store, c3.StoreKey = s3, key
+	res3, err := c3.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := s3.Counter(store.CounterGoldenHits); n != 1 {
+		t.Fatalf("run after the fallback: golden-hits = %d, want 1 (store did not repair itself)", n)
+	}
+	if n := s3.Counter(store.CounterFallback); n != 0 {
+		t.Fatalf("run after the fallback: store.fallback = %d, want 0", n)
+	}
+	if want, got := scrubbedJSONL(t, cold.Trace), scrubbedJSONL(t, res3.Trace); got != want {
+		t.Fatalf("repaired-store run JSONL differs from cold (%d vs %d bytes)", len(got), len(want))
+	}
 }
 
 func TestCoverageStoreCacheHit(t *testing.T) {

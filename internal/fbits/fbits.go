@@ -1,10 +1,9 @@
 // Package fbits converts float64 streams to and from raw IEEE-754 bit
-// patterns. Every layer that persists or ships floats — the shard wire
-// protocol, the content-addressed store's manifests — goes through
-// these two functions, because encoding/json rejects NaN/Inf and a
-// decimal round trip is not guaranteed bit-exact, while the substrate's
-// byte-identity contracts require exactly the bits the golden run
-// produced.
+// patterns. The content-addressed store's manifests, the one persisted
+// encoding of a golden profile, go through these two functions, because
+// encoding/json rejects NaN/Inf and a decimal round trip is not
+// guaranteed bit-exact, while the substrate's byte-identity contracts
+// require exactly the bits the golden run produced.
 package fbits
 
 import "math"

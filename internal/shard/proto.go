@@ -1,18 +1,19 @@
-// Package shard is the campaign coordinator: it partitions a
-// fault-injection index space (campaign trials or coverage attempts)
-// into contiguous shards, executes each shard in a spawned worker
-// subprocess — or in-process for tests — and merges the shipped results
-// in index order, so a sharded run is byte-identical to a
-// single-process run at any shard × worker combination.
+// Package shard is the campaign coordinator: it deals a fault-injection
+// index space (campaign trials or coverage attempts) in small chunks to
+// whichever shard is idle — a spawned worker subprocess, or an
+// in-process runner for tests — and merges the shipped results in index
+// order, so a sharded run is byte-identical to a single-process run at
+// any shard × worker combination.
 //
 // The determinism argument is the same one Campaign.Workers already
 // makes, lifted across process boundaries: every trial seeds its RNG
-// from (Seed, index) alone, the golden profile is captured once by the
-// coordinator and shipped to every worker, and trace recorders survive
-// the JSONL wire format with full merge fidelity (trace.ReadJSONL
-// restores the ID allocator and drop counts). Merging shipped results
-// in index order therefore reproduces the single-process merge bit for
-// bit.
+// from (Seed, index) alone; every worker prepares the golden profile
+// with the coordinator's own Prepare call and proves it with a digest
+// before it runs anything; and trace recorders survive the JSONL wire
+// format with full merge fidelity (trace.ReadJSONL restores the ID
+// allocator and drop counts). Merging shipped results in index order
+// therefore reproduces the single-process merge bit for bit, whichever
+// worker ran which chunk.
 package shard
 
 import (
@@ -27,11 +28,12 @@ import (
 // Frame types. A worker conversation is:
 //
 //	coordinator → worker: spec, then any number of run frames, then exit
-//	worker → coordinator: per run frame, batch* then done; error aborts
+//	worker → coordinator: ready once its profile is prepared, then one
+//	                      done frame per run frame; error aborts
 const (
 	frameSpec  = "spec"
+	frameReady = "ready"
 	frameRun   = "run"
-	frameBatch = "batch"
 	frameDone  = "done"
 	frameError = "error"
 	frameExit  = "exit"
@@ -45,25 +47,28 @@ type frame struct {
 	Type string `json:"type"`
 	// Spec configures the worker (frameSpec).
 	Spec *WorkerSpec `json:"spec,omitempty"`
+	// Digest is the worker's profileDigest (frameReady).
+	Digest string `json:"digest,omitempty"`
 	// Lo/Hi bound an index range (frameRun, frameDone).
 	Lo int `json:"lo,omitempty"`
 	Hi int `json:"hi,omitempty"`
-	// Trials/Attempts carry results (frameBatch; mode-dependent).
+	// Trials/Attempts carry the range's results in index order
+	// (frameDone; mode-dependent).
 	Trials   []wireTrial   `json:"trials,omitempty"`
 	Attempts []wireAttempt `json:"attempts,omitempty"`
 	// Err describes a worker failure (frameError).
 	Err string `json:"err,omitempty"`
 }
 
-// maxFrame bounds a single frame (a batch of trial traces or the spec
-// with its snapshots); 1 GiB is far above anything legitimate and far
-// below the point where a corrupt length prefix could wedge the host.
+// maxFrame bounds a single frame (at most one range's trial traces);
+// 1 GiB is far above anything legitimate and far below the point where
+// a corrupt length prefix could wedge the host.
 const maxFrame = 1 << 30
 
 // maxPooled caps the capacity a buffer may keep when returned to its
-// pool: steady-state batch frames reuse their buffer, while the rare
-// giant frame (a spec with inline snapshots) is released to the GC
-// rather than pinned for the life of the process.
+// pool: steady-state result frames reuse their buffer, while the rare
+// giant frame (a range of long traces) is released to the GC rather
+// than pinned for the life of the process.
 const maxPooled = 4 << 20
 
 // frameBufPool recycles encode buffers across writeFrame calls, and

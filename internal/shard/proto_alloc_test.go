@@ -7,11 +7,11 @@ import (
 	"testing"
 )
 
-// bigBatchFrame builds a batch frame carrying ~1 MiB of trial trace
+// bigBatchFrame builds a result frame carrying ~1 MiB of trial trace
 // payload, the shape that dominates the wire in a real campaign.
 func bigBatchFrame() (*frame, int) {
 	payload := bytes.Repeat([]byte(`{"type":"span","kind":"trial","id":0}`+"\n"), 1<<15)
-	f := &frame{Type: frameBatch}
+	f := &frame{Type: frameDone, Hi: 2}
 	for i := 0; i < 2; i++ {
 		f.Trials = append(f.Trials, wireTrial{Index: i, TraceJSONL: payload})
 	}
@@ -140,7 +140,7 @@ func TestFrameRoundTripAfterPooling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g1.Type != frameBatch || len(g1.Trials) != 2 {
+		if g1.Type != frameDone || len(g1.Trials) != 2 {
 			t.Fatalf("big frame corrupted: %+v", g1.Type)
 		}
 		if g2.Type != frameDone || g2.Lo != 1 || g2.Hi != 2 || len(g2.Trials) != 0 {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"sync"
+	"sync/atomic"
 
 	"care/internal/faultinject"
 	"care/internal/parallel"
@@ -37,189 +38,194 @@ func shardCount(shards, n int) int {
 	return shards
 }
 
-// RunCampaign executes a campaign under the shard coordinator: the
-// golden profile is captured once here, the trial index space splits
-// into c.Shards contiguous ranges, and each range runs either in a
-// spawned c.ShardExec subprocess (the worker rebuilds the binary from
-// build, skips the golden run, and streams results back) or in-process.
-// Either way every trial result round-trips the wire encoding, and the
-// intake re-orders them by trial index before Campaign.MergeResults —
+// deal cuts [lo, hi) into balanced chunks of at most chunk indices and
+// hands them out in index order, each to whichever of the shards is
+// idle: run(s, a, b) executes [a, b) on shard s, and no shard ever
+// runs two chunks at once. A slow shard (a hang trial, a busy host)
+// therefore delays only its own chunk, where a fixed split would make
+// every other shard wait for its whole range. Which shard runs a chunk
+// never changes a result, because every trial depends only on (Seed,
+// index) and callers slot results by index.
+func deal(lo, hi, chunk, shards int, run func(s, a, b int) error) error {
+	rs := Ranges(hi-lo, (hi-lo+chunk-1)/chunk)
+	idle := make(chan int, shards)
+	for s := 0; s < shards; s++ {
+		idle <- s
+	}
+	return parallel.ForEach(len(rs), shards, func(k int) error {
+		s := <-idle
+		defer func() { idle <- s }()
+		return run(s, lo+rs[k].Lo, lo+rs[k].Hi)
+	})
+}
+
+// goPrepare starts prepare on its own goroutine and returns a function
+// that waits for its result, so the coordinator's golden pass overlaps
+// the workers' own preparation and their first trials.
+func goPrepare(prepare func() (*profiler.Profile, error)) func() (*profiler.Profile, error) {
+	var prof *profiler.Profile
+	var err error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		prof, err = prepare()
+	}()
+	return func() (*profiler.Profile, error) {
+		<-done
+		return prof, err
+	}
+}
+
+// RunCampaign executes a campaign under the shard coordinator. In
+// ShardExec mode the worker subprocesses start first and each runs the
+// same Campaign.Prepare as the coordinator, which prepares its own
+// profile meanwhile. Trials go out in chunks of the per-shard worker
+// count to whichever shard is idle, a worker's first chunk as soon as
+// its ready frame arrives (in-process shards run them directly), and
+// every result round-trips the wire encoding. Before anything merges,
+// every worker's profile digest must match the coordinator's; the
+// results, slotted by trial index, then go to Campaign.MergeResults —
 // so the CampaignResult, trace included, is byte-identical to
 // c.Run()'s for every shard × worker combination.
 func RunCampaign(c *faultinject.Campaign, build BuildSpec) (*faultinject.CampaignResult, error) {
-	prof, err := c.Prepare()
+	chunk := parallel.Workers(c.Workers, c.N)
+	shards := shardCount(c.Shards, (c.N+chunk-1)/chunk)
+	pool, err := startPool(c.ShardExec, shards, &WorkerSpec{
+		Build: build, Campaign: campaignSpecOf(c), StoreDir: storeDir(c.Store),
+	})
 	if err != nil {
 		return nil, err
 	}
-	shards := shardCount(c.Shards, c.N)
-	ranges := Ranges(c.N, shards)
-	in := newIntake(c.N, c.Progress)
-
-	var spec *WorkerSpec
-	if len(c.ShardExec) > 0 {
-		// With a store attached, snapshot memory ships as hash references
-		// and every worker fetches (verified) bytes from the shared
-		// directory — one copy on disk instead of one payload per worker.
-		wp, deduped := encodeProfileDedup(prof, c.Store)
-		spec = &WorkerSpec{Build: build, Campaign: campaignSpecOf(c), Profile: wp}
-		if deduped {
-			spec.StoreDir = c.Store.Dir()
+	defer pool.kill()
+	prep := goPrepare(c.Prepare)
+	defer prep() // never leave a golden pass running past the return
+	trials := make([]faultinject.TrialResult, c.N)
+	var done atomic.Int64
+	err = deal(0, c.N, chunk, shards, func(s, lo, hi int) error {
+		var wts []wireTrial
+		if pool != nil {
+			f, err := pool[s].run(lo, hi)
+			if err != nil {
+				return err
+			}
+			wts = f.Trials
+		} else {
+			// In-process shards still round-trip the wire encoding, so
+			// this mode exercises the exact fidelity the subprocess path
+			// depends on.
+			prof, err := prep()
+			if err != nil {
+				return err
+			}
+			ts, err := c.RunTrialRange(prof, lo, hi)
+			if err != nil {
+				return err
+			}
+			wts = make([]wireTrial, len(ts))
+			for i := range ts {
+				if wts[i], err = encodeTrial(&ts[i]); err != nil {
+					return err
+				}
+			}
 		}
-	}
-	runErr := parallel.ForEach(shards, shards, func(s int) error {
-		r := ranges[s]
-		if r.Lo == r.Hi {
-			return nil
+		if len(wts) != hi-lo {
+			return fmt.Errorf("shard: %d results for trials [%d,%d)", len(wts), lo, hi)
 		}
-		if spec != nil {
-			return runCampaignShardProc(c.ShardExec, spec, r, in)
+		for i := range wts {
+			if wts[i].Index != lo+i {
+				return fmt.Errorf("shard: trial %d delivered in slot %d of [%d,%d)", wts[i].Index, lo+i, lo, hi)
+			}
+			t, err := decodeTrial(&wts[i])
+			if err != nil {
+				return err
+			}
+			trials[lo+i] = t
 		}
-		return runCampaignShardLocal(c, prof, r, in)
+		if c.Progress != nil {
+			c.Progress(int(done.Add(int64(hi-lo))), c.N)
+		}
+		return nil
 	})
-	trials, inErr := in.finish()
-	if runErr != nil {
-		return nil, runErr
+	prof, perr := prep()
+	if perr != nil {
+		return nil, perr
 	}
-	if inErr != nil {
-		return nil, inErr
+	if err != nil {
+		return nil, err
+	}
+	if err := pool.verify(prof); err != nil {
+		return nil, err
+	}
+	if err := pool.close(); err != nil {
+		return nil, err
 	}
 	return c.MergeResults(prof, trials)
 }
 
-// runCampaignShardLocal runs one shard in-process. Results still
-// round-trip the wire encoding (encode → decode) so the in-process mode
-// exercises the exact fidelity the subprocess path depends on — tests
-// that pass here and fail in subprocess mode can only be blaming the
-// transport, not the encoding.
-func runCampaignShardLocal(c *faultinject.Campaign, prof *profiler.Profile, r Range, in *intake) error {
-	trials, err := c.RunTrialRange(prof, r.Lo, r.Hi)
-	if err != nil {
-		return err
-	}
-	out := make([]faultinject.TrialResult, 0, len(trials))
-	for i := range trials {
-		wt, err := encodeTrial(&trials[i])
-		if err != nil {
-			return err
-		}
-		t, err := decodeTrial(&wt)
-		if err != nil {
-			return err
-		}
-		out = append(out, t)
-	}
-	in.feed(out)
-	return nil
-}
-
-// runCampaignShardProc spawns one worker subprocess for the shard and
-// streams its batches into the intake.
-func runCampaignShardProc(argv []string, spec *WorkerSpec, r Range, in *intake) error {
-	p, err := startWorker(argv, spec)
-	if err != nil {
-		return err
-	}
-	defer p.kill()
-	err = p.run(r, func(f *frame) error {
-		batch := make([]faultinject.TrialResult, 0, len(f.Trials))
-		for i := range f.Trials {
-			t, err := decodeTrial(&f.Trials[i])
-			if err != nil {
-				return err
-			}
-			batch = append(batch, t)
-		}
-		in.feed(batch)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	return p.close()
-}
-
 // RunCoverage executes a coverage experiment under the shard
-// coordinator. Waves of the attempt index space are split contiguously
-// across the shard pool (persistent subprocesses in ShardExec mode,
-// direct calls in-process); each wave's attempts merge strictly in
-// index order with the early-stop check before every merge, so the
-// result is identical to CoverageExperiment.Run for any shard layout —
-// the stop index is a property of the attempt sequence, not of how the
-// waves were cut.
+// coordinator. Workers prepare their own profiles as in RunCampaign,
+// and every worker's digest is checked before the first merge. The
+// attempt index space runs in waves the size of the single-process
+// speculation chunk (4 attempts per worker slot) times the shard count,
+// each wave dealt to idle shards in chunks of the per-shard worker
+// count; each wave's attempts merge strictly in index order with the
+// early-stop check before every merge, so the result is identical to
+// CoverageExperiment.Run for any shard layout — the stop index is a
+// property of the attempt sequence, not of how the waves were cut.
 func RunCoverage(e *faultinject.CoverageExperiment, build BuildSpec) (*faultinject.CoverageResult, error) {
-	prof, err := e.Prepare()
+	budget := e.AttemptBudget()
+	shards := shardCount(e.Shards, budget)
+	pool, err := startPool(e.ShardExec, shards, &WorkerSpec{
+		Build: build, Coverage: coverageSpecOf(e), StoreDir: storeDir(e.Store),
+	})
 	if err != nil {
 		return nil, err
 	}
-	budget := e.AttemptBudget()
-	shards := shardCount(e.Shards, budget)
+	defer pool.kill()
+	prep := goPrepare(e.Prepare)
+	defer prep()
 	res := e.NewResult()
-
-	// Per-shard wave chunk mirrors the single-process speculation chunk
-	// (4 attempts per worker slot), so a one-shard run does the same
-	// waves Run would.
-	chunk := 4 * parallel.Workers(e.Workers, budget)
-	var pool []*workerProc
-	if len(e.ShardExec) > 0 {
-		wp, deduped := encodeProfileDedup(prof, e.Store)
-		spec := &WorkerSpec{Build: build, Coverage: coverageSpecOf(e), Profile: wp}
-		if deduped {
-			spec.StoreDir = e.Store.Dir()
-		}
-		pool = make([]*workerProc, shards)
-		defer func() {
-			for _, p := range pool {
-				if p != nil {
-					p.kill()
-				}
-			}
-		}()
-		for s := range pool {
-			if pool[s], err = startWorker(e.ShardExec, spec); err != nil {
-				return nil, err
-			}
-		}
-	}
-
+	chunk := parallel.Workers(e.Workers, budget)
 	var done int
-	for base := 0; base < budget && res.SigsegvTrials < e.Trials; base += shards * chunk {
-		hi := base + shards*chunk
-		if hi > budget {
-			hi = budget
+	for base := 0; base < budget && res.SigsegvTrials < e.Trials; base += shards * 4 * chunk {
+		end := base + shards*4*chunk
+		if end > budget {
+			end = budget
 		}
-		atts := make([]faultinject.AttemptResult, hi-base)
-		waveRanges := Ranges(hi-base, shards)
-		err := parallel.ForEach(shards, shards, func(s int) error {
-			r := Range{Lo: base + waveRanges[s].Lo, Hi: base + waveRanges[s].Hi}
-			if r.Lo == r.Hi {
-				return nil
-			}
+		atts := make([]faultinject.AttemptResult, end-base)
+		err := deal(base, end, chunk, shards, func(s, lo, hi int) error {
+			var was []wireAttempt
 			if pool != nil {
-				return pool[s].run(r, func(f *frame) error {
-					for i := range f.Attempts {
-						a, err := decodeAttempt(&f.Attempts[i])
-						if err != nil {
-							return err
-						}
-						if a.Index < base || a.Index >= hi {
-							return fmt.Errorf("shard: attempt index %d outside wave [%d,%d)", a.Index, base, hi)
-						}
-						atts[a.Index-base] = a
-					}
-					return nil
-				})
-			}
-			part, err := e.RunAttemptRange(prof, r.Lo, r.Hi)
-			if err != nil {
-				return err
-			}
-			for i := range part {
-				// The loopback wire round trip, as in the campaign path.
-				wa, err := encodeAttempt(&part[i])
+				f, err := pool[s].run(lo, hi)
 				if err != nil {
 					return err
 				}
-				a, err := decodeAttempt(&wa)
+				was = f.Attempts
+			} else {
+				// The loopback wire round trip, as in the campaign path.
+				prof, err := prep()
+				if err != nil {
+					return err
+				}
+				part, err := e.RunAttemptRange(prof, lo, hi)
+				if err != nil {
+					return err
+				}
+				was = make([]wireAttempt, len(part))
+				for i := range part {
+					if was[i], err = encodeAttempt(&part[i]); err != nil {
+						return err
+					}
+				}
+			}
+			if len(was) != hi-lo {
+				return fmt.Errorf("shard: %d results for attempts [%d,%d)", len(was), lo, hi)
+			}
+			for i := range was {
+				if was[i].Index != lo+i {
+					return fmt.Errorf("shard: attempt %d delivered in slot %d of [%d,%d)", was[i].Index, lo+i, lo, hi)
+				}
+				a, err := decodeAttempt(&was[i])
 				if err != nil {
 					return err
 				}
@@ -227,7 +233,14 @@ func RunCoverage(e *faultinject.CoverageExperiment, build BuildSpec) (*faultinje
 			}
 			return nil
 		})
+		prof, perr := prep()
+		if perr != nil {
+			return nil, perr
+		}
 		if err != nil {
+			return nil, err
+		}
+		if err := pool.verify(prof); err != nil {
 			return nil, err
 		}
 		for i := range atts {
@@ -241,16 +254,73 @@ func RunCoverage(e *faultinject.CoverageExperiment, build BuildSpec) (*faultinje
 			}
 		}
 	}
-	for _, p := range pool {
-		if err := p.close(); err != nil {
-			return nil, err
-		}
+	if err := pool.close(); err != nil {
+		return nil, err
 	}
 	if res.SigsegvTrials < e.Trials {
 		return res, fmt.Errorf("faultinject: only %d/%d SIGSEGV trials after %d attempts",
 			res.SigsegvTrials, e.Trials, res.Attempts)
 	}
 	return res, nil
+}
+
+// pool is the worker subprocesses of one sharded run, one per shard;
+// nil means in-process shards, and every method is then a no-op.
+type pool []*workerProc
+
+// startPool spawns one worker per shard and sends each the spec, so
+// every worker starts preparing its profile before the coordinator
+// prepares its own. Empty argv means in-process shards (a nil pool).
+func startPool(argv []string, shards int, spec *WorkerSpec) (pool, error) {
+	if len(argv) == 0 {
+		return nil, nil
+	}
+	p := make(pool, 0, shards)
+	for s := 0; s < shards; s++ {
+		w, err := startWorker(argv, spec)
+		if err != nil {
+			p.kill()
+			return nil, err
+		}
+		p = append(p, w)
+	}
+	return p, nil
+}
+
+// verify checks every worker's profile digest against the digest of
+// the coordinator's own profile. A mismatch means the worker ran its
+// trials against a different golden run, so nothing it computed may be
+// merged.
+func (p pool) verify(prof *profiler.Profile) error {
+	want := profileDigest(prof)
+	for s, w := range p {
+		if err := w.ready(); err != nil {
+			return err
+		}
+		if w.digest != want {
+			return fmt.Errorf("shard: worker %d prepared a profile with digest %s, coordinator has %s", s, w.digest, want)
+		}
+	}
+	return nil
+}
+
+// close shuts every worker down gracefully and reports the first
+// failure.
+func (p pool) close() error {
+	var first error
+	for _, w := range p {
+		if err := w.close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// kill tears every worker down (a no-op for workers already closed).
+func (p pool) kill() {
+	for _, w := range p {
+		w.kill()
+	}
 }
 
 // workerProc is one live worker subprocess speaking the shard protocol
@@ -260,13 +330,13 @@ type workerProc struct {
 	in   io.WriteCloser
 	out  *bufio.Reader
 	once sync.Once
+	// digest is the worker's profile digest, set once its ready frame
+	// has been read.
+	digest string
 }
 
 // startWorker spawns argv, wires the pipes, and sends the spec frame.
 func startWorker(argv []string, spec *WorkerSpec) (*workerProc, error) {
-	if len(argv) == 0 {
-		return nil, fmt.Errorf("shard: empty worker command")
-	}
 	cmd := exec.Command(argv[0], argv[1:]...)
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
@@ -288,33 +358,58 @@ func startWorker(argv []string, spec *WorkerSpec) (*workerProc, error) {
 	return p, nil
 }
 
-// run dispatches one range to the worker and hands every batch frame to
-// onBatch until the worker's done frame.
-func (p *workerProc) run(r Range, onBatch func(*frame) error) error {
-	if err := writeFrame(p.in, &frame{Type: frameRun, Lo: r.Lo, Hi: r.Hi}); err != nil {
-		return fmt.Errorf("shard: send run [%d,%d): %w", r.Lo, r.Hi, err)
+// expect reads the worker's next frame, which must be of type want; an
+// error frame becomes the worker's error.
+func (p *workerProc) expect(want string) (*frame, error) {
+	f, err := readFrame(p.out)
+	if err != nil {
+		return nil, fmt.Errorf("shard: worker stream: %w", err)
 	}
-	for {
-		f, err := readFrame(p.out)
-		if err != nil {
-			return fmt.Errorf("shard: worker stream: %w", err)
-		}
-		switch f.Type {
-		case frameBatch:
-			if err := onBatch(f); err != nil {
-				return err
-			}
-		case frameDone:
-			if f.Lo != r.Lo || f.Hi != r.Hi {
-				return fmt.Errorf("shard: worker finished [%d,%d), expected [%d,%d)", f.Lo, f.Hi, r.Lo, r.Hi)
-			}
-			return nil
-		case frameError:
-			return fmt.Errorf("shard: worker: %s", f.Err)
-		default:
-			return fmt.Errorf("shard: unexpected %q frame from worker", f.Type)
-		}
+	switch f.Type {
+	case want:
+		return f, nil
+	case frameError:
+		return nil, fmt.Errorf("shard: worker: %s", f.Err)
 	}
+	return nil, fmt.Errorf("shard: unexpected %q frame from worker (want %q)", f.Type, want)
+}
+
+// ready reads the worker's ready frame, once. A worker whose set-up
+// failed (unknown workload, unreadable store, failing Prepare) answers
+// with its error frame instead, which surfaces here — before the
+// coordinator writes any run frame into the pipe of a dead worker.
+func (p *workerProc) ready() error {
+	if p.digest != "" {
+		return nil
+	}
+	f, err := p.expect(frameReady)
+	if err != nil {
+		return err
+	}
+	if f.Digest == "" {
+		return fmt.Errorf("shard: worker ready frame carries no profile digest")
+	}
+	p.digest = f.Digest
+	return nil
+}
+
+// run has the worker execute [lo, hi) and returns its done frame, which
+// carries the results.
+func (p *workerProc) run(lo, hi int) (*frame, error) {
+	if err := p.ready(); err != nil {
+		return nil, err
+	}
+	if err := writeFrame(p.in, &frame{Type: frameRun, Lo: lo, Hi: hi}); err != nil {
+		return nil, fmt.Errorf("shard: send run [%d,%d): %w", lo, hi, err)
+	}
+	f, err := p.expect(frameDone)
+	if err != nil {
+		return nil, err
+	}
+	if f.Lo != lo || f.Hi != hi {
+		return nil, fmt.Errorf("shard: worker finished [%d,%d), expected [%d,%d)", f.Lo, f.Hi, lo, hi)
+	}
+	return f, nil
 }
 
 // close asks the worker to exit and reaps it.

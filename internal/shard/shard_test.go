@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"strings"
@@ -11,7 +12,9 @@ import (
 
 	"care/internal/core"
 	"care/internal/faultinject"
+	"care/internal/store"
 	"care/internal/trace"
+	"care/internal/workloads"
 )
 
 // TestShardServeHelper is not a test: it is the worker subprocess the
@@ -130,8 +133,8 @@ func TestCampaignShardEquivalenceInProcess(t *testing.T) {
 
 // TestCampaignShardSubprocess runs the same contract through real
 // worker subprocesses speaking the stdin/stdout frame protocol, with
-// warm-start on so the coordinator's golden snapshots ship over the
-// wire and workers skip the golden-run replay.
+// warm-start on, so every worker captures its own golden snapshots and
+// its trials clone them.
 func TestCampaignShardSubprocess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
@@ -238,19 +241,124 @@ func TestCoverageShardEquivalence(t *testing.T) {
 	})
 }
 
-// TestWorkerErrorPropagates: a worker that cannot honour the spec
-// reports through an error frame instead of wedging the coordinator.
+// TestWorkerErrorPropagates: a worker whose set-up fails reports its
+// error frame at the ready handshake instead of wedging the coordinator
+// or dying under a broken pipe: an unknown workload, and a store
+// directory the worker cannot open.
 func TestWorkerErrorPropagates(t *testing.T) {
 	t.Setenv("CARE_SHARD_SERVE", "1")
-	build := BuildSpec{Workload: "no-such-workload"}
 	bin := buildSpecOrDie(t, BuildSpec{Workload: "HPCCG"})
-	c := &faultinject.Campaign{
-		App: bin, N: 4, Model: faultinject.SingleBit, Seed: 1,
-		Shards: 2, ShardExec: selfExec(),
+	t.Run("unknown-workload", func(t *testing.T) {
+		c := &faultinject.Campaign{
+			App: bin, N: 4, Model: faultinject.SingleBit, Seed: 1,
+			Shards: 2, ShardExec: selfExec(),
+		}
+		_, err := RunCampaign(c, BuildSpec{Workload: "no-such-workload"})
+		if err == nil || !strings.Contains(err.Error(), "no-such-workload") {
+			t.Fatalf("want workload build error from worker, got %v", err)
+		}
+	})
+	t.Run("unreadable-store", func(t *testing.T) {
+		dir := t.TempDir()
+		st := openStoreAt(t, dir)
+		// A file where the blob directory belongs: the coordinator's
+		// Prepare misses and degrades (its repopulate fails silently),
+		// but a worker cannot even open the store.
+		if err := os.RemoveAll(filepath.Join(dir, "blobs")); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "blobs"), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c := &faultinject.Campaign{
+			App: bin, N: 4, Model: faultinject.SingleBit, Seed: 1,
+			Shards: 2, ShardExec: selfExec(),
+			Store: st, StoreKey: store.Key{Kind: "campaign", Workload: "HPCCG", Seed: 1},
+		}
+		_, err := RunCampaign(c, BuildSpec{Workload: "HPCCG"})
+		if err == nil || !strings.Contains(err.Error(), "shard: worker: store: open") {
+			t.Fatalf("want store open error from worker, got %v", err)
+		}
+	})
+}
+
+// TestWorkerDigestMismatch: a worker that prepares a different golden
+// profile than the coordinator's (here: built with different workload
+// parameters) must end the campaign with an error naming both digests,
+// never with a merged result.
+func TestWorkerDigestMismatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses")
 	}
-	_, err := RunCampaign(c, build)
-	if err == nil || !strings.Contains(err.Error(), "no-such-workload") {
-		t.Fatalf("want workload build error from worker, got %v", err)
+	t.Setenv("CARE_SHARD_SERVE", "1")
+	bin := buildSpecOrDie(t, BuildSpec{Workload: "HPCCG"})
+	other := BuildSpec{Workload: "HPCCG", Params: workloads.Params{Steps: 7}}
+	c := &faultinject.Campaign{App: bin, N: 4, Seed: 1, Shards: 2, ShardExec: selfExec()}
+	res, err := RunCampaign(c, other)
+	if err == nil || res != nil {
+		t.Fatalf("mismatched worker profile merged: res=%v err=%v", res != nil, err)
+	}
+	mine, err2 := (&faultinject.Campaign{App: bin, N: 4}).Prepare()
+	if err2 != nil {
+		t.Fatal(err2)
+	}
+	theirs, err2 := (&faultinject.Campaign{App: buildSpecOrDie(t, other), N: 4}).Prepare()
+	if err2 != nil {
+		t.Fatal(err2)
+	}
+	for _, d := range []string{profileDigest(mine), profileDigest(theirs)} {
+		if !strings.Contains(err.Error(), d) {
+			t.Fatalf("error %q does not name digest %s", err, d)
+		}
+	}
+}
+
+// TestCampaignShardPullDispatch: trials dealt one at a time to
+// whichever of 3 worker subprocesses is idle — an index space that does
+// not divide evenly, and a campaign whose Hang trial runs to the hang
+// limit (4x the golden run) while the other workers keep pulling —
+// still DeepEqual the single-process result.
+func TestCampaignShardPullDispatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses")
+	}
+	t.Setenv("CARE_SHARD_SERVE", "1")
+	build := BuildSpec{Workload: "HPCCG"}
+	bin := buildSpecOrDie(t, build)
+	for _, tc := range []struct {
+		name    string
+		n       int
+		seed    int64
+		hanging bool
+	}{{"n=7", 7, 7, false}, {"hang", 12, 3, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := func() *faultinject.Campaign {
+				return &faultinject.Campaign{
+					App: bin, N: tc.n, Model: faultinject.SingleBit, Seed: tc.seed,
+					Workers: 1, Trace: true,
+				}
+			}
+			single, err := base().Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := single.Outcomes[faultinject.Hang] > 0; got != tc.hanging {
+				t.Fatalf("campaign has %d hang trials; the case needs hanging=%v", single.Outcomes[faultinject.Hang], tc.hanging)
+			}
+			c := base()
+			c.Shards = 3
+			c.ShardExec = selfExec()
+			res, err := RunCampaign(c, build)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a, b := scrubCampaign(single), scrubCampaign(res); !reflect.DeepEqual(a, b) {
+				t.Fatalf("pull-dispatched result differs from single-process:\n%+v\nvs\n%+v", b, a)
+			}
+			if want, got := scrubJSONL(t, single.Trace), scrubJSONL(t, res.Trace); got != want {
+				t.Fatalf("pull-dispatched trace JSONL differs (%d vs %d bytes)", len(got), len(want))
+			}
+		})
 	}
 }
 

@@ -2,14 +2,16 @@ package shard
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
-	"strings"
+	"math"
 	"time"
 
 	"care/internal/checkpoint"
 	"care/internal/core"
 	"care/internal/faultinject"
-	"care/internal/fbits"
 	"care/internal/machine"
 	"care/internal/profiler"
 	"care/internal/safeguard"
@@ -19,14 +21,13 @@ import (
 )
 
 // The wire layer round-trips every value a worker needs through JSON
-// without losing a bit. Two kinds of fields need care:
-//
-//   - float64 streams (golden results, FPU registers) are shipped as
-//     raw IEEE-754 bit patterns, because encoding/json rejects NaN/Inf
-//     and a decimal round trip is not guaranteed bit-exact;
-//   - trace recorders ship as their JSONL export, whose decoder
-//     restores the ID allocator and drop counts, so a shipped recorder
-//     merges exactly like the original (the byte-identity contract).
+// without losing a bit. Only configuration and results cross it: the
+// worker rebuilds the binary from a BuildSpec and prepares the golden
+// profile itself, so no float stream or memory image is ever encoded
+// here (the store manifest is the only encoding of a profile). Trace
+// recorders ship as their JSONL export, whose decoder restores the ID
+// allocator and drop counts, so a shipped recorder merges exactly like
+// the original (the byte-identity contract).
 
 // BuildSpec tells a worker how to rebuild the campaign binary. The
 // compiler pipeline is deterministic, so a worker's build is identical
@@ -55,9 +56,10 @@ func (b BuildSpec) Build() (*core.Binary, error) {
 }
 
 // CampaignSpec is the process-portable subset of faultinject.Campaign:
-// everything except the binary (rebuilt from BuildSpec), the profile
-// (shipped separately), and the coordinator-only knobs (Shards,
-// ShardExec, Progress, WarmStart — the worker never re-profiles).
+// everything except the binaries (rebuilt from BuildSpec), the store
+// (reopened from WorkerSpec.StoreDir) and the coordinator-only knobs
+// (Shards, ShardExec, Progress). TestSpecMirrorsConfig fails when a new
+// Campaign field is neither mirrored here nor coordinator-only.
 type CampaignSpec struct {
 	N                int
 	FaultsPerTrial   int
@@ -67,10 +69,13 @@ type CampaignSpec struct {
 	TrackPropagation bool
 	Workers          int
 	Trace            bool
+	WarmStart        bool
+	SnapEvery        uint64
 	Tier             machine.InterpTier
 	Domains          bool
 	Protected        bool
 	Safeguard        safeguard.Config
+	StoreKey         store.Key
 }
 
 // campaignSpecOf extracts the portable subset of c.
@@ -79,8 +84,9 @@ func campaignSpecOf(c *faultinject.Campaign) *CampaignSpec {
 		N: c.N, FaultsPerTrial: c.FaultsPerTrial, Model: c.Model,
 		Seed: c.Seed, HangFactor: c.HangFactor,
 		TrackPropagation: c.TrackPropagation, Workers: c.Workers,
-		Trace: c.Trace, Tier: c.Tier, Domains: c.Domains,
-		Protected: c.Protected, Safeguard: c.Safeguard,
+		Trace: c.Trace, WarmStart: c.WarmStart, SnapEvery: c.SnapEvery,
+		Tier: c.Tier, Domains: c.Domains,
+		Protected: c.Protected, Safeguard: c.Safeguard, StoreKey: c.StoreKey,
 	}
 }
 
@@ -91,8 +97,9 @@ func (s *CampaignSpec) campaign(app *core.Binary, libs []*core.Binary) *faultinj
 		N: s.N, FaultsPerTrial: s.FaultsPerTrial, Model: s.Model,
 		Seed: s.Seed, HangFactor: s.HangFactor,
 		TrackPropagation: s.TrackPropagation, Workers: s.Workers,
-		Trace: s.Trace, Tier: s.Tier, Domains: s.Domains,
-		Protected: s.Protected, Safeguard: s.Safeguard,
+		Trace: s.Trace, WarmStart: s.WarmStart, SnapEvery: s.SnapEvery,
+		Tier: s.Tier, Domains: s.Domains,
+		Protected: s.Protected, Safeguard: s.Safeguard, StoreKey: s.StoreKey,
 	}
 }
 
@@ -112,7 +119,10 @@ type CoverageSpec struct {
 	RecordInjections       bool
 	Workers                int
 	Trace                  bool
+	WarmStart              bool
+	SnapEvery              uint64
 	Tier                   machine.InterpTier
+	StoreKey               store.Key
 }
 
 func coverageSpecOf(e *faultinject.CoverageExperiment) *CoverageSpec {
@@ -124,7 +134,9 @@ func coverageSpecOf(e *faultinject.CoverageExperiment) *CoverageSpec {
 		CheckpointModel:        e.CheckpointModel,
 		HangFactor:             e.HangFactor,
 		RecordInjections:       e.RecordInjections,
-		Workers:                e.Workers, Trace: e.Trace, Tier: e.Tier,
+		Workers:                e.Workers, Trace: e.Trace,
+		WarmStart: e.WarmStart, SnapEvery: e.SnapEvery,
+		Tier: e.Tier, StoreKey: e.StoreKey,
 	}
 }
 
@@ -138,218 +150,58 @@ func (s *CoverageSpec) experiment(app *core.Binary, libs []*core.Binary) *faulti
 		CheckpointModel:        s.CheckpointModel,
 		HangFactor:             s.HangFactor,
 		RecordInjections:       s.RecordInjections,
-		Workers:                s.Workers, Trace: s.Trace, Tier: s.Tier,
+		Workers:                s.Workers, Trace: s.Trace,
+		WarmStart: s.WarmStart, SnapEvery: s.SnapEvery,
+		Tier: s.Tier, StoreKey: s.StoreKey,
 	}
 }
 
 // WorkerSpec is the one-time configuration frame a worker receives
-// before any run frames. Exactly one of Campaign/Coverage is set.
-// When StoreDir is set, the profile's snapshot memory ships as segment
-// hash references and the worker fetches the bytes from the shared
-// content-addressed store instead of the spec frame — deduping the
-// wire the same way the store dedups the disk.
+// before any run frames. Exactly one of Campaign/Coverage is set. The
+// golden profile never crosses the wire: the worker derives it with the
+// same Prepare call the coordinator makes, from the shared store at
+// StoreDir when one is set (a verified hit, or the same cold fallback
+// the coordinator takes on a corrupt entry), otherwise from its own
+// golden and snapshot passes.
 type WorkerSpec struct {
 	Build    BuildSpec     `json:"build"`
 	Campaign *CampaignSpec `json:"campaign,omitempty"`
 	Coverage *CoverageSpec `json:"coverage,omitempty"`
-	Profile  wireProfile   `json:"profile"`
 	StoreDir string        `json:"store_dir,omitempty"`
 }
 
-// wireProfile ships a profiler.Profile, snapshots included, so workers
-// skip the golden-run replay entirely (and warm-started shards clone
-// the coordinator's snapshots through the frozen-COW restore path).
-type wireProfile struct {
-	TotalDyn   uint64              `json:"total_dyn"`
-	Counts     map[string][]uint64 `json:"counts,omitempty"`
-	GoldenBits []uint64            `json:"golden_bits"`
-	ExitCode   uint64              `json:"exit_code"`
-	Snaps      []wireSnap          `json:"snaps,omitempty"`
-}
-
-type wireSnap struct {
-	Dyn    uint64              `json:"dyn"`
-	State  wireSnapshot        `json:"state"`
-	Counts map[string][]uint64 `json:"counts,omitempty"`
-}
-
-// wireSnapshot ships a checkpoint.Snapshot. Memory segments are
-// JSON-native ([]byte images encode as base64) when shipped inline, or
-// collapse to content-address references (SegRefs + HeapNext, Mem nil)
-// when both ends share a store; the FPU register file and the result
-// stream go as bit patterns.
-type wireSnapshot struct {
-	Mem        *machine.Snapshot `json:"mem,omitempty"`
-	SegRefs    []wireSegRef      `json:"seg_refs,omitempty"`
-	HeapNext   uint64            `json:"heap_next,omitempty"`
-	R          []uint64          `json:"r"`
-	FBits      []uint64          `json:"f_bits"`
-	PC         uint64            `json:"pc"`
-	Dyn        uint64            `json:"dyn"`
-	Step       int               `json:"step"`
-	ResultBits []uint64          `json:"result_bits,omitempty"`
-	Printed    []string          `json:"printed,omitempty"`
-}
-
-// wireSegRef points at one segment's bytes in the shared store, as an
-// ordered list of ChunkSize page hashes (the store's dedup granularity).
-type wireSegRef struct {
-	Base   uint64   `json:"base"`
-	Name   string   `json:"name"`
-	Pages  []string `json:"pages,omitempty"`
-	Len    int      `json:"len"`
-	Domain uint8    `json:"domain,omitempty"`
-}
-
-// encodeSnapHeader fills the snapshot fields every transport shares
-// (registers, env streams); the memory image is the caller's choice of
-// inline bytes or store references.
-func encodeSnapHeader(st *checkpoint.Snapshot) wireSnapshot {
-	ws := wireSnapshot{
-		R:          make([]uint64, len(st.CPU.R)),
-		FBits:      fbits.Of(st.CPU.F[:]),
-		PC:         uint64(st.CPU.PC),
-		Dyn:        st.CPU.Dyn,
-		Step:       st.Step,
-		ResultBits: fbits.Of(st.EnvResults),
-		Printed:    st.EnvPrinted,
-	}
-	for j, r := range st.CPU.R {
-		ws.R[j] = uint64(r)
-	}
-	return ws
-}
-
-func encodeProfile(p *profiler.Profile) wireProfile {
-	wp := wireProfile{
-		TotalDyn:   p.TotalDyn,
-		Counts:     p.Counts,
-		GoldenBits: fbits.Of(p.Golden),
-		ExitCode:   p.ExitCode,
-	}
-	for i := range p.Snaps {
-		sp := &p.Snaps[i]
-		ws := encodeSnapHeader(sp.State)
-		ws.Mem = sp.State.Mem
-		wp.Snaps = append(wp.Snaps, wireSnap{Dyn: sp.Dyn, State: ws, Counts: sp.Counts})
-	}
-	return wp
-}
-
-// encodeProfileDedup encodes a profile with snapshot memory hoisted
-// into the store as content-addressed blobs: the spec frame carries
-// hashes, the worker fetches bytes. Segments shared across snapshots
-// (frozen COW aliases) are recognised by backing-array identity and
-// stored once. Returns ok=false — with the full inline encoding — when
-// there is no store or a blob write failed (the store charges
-// store.fallback); the coordinator then ships payloads as before, so a
-// broken store can never lose a campaign.
-func encodeProfileDedup(p *profiler.Profile, st *store.Store) (wireProfile, bool) {
+// storeDir is the spec's StoreDir for a coordinator-side store.
+func storeDir(st *store.Store) string {
 	if st == nil {
-		return encodeProfile(p), false
+		return ""
 	}
-	wp := wireProfile{
-		TotalDyn:   p.TotalDyn,
-		Counts:     p.Counts,
-		GoldenBits: fbits.Of(p.Golden),
-		ExitCode:   p.ExitCode,
-	}
-	type ref struct {
-		pages []string
-		n     int
-	}
-	seen := map[*byte]ref{}
-	for i := range p.Snaps {
-		sp := &p.Snaps[i]
-		ws := encodeSnapHeader(sp.State)
-		ws.HeapNext = uint64(sp.State.Mem.HeapNext)
-		for _, seg := range sp.State.Mem.Segs {
-			var r ref
-			if len(seg.Data) > 0 {
-				if c, ok := seen[&seg.Data[0]]; ok && c.n == len(seg.Data) {
-					r = c
-				} else {
-					pages, err := st.PutChunked(seg.Data)
-					if err != nil {
-						st.AddFallback()
-						return encodeProfile(p), false
-					}
-					r = ref{pages: pages, n: len(seg.Data)}
-					seen[&seg.Data[0]] = r
-				}
-			}
-			ws.SegRefs = append(ws.SegRefs, wireSegRef{
-				Base: uint64(seg.Base), Name: seg.Name,
-				Pages: r.pages, Len: r.n, Domain: uint8(seg.Domain),
-			})
-		}
-		wp.Snaps = append(wp.Snaps, wireSnap{Dyn: sp.Dyn, State: ws, Counts: sp.Counts})
-	}
-	return wp, true
+	return st.Dir()
 }
 
-// decodeProfile reconstructs a profile on the worker side. st is the
-// shared store opened from the spec's StoreDir (nil when snapshots
-// shipped inline); fetched blobs are verified against their hash and
-// cached per call, so segments shared across snapshots alias one byte
-// slice exactly as they did in the coordinator. A reference the store
-// cannot verify is an error — the worker reports it and the shard
-// fails loudly rather than running on unverified memory.
-func decodeProfile(wp *wireProfile, st *store.Store) (*profiler.Profile, error) {
-	p := &profiler.Profile{
-		TotalDyn: wp.TotalDyn,
-		Counts:   wp.Counts,
-		Golden:   fbits.Floats(wp.GoldenBits),
-		ExitCode: wp.ExitCode,
+// profileDigest fingerprints what every trial reads from a profile:
+// the golden run's length, exit code and result bits, and the snapshot
+// points. Workers answer their spec with it, and the coordinator
+// refuses to merge results from a worker whose profile differs from its
+// own (a different binary, configuration, or a nondeterministic
+// workload).
+func profileDigest(p *profiler.Profile) string {
+	h := sha256.New()
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
 	}
-	pageCache := map[string][]byte{}
-	segCache := map[string][]byte{}
-	for i := range wp.Snaps {
-		ws := &wp.Snaps[i]
-		mem := ws.State.Mem
-		if mem == nil && len(ws.State.SegRefs) > 0 {
-			if st == nil {
-				return nil, fmt.Errorf("shard: snapshot %d ships segment references but no store directory", i)
-			}
-			mem = &machine.Snapshot{HeapNext: machine.Word(ws.State.HeapNext)}
-			for _, r := range ws.State.SegRefs {
-				segKey := strings.Join(r.Pages, "")
-				data, ok := segCache[segKey]
-				if !ok || len(data) != r.Len {
-					var err error
-					if data, err = st.GetChunked(r.Pages, r.Len, pageCache); err != nil {
-						return nil, fmt.Errorf("shard: snapshot %d: %w", i, err)
-					}
-					segCache[segKey] = data
-				}
-				mem.Segs = append(mem.Segs, machine.SegSnapshot{
-					Base: machine.Word(r.Base), Name: r.Name,
-					Data: data, Domain: machine.DomainID(r.Domain),
-				})
-			}
-		}
-		if mem == nil {
-			return nil, fmt.Errorf("shard: snapshot %d shipped without a memory image", i)
-		}
-		snap := &checkpoint.Snapshot{
-			Mem:        mem,
-			Step:       ws.State.Step,
-			EnvResults: fbits.Floats(ws.State.ResultBits),
-			EnvPrinted: ws.State.Printed,
-		}
-		if len(ws.State.R) != len(snap.CPU.R) || len(ws.State.FBits) != len(snap.CPU.F) {
-			return nil, fmt.Errorf("shard: snapshot %d register file has %d/%d slots, machine has %d/%d",
-				i, len(ws.State.R), len(ws.State.FBits), len(snap.CPU.R), len(snap.CPU.F))
-		}
-		for j, r := range ws.State.R {
-			snap.CPU.R[j] = machine.Word(r)
-		}
-		copy(snap.CPU.F[:], fbits.Floats(ws.State.FBits))
-		snap.CPU.PC = machine.Word(ws.State.PC)
-		snap.CPU.Dyn = ws.State.Dyn
-		p.Snaps = append(p.Snaps, profiler.SnapPoint{Dyn: ws.Dyn, State: snap, Counts: ws.Counts})
+	put(p.TotalDyn)
+	put(p.ExitCode)
+	put(uint64(len(p.Golden)))
+	for _, f := range p.Golden {
+		put(math.Float64bits(f))
 	}
-	return p, nil
+	put(uint64(len(p.Snaps)))
+	for i := range p.Snaps {
+		put(p.Snaps[i].Dyn)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // wireTrial ships one faultinject.TrialResult; the recorder goes as

@@ -4,23 +4,20 @@ import (
 	"fmt"
 	"io"
 
-	"care/internal/faultinject"
 	"care/internal/profiler"
 	"care/internal/store"
 )
 
-// batchSize bounds results per batch frame: large enough to amortise
-// framing, small enough that the coordinator's intake sees steady
-// progress on long shards.
-const batchSize = 64
-
 // Serve runs the worker side of the shard protocol over (r, w) —
 // `care-inject -shard-serve` wires it to stdin/stdout. The worker
 // receives one spec frame (build recipe, campaign or coverage config,
-// golden profile), rebuilds the binary with the deterministic compiler
-// pipeline, then answers run frames with batch/done streams until the
-// exit frame. Anything written to w must be protocol frames, so worker
-// diagnostics belong on stderr.
+// store directory), rebuilds the binary with the deterministic compiler
+// pipeline, prepares the golden profile with the coordinator's own
+// Prepare call, and answers with a ready frame carrying the profile's
+// digest (or an error frame if any of that failed). It then answers
+// each run frame with a done frame carrying that range's results, until
+// the exit frame. Anything written to w must be protocol frames, so
+// worker diagnostics belong on stderr.
 func Serve(r io.Reader, w io.Writer) error {
 	f, err := readFrame(r)
 	if err != nil {
@@ -29,31 +26,12 @@ func Serve(r io.Reader, w io.Writer) error {
 	if f.Type != frameSpec || f.Spec == nil {
 		return fmt.Errorf("shard: worker expected spec frame, got %q", f.Type)
 	}
-	spec := f.Spec
-	app, err := spec.Build.Build()
+	prof, run, err := prepare(f.Spec)
 	if err != nil {
 		return sendErr(w, err)
 	}
-	var st *store.Store
-	if spec.StoreDir != "" {
-		if st, err = store.Open(spec.StoreDir); err != nil {
-			return sendErr(w, err)
-		}
-	}
-	prof, err := decodeProfile(&spec.Profile, st)
-	if err != nil {
-		return sendErr(w, err)
-	}
-	var runRange func(lo, hi int) error
-	switch {
-	case spec.Campaign != nil:
-		c := spec.Campaign.campaign(app, nil)
-		runRange = func(lo, hi int) error { return serveCampaignRange(w, c, prof, lo, hi) }
-	case spec.Coverage != nil:
-		e := spec.Coverage.experiment(app, nil)
-		runRange = func(lo, hi int) error { return serveCoverageRange(w, e, prof, lo, hi) }
-	default:
-		return sendErr(w, fmt.Errorf("shard: spec frame names neither campaign nor coverage"))
+	if err := writeFrame(w, &frame{Type: frameReady, Digest: profileDigest(prof)}); err != nil {
+		return err
 	}
 	for {
 		f, err := readFrame(r)
@@ -65,7 +43,11 @@ func Serve(r io.Reader, w io.Writer) error {
 		}
 		switch f.Type {
 		case frameRun:
-			if err := runRange(f.Lo, f.Hi); err != nil {
+			done, err := run(f.Lo, f.Hi)
+			if err != nil {
+				return sendErr(w, err)
+			}
+			if err := writeFrame(w, done); err != nil {
 				return err
 			}
 		case frameExit:
@@ -76,63 +58,68 @@ func Serve(r io.Reader, w io.Writer) error {
 	}
 }
 
+// prepare sets a worker up from its spec: it rebuilds the binary,
+// reopens the shared store, and runs the spec's Prepare. It returns the
+// profile and the function that runs one range into a done frame.
+func prepare(spec *WorkerSpec) (*profiler.Profile, func(lo, hi int) (*frame, error), error) {
+	app, err := spec.Build.Build()
+	if err != nil {
+		return nil, nil, err
+	}
+	var st *store.Store
+	if spec.StoreDir != "" {
+		if st, err = store.Open(spec.StoreDir); err != nil {
+			return nil, nil, err
+		}
+	}
+	switch {
+	case spec.Campaign != nil:
+		c := spec.Campaign.campaign(app, nil)
+		c.Store = st
+		prof, err := c.Prepare()
+		if err != nil {
+			return nil, nil, err
+		}
+		return prof, func(lo, hi int) (*frame, error) {
+			trials, err := c.RunTrialRange(prof, lo, hi)
+			if err != nil {
+				return nil, err
+			}
+			done := &frame{Type: frameDone, Lo: lo, Hi: hi, Trials: make([]wireTrial, len(trials))}
+			for i := range trials {
+				if done.Trials[i], err = encodeTrial(&trials[i]); err != nil {
+					return nil, err
+				}
+			}
+			return done, nil
+		}, nil
+	case spec.Coverage != nil:
+		e := spec.Coverage.experiment(app, nil)
+		e.Store = st
+		prof, err := e.Prepare()
+		if err != nil {
+			return nil, nil, err
+		}
+		return prof, func(lo, hi int) (*frame, error) {
+			atts, err := e.RunAttemptRange(prof, lo, hi)
+			if err != nil {
+				return nil, err
+			}
+			done := &frame{Type: frameDone, Lo: lo, Hi: hi, Attempts: make([]wireAttempt, len(atts))}
+			for i := range atts {
+				if done.Attempts[i], err = encodeAttempt(&atts[i]); err != nil {
+					return nil, err
+				}
+			}
+			return done, nil
+		}, nil
+	}
+	return nil, nil, fmt.Errorf("shard: spec frame names neither campaign nor coverage")
+}
+
 // sendErr reports a worker failure to the coordinator and returns the
 // original error so the worker process exits non-zero.
 func sendErr(w io.Writer, err error) error {
 	_ = writeFrame(w, &frame{Type: frameError, Err: err.Error()})
 	return err
-}
-
-// serveCampaignRange runs trials [lo, hi) and streams them back in
-// index order as batch frames, closing with a done frame.
-func serveCampaignRange(w io.Writer, c *faultinject.Campaign, prof *profiler.Profile, lo, hi int) error {
-	trials, err := c.RunTrialRange(prof, lo, hi)
-	if err != nil {
-		return sendErr(w, err)
-	}
-	for base := 0; base < len(trials); base += batchSize {
-		end := base + batchSize
-		if end > len(trials) {
-			end = len(trials)
-		}
-		wt := make([]wireTrial, 0, end-base)
-		for i := base; i < end; i++ {
-			t, err := encodeTrial(&trials[i])
-			if err != nil {
-				return sendErr(w, err)
-			}
-			wt = append(wt, t)
-		}
-		if err := writeFrame(w, &frame{Type: frameBatch, Trials: wt}); err != nil {
-			return err
-		}
-	}
-	return writeFrame(w, &frame{Type: frameDone, Lo: lo, Hi: hi})
-}
-
-// serveCoverageRange runs attempts [lo, hi) and streams them back in
-// index order as batch frames, closing with a done frame.
-func serveCoverageRange(w io.Writer, e *faultinject.CoverageExperiment, prof *profiler.Profile, lo, hi int) error {
-	atts, err := e.RunAttemptRange(prof, lo, hi)
-	if err != nil {
-		return sendErr(w, err)
-	}
-	for base := 0; base < len(atts); base += batchSize {
-		end := base + batchSize
-		if end > len(atts) {
-			end = len(atts)
-		}
-		wa := make([]wireAttempt, 0, end-base)
-		for i := base; i < end; i++ {
-			a, err := encodeAttempt(&atts[i])
-			if err != nil {
-				return sendErr(w, err)
-			}
-			wa = append(wa, a)
-		}
-		if err := writeFrame(w, &frame{Type: frameBatch, Attempts: wa}); err != nil {
-			return err
-		}
-	}
-	return writeFrame(w, &frame{Type: frameDone, Lo: lo, Hi: hi})
 }

@@ -255,3 +255,80 @@ func TestConcurrentProfileWriters(t *testing.T) {
 	}
 	sameProfile(t, got, fakeProfile())
 }
+
+// TestPutBlobRepairsCorruptBlob: a blob file at the right address but
+// with the wrong bytes — same size or truncated — is not a dedup hit.
+// PutBlob rewrites it and counts a put, so the next load verifies.
+func TestPutBlobRepairsCorruptBlob(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rot  func([]byte) []byte
+	}{
+		{"flipped-byte", func(b []byte) []byte { b[3] ^= 0x40; return b }},
+		{"truncated", func(b []byte) []byte { return b[:len(b)-1] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := openT(t)
+			data := []byte("segment page bytes")
+			h, err := s.PutBlob(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := s.blobPath(h)
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, tc.rot(b), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.GetBlob(h); err == nil {
+				t.Fatal("rotted blob verified")
+			}
+			if _, err := s.PutBlob(data); err != nil {
+				t.Fatal(err)
+			}
+			if n := s.Counter(CounterBlobPuts); n != 2 {
+				t.Fatalf("blob-puts = %d, want 2 (the repair is a put)", n)
+			}
+			if n := s.Counter(CounterBlobDedup); n != 0 {
+				t.Fatalf("blob-dedup-hits = %d, want 0 (a rotted blob is no dedup hit)", n)
+			}
+			got, err := s.GetBlob(h)
+			if err != nil || string(got) != string(data) {
+				t.Fatalf("repaired blob = %q, %v", got, err)
+			}
+		})
+	}
+}
+
+// TestPutProfileRepairsCorruptStore: after every blob rots, storing
+// the same profile again rewrites them all, and the entry loads clean.
+func TestPutProfileRepairsCorruptStore(t *testing.T) {
+	s, key := storedProfile(t)
+	for _, path := range blobFiles(t, s) {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[0] ^= 0x01
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantFallback(t, s, key)
+	s2, err := Open(s.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.PutProfile(key, fakeProfile(), []TextImage{{Name: "app", Data: []byte("text-bytes")}}); err != nil {
+		t.Fatal(err)
+	}
+	if n := s2.Counter(CounterBytesDeduped); n != 0 {
+		t.Fatalf("repopulate deduped %d bytes against rotted blobs", n)
+	}
+	prof, err := s2.GetProfile(key)
+	if err != nil || prof == nil {
+		t.Fatalf("repaired entry does not load: %v", err)
+	}
+}

@@ -16,7 +16,7 @@ import (
 )
 
 // segRef is a content-addressed pointer to one memory segment: the
-// manifest ships ChunkSize page hashes, the blob store holds the
+// manifest ships chunkSize page hashes, the blob store holds the
 // bytes. Identical pages — the untouched majority of a written COW
 // segment across consecutive snapshots, or the same .text across
 // campaigns — collapse to one blob each.
@@ -87,19 +87,21 @@ func (s *Store) PutProfile(key Key, prof *profiler.Profile, text []TextImage) er
 		ExitCode:   prof.ExitCode,
 	}
 	// seen caches pages-by-backing-array so aliased COW segments are
-	// chunked and offered to the blob store once.
+	// chunked and offered to the blob store once; stored remembers the
+	// pages already written or verified by this put.
 	type ref struct {
 		pages []string
 		len   int
 	}
 	seen := map[*byte]ref{}
+	stored := map[Hash]bool{}
 	putSeg := func(base machine.Word, name string, data []byte, dom machine.DomainID) (segRef, error) {
 		var r ref
 		if len(data) > 0 {
 			if c, ok := seen[&data[0]]; ok && c.len == len(data) {
 				r = c
 			} else {
-				pages, err := s.PutChunked(data)
+				pages, err := s.putChunked(data, stored)
 				if err != nil {
 					return segRef{}, err
 				}
@@ -207,7 +209,7 @@ func (s *Store) decodeManifest(key Key, b []byte) (*profiler.Profile, error) {
 		if data, ok := segCache[segKey]; ok && len(data) == r.Len {
 			return data, nil
 		}
-		data, err := s.GetChunked(r.Pages, r.Len, pageCache)
+		data, err := s.getChunked(r.Pages, r.Len, pageCache)
 		if err != nil {
 			return nil, err
 		}

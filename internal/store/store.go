@@ -17,6 +17,7 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -94,9 +95,9 @@ const (
 	// degraded to a cold path (hash mismatch, truncated blob, missing
 	// manifest segment, unreadable index).
 	CounterFallback = "store.fallback"
-	// CounterBlobPuts / CounterBytesWritten account for new blobs;
-	// CounterBlobDedup / CounterBytesDeduped for writes the store
-	// already held (the dedup win, on disk and on the shard wire).
+	// CounterBlobPuts / CounterBytesWritten account for new (or
+	// repaired) blobs; CounterBlobDedup / CounterBytesDeduped for writes
+	// the store already held intact (the dedup win).
 	CounterBlobPuts     = "store.blob-puts"
 	CounterBytesWritten = "store.bytes-written"
 	CounterBlobDedup    = "store.blob-dedup-hits"
@@ -134,8 +135,8 @@ func Open(dir string) (*Store, error) {
 	return &Store{dir: dir, rec: trace.New(1)}, nil
 }
 
-// Dir returns the store's root directory (shipped to shard workers so
-// they fetch segment blobs by hash instead of full snapshot payloads).
+// Dir returns the store's root directory (shard workers open it to
+// load the campaign's golden profile themselves).
 func (s *Store) Dir() string { return s.dir }
 
 // add charges a store counter under the lock.
@@ -144,11 +145,6 @@ func (s *Store) add(name string, v int64) {
 	s.rec.Add(name, v)
 	s.mu.Unlock()
 }
-
-// AddFallback charges the corrupt-entry counter from callers that hit
-// a store failure outside the store's own load paths (e.g. the shard
-// coordinator abandoning wire dedup after a blob write error).
-func (s *Store) AddFallback() { s.add(CounterFallback, 1) }
 
 // Counter reads one store counter.
 func (s *Store) Counter(name string) int64 {
@@ -178,25 +174,40 @@ func (s *Store) blobPath(h Hash) string {
 }
 
 // PutBlob stores a byte image under its content address. If the store
-// already holds the blob the write is skipped and counted as dedup —
-// the common case once a segment has been seen by any prior run,
-// campaign, or shard worker. Concurrent writers racing on one hash are
-// safe: each writes a private temp file and the atomic rename makes the
-// last one win with identical content.
+// already holds the blob intact the write is skipped and counted as
+// dedup — the common case once a segment has been seen by any prior
+// run, campaign, or shard worker. A file at the address that does not
+// hold exactly these bytes (a corrupted or truncated blob) is rewritten
+// and counted as a put, so a fallback run's repopulate repairs the
+// store instead of leaving it broken for good. Comparing against data
+// is the same check as re-hashing the file, because data hashes to the
+// address. Concurrent writers racing on one hash are safe: each writes
+// a private temp file and the atomic rename makes the last one win
+// with identical content.
 func (s *Store) PutBlob(data []byte) (Hash, error) {
 	h := HashBytes(data)
+	return h, s.putBlob(h, data)
+}
+
+// putBlob is PutBlob with the address already computed.
+func (s *Store) putBlob(h Hash, data []byte) error {
 	path := s.blobPath(h)
-	if fi, err := os.Stat(path); err == nil && fi.Size() == int64(len(data)) {
-		s.add(CounterBlobDedup, 1)
-		s.add(CounterBytesDeduped, int64(len(data)))
-		return h, nil
+	if old, err := os.ReadFile(path); err == nil && bytes.Equal(old, data) {
+		s.dedup(len(data))
+		return nil
 	}
 	if err := atomicWrite(path, data); err != nil {
-		return h, fmt.Errorf("store: put blob %s: %w", h, err)
+		return fmt.Errorf("store: put blob %s: %w", h, err)
 	}
 	s.add(CounterBlobPuts, 1)
 	s.add(CounterBytesWritten, int64(len(data)))
-	return h, nil
+	return nil
+}
+
+// dedup charges one blob write the store already held.
+func (s *Store) dedup(n int) {
+	s.add(CounterBlobDedup, 1)
+	s.add(CounterBytesDeduped, int64(n))
 }
 
 // GetBlob loads and verifies a blob. A missing file, short read, or
@@ -215,36 +226,44 @@ func (s *Store) GetBlob(h Hash) ([]byte, error) {
 	return data, nil
 }
 
-// ChunkSize is the fixed page granularity segment images are chunked
+// chunkSize is the fixed page granularity segment images are chunked
 // at before entering the blob store. The machine's copy-on-write is
 // whole-segment, so consecutive snapshots of a written segment are
 // distinct multi-megabyte arrays that differ in a few spots; chunking
 // lets the untouched pages dedup by content, which is most of the
 // stored bytes and most of the verified-load cost on a cache hit.
-const ChunkSize = 64 << 10
+const chunkSize = 64 << 10
 
-// PutChunked stores a byte image as fixed-size page blobs and returns
-// the page hashes in order. Empty data yields no pages.
-func (s *Store) PutChunked(data []byte) ([]string, error) {
+// putChunked stores a byte image as fixed-size page blobs and returns
+// the page hashes in order. Empty data yields no pages. stored holds
+// the pages the caller already put or verified in this pass (the
+// all-zero page of every stack snapshot, say); they count as dedup
+// without reading the blob back again.
+func (s *Store) putChunked(data []byte, stored map[Hash]bool) ([]string, error) {
 	var pages []string
-	for off := 0; off < len(data); off += ChunkSize {
-		end := off + ChunkSize
+	for off := 0; off < len(data); off += chunkSize {
+		end := off + chunkSize
 		if end > len(data) {
 			end = len(data)
 		}
-		h, err := s.PutBlob(data[off:end])
-		if err != nil {
-			return nil, err
+		h := HashBytes(data[off:end])
+		if stored[h] {
+			s.dedup(end - off)
+		} else {
+			if err := s.putBlob(h, data[off:end]); err != nil {
+				return nil, err
+			}
+			stored[h] = true
 		}
 		pages = append(pages, h.String())
 	}
 	return pages, nil
 }
 
-// GetChunked fetches, verifies and reassembles a chunked image. cache
+// getChunked fetches, verifies and reassembles a chunked image. cache
 // maps page hash to payload across calls, so a page shared by many
 // snapshots is read and verified exactly once per load.
-func (s *Store) GetChunked(pages []string, length int, cache map[string][]byte) ([]byte, error) {
+func (s *Store) getChunked(pages []string, length int, cache map[string][]byte) ([]byte, error) {
 	data := make([]byte, 0, length)
 	for _, p := range pages {
 		b, ok := cache[p]

@@ -24,8 +24,8 @@ func shardTrialRec(i int) *Recorder {
 	return r
 }
 
-// shardRangeFor is the contiguous trial partition the campaign
-// coordinator uses: shard s of S owns [s*n/S, (s+1)*n/S).
+// shardRangeFor is a contiguous trial partition, like the chunks the
+// campaign coordinator deals: shard s of S owns [s*n/S, (s+1)*n/S).
 func shardRangeFor(n, shards, s int) (int, int) {
 	return s * n / shards, (s + 1) * n / shards
 }
