@@ -52,10 +52,10 @@ func Capture(c *machine.CPU, step int) *Snapshot {
 	return s
 }
 
-// Apply restores the snapshot into a CPU: memory segments come back as
+// Apply restores the snapshot into a CPU: memory pages come back as
 // copy-on-write aliases of the frozen image (so applying one snapshot
-// to many processes shares the bytes until they diverge), and the
-// architectural state and output streams are rewound. It is the
+// to many processes shares each page until a process stores to it),
+// and the architectural state and output streams are rewound. It is the
 // accounting-free core of Store.Restore. The CPU must have the same
 // images attached (code is immutable and not part of the snapshot, as
 // with ordinary C/R).

@@ -316,3 +316,32 @@ func TestFullRestoreChargesLostWork(t *testing.T) {
 		t.Errorf("%s = %d, want %d", checkpoint.CounterLostDyn, got, want)
 	}
 }
+
+// TestSnapshotBytesCountWholeSegments pins the §5.4 cost model's input:
+// Snapshot.Bytes, DomainSnapshot.Bytes and MappedBytes count every
+// segment's full extent, not the pages that were ever written, so the
+// modelled checkpoint sizes do not depend on how the machine stores
+// memory. The values were recorded when copy-on-write still copied
+// whole segments.
+func TestSnapshotBytesCountWholeSegments(t *testing.T) {
+	_, p := buildProc(t)
+	p.CPU.Run(50_000)
+	s := checkpoint.Capture(p.CPU, 1)
+	if got, want := s.Mem.Bytes(), 1071933; got != want {
+		t.Errorf("memory snapshot Bytes = %d, want %d", got, want)
+	}
+	if got, want := s.Bytes(), 1072205; got != want {
+		t.Errorf("checkpoint Bytes = %d, want %d", got, want)
+	}
+	if got, want := p.CPU.Mem.MappedBytes(), 1076800; got != want {
+		t.Errorf("MappedBytes = %d, want %d", got, want)
+	}
+	for d, want := range map[machine.DomainID]int{machine.DomainHeap: 23040, machine.DomainStack: 1 << 20} {
+		if got := s.Mem.DomainView(d).Bytes(); got != want {
+			t.Errorf("%v domain view Bytes = %d, want %d", d, got, want)
+		}
+		if got := p.CPU.Mem.SnapshotDomain(d).Bytes(); got != want {
+			t.Errorf("%v domain snapshot Bytes = %d, want %d", d, got, want)
+		}
+	}
+}

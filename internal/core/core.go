@@ -319,7 +319,7 @@ func NewProcess(cfg ProcessConfig) (*Process, error) {
 // read-only code segments), then the snapshot's memory image, registers
 // and host-environment streams are applied in place of InitStack/Start,
 // so the process resumes mid-run at snapshot.CPU.Dyn. Because the
-// snapshot's segments alias frozen bytes copy-on-write, any number of
+// snapshot's pages alias frozen bytes copy-on-write, any number of
 // concurrent processes may warm-start from one snapshot.
 //
 // The golden prefix is fault-free, so a Safeguard attached after the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"care/internal/debuginfo"
@@ -8,6 +9,7 @@ import (
 	"care/internal/machine"
 	"care/internal/rtable"
 	"care/internal/safeguard"
+	"care/internal/workloads"
 )
 
 // buildStencil builds a module with the paper's Figure 2 access pattern:
@@ -317,5 +319,38 @@ func TestHeuristicModeTradesCrashForPossibleSDC(t *testing.T) {
 	}
 	if !sawHeuristic && p.SG.Stats().Recovered == 0 {
 		t.Fatalf("expected heuristic patch or recovery, events: %+v", p.SG.Stats().Events)
+	}
+}
+
+// TestNewProcessAllocatesNoStack: the 1 MiB main stack maps onto the
+// machine's zero page, so creating an HPCCG process allocates page
+// tables and bookkeeping only, and the process still runs to completion
+// on a stack that reads as zeros until first written.
+func TestNewProcessAllocatesNoStack(t *testing.T) {
+	w, err := workloads.Get("HPCCG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin, err := Build(w.Module(workloads.Params{}), BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A first process fills the binary's lazily built shared caches
+	// (the sealed .text image), which later processes do not pay for.
+	if _, err := NewProcess(ProcessConfig{App: bin}); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p, err := NewProcess(ProcessConfig{App: bin})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Errorf("NewProcess allocated %d bytes, want < 64 KiB (no stack copy)", got)
+	}
+	if st := p.Run(0); st != machine.StatusExited {
+		t.Fatalf("process on a zero-page stack: %v (%v)", st, p.CPU.PendingTrap)
 	}
 }

@@ -2,12 +2,16 @@ package faultinject
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
 	"testing"
 
+	"care/internal/fbits"
+	"care/internal/machine"
+	"care/internal/profiler"
 	"care/internal/store"
 	"care/internal/trace"
 )
@@ -240,5 +244,117 @@ func TestCampaignStoreKeySeparatesCadence(t *testing.T) {
 	}
 	if res2.WarmStart == nil || res2.WarmStart.Snapshots != res.WarmStart.Snapshots {
 		t.Fatalf("cached warm entry lost snapshots: %+v vs %+v", res2.WarmStart, res.WarmStart)
+	}
+}
+
+// TestCampaignStoreOtherFormatIsAMiss: an entry written before the
+// store used machine pages as its blob unit (segments cut into 64 KiB
+// chunks, listed by chunk hash, no format number) is a miss, not
+// corruption. The first Prepare runs cold without charging
+// store.fallback and rewrites the entry, the result is byte-identical,
+// and the next Prepare is a hit.
+func TestCampaignStoreOtherFormatIsAMiss(t *testing.T) {
+	bin := buildWorkload(t, "HPCCG", 0, false)
+	key := store.Key{Kind: "campaign", Workload: "HPCCG", Seed: 9, WarmStart: true}
+	base := func() *Campaign {
+		return &Campaign{App: bin, N: 16, Model: SingleBit, Seed: 9, Workers: 2, Trace: true, WarmStart: true}
+	}
+	cold, err := base().Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := scrubbedJSONL(t, cold.Trace)
+	prof, err := base().Prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	plantChunkedManifest(t, openStoreAt(t, dir), key, prof)
+
+	for i, wantHit := range []bool{false, true} {
+		s := openStoreAt(t, dir)
+		c := base()
+		c.Store, c.StoreKey = s, key
+		res, err := c.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits, misses, fallback := s.Counter(store.CounterGoldenHits), s.Counter(store.CounterGoldenMisses), s.Counter(store.CounterFallback)
+		if fallback != 0 || (wantHit && hits != 1) || (!wantHit && misses != 1) {
+			t.Fatalf("run %d: golden-hits=%d golden-misses=%d fallback=%d, want a clean %s",
+				i+1, hits, misses, fallback, map[bool]string{false: "miss", true: "hit"}[wantHit])
+		}
+		if got := scrubbedJSONL(t, res.Trace); got != want {
+			t.Fatalf("run %d JSONL differs from the storeless run (%d vs %d bytes)", i+1, len(got), len(want))
+		}
+	}
+}
+
+// plantChunkedManifest writes prof under key in the store's earlier
+// format: every segment image reassembled, cut into 64 KiB chunks
+// stored as blobs, and listed by chunk hash and length.
+func plantChunkedManifest(t *testing.T, s *store.Store, key store.Key, prof *profiler.Profile) {
+	t.Helper()
+	type segRef struct {
+		Base   uint64   `json:"base"`
+		Name   string   `json:"name"`
+		Pages  []string `json:"pages,omitempty"`
+		Len    int      `json:"len"`
+		Domain uint8    `json:"domain,omitempty"`
+	}
+	type snapManifest struct {
+		Dyn        uint64              `json:"dyn"`
+		R          []uint64            `json:"r"`
+		FBits      []uint64            `json:"f_bits"`
+		PC         uint64              `json:"pc"`
+		CPUDyn     uint64              `json:"cpu_dyn"`
+		Step       int                 `json:"step"`
+		HeapNext   uint64              `json:"heap_next"`
+		Segs       []segRef            `json:"segs"`
+		ResultBits []uint64            `json:"result_bits,omitempty"`
+		Printed    []string            `json:"printed,omitempty"`
+		Counts     map[string][]uint64 `json:"counts,omitempty"`
+	}
+	man := struct {
+		Key        store.Key           `json:"key"`
+		TotalDyn   uint64              `json:"total_dyn"`
+		Counts     map[string][]uint64 `json:"counts"`
+		GoldenBits []uint64            `json:"golden_bits,omitempty"`
+		ExitCode   uint64              `json:"exit_code"`
+		Snaps      []snapManifest      `json:"snaps,omitempty"`
+	}{Key: key, TotalDyn: prof.TotalDyn, Counts: prof.Counts, GoldenBits: fbits.Of(prof.Golden), ExitCode: prof.ExitCode}
+	for _, sp := range prof.Snaps {
+		st := sp.State
+		sm := snapManifest{Dyn: sp.Dyn, FBits: fbits.Of(st.CPU.F[:]), PC: uint64(st.CPU.PC), CPUDyn: st.CPU.Dyn,
+			Step: st.Step, HeapNext: uint64(st.Mem.HeapNext), ResultBits: fbits.Of(st.EnvResults), Printed: st.EnvPrinted, Counts: sp.Counts}
+		for _, w := range st.CPU.R {
+			sm.R = append(sm.R, uint64(w))
+		}
+		for _, seg := range st.Mem.Segs {
+			var image []byte
+			for i, p := range seg.Pages {
+				if p == nil {
+					p = make([]byte, min(machine.PageSize, seg.Size-i*machine.PageSize))
+				}
+				image = append(image, p...)
+			}
+			r := segRef{Base: uint64(seg.Base), Name: seg.Name, Len: len(image), Domain: uint8(seg.Domain)}
+			for off := 0; off < len(image); off += 64 << 10 {
+				h, err := s.PutBlob(image[off:min(off+64<<10, len(image))])
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.Pages = append(r.Pages, h.String())
+			}
+			sm.Segs = append(sm.Segs, r)
+		}
+		man.Snaps = append(man.Snaps, sm)
+	}
+	b, err := json.Marshal(&man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(s.Dir(), "manifests", key.ID()+".json"), b, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"runtime"
 	"testing"
 
 	"care/internal/debuginfo"
@@ -55,8 +56,8 @@ func TestStoreToCodeFaults(t *testing.T) {
 }
 
 // TestSharedCodeBacking asserts the zero-copy Load: every process of a
-// sealed program maps the same .text backing array, while unsealed
-// (hand-assembled) programs get private packings.
+// sealed program maps pages of the same .text backing array, while
+// unsealed (hand-assembled) programs get private packings.
 func TestSharedCodeBacking(t *testing.T) {
 	p := smallProg("app")
 	p.SealCode()
@@ -69,8 +70,11 @@ func TestSharedCodeBacking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &i1.CodeSeg.Data[0] != &i2.CodeSeg.Data[0] {
-		t.Error("two loads of a sealed program do not share the code backing array")
+	if !sameBacking(i1.CodeSeg.pages[0].data, i2.CodeSeg.pages[0].data) {
+		t.Error("two loads of a sealed program do not share the code page")
+	}
+	if !sameBacking(i1.CodeSeg.pages[0].data, p.CodeImage()) {
+		t.Error("the code page does not alias the program's sealed image")
 	}
 	u := smallProg("unsealed")
 	j1, err := Load(NewMemory(), u)
@@ -81,14 +85,19 @@ func TestSharedCodeBacking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &j1.CodeSeg.Data[0] == &j2.CodeSeg.Data[0] {
+	if sameBacking(j1.CodeSeg.pages[0].data, j2.CodeSeg.pages[0].data) {
 		t.Error("loads of an unsealed program share a packing that was never published")
 	}
 }
 
+// sameBacking reports whether two non-empty byte slices start at the
+// same address (alias one backing array).
+func sameBacking(a, b []byte) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
+
 // TestGlobalsCopyOnWrite asserts the .data mapping: loads alias the
-// program's initial image until the first store, which materialises a
-// private copy without touching the shared bytes other processes read.
+// program's initial image page until the first store, which
+// materialises a private copy of that page without touching the shared
+// bytes other processes read.
 func TestGlobalsCopyOnWrite(t *testing.T) {
 	p := smallProg("app")
 	p.SealCode()
@@ -101,14 +110,18 @@ func TestGlobalsCopyOnWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !i1.GlobalSeg.Shared() || &i1.GlobalSeg.Data[0] != &i2.GlobalSeg.Data[0] {
-		t.Fatal("fresh loads do not share the initial globals image")
+	g1, g2 := &i1.GlobalSeg.pages[0], &i2.GlobalSeg.pages[0]
+	if !g1.frozen || !sameBacking(g1.data, g2.data) || !sameBacking(g1.data, p.GlobalInit) {
+		t.Fatal("fresh loads do not share the initial globals page")
 	}
 	if f := m1.Write(p.GlobalBase, 99); f != nil {
 		t.Fatal(f)
 	}
-	if i1.GlobalSeg.Shared() {
-		t.Error("stored-to segment still reports shared")
+	if g1.frozen || sameBacking(g1.data, p.GlobalInit) {
+		t.Error("stored-to page still aliases the initial image")
+	}
+	if !g2.frozen {
+		t.Error("sibling process's page thawed by the other's store")
 	}
 	if v, _ := m1.Read(p.GlobalBase); v != 99 {
 		t.Errorf("writer reads %d, want 99", v)
@@ -124,7 +137,7 @@ func TestGlobalsCopyOnWrite(t *testing.T) {
 // TestSnapshotRestoreCOW pins the freeze-alias-materialise cycle behind
 // warm starts: a snapshot charges no copy, post-snapshot stores
 // materialise privately, and any number of restores share the frozen
-// bytes until each diverges.
+// pages until each diverges.
 func TestSnapshotRestoreCOW(t *testing.T) {
 	m := NewMemory()
 	if _, err := m.Map(0x10000, 0x1000, "seg"); err != nil {
@@ -134,8 +147,9 @@ func TestSnapshotRestoreCOW(t *testing.T) {
 		t.Fatal(f)
 	}
 	sn := m.Snapshot()
-	if !m.Find(0x10000).Shared() {
-		t.Fatal("snapshot did not freeze the live segment")
+	live := &m.Find(0x10000).pages[0]
+	if !live.frozen || !sameBacking(live.data, sn.Segs[0].Pages[0]) {
+		t.Fatal("snapshot did not freeze and alias the live page")
 	}
 	// Post-snapshot store: the live memory diverges, the snapshot holds.
 	if f := m.Write(0x10000, 2); f != nil {
@@ -144,8 +158,8 @@ func TestSnapshotRestoreCOW(t *testing.T) {
 	r1, r2 := NewMemory(), NewMemory()
 	r1.Restore(sn)
 	r2.Restore(sn)
-	if &r1.Find(0x10000).Data[0] != &r2.Find(0x10000).Data[0] {
-		t.Error("two restores do not share the frozen backing array")
+	if !sameBacking(r1.Find(0x10000).pages[0].data, r2.Find(0x10000).pages[0].data) {
+		t.Error("two restores do not share the frozen page")
 	}
 	if v, _ := r1.Read(0x10000); v != 1 {
 		t.Errorf("restored memory reads %d, want the snapshotted 1", v)
@@ -172,6 +186,98 @@ func TestSnapshotRestoreCOW(t *testing.T) {
 	}
 	if v, _ := mc.Read(0x10000); v != 1 {
 		t.Errorf("restore into a loaded memory reads %d, want 1", v)
+	}
+}
+
+// TestPageGranularCOW: a store to one page of a frozen multi-page
+// segment copies that page only. The segment's other pages keep
+// aliasing the snapshot's images, and a sibling restore still reads the
+// old value.
+func TestPageGranularCOW(t *testing.T) {
+	const base, size = 0x40000, 4*PageSize + 256
+	m := NewMemory()
+	if _, err := m.Map(base, size, "seg"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if f := m.Write(base+Word(i*PageSize), Word(10+i)); f != nil {
+			t.Fatal(f)
+		}
+	}
+	sn := m.Snapshot()
+	r1, r2 := NewMemory(), NewMemory()
+	r1.Restore(sn)
+	r2.Restore(sn)
+	if f := r1.Write(base+2*PageSize+8, 99); f != nil {
+		t.Fatal(f)
+	}
+	s1 := r1.Find(base)
+	for i := range s1.pages {
+		p := &s1.pages[i]
+		if i == 2 {
+			if p.frozen || sameBacking(p.data, sn.Segs[0].Pages[i]) {
+				t.Errorf("stored-to page %d still aliases the snapshot", i)
+			}
+			continue
+		}
+		if !p.frozen || !sameBacking(p.data, sn.Segs[0].Pages[i]) {
+			t.Errorf("page %d was copied by a store to page 2", i)
+		}
+	}
+	if got := len(s1.pages[4].data); got != 256 {
+		t.Errorf("last page holds %d bytes, want the segment's 256-byte tail", got)
+	}
+	if v, _ := r1.Read(base + 2*PageSize); v != 12 {
+		t.Errorf("materialised page lost its other words: %d, want 12", v)
+	}
+	if v, _ := r2.Read(base + 2*PageSize + 8); v != 0 {
+		t.Errorf("sibling restore reads %d, want the snapshotted 0", v)
+	}
+	if v, _ := r2.Read(base + 2*PageSize); v != 12 {
+		t.Errorf("sibling restore reads %d, want 12", v)
+	}
+}
+
+// TestMapAllocatesNoPageData: mapping a 1 MiB stack aliases the zero
+// page everywhere, unwritten memory reads 0, and the first store
+// allocates exactly one page.
+func TestMapAllocatesNoPageData(t *testing.T) {
+	m := NewMemory()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := m.Map(StackTop-DefaultStackSize, DefaultStackSize, "stack")
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Errorf("mapping the stack allocated %d bytes, want the page table only (< 64 KiB)", got)
+	}
+	for i := range s.pages {
+		if !s.pages[i].zero() || !s.pages[i].frozen {
+			t.Fatalf("fresh page %d does not alias the frozen zero page", i)
+		}
+	}
+	if v, f := m.Read(StackTop - 8); f != nil || v != 0 {
+		t.Fatalf("unwritten stack reads %d, %v; want 0", v, f)
+	}
+	if f := m.Write(StackTop-8, 7); f != nil {
+		t.Fatal(f)
+	}
+	private := 0
+	for i := range s.pages {
+		if !s.pages[i].zero() {
+			private++
+		}
+	}
+	if private != 1 {
+		t.Errorf("first store materialised %d pages, want 1", private)
+	}
+	if zeroPage != [PageSize]byte{} {
+		t.Fatal("a store reached the shared zero page")
+	}
+	if v, _ := m.Read(StackTop - 16); v != 0 {
+		t.Errorf("neighbour of the first store reads %d, want 0", v)
 	}
 }
 

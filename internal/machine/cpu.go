@@ -145,9 +145,9 @@ type CPU struct {
 	// per memory µop of the image's plan). Strictly per-CPU: plans are
 	// shared across processes, cache contents must not be.
 	ics map[*Image][]icEntry
-	// stackIC is the dedicated stack-segment inline cache shared by
-	// every stack-traffic µop (call/ret/push/pop): SP stays inside one
-	// segment for essentially a whole run, so one slot per CPU hits
+	// stackIC is the dedicated stack inline cache shared by every
+	// stack-traffic µop (call/ret/push/pop): SP stays inside one page of
+	// the stack for long stretches of a run, so one slot per CPU hits
 	// where per-µop slots would each warm separately. Validated by the
 	// same Memory generation check as the per-µop slots, so Unmap and
 	// snapshot Restore invalidate it identically.

@@ -99,7 +99,7 @@ type SegLayout struct {
 	Domain DomainID
 }
 
-// DomainSnapshot is one domain's frozen image: the domain's segments
+// DomainSnapshot is one domain's frozen image: the domain's pages
 // aliased copy-on-write (no bytes copied) plus the whole-space layout
 // census taken at the same instant.
 type DomainSnapshot struct {
@@ -112,11 +112,12 @@ type DomainSnapshot struct {
 	Layout   []SegLayout
 }
 
-// Bytes returns the domain image size (for rewind cost models).
+// Bytes returns the domain image size (for rewind cost models): whole
+// segments, not resident pages, like Snapshot.Bytes.
 func (sn *DomainSnapshot) Bytes() int {
 	n := 0
 	for _, s := range sn.Segs {
-		n += len(s.Data)
+		n += s.Size
 	}
 	return n
 }
@@ -129,12 +130,12 @@ func (m *Memory) writableLayout() []SegLayout {
 		if s.ro {
 			continue
 		}
-		out = append(out, SegLayout{Base: s.Base, Size: len(s.Data), Domain: s.Domain})
+		out = append(out, SegLayout{Base: s.Base, Size: s.size, Domain: s.Domain})
 	}
 	return out
 }
 
-// SnapshotDomain freezes one domain's writable segments copy-on-write
+// SnapshotDomain freezes the pages of one domain's writable segments
 // and returns their aliased images — capturing a domain never copies or
 // touches any other domain's bytes. Returns nil when the domain has no
 // writable segments.
@@ -144,14 +145,13 @@ func (m *Memory) SnapshotDomain(d DomainID) *DomainSnapshot {
 		if s.ro || s.Domain != d {
 			continue
 		}
-		s.cow = true
-		sn.Segs = append(sn.Segs, SegSnapshot{Base: s.Base, Name: s.Name, Data: s.Data, Domain: s.Domain})
+		sn.Segs = append(sn.Segs, s.freeze(make([][]byte, len(s.pages))))
 	}
 	if len(sn.Segs) == 0 {
 		return nil
 	}
-	// Freezing flips writability, invalidating inline-cache slots that
-	// proved in-place writability — same rule as Snapshot.
+	// Freezing pages invalidates inline-cache slots that proved in-place
+	// writability — same rule as Snapshot.
 	m.gen++
 	sn.Layout = m.writableLayout()
 	return sn
@@ -163,7 +163,7 @@ func (m *Memory) SnapshotDomain(d DomainID) *DomainSnapshot {
 func (sn *Snapshot) DomainView(d DomainID) *DomainSnapshot {
 	v := &DomainSnapshot{Domain: d, HeapNext: sn.HeapNext}
 	for _, s := range sn.Segs {
-		v.Layout = append(v.Layout, SegLayout{Base: s.Base, Size: len(s.Data), Domain: s.Domain})
+		v.Layout = append(v.Layout, SegLayout{Base: s.Base, Size: s.Size, Domain: s.Domain})
 		if s.Domain == d {
 			v.Segs = append(v.Segs, s)
 		}
@@ -192,9 +192,9 @@ var ErrDomainInconsistent = errors.New("machine: domain rewind inconsistent with
 //     allocations cannot silently survive into a stale epoch.
 //
 // Either violation returns ErrDomainInconsistent and changes nothing.
-// Restored segments alias the frozen bytes copy-on-write; segment
-// identity is preserved (only Data is swapped), so image handles into
-// the segments stay valid.
+// Restored pages alias the frozen images copy-on-write; segment and
+// page-slot identity is preserved (only the slots' data is swapped), so
+// image handles into the segments stay valid.
 func (m *Memory) RestoreDomain(sn *DomainSnapshot) error {
 	if sn == nil || len(sn.Segs) == 0 {
 		return fmt.Errorf("machine: no segments captured for domain rewind")
@@ -204,7 +204,7 @@ func (m *Memory) RestoreDomain(sn *DomainSnapshot) error {
 			continue
 		}
 		s := m.Find(l.Base)
-		if s == nil || s.Base != l.Base || len(s.Data) != l.Size {
+		if s == nil || s.Base != l.Base || s.size != l.Size {
 			return fmt.Errorf("%w: segment [0x%x,+%d) in %v domain was remapped since capture",
 				ErrDomainInconsistent, l.Base, l.Size, l.Domain)
 		}
@@ -219,22 +219,20 @@ func (m *Memory) RestoreDomain(sn *DomainSnapshot) error {
 		if s.ro || s.Domain != sn.Domain {
 			continue
 		}
-		if sz, ok := captured[s.Base]; !ok || sz != len(s.Data) {
+		if sz, ok := captured[s.Base]; !ok || sz != s.size {
 			return fmt.Errorf("%w: %s at 0x%x postdates the %v-domain capture (stale allocation epoch)",
 				ErrDomainInconsistent, s.Name, s.Base, sn.Domain)
 		}
 	}
 	for i := range sn.Segs {
 		ss := &sn.Segs[i]
-		s := m.Find(ss.Base)
-		s.Data = ss.Data
-		s.cow = true
+		m.Find(ss.Base).setFrozen(ss.Pages)
 	}
 	if sn.Domain == DomainHeap {
 		m.heapNext = sn.HeapNext
 	}
-	// The cow flips invalidate write-proving inline caches, exactly as
-	// Snapshot's freeze does.
+	// The refrozen pages invalidate write-proving inline caches, exactly
+	// as Snapshot's freeze does.
 	m.gen++
 	return nil
 }

@@ -93,8 +93,8 @@ func TestSnapshotDomainIsolation(t *testing.T) {
 	if m.gen == gen0 {
 		t.Error("SnapshotDomain did not invalidate inline caches (gen unchanged)")
 	}
-	if &sn.Segs[0].Data[0] != &m.Find(AppGlobalBase).Data[0] {
-		t.Error("capture copied the globals bytes instead of aliasing them")
+	if live := &m.Find(AppGlobalBase).pages[0]; !live.frozen || !sameBacking(sn.Segs[0].Pages[0], live.data) {
+		t.Error("capture copied the globals page instead of freezing and aliasing it")
 	}
 	// The census must cover every writable segment, heap included.
 	heapCensused := false

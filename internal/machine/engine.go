@@ -45,10 +45,10 @@
 //
 // Loads and stores go through per-µop memory inline caches: each
 // memory-access µop owns one icEntry slot per CPU remembering the last
-// *Segment it hit, revalidated with a generation check plus one range
+// page it hit, revalidated with a generation check plus one range
 // compare. Stack-traffic µops (call/ret/push/pop) instead share one
-// dedicated per-CPU stack-segment slot (CPU.stackIC): SP stays inside
-// one segment for essentially a whole run, so a single hot slot beats
+// dedicated per-CPU stack slot (CPU.stackIC): SP stays inside one page
+// of the stack for long stretches of a run, so a single hot slot beats
 // many separately-warmed ones. The slots live on the CPU (Programs and
 // their µop plans are shared read-only by every concurrent process of
 // a binary); Memory.gen bumps whenever a segment is removed or
@@ -56,10 +56,7 @@
 // cache — including the stack slot — at once.
 package machine
 
-import (
-	"encoding/binary"
-	"math"
-)
+import "math"
 
 // uopOp is a predecoded micro-operation opcode. ALU and Set operations
 // come in RR (src2 = register) and RI (src2 = immediate) forms so the
@@ -127,8 +124,8 @@ const (
 	uFStoreX
 
 	// Stack-traffic µops. Keep these contiguous too: they dereference
-	// memory through SP and share the CPU's dedicated stack-segment
-	// inline cache instead of owning per-µop slots.
+	// memory through SP and share the CPU's dedicated stack inline
+	// cache instead of owning per-µop slots.
 	uCall
 	uRet
 	uPush
@@ -633,36 +630,38 @@ func predecodeOne(in *MInstr) uop {
 	return punt
 }
 
-// icEntry is one per-CPU memory inline cache: the last segment a µop's
-// access hit, valid while the Memory generation matches.
-// icEntry is one memory inline cache slot. Beyond the cached segment
-// and the generation that validates it, the slot precomputes the hit
-// test as three words — base, rlen (len(Data)-7, so off < rlen
-// validates an aligned 8-byte access) and wlen (rlen when the segment
-// is writable in place, 0 for read-only or still-copy-on-write
-// segments, whose stores must take the slow path) — so runSuper's
-// dispatch cases can open-code the hit path in a handful of compares.
-// (The engine loop is past the compiler's big-function threshold, so
-// even tiny helpers stay out-of-line there; the open-coded form is the
-// only way the hit path costs what it should.) Reads and writes go
-// through seg.Data on every access rather than a cached slice, so a
-// copy-on-write materialisation — which swaps Data under the same
-// Segment — is picked up immediately; Data's length never changes, so
-// rlen stays exact.
+// icEntry is one memory inline cache slot: the page a µop's access
+// last hit, valid while the Memory generation matches. Beyond the
+// cached page slot and the generation that validates it, the entry
+// precomputes the hit test as three words — base (the page's address),
+// rlen (len(data)-7, so off < rlen validates an aligned 8-byte access)
+// and wlen (rlen when the page is writable in place, 0 for read-only
+// segments and frozen pages, whose stores must take the slow path) — so
+// the dispatch cases can open-code the hit path in a handful of
+// compares. (The engine loop is past the compiler's big-function
+// threshold, so even tiny helpers stay out-of-line there; the
+// open-coded form is the only way the hit path costs what it should.)
+// Reads and writes go through pg.data on every access rather than a
+// cached slice, so a copy-on-write materialisation — which swaps data
+// under the same slot — is picked up immediately by every entry that
+// holds the slot; data's length never changes, so rlen stays exact.
 type icEntry struct {
-	seg  *Segment
+	pg   *page
 	gen  uint64
 	base Word
 	rlen Word
 	wlen Word
 }
 
-// fill installs a segment in the slot. Callers guarantee the access
-// that found s succeeded, so len(s.Data) >= 8.
-func (e *icEntry) fill(s *Segment, gen uint64) {
-	e.seg, e.gen, e.base = s, gen, s.Base
-	e.rlen = Word(len(s.Data) - 7)
-	if s.ro || s.cow {
+// fill installs the page holding segment offset off in the slot.
+// Callers guarantee the access that found it succeeded, so the page
+// holds at least 8 bytes from off.
+func (e *icEntry) fill(s *Segment, off Word, gen uint64) {
+	i := off / PageSize
+	p := &s.pages[i]
+	e.pg, e.gen, e.base = p, gen, s.Base+i*PageSize
+	e.rlen = Word(len(p.data) - 7)
+	if s.ro || p.frozen {
 		e.wlen = 0
 	} else {
 		e.wlen = e.rlen
@@ -685,15 +684,10 @@ func (c *CPU) icsFor(img *Image, n int) []icEntry {
 
 // icLoad reads an aligned word through an inline cache. The fast path
 // is one generation compare plus one range compare against the cached
-// segment; everything else falls to icLoadSlow.
+// page; everything else (including every fault) falls to icLoadSlow.
 func icLoad(m *Memory, e *icEntry, addr Word) (Word, *Fault) {
-	if s := e.seg; s != nil && e.gen == m.gen && len(s.Data) >= 8 {
-		if off := addr - s.Base; off <= Word(len(s.Data)-8) {
-			if addr&7 != 0 {
-				return 0, &Fault{Sig: SigBUS, Addr: addr}
-			}
-			return binary.LittleEndian.Uint64(s.Data[off:]), nil
-		}
+	if e.gen == m.gen && addr&7 == 0 && addr-e.base < e.rlen {
+		return leLoad(e.pg.data, addr-e.base), nil
 	}
 	return icLoadSlow(m, e, addr)
 }
@@ -709,22 +703,17 @@ func icLoadSlow(m *Memory, e *icEntry, addr Word) (Word, *Fault) {
 	if addr&7 != 0 {
 		return 0, &Fault{Sig: SigBUS, Addr: addr}
 	}
-	e.fill(s, m.gen)
-	return binary.LittleEndian.Uint64(s.Data[addr-s.Base:]), nil
+	e.fill(s, addr-s.Base, m.gen)
+	return leLoad(e.pg.data, addr-e.base), nil
 }
 
-// icStore writes an aligned word through an inline cache. Read-only and
-// copy-on-write segments always take the slow path (fault / first-store
-// materialization), matching Memory.Write.
+// icStore writes an aligned word through an inline cache. Read-only
+// segments and frozen pages always take the slow path (fault /
+// first-store materialisation), matching Memory.Write.
 func icStore(m *Memory, e *icEntry, addr, v Word) *Fault {
-	if s := e.seg; s != nil && e.gen == m.gen && !s.ro && !s.cow && len(s.Data) >= 8 {
-		if off := addr - s.Base; off <= Word(len(s.Data)-8) {
-			if addr&7 != 0 {
-				return &Fault{Sig: SigBUS, Addr: addr}
-			}
-			binary.LittleEndian.PutUint64(s.Data[off:], v)
-			return nil
-		}
+	if e.gen == m.gen && addr&7 == 0 && addr-e.base < e.wlen {
+		leStore(e.pg.data, addr-e.base, v)
+		return nil
 	}
 	return icStoreSlow(m, e, addr, v)
 }
@@ -737,11 +726,12 @@ func icStoreSlow(m *Memory, e *icEntry, addr, v Word) *Fault {
 	if addr&7 != 0 {
 		return &Fault{Sig: SigBUS, Addr: addr}
 	}
-	if s.cow {
-		s.materialize()
+	off := addr - s.Base
+	if p := s.slot(off); p.frozen {
+		p.materialize()
 	}
-	e.fill(s, m.gen)
-	binary.LittleEndian.PutUint64(s.Data[addr-s.Base:], v)
+	e.fill(s, off, m.gen)
+	leStore(e.pg.data, addr-e.base, v)
 	return nil
 }
 
@@ -1292,7 +1282,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 					addr := c.R[u.a&15] + Word(u.imm)
 					var v Word
 					if e := &ics[u.ic]; e.gen == gen && addr&7 == 0 && addr-e.base < e.rlen {
-						v = leLoad(e.seg.Data, addr-e.base)
+						v = leLoad(e.pg.data, addr-e.base)
 					} else {
 						var flt *Fault
 						if v, flt = icLoadSlow(m, e, addr); flt != nil {
@@ -1305,7 +1295,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 					addr := c.R[u.a&15] + c.R[u.b&15]*Word(u.scale) + Word(u.imm)
 					var v Word
 					if e := &ics[u.ic]; e.gen == gen && addr&7 == 0 && addr-e.base < e.rlen {
-						v = leLoad(e.seg.Data, addr-e.base)
+						v = leLoad(e.pg.data, addr-e.base)
 					} else {
 						var flt *Fault
 						if v, flt = icLoadSlow(m, e, addr); flt != nil {
@@ -1318,7 +1308,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 					addr := c.R[u.a&15] + Word(u.imm)
 					var v Word
 					if e := &ics[u.ic]; e.gen == gen && addr&7 == 0 && addr-e.base < e.rlen {
-						v = leLoad(e.seg.Data, addr-e.base)
+						v = leLoad(e.pg.data, addr-e.base)
 					} else {
 						var flt *Fault
 						if v, flt = icLoadSlow(m, e, addr); flt != nil {
@@ -1331,7 +1321,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 					addr := c.R[u.a&15] + c.R[u.b&15]*Word(u.scale) + Word(u.imm)
 					var v Word
 					if e := &ics[u.ic]; e.gen == gen && addr&7 == 0 && addr-e.base < e.rlen {
-						v = leLoad(e.seg.Data, addr-e.base)
+						v = leLoad(e.pg.data, addr-e.base)
 					} else {
 						var flt *Fault
 						if v, flt = icLoadSlow(m, e, addr); flt != nil {
@@ -1343,7 +1333,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 				case uStore:
 					addr := c.R[u.a&15] + Word(u.imm)
 					if e := &ics[u.ic]; e.gen == gen && addr&7 == 0 && addr-e.base < e.wlen {
-						leStore(e.seg.Data, addr-e.base, c.R[u.d&15])
+						leStore(e.pg.data, addr-e.base, c.R[u.d&15])
 					} else if flt := icStoreSlow(m, e, addr, c.R[u.d&15]); flt != nil {
 						c.superTrap(base, entry, i, done, img, flt.Sig, flt.Addr, cnts)
 						return done + uint64(i) + 1, false
@@ -1351,7 +1341,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 				case uStoreX:
 					addr := c.R[u.a&15] + c.R[u.b&15]*Word(u.scale) + Word(u.imm)
 					if e := &ics[u.ic]; e.gen == gen && addr&7 == 0 && addr-e.base < e.wlen {
-						leStore(e.seg.Data, addr-e.base, c.R[u.d&15])
+						leStore(e.pg.data, addr-e.base, c.R[u.d&15])
 					} else if flt := icStoreSlow(m, e, addr, c.R[u.d&15]); flt != nil {
 						c.superTrap(base, entry, i, done, img, flt.Sig, flt.Addr, cnts)
 						return done + uint64(i) + 1, false
@@ -1359,7 +1349,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 				case uFStore:
 					addr := c.R[u.a&15] + Word(u.imm)
 					if e := &ics[u.ic]; e.gen == gen && addr&7 == 0 && addr-e.base < e.wlen {
-						leStore(e.seg.Data, addr-e.base, math.Float64bits(c.F[u.d&15]))
+						leStore(e.pg.data, addr-e.base, math.Float64bits(c.F[u.d&15]))
 					} else if flt := icStoreSlow(m, e, addr, math.Float64bits(c.F[u.d&15])); flt != nil {
 						c.superTrap(base, entry, i, done, img, flt.Sig, flt.Addr, cnts)
 						return done + uint64(i) + 1, false
@@ -1367,7 +1357,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 				case uFStoreX:
 					addr := c.R[u.a&15] + c.R[u.b&15]*Word(u.scale) + Word(u.imm)
 					if e := &ics[u.ic]; e.gen == gen && addr&7 == 0 && addr-e.base < e.wlen {
-						leStore(e.seg.Data, addr-e.base, math.Float64bits(c.F[u.d&15]))
+						leStore(e.pg.data, addr-e.base, math.Float64bits(c.F[u.d&15]))
 					} else if flt := icStoreSlow(m, e, addr, math.Float64bits(c.F[u.d&15])); flt != nil {
 						c.superTrap(base, entry, i, done, img, flt.Sig, flt.Addr, cnts)
 						return done + uint64(i) + 1, false
@@ -1375,7 +1365,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 				case uPush:
 					sp := c.R[SP] - 8
 					if e := sIC; e.gen == gen && sp&7 == 0 && sp-e.base < e.wlen {
-						leStore(e.seg.Data, sp-e.base, c.R[u.d&15])
+						leStore(e.pg.data, sp-e.base, c.R[u.d&15])
 					} else if flt := icStoreSlow(m, e, sp, c.R[u.d&15]); flt != nil {
 						c.superTrap(base, entry, i, done, img, flt.Sig, flt.Addr, cnts)
 						return done + uint64(i) + 1, false
@@ -1384,7 +1374,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 				case uPop:
 					var v Word
 					if e := sIC; e.gen == gen && c.R[SP]&7 == 0 && c.R[SP]-e.base < e.rlen {
-						v = leLoad(e.seg.Data, c.R[SP]-e.base)
+						v = leLoad(e.pg.data, c.R[SP]-e.base)
 					} else {
 						var flt *Fault
 						if v, flt = icLoadSlow(m, e, c.R[SP]); flt != nil {
@@ -1397,7 +1387,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 				case uFPush:
 					sp := c.R[SP] - 8
 					if e := sIC; e.gen == gen && sp&7 == 0 && sp-e.base < e.wlen {
-						leStore(e.seg.Data, sp-e.base, math.Float64bits(c.F[u.d&15]))
+						leStore(e.pg.data, sp-e.base, math.Float64bits(c.F[u.d&15]))
 					} else if flt := icStoreSlow(m, e, sp, math.Float64bits(c.F[u.d&15])); flt != nil {
 						c.superTrap(base, entry, i, done, img, flt.Sig, flt.Addr, cnts)
 						return done + uint64(i) + 1, false
@@ -1406,7 +1396,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 				case uFPop:
 					var v Word
 					if e := sIC; e.gen == gen && c.R[SP]&7 == 0 && c.R[SP]-e.base < e.rlen {
-						v = leLoad(e.seg.Data, c.R[SP]-e.base)
+						v = leLoad(e.pg.data, c.R[SP]-e.base)
 					} else {
 						var flt *Fault
 						if v, flt = icLoadSlow(m, e, c.R[SP]); flt != nil {
@@ -1429,7 +1419,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 				case uPStLd: // store ; load — the O0 spill/reload idiom
 					addr := c.R[u.a&15] + Word(u.imm)
 					if e := &ics[u.ic]; e.gen == gen && addr&7 == 0 && addr-e.base < e.wlen {
-						leStore(e.seg.Data, addr-e.base, c.R[u.d&15])
+						leStore(e.pg.data, addr-e.base, c.R[u.d&15])
 					} else if flt := icStoreSlow(m, e, addr, c.R[u.d&15]); flt != nil {
 						c.superTrap(base, entry, i, done, img, flt.Sig, flt.Addr, cnts)
 						return done + uint64(i) + 1, false
@@ -1438,7 +1428,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 						a2 := c.R[u.a2&15] + Word(u.imm2)
 						var v Word
 						if e := &ics[u.ic2]; e.gen == gen && a2&7 == 0 && a2-e.base < e.rlen {
-							v = leLoad(e.seg.Data, a2-e.base)
+							v = leLoad(e.pg.data, a2-e.base)
 						} else {
 							var flt *Fault
 							if v, flt = icLoadSlow(m, e, a2); flt != nil {
@@ -1453,7 +1443,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 					addr := c.R[u.a&15] + Word(u.imm)
 					var v Word
 					if e := &ics[u.ic]; e.gen == gen && addr&7 == 0 && addr-e.base < e.rlen {
-						v = leLoad(e.seg.Data, addr-e.base)
+						v = leLoad(e.pg.data, addr-e.base)
 					} else {
 						var flt *Fault
 						if v, flt = icLoadSlow(m, e, addr); flt != nil {
@@ -1466,7 +1456,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 						a2 := c.R[u.a2&15] + Word(u.imm2)
 						var v2 Word
 						if e := &ics[u.ic2]; e.gen == gen && a2&7 == 0 && a2-e.base < e.rlen {
-							v2 = leLoad(e.seg.Data, a2-e.base)
+							v2 = leLoad(e.pg.data, a2-e.base)
 						} else {
 							var flt *Fault
 							if v2, flt = icLoadSlow(m, e, a2); flt != nil {
@@ -1481,7 +1471,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 					addr := c.R[u.a&15] + Word(u.imm)
 					var v Word
 					if e := &ics[u.ic]; e.gen == gen && addr&7 == 0 && addr-e.base < e.rlen {
-						v = leLoad(e.seg.Data, addr-e.base)
+						v = leLoad(e.pg.data, addr-e.base)
 					} else {
 						var flt *Fault
 						if v, flt = icLoadSlow(m, e, addr); flt != nil {
@@ -1493,7 +1483,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 					if i+1 < n {
 						a2 := c.R[u.a2&15] + Word(u.imm2)
 						if e := &ics[u.ic2]; e.gen == gen && a2&7 == 0 && a2-e.base < e.wlen {
-							leStore(e.seg.Data, a2-e.base, c.R[u.d2&15])
+							leStore(e.pg.data, a2-e.base, c.R[u.d2&15])
 						} else if flt := icStoreSlow(m, e, a2, c.R[u.d2&15]); flt != nil {
 							c.superTrap(base, entry, i+1, done, img, flt.Sig, flt.Addr, cnts)
 							return done + uint64(i) + 2, false
@@ -1503,7 +1493,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 				case uPFStFLd: // fstore ; fload
 					addr := c.R[u.a&15] + Word(u.imm)
 					if e := &ics[u.ic]; e.gen == gen && addr&7 == 0 && addr-e.base < e.wlen {
-						leStore(e.seg.Data, addr-e.base, math.Float64bits(c.F[u.d&15]))
+						leStore(e.pg.data, addr-e.base, math.Float64bits(c.F[u.d&15]))
 					} else if flt := icStoreSlow(m, e, addr, math.Float64bits(c.F[u.d&15])); flt != nil {
 						c.superTrap(base, entry, i, done, img, flt.Sig, flt.Addr, cnts)
 						return done + uint64(i) + 1, false
@@ -1512,7 +1502,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 						a2 := c.R[u.a2&15] + Word(u.imm2)
 						var v Word
 						if e := &ics[u.ic2]; e.gen == gen && a2&7 == 0 && a2-e.base < e.rlen {
-							v = leLoad(e.seg.Data, a2-e.base)
+							v = leLoad(e.pg.data, a2-e.base)
 						} else {
 							var flt *Fault
 							if v, flt = icLoadSlow(m, e, a2); flt != nil {
@@ -1527,7 +1517,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 					addr := c.R[u.a&15] + Word(u.imm)
 					var v Word
 					if e := &ics[u.ic]; e.gen == gen && addr&7 == 0 && addr-e.base < e.rlen {
-						v = leLoad(e.seg.Data, addr-e.base)
+						v = leLoad(e.pg.data, addr-e.base)
 					} else {
 						var flt *Fault
 						if v, flt = icLoadSlow(m, e, addr); flt != nil {
@@ -1540,7 +1530,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 						a2 := c.R[u.a2&15] + Word(u.imm2)
 						var v2 Word
 						if e := &ics[u.ic2]; e.gen == gen && a2&7 == 0 && a2-e.base < e.rlen {
-							v2 = leLoad(e.seg.Data, a2-e.base)
+							v2 = leLoad(e.pg.data, a2-e.base)
 						} else {
 							var flt *Fault
 							if v2, flt = icLoadSlow(m, e, a2); flt != nil {
@@ -1554,7 +1544,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 				case uPFStLd: // fstore ; load
 					addr := c.R[u.a&15] + Word(u.imm)
 					if e := &ics[u.ic]; e.gen == gen && addr&7 == 0 && addr-e.base < e.wlen {
-						leStore(e.seg.Data, addr-e.base, math.Float64bits(c.F[u.d&15]))
+						leStore(e.pg.data, addr-e.base, math.Float64bits(c.F[u.d&15]))
 					} else if flt := icStoreSlow(m, e, addr, math.Float64bits(c.F[u.d&15])); flt != nil {
 						c.superTrap(base, entry, i, done, img, flt.Sig, flt.Addr, cnts)
 						return done + uint64(i) + 1, false
@@ -1563,7 +1553,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 						a2 := c.R[u.a2&15] + Word(u.imm2)
 						var v Word
 						if e := &ics[u.ic2]; e.gen == gen && a2&7 == 0 && a2-e.base < e.rlen {
-							v = leLoad(e.seg.Data, a2-e.base)
+							v = leLoad(e.pg.data, a2-e.base)
 						} else {
 							var flt *Fault
 							if v, flt = icLoadSlow(m, e, a2); flt != nil {
@@ -1577,7 +1567,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 				case uPStFLd: // store ; fload
 					addr := c.R[u.a&15] + Word(u.imm)
 					if e := &ics[u.ic]; e.gen == gen && addr&7 == 0 && addr-e.base < e.wlen {
-						leStore(e.seg.Data, addr-e.base, c.R[u.d&15])
+						leStore(e.pg.data, addr-e.base, c.R[u.d&15])
 					} else if flt := icStoreSlow(m, e, addr, c.R[u.d&15]); flt != nil {
 						c.superTrap(base, entry, i, done, img, flt.Sig, flt.Addr, cnts)
 						return done + uint64(i) + 1, false
@@ -1586,7 +1576,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 						a2 := c.R[u.a2&15] + Word(u.imm2)
 						var v Word
 						if e := &ics[u.ic2]; e.gen == gen && a2&7 == 0 && a2-e.base < e.rlen {
-							v = leLoad(e.seg.Data, a2-e.base)
+							v = leLoad(e.pg.data, a2-e.base)
 						} else {
 							var flt *Fault
 							if v, flt = icLoadSlow(m, e, a2); flt != nil {
@@ -1601,7 +1591,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 					addr := c.R[u.a&15] + Word(u.imm)
 					var v Word
 					if e := &ics[u.ic]; e.gen == gen && addr&7 == 0 && addr-e.base < e.rlen {
-						v = leLoad(e.seg.Data, addr-e.base)
+						v = leLoad(e.pg.data, addr-e.base)
 					} else {
 						var flt *Fault
 						if v, flt = icLoadSlow(m, e, addr); flt != nil {
@@ -1613,7 +1603,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 					if i+1 < n {
 						a2 := c.R[u.a2&15] + Word(u.imm2)
 						if e := &ics[u.ic2]; e.gen == gen && a2&7 == 0 && a2-e.base < e.wlen {
-							leStore(e.seg.Data, a2-e.base, math.Float64bits(c.F[u.d2&15]))
+							leStore(e.pg.data, a2-e.base, math.Float64bits(c.F[u.d2&15]))
 						} else if flt := icStoreSlow(m, e, a2, math.Float64bits(c.F[u.d2&15])); flt != nil {
 							c.superTrap(base, entry, i+1, done, img, flt.Sig, flt.Addr, cnts)
 							return done + uint64(i) + 2, false
@@ -1624,7 +1614,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 					addr := c.R[u.a&15] + Word(u.imm)
 					var v Word
 					if e := &ics[u.ic]; e.gen == gen && addr&7 == 0 && addr-e.base < e.rlen {
-						v = leLoad(e.seg.Data, addr-e.base)
+						v = leLoad(e.pg.data, addr-e.base)
 					} else {
 						var flt *Fault
 						if v, flt = icLoadSlow(m, e, addr); flt != nil {
@@ -1637,7 +1627,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 						a2 := c.R[u.a2&15] + c.R[u.b2&15]*Word(u.s2) + Word(u.imm2)
 						var v2 Word
 						if e := &ics[u.ic2]; e.gen == gen && a2&7 == 0 && a2-e.base < e.rlen {
-							v2 = leLoad(e.seg.Data, a2-e.base)
+							v2 = leLoad(e.pg.data, a2-e.base)
 						} else {
 							var flt *Fault
 							if v2, flt = icLoadSlow(m, e, a2); flt != nil {
@@ -1652,7 +1642,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 					addr := c.R[u.a&15] + c.R[u.b&15]*Word(u.scale) + Word(u.imm)
 					var v Word
 					if e := &ics[u.ic]; e.gen == gen && addr&7 == 0 && addr-e.base < e.rlen {
-						v = leLoad(e.seg.Data, addr-e.base)
+						v = leLoad(e.pg.data, addr-e.base)
 					} else {
 						var flt *Fault
 						if v, flt = icLoadSlow(m, e, addr); flt != nil {
@@ -1664,7 +1654,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 					if i+1 < n {
 						a2 := c.R[u.a2&15] + Word(u.imm2)
 						if e := &ics[u.ic2]; e.gen == gen && a2&7 == 0 && a2-e.base < e.wlen {
-							leStore(e.seg.Data, a2-e.base, math.Float64bits(c.F[u.d2&15]))
+							leStore(e.pg.data, a2-e.base, math.Float64bits(c.F[u.d2&15]))
 						} else if flt := icStoreSlow(m, e, a2, math.Float64bits(c.F[u.d2&15])); flt != nil {
 							c.superTrap(base, entry, i+1, done, img, flt.Sig, flt.Addr, cnts)
 							return done + uint64(i) + 2, false
@@ -1675,7 +1665,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 					addr := c.R[u.a&15] + c.R[u.b&15]*Word(u.scale) + Word(u.imm)
 					var v Word
 					if e := &ics[u.ic]; e.gen == gen && addr&7 == 0 && addr-e.base < e.rlen {
-						v = leLoad(e.seg.Data, addr-e.base)
+						v = leLoad(e.pg.data, addr-e.base)
 					} else {
 						var flt *Fault
 						if v, flt = icLoadSlow(m, e, addr); flt != nil {
@@ -1688,7 +1678,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 						a2 := c.R[u.a2&15] + Word(u.imm2)
 						var v2 Word
 						if e := &ics[u.ic2]; e.gen == gen && a2&7 == 0 && a2-e.base < e.rlen {
-							v2 = leLoad(e.seg.Data, a2-e.base)
+							v2 = leLoad(e.pg.data, a2-e.base)
 						} else {
 							var flt *Fault
 							if v2, flt = icLoadSlow(m, e, a2); flt != nil {
@@ -1703,7 +1693,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 					addr := c.R[u.a&15] + Word(u.imm)
 					var v Word
 					if e := &ics[u.ic]; e.gen == gen && addr&7 == 0 && addr-e.base < e.rlen {
-						v = leLoad(e.seg.Data, addr-e.base)
+						v = leLoad(e.pg.data, addr-e.base)
 					} else {
 						var flt *Fault
 						if v, flt = icLoadSlow(m, e, addr); flt != nil {
@@ -1716,7 +1706,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 						a2 := c.R[u.a2&15] + c.R[u.b2&15]*Word(u.s2) + Word(u.imm2)
 						var v2 Word
 						if e := &ics[u.ic2]; e.gen == gen && a2&7 == 0 && a2-e.base < e.rlen {
-							v2 = leLoad(e.seg.Data, a2-e.base)
+							v2 = leLoad(e.pg.data, a2-e.base)
 						} else {
 							var flt *Fault
 							if v2, flt = icLoadSlow(m, e, a2); flt != nil {
@@ -1731,7 +1721,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 					addr := c.R[u.a&15] + c.R[u.b&15]*Word(u.scale) + Word(u.imm)
 					var v Word
 					if e := &ics[u.ic]; e.gen == gen && addr&7 == 0 && addr-e.base < e.rlen {
-						v = leLoad(e.seg.Data, addr-e.base)
+						v = leLoad(e.pg.data, addr-e.base)
 					} else {
 						var flt *Fault
 						if v, flt = icLoadSlow(m, e, addr); flt != nil {
@@ -1744,7 +1734,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 						a2 := c.R[u.a2&15] + Word(u.imm2)
 						var v2 Word
 						if e := &ics[u.ic2]; e.gen == gen && a2&7 == 0 && a2-e.base < e.rlen {
-							v2 = leLoad(e.seg.Data, a2-e.base)
+							v2 = leLoad(e.pg.data, a2-e.base)
 						} else {
 							var flt *Fault
 							if v2, flt = icLoadSlow(m, e, a2); flt != nil {
@@ -1759,7 +1749,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 					addr := c.R[u.a&15] + Word(u.imm)
 					var v Word
 					if e := &ics[u.ic]; e.gen == gen && addr&7 == 0 && addr-e.base < e.rlen {
-						v = leLoad(e.seg.Data, addr-e.base)
+						v = leLoad(e.pg.data, addr-e.base)
 					} else {
 						var flt *Fault
 						if v, flt = icLoadSlow(m, e, addr); flt != nil {
@@ -1785,7 +1775,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 					if i+1 < n {
 						a2 := c.R[u.a2&15] + Word(u.imm2)
 						if e := &ics[u.ic2]; e.gen == gen && a2&7 == 0 && a2-e.base < e.wlen {
-							leStore(e.seg.Data, a2-e.base, c.R[u.d2&15])
+							leStore(e.pg.data, a2-e.base, c.R[u.d2&15])
 						} else if flt := icStoreSlow(m, e, a2, c.R[u.d2&15]); flt != nil {
 							c.superTrap(base, entry, i+1, done, img, flt.Sig, flt.Addr, cnts)
 							return done + uint64(i) + 2, false
@@ -1801,7 +1791,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 					if i+1 < n {
 						a2 := c.R[u.a2&15] + Word(u.imm2)
 						if e := &ics[u.ic2]; e.gen == gen && a2&7 == 0 && a2-e.base < e.wlen {
-							leStore(e.seg.Data, a2-e.base, c.R[u.d2&15])
+							leStore(e.pg.data, a2-e.base, c.R[u.d2&15])
 						} else if flt := icStoreSlow(m, e, a2, c.R[u.d2&15]); flt != nil {
 							c.superTrap(base, entry, i+1, done, img, flt.Sig, flt.Addr, cnts)
 							return done + uint64(i) + 2, false
@@ -1812,7 +1802,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 					addr := c.R[u.a&15] + Word(u.imm)
 					var v Word
 					if e := &ics[u.ic]; e.gen == gen && addr&7 == 0 && addr-e.base < e.rlen {
-						v = leLoad(e.seg.Data, addr-e.base)
+						v = leLoad(e.pg.data, addr-e.base)
 					} else {
 						var flt *Fault
 						if v, flt = icLoadSlow(m, e, addr); flt != nil {
@@ -1853,7 +1843,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 						a2 := c.R[u.a2&15] + Word(u.imm2)
 						var v Word
 						if e := &ics[u.ic2]; e.gen == gen && a2&7 == 0 && a2-e.base < e.rlen {
-							v = leLoad(e.seg.Data, a2-e.base)
+							v = leLoad(e.pg.data, a2-e.base)
 						} else {
 							var flt *Fault
 							if v, flt = icLoadSlow(m, e, a2); flt != nil {
@@ -1868,7 +1858,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 					addr := c.R[u.a&15] + c.R[u.b&15]*Word(u.scale) + Word(u.imm)
 					var v Word
 					if e := &ics[u.ic]; e.gen == gen && addr&7 == 0 && addr-e.base < e.rlen {
-						v = leLoad(e.seg.Data, addr-e.base)
+						v = leLoad(e.pg.data, addr-e.base)
 					} else {
 						var flt *Fault
 						if v, flt = icLoadSlow(m, e, addr); flt != nil {
@@ -1977,7 +1967,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 			// call leaves SP exactly where the Step loop's restore does.
 			sp := c.R[SP] - 8
 			if e := sIC; e.gen == gen && sp&7 == 0 && sp-e.base < e.wlen {
-				leStore(e.seg.Data, sp-e.base, base+Word(8*idx)+8)
+				leStore(e.pg.data, sp-e.base, base+Word(8*idx)+8)
 			} else if flt := icStoreSlow(m, e, sp, base+Word(8*idx)+8); flt != nil {
 				c.blockTrap(base+Word(8*idx), done, img, idx, flt.Sig, flt.Addr)
 				return done + 1, false
@@ -2006,7 +1996,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 		case uRet:
 			var ra Word
 			if e := sIC; e.gen == gen && c.R[SP]&7 == 0 && c.R[SP]-e.base < e.rlen {
-				ra = leLoad(e.seg.Data, c.R[SP]-e.base)
+				ra = leLoad(e.pg.data, c.R[SP]-e.base)
 			} else {
 				var flt *Fault
 				if ra, flt = icLoadSlow(m, e, c.R[SP]); flt != nil {

@@ -86,16 +86,17 @@ func compareCPUs(t *testing.T, block, step *CPU) {
 		t.Fatalf("segment count mismatch: block %d step %d", len(bs), len(ss))
 	}
 	for i := range bs {
-		if bs[i].Base != ss[i].Base || len(bs[i].Data) != len(ss[i].Data) {
+		if bs[i].Base != ss[i].Base || bs[i].Size() != ss[i].Size() {
 			t.Fatalf("segment %d layout mismatch", i)
 		}
 		if bs[i].ReadOnly() {
 			continue
 		}
-		for j := range bs[i].Data {
-			if bs[i].Data[j] != ss[i].Data[j] {
+		bd, sd := bs[i].Bytes(), ss[i].Bytes()
+		for j := range bd {
+			if bd[j] != sd[j] {
 				t.Errorf("segment %s byte 0x%x differs: block %#x step %#x",
-					bs[i].Name, bs[i].Base+Word(j), bs[i].Data[j], ss[i].Data[j])
+					bs[i].Name, bs[i].Base+Word(j), bd[j], sd[j])
 				break
 			}
 		}
@@ -494,8 +495,10 @@ func TestInlineCacheSeesRestoredSnapshot(t *testing.T) {
 	}
 	// And the next store must COW-materialise, not dirty the snapshot.
 	c.Run(2)
-	if sn.Segs[len(sn.Segs)-1].Data == nil {
-		t.Fatal("snapshot lost")
+	for _, ss := range sn.Segs {
+		if ss.Base == 0x30000 && (ss.Pages[0] == nil || leLoad(ss.Pages[0], 0) != 5) {
+			t.Fatal("snapshot lost")
+		}
 	}
 	c.Mem.Restore(sn)
 	if v, _ := c.Mem.Read(0x30000); v != 5 {
@@ -781,4 +784,117 @@ func TestEngineStackICCallRet(t *testing.T) {
 			{Op: MRet},
 		}, nil, 0)
 	})
+}
+
+// TestInlineCacheSeesMaterialisedPage: µop A's load cache holds a
+// frozen page, µop B's store materialises that page, and A's next load
+// must see B's value. Materialisation swaps the page slot's bytes in
+// place, so every cache holding the slot follows without a generation
+// bump; a cache that held the old bytes would keep reading the
+// snapshot's value. Checked on every tier.
+func TestInlineCacheSeesMaterialisedPage(t *testing.T) {
+	const x = 0x30000 + PageSize + 8
+	code := []MInstr{
+		{Op: MMovImm, Rd: R4, Imm: x},
+		{Op: MNop},
+		{Op: MLoad, Rd: R2, Base: R4}, // A (idx 2)
+		{Op: MAdd, Rd: R6, Ra: R2, UseImm: true, Imm: 1},
+		{Op: MStore, Base: R4, Ra: R6}, // B
+		{Op: MJmp, Target: AppCodeBase + 16},
+	}
+	for _, tier := range Tiers() {
+		c, _ := asm(t, code)
+		c.Tier = tier
+		if _, err := c.Mem.Map(0x30000, 2*PageSize, "data"); err != nil {
+			t.Fatal(err)
+		}
+		if f := c.Mem.Write(x, 5); f != nil {
+			t.Fatal(f)
+		}
+		sn := c.Mem.Snapshot() // freezes the page A loads from
+		c.Run(2 + 4*3)         // three loop trips: A reads 5, 6, 7
+		if c.R[R2] != 7 {
+			t.Errorf("%v: A's third load reads %d, want 7 (B's second store)", tier, c.R[R2])
+		}
+		if v, _ := c.Mem.Read(x); v != 8 {
+			t.Errorf("%v: memory holds %d, want 8", tier, v)
+		}
+		for _, ss := range sn.Segs {
+			if ss.Base == 0x30000 && leLoad(ss.Pages[1], 8) != 5 {
+				t.Errorf("%v: snapshot page dirtied: %d, want 5", tier, leLoad(ss.Pages[1], 8))
+			}
+		}
+	}
+}
+
+// TestPageBoundaryFaults: pages are invisible to programs. Aligned
+// words on either side of a page boundary inside a segment load and
+// store; a misaligned access straddling that boundary raises SIGBUS
+// (bounds are checked first, and the access is inside the segment); an
+// access straddling the segment end raises SIGSEGV. Checked on every
+// tier, for loads and stores, on frozen and private pages alike.
+func TestPageBoundaryFaults(t *testing.T) {
+	const base = 0x30000
+	const boundary, end = base + PageSize, base + 2*PageSize + 16
+	load := func(addr Word) []MInstr {
+		return []MInstr{{Op: MMovImm, Rd: R1, Imm: int64(addr)}, {Op: MLoad, Rd: R2, Base: R1}, {Op: MHalt}}
+	}
+	store := func(addr Word) []MInstr {
+		return []MInstr{{Op: MMovImm, Rd: R1, Imm: int64(addr)}, {Op: MStore, Base: R1, Ra: R1}, {Op: MHalt}}
+	}
+	cases := []struct {
+		name string
+		code []MInstr
+		sig  Signal
+		addr Word
+	}{
+		{"words-either-side", []MInstr{
+			{Op: MMovImm, Rd: R1, Imm: boundary - 8},
+			{Op: MMovImm, Rd: R2, Imm: boundary},
+			{Op: MMovImm, Rd: R3, Imm: 11},
+			{Op: MStore, Base: R1, Ra: R3},
+			{Op: MMovImm, Rd: R3, Imm: 22},
+			{Op: MStore, Base: R2, Ra: R3},
+			{Op: MLoad, Rd: R4, Base: R1},
+			{Op: MLoad, Rd: R5, Base: R2},
+			{Op: MLoad, Rd: R6, Base: R2, Disp: 8},
+			{Op: MHalt},
+		}, SigNone, 0},
+		{"load-straddles-page", load(boundary - 4), SigBUS, boundary - 4},
+		{"store-straddles-page", store(boundary - 4), SigBUS, boundary - 4},
+		{"load-straddles-end", load(end - 4), SigSEGV, end - 4},
+		{"store-straddles-end", store(end - 4), SigSEGV, end - 4},
+		{"load-last-word", load(end - 8), SigNone, 0},
+	}
+	for _, tc := range cases {
+		for _, tier := range Tiers() {
+			for _, frozen := range []bool{false, true} {
+				c, _ := asm(t, tc.code)
+				c.Tier = tier
+				if _, err := c.Mem.Map(base, 2*PageSize+16, "data"); err != nil {
+					t.Fatal(err)
+				}
+				if f := c.Mem.Write(boundary+8, 33); f != nil {
+					t.Fatal(f)
+				}
+				if frozen {
+					c.Mem.Snapshot()
+				}
+				c.Run(0)
+				where := fmt.Sprintf("%s/%v/frozen=%v", tc.name, tier, frozen)
+				if tc.sig == SigNone {
+					if c.Status != StatusExited {
+						t.Errorf("%s: %v (%v), want a clean exit", where, c.Status, c.PendingTrap)
+					}
+					if tc.name == "words-either-side" && (c.R[R4] != 11 || c.R[R5] != 22 || c.R[R6] != 33) {
+						t.Errorf("%s: boundary words read %d, %d, %d; want 11, 22, 33", where, c.R[R4], c.R[R5], c.R[R6])
+					}
+					continue
+				}
+				if c.Status != StatusTrapped || c.PendingTrap.Sig != tc.sig || c.PendingTrap.Addr != tc.addr {
+					t.Errorf("%s: %v (%v), want %v at 0x%x", where, c.Status, c.PendingTrap, tc.sig, tc.addr)
+				}
+			}
+		}
+	}
 }

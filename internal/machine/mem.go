@@ -106,44 +106,106 @@ type Fault struct {
 // Error implements error.
 func (f *Fault) Error() string { return fmt.Sprintf("%s at 0x%x", f.Sig, f.Addr) }
 
+// PageSize is the copy-on-write granularity. A segment is a table of
+// PageSize-byte pages (the last one may be shorter), and every page is
+// either private to its memory or frozen: shared with a snapshot,
+// another process, a program image, or the zero page. The first store
+// to a frozen page copies that page only.
+const PageSize = 4096
+
+// zeroPage backs every page that was never written. It is an array
+// variable rather than a make'd slice, so it lives outside the Go heap.
+// Pages aliasing it are frozen, so nothing ever stores to it.
+var zeroPage [PageSize]byte
+
+// page is one slot of a segment's page table. data's length is fixed
+// for the life of the slot; materialisation swaps data in place, which
+// is what keeps the engine's inline caches (which hold *page) coherent.
+type page struct {
+	data   []byte
+	frozen bool
+}
+
+// zero reports whether the page still aliases the zero page.
+func (p *page) zero() bool { return &p.data[0] == &zeroPage[0] }
+
+// materialize replaces a frozen page's aliased bytes with a private
+// copy; the copy-on-write fault path of a store.
+func (p *page) materialize() {
+	d := make([]byte, len(p.data))
+	if !p.zero() {
+		copy(d, p.data)
+	}
+	p.data, p.frozen = d, false
+}
+
 // Segment is a contiguous mapped region.
 type Segment struct {
 	Base Word
-	Data []byte
 	Name string
 	// Domain is the isolation domain the segment belongs to, assigned
 	// from the fixed address-space layout when the segment is mapped
 	// (Map/MapShared/MapCOW all tag through insert).
 	Domain DomainID
 	// ro marks an immutable mapping (code/rodata): stores fault with
-	// SIGSEGV, and snapshots neither copy nor restore the segment. The
-	// backing Data may be shared by every process of the same binary.
-	ro bool
-	// cow marks Data as aliasing frozen bytes shared with a snapshot,
-	// another process, or a program's initial image; the first store
-	// materialises a private copy.
-	cow bool
+	// SIGSEGV, and snapshots neither freeze nor restore the segment. The
+	// backing pages may be shared by every process of the same binary.
+	ro    bool
+	size  int
+	pages []page
 }
 
 // End returns one past the last mapped byte.
-func (s *Segment) End() Word { return s.Base + Word(len(s.Data)) }
+func (s *Segment) End() Word { return s.Base + Word(s.size) }
+
+// Size returns the segment's length in bytes.
+func (s *Segment) Size() int { return s.size }
 
 // ReadOnly reports whether stores to the segment fault.
 func (s *Segment) ReadOnly() bool { return s.ro }
 
-// Shared reports whether the segment's bytes still alias frozen data
-// (a snapshot, another process, or a program image). A read-only
-// segment stays shared forever; a copy-on-write segment stops being
-// shared at its first store.
-func (s *Segment) Shared() bool { return s.ro || s.cow }
+// Bytes returns a contiguous copy of the segment's contents (for tests
+// and diagnostics; execution reads the pages in place).
+func (s *Segment) Bytes() []byte {
+	b := make([]byte, 0, s.size)
+	for i := range s.pages {
+		b = append(b, s.pages[i].data...)
+	}
+	return b
+}
 
-// materialize replaces aliased frozen bytes with a private copy; the
-// copy-on-write fault path of a store.
-func (s *Segment) materialize() {
-	d := make([]byte, len(s.Data))
-	copy(d, s.Data)
-	s.Data = d
-	s.cow = false
+// pageLen is the length of page i of a size-byte segment.
+func pageLen(size, i int) int { return min(PageSize, size-i*PageSize) }
+
+// pageCount is the number of pages of a size-byte segment.
+func pageCount(size int) int { return (size + PageSize - 1) / PageSize }
+
+// slot returns the page holding segment offset off.
+func (s *Segment) slot(off Word) *page { return &s.pages[off/PageSize] }
+
+// setFrozen points the segment's page slots at frozen images, one per
+// page; a nil image is the zero page.
+func (s *Segment) setFrozen(images [][]byte) {
+	for i, d := range images {
+		if d == nil {
+			d = zeroPage[:pageLen(s.size, i)]
+		}
+		s.pages[i] = page{data: d, frozen: true}
+	}
+}
+
+// freeze marks every page frozen and returns the segment's image, which
+// aliases the pages instead of copying them. pages must hold one entry
+// per page; it becomes SegSnapshot.Pages.
+func (s *Segment) freeze(pages [][]byte) SegSnapshot {
+	for i := range s.pages {
+		p := &s.pages[i]
+		p.frozen = true
+		if !p.zero() {
+			pages[i] = p.data
+		}
+	}
+	return SegSnapshot{Base: s.Base, Name: s.Name, Size: s.size, Pages: pages, Domain: s.Domain}
 }
 
 // Memory is a sparse, segmented 48-bit address space.
@@ -154,13 +216,14 @@ type Memory struct {
 	// cache holds the most recently hit segment (cheap 1-entry TLB).
 	cache *Segment
 	// gen is the mapping generation, bumped whenever a segment is
-	// removed or replaced (Unmap, Restore). The execution engine's
-	// per-instruction memory inline caches hold *Segment references
+	// removed or replaced (Unmap, Restore) or pages are frozen
+	// (Snapshot, SnapshotDomain, RestoreDomain). The execution engine's
+	// per-instruction memory inline caches hold *page references
 	// stamped with the generation they were filled at; a bump
 	// invalidates every cache at once. Map never bumps: adding a
-	// segment cannot make a cached (segment, generation) pair stale,
-	// and COW materialisation keeps segment identity (only Data is
-	// swapped), which the store fast path re-checks per access.
+	// segment cannot make a cached (page, generation) pair stale, and
+	// COW materialisation keeps page-slot identity (only the slot's
+	// data is swapped), which the cache hit path reads per access.
 	gen uint64
 }
 
@@ -171,9 +234,14 @@ func NewMemory() *Memory {
 
 // insert places a segment into the sorted list after range checks.
 func (m *Memory) insert(s *Segment) error {
-	base, size := s.Base, len(s.Data)
+	base, size := s.Base, s.size
 	if size <= 0 {
 		return fmt.Errorf("machine: map %s: empty segment", s.Name)
+	}
+	// An 8-aligned base puts every page boundary on a word boundary, so
+	// an aligned access never straddles two pages.
+	if base&7 != 0 {
+		return fmt.Errorf("machine: map %s: base 0x%x is not 8-byte aligned", s.Name, base)
 	}
 	if base&^AddrMask != 0 || (base+Word(size))&^AddrMask != 0 || base+Word(size) < base {
 		return fmt.Errorf("machine: map %s: non-canonical range [0x%x,0x%x)", s.Name, base, base+Word(size))
@@ -192,35 +260,43 @@ func (m *Memory) insert(s *Segment) error {
 	return nil
 }
 
-// Map adds a zeroed segment of size bytes at base. It returns an error
-// if the range is non-canonical, empty, or overlaps an existing segment.
+// Map adds a zeroed segment of size bytes at base. Its pages alias the
+// zero page until first stored to, so mapping allocates no page data.
+// It returns an error if the range is non-canonical, empty, misaligned,
+// or overlaps an existing segment.
 func (m *Memory) Map(base Word, size int, name string) (*Segment, error) {
-	s := &Segment{Base: base, Data: make([]byte, size), Name: name}
-	if err := m.insert(s); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return m.mapFrozen(&Segment{Base: base, Name: name, size: size}, nil)
 }
 
 // MapShared maps immutable bytes at base without copying them: the
-// segment is read-only (stores fault with SIGSEGV) and its Data aliases
+// segment is read-only (stores fault with SIGSEGV) and its pages alias
 // the caller's slice, so every process of the same binary shares one
 // backing array. The caller must never mutate data afterwards.
 func (m *Memory) MapShared(base Word, data []byte, name string) (*Segment, error) {
-	s := &Segment{Base: base, Data: data, Name: name, ro: true}
-	if err := m.insert(s); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return m.mapFrozen(&Segment{Base: base, Name: name, size: len(data), ro: true}, data)
 }
 
 // MapCOW maps frozen bytes at base copy-on-write: reads see the shared
-// data, and the first store materialises a private copy. The caller
-// must never mutate data afterwards.
+// data, and the first store to a page materialises a private copy of
+// that page. The caller must never mutate data afterwards.
 func (m *Memory) MapCOW(base Word, data []byte, name string) (*Segment, error) {
-	s := &Segment{Base: base, Data: data, Name: name, cow: true}
+	return m.mapFrozen(&Segment{Base: base, Name: name, size: len(data)}, data)
+}
+
+// mapFrozen inserts s with every page frozen: slices of image, or the
+// zero page when image is nil.
+func (m *Memory) mapFrozen(s *Segment, image []byte) (*Segment, error) {
 	if err := m.insert(s); err != nil {
 		return nil, err
+	}
+	s.pages = make([]page, pageCount(s.size))
+	for i := range s.pages {
+		lo, n := i*PageSize, pageLen(s.size, i)
+		d := zeroPage[:n]
+		if image != nil {
+			d = image[lo : lo+n : lo+n]
+		}
+		s.pages[i] = page{data: d, frozen: true}
 	}
 	return s, nil
 }
@@ -260,7 +336,7 @@ func (m *Memory) Segments() []*Segment { return m.segs }
 func (m *Memory) MappedBytes() int {
 	n := 0
 	for _, s := range m.segs {
-		n += len(s.Data)
+		n += s.size
 	}
 	return n
 }
@@ -274,7 +350,8 @@ func (m *Memory) Read(addr Word) (Word, *Fault) {
 	if addr&7 != 0 {
 		return 0, &Fault{Sig: SigBUS, Addr: addr}
 	}
-	return binary.LittleEndian.Uint64(s.Data[addr-s.Base:]), nil
+	off := addr - s.Base
+	return binary.LittleEndian.Uint64(s.slot(off).data[off%PageSize:]), nil
 }
 
 // Write writes an 8-byte word; the access must be aligned, mapped and
@@ -289,10 +366,12 @@ func (m *Memory) Write(addr Word, v Word) *Fault {
 	if addr&7 != 0 {
 		return &Fault{Sig: SigBUS, Addr: addr}
 	}
-	if s.cow {
-		s.materialize()
+	off := addr - s.Base
+	p := s.slot(off)
+	if p.frozen {
+		p.materialize()
 	}
-	binary.LittleEndian.PutUint64(s.Data[addr-s.Base:], v)
+	binary.LittleEndian.PutUint64(p.data[off%PageSize:], v)
 	return nil
 }
 
@@ -355,49 +434,81 @@ type Snapshot struct {
 	HeapNext Word
 }
 
-// SegSnapshot is one segment's saved image.
+// SegSnapshot is one segment's saved image: its frozen pages, in
+// order. Pages holds one entry per PageSize bytes of Size (the last may
+// be shorter); a nil entry is a page that was never written and reads
+// as zeros. The pages are shared, never mutated.
 type SegSnapshot struct {
-	Base Word
-	Name string
-	Data []byte
+	Base  Word
+	Name  string
+	Size  int
+	Pages [][]byte
 	// Domain carries the segment's isolation domain, so the checkpoint
 	// layer can build per-domain views of a full snapshot without
 	// re-deriving the classification.
 	Domain DomainID
 }
 
+// Validate reports whether Restore can map the image: an 8-aligned
+// base, a positive size, one page per PageSize bytes of it, and every
+// non-nil page exactly as long as its slot. Snapshot only produces valid
+// images; decoders of stored ones must check theirs.
+func (s *SegSnapshot) Validate() error {
+	if s.Base&7 != 0 {
+		return fmt.Errorf("machine: segment %s at misaligned base 0x%x", s.Name, s.Base)
+	}
+	if s.Size <= 0 || len(s.Pages) != pageCount(s.Size) {
+		return fmt.Errorf("machine: segment %s has %d pages for %d bytes", s.Name, len(s.Pages), s.Size)
+	}
+	for i, p := range s.Pages {
+		if p != nil && len(p) != pageLen(s.Size, i) {
+			return fmt.Errorf("machine: segment %s page %d is %d bytes, want %d", s.Name, i, len(p), pageLen(s.Size, i))
+		}
+	}
+	return nil
+}
+
 // Snapshot captures the writable memory image by freezing it instead of
-// copying it: every writable segment is flipped to copy-on-write and the
-// snapshot aliases its bytes, so the capture is O(segments) and the data
-// is copied only when (and if) the live memory stores to it again.
+// copying it: every page of every writable segment is frozen and the
+// snapshot aliases the page images, so the capture is O(pages) and a
+// page is copied only when (and if) the live memory stores to it again.
 // Read-only code segments are excluded — they are immutable and shared
 // by construction, exactly as ordinary checkpointing skips .text.
 // Snapshots are therefore safe to Restore into many concurrent
-// processes: all of them share the frozen bytes until they diverge.
+// processes: all of them share the frozen pages until they diverge.
 func (m *Memory) Snapshot() *Snapshot {
 	sn := &Snapshot{HeapNext: m.heapNext}
-	// Freezing flips segments from writable to copy-on-write, which
-	// invalidates any inline-cache slot that proved in-place
-	// writability at fill time (icEntry.wlen), so it bumps the
+	// Freezing pages invalidates any inline-cache slot that proved
+	// in-place writability at fill time (icEntry.wlen), so it bumps the
 	// generation exactly like Unmap and Restore. Snapshots are only
 	// ever taken between engine invocations, so the engines' hoisted
 	// generation stays sound.
 	m.gen++
+	n := 0
+	for _, s := range m.segs {
+		if !s.ro {
+			n += len(s.pages)
+		}
+	}
+	pages := make([][]byte, n)
 	for _, s := range m.segs {
 		if s.ro {
 			continue
 		}
-		s.cow = true
-		sn.Segs = append(sn.Segs, SegSnapshot{Base: s.Base, Name: s.Name, Data: s.Data, Domain: s.Domain})
+		k := len(s.pages)
+		sn.Segs = append(sn.Segs, s.freeze(pages[:k:k]))
+		pages = pages[k:]
 	}
 	return sn
 }
 
 // Restore replaces the writable memory contents with the snapshot's.
 // Read-only code segments are kept in place (code is immutable and not
-// part of a snapshot); every restored segment aliases the snapshot's
-// frozen bytes copy-on-write, so restoring into N processes shares one
-// backing array until each process stores to it.
+// part of a snapshot); every restored page aliases the snapshot's
+// frozen image copy-on-write, so restoring into N processes shares one
+// copy of each page until each process stores to it. A restore is a
+// page-table copy: the segments and all their page slots come from two
+// allocations.
 func (m *Memory) Restore(sn *Snapshot) {
 	kept := m.segs[:0]
 	for _, s := range m.segs {
@@ -409,21 +520,34 @@ func (m *Memory) Restore(sn *Snapshot) {
 	m.cache = nil
 	m.gen++
 	m.heapNext = sn.HeapNext
-	for _, s := range sn.Segs {
+	n := 0
+	for i := range sn.Segs {
+		n += len(sn.Segs[i].Pages)
+	}
+	slots := make([]page, n)
+	segs := make([]Segment, len(sn.Segs))
+	for i := range sn.Segs {
+		ss := &sn.Segs[i]
+		k := len(ss.Pages)
 		// Re-derive the tag rather than trusting the snapshot: domains
 		// are a pure function of the fixed layout, and hand-built
 		// snapshots (tests, decoders) may not have filled the field.
-		m.segs = append(m.segs, &Segment{Base: s.Base, Name: s.Name, Data: s.Data, Domain: ClassifyDomain(s.Base), cow: true})
+		s := &segs[i]
+		*s = Segment{Base: ss.Base, Name: ss.Name, Domain: ClassifyDomain(ss.Base), size: ss.Size, pages: slots[:k:k]}
+		slots = slots[k:]
+		s.setFrozen(ss.Pages)
+		m.segs = append(m.segs, s)
 	}
 	sort.Slice(m.segs, func(i, j int) bool { return m.segs[i].Base < m.segs[j].Base })
 }
 
 // Bytes returns the serialised size of a snapshot (for the C/R cost
-// model).
+// model). It counts whole segments, not resident pages: a checkpoint
+// writes the segment's full extent.
 func (sn *Snapshot) Bytes() int {
 	n := 16
 	for _, s := range sn.Segs {
-		n += 16 + len(s.Name) + len(s.Data)
+		n += 16 + len(s.Name) + s.Size
 	}
 	return n
 }

@@ -171,8 +171,8 @@ func (im *Image) Contains(pc Word) bool { return pc >= im.Base() && pc < im.End(
 // range becomes a read-only .text segment aliasing the program's sealed
 // byte image (shared by every process of the binary; stores to it
 // fault), and the globals segment maps the initial data copy-on-write,
-// materialising a private copy only when the process first stores to
-// it. The returned Image can be attached to a CPU.
+// materialising a private copy of a page only when the process first
+// stores to it. The returned Image can be attached to a CPU.
 func Load(mem *Memory, p *Program) (*Image, error) {
 	im := &Image{Prog: p}
 	if len(p.Code) > 0 {

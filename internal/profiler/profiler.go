@@ -71,9 +71,9 @@ func Run(app *core.Binary, libs []*core.Binary, limit uint64) (*Profile, error) 
 
 // RunWithSnapshots is Run plus periodic machine snapshots: every
 // snapEvery retired instructions the golden process is checkpointed
-// (frozen copy-on-write, so each capture costs O(segments), with the
-// byte copying deferred to the segments the run actually dirties before
-// the next capture). snapEvery == 0 disables capture; the profile is
+// (frozen copy-on-write, so each capture costs O(pages), with the byte
+// copying deferred to the pages the run actually dirties before the
+// next capture). snapEvery == 0 disables capture; the profile is
 // then identical to Run's.
 func RunWithSnapshots(app *core.Binary, libs []*core.Binary, limit, snapEvery uint64) (*Profile, error) {
 	p, err := core.NewProcess(core.ProcessConfig{App: app, Libs: libs})

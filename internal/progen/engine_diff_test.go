@@ -89,11 +89,12 @@ func requireSameMachineState(t *testing.T, fast, step *core.Process) {
 		if bsegs[i].ReadOnly() {
 			continue
 		}
-		if bsegs[i].Base != ssegs[i].Base || len(bsegs[i].Data) != len(ssegs[i].Data) {
+		if bsegs[i].Base != ssegs[i].Base || bsegs[i].Size() != ssegs[i].Size() {
 			t.Fatalf("segment %d layout mismatch", i)
 		}
-		for j := range bsegs[i].Data {
-			if bsegs[i].Data[j] != ssegs[i].Data[j] {
+		bd, sd := bsegs[i].Bytes(), ssegs[i].Bytes()
+		for j := range bd {
+			if bd[j] != sd[j] {
 				t.Errorf("segment %s byte 0x%x differs", bsegs[i].Name, bsegs[i].Base+machine.Word(j))
 				break
 			}

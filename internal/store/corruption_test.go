@@ -69,7 +69,7 @@ func snapBlobPath(t *testing.T, s *Store, key Key) string {
 	if err := json.Unmarshal(b, &man); err != nil {
 		t.Fatal(err)
 	}
-	h, err := ParseHash(man.Snaps[0].Segs[0].Pages[0])
+	h, err := ParseHash(man.Blobs[man.Snaps[0].Segs[0].Pages[0]])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestCorruptManifestMissingSegEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Point one segment page at an address with no blob behind it.
-	man.Snaps[0].Segs[0].Pages[0] = HashBytes([]byte("never-stored")).String()
+	man.Blobs[man.Snaps[0].Segs[0].Pages[0]] = HashBytes([]byte("never-stored")).String()
 	swapped, err := json.Marshal(&man)
 	if err != nil {
 		t.Fatal(err)
@@ -155,6 +155,44 @@ func TestCorruptManifestMissingSegEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantFallback(t, s, key)
+}
+
+// TestCorruptManifestPageTable: a page table that does not fit its
+// segment — an index past the blob table, the wrong page count, a
+// verified blob of the wrong length for its slot, or a base the machine
+// cannot map — is corruption, not a profile with a malformed segment.
+func TestCorruptManifestPageTable(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rot  func(*profileManifest)
+	}{
+		{"index-past-table", func(m *profileManifest) { m.Snaps[0].Segs[0].Pages[0] = len(m.Blobs) }},
+		{"negative-index", func(m *profileManifest) { m.Snaps[0].Segs[0].Pages[0] = -2 }},
+		{"page-count", func(m *profileManifest) { m.Snaps[1].Segs[2].Pages = m.Snaps[1].Segs[2].Pages[:2] }},
+		{"blob-length", func(m *profileManifest) { m.Snaps[0].Segs[2].Pages[1] = m.Snaps[0].Segs[0].Pages[0] }},
+		{"misaligned-base", func(m *profileManifest) { m.Snaps[1].Segs[2].Base += 4 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, key := storedProfile(t)
+			b, err := os.ReadFile(s.manifestPath(key.ID()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var man profileManifest
+			if err := json.Unmarshal(b, &man); err != nil {
+				t.Fatal(err)
+			}
+			tc.rot(&man)
+			rotted, err := json.Marshal(&man)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(s.manifestPath(key.ID()), rotted, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			wantFallback(t, s, key)
+		})
+	}
 }
 
 func TestConcurrentWritersSameHash(t *testing.T) {

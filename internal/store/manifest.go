@@ -3,10 +3,10 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"care/internal/checkpoint"
 	"care/internal/fbits"
@@ -15,17 +15,27 @@ import (
 	"care/internal/trace"
 )
 
-// segRef is a content-addressed pointer to one memory segment: the
-// manifest ships chunkSize page hashes, the blob store holds the
-// bytes. Identical pages — the untouched majority of a written COW
-// segment across consecutive snapshots, or the same .text across
-// campaigns — collapse to one blob each.
+// manifestFormat versions the manifest encoding. A manifest of another
+// format (one written before the store used machine pages as its blob
+// unit, say) is a miss, not corruption: the run goes cold and rewrites
+// the entry.
+const manifestFormat = 2
+
+// errOtherFormat marks a manifest written in another format.
+var errOtherFormat = errors.New("store: manifest has another format")
+
+// segRef is a content-addressed pointer to one memory segment, one
+// entry per machine page: an index into the manifest's blob table, or
+// -1 for a page that was never written (the machine's zero page).
+// Identical pages — the untouched majority of a segment across
+// consecutive snapshots, or the same .text across campaigns — collapse
+// to one blob each.
 type segRef struct {
-	Base   uint64   `json:"base"`
-	Name   string   `json:"name"`
-	Pages  []string `json:"pages,omitempty"`
-	Len    int      `json:"len"`
-	Domain uint8    `json:"domain,omitempty"`
+	Base   uint64 `json:"base"`
+	Name   string `json:"name"`
+	Size   int    `json:"size"`
+	Pages  []int  `json:"pages"`
+	Domain uint8  `json:"domain,omitempty"`
 }
 
 // snapManifest is one golden-run snapshot with its memory image
@@ -49,7 +59,11 @@ type snapManifest struct {
 // detect an index entry that was moved or overwritten with the wrong
 // campaign's profile.
 type profileManifest struct {
-	Key        Key                 `json:"key"`
+	Format int `json:"format"`
+	Key    Key `json:"key"`
+	// Blobs holds the hash of every distinct non-zero page the
+	// manifest references, in first-use order.
+	Blobs      []string            `json:"blobs"`
 	TotalDyn   uint64              `json:"total_dyn"`
 	Counts     map[string][]uint64 `json:"counts"`
 	GoldenBits []uint64            `json:"golden_bits,omitempty"`
@@ -73,46 +87,70 @@ func (s *Store) manifestPath(id string) string {
 	return filepath.Join(s.dir, "manifests", id+".json")
 }
 
-// PutProfile stores a golden-run profile under key: segment and .text
-// bytes become blobs, the rest becomes a manifest. Frozen COW segments
-// shared by consecutive snapshots are recognised by backing-array
-// identity before hashing, so a mostly-idle segment is hashed once per
-// profile, not once per snapshot.
+// PutProfile stores a golden-run profile under key: every distinct
+// machine page of the snapshots and the .text images becomes a blob, the
+// rest becomes a manifest. Frozen pages shared by consecutive snapshots
+// are recognised by backing-array identity before hashing, so a page
+// nobody wrote between two snapshots is hashed once per profile, not
+// once per snapshot.
 func (s *Store) PutProfile(key Key, prof *profiler.Profile, text []TextImage) error {
 	man := profileManifest{
+		Format:     manifestFormat,
 		Key:        key,
 		TotalDyn:   prof.TotalDyn,
 		Counts:     prof.Counts,
 		GoldenBits: fbits.Of(prof.Golden),
 		ExitCode:   prof.ExitCode,
 	}
-	// seen caches pages-by-backing-array so aliased COW segments are
-	// chunked and offered to the blob store once; stored remembers the
-	// pages already written or verified by this put.
-	type ref struct {
-		pages []string
-		len   int
+	// ids maps a page backing array to its blob index, byHash a page
+	// content to it, so each array is offered to the blob store once and
+	// equal contents share one entry.
+	type pageKey struct {
+		p *byte
+		n int
 	}
-	seen := map[*byte]ref{}
-	stored := map[Hash]bool{}
-	putSeg := func(base machine.Word, name string, data []byte, dom machine.DomainID) (segRef, error) {
-		var r ref
-		if len(data) > 0 {
-			if c, ok := seen[&data[0]]; ok && c.len == len(data) {
-				r = c
-			} else {
-				pages, err := s.putChunked(data, stored)
-				if err != nil {
-					return segRef{}, err
-				}
-				r = ref{pages: pages, len: len(data)}
-				seen[&data[0]] = r
-			}
+	ids := map[pageKey]int{}
+	byHash := map[Hash]int{}
+	pageID := func(d []byte) (int, error) {
+		if d == nil {
+			return -1, nil
 		}
-		return segRef{Base: uint64(base), Name: name, Pages: r.pages, Len: r.len, Domain: uint8(dom)}, nil
+		pk := pageKey{&d[0], len(d)}
+		if id, ok := ids[pk]; ok {
+			return id, nil
+		}
+		h := HashBytes(d)
+		id, ok := byHash[h]
+		if ok {
+			s.dedup(len(d))
+		} else {
+			if err := s.putBlob(h, d); err != nil {
+				return 0, err
+			}
+			id = len(man.Blobs)
+			man.Blobs = append(man.Blobs, h.String())
+			byHash[h] = id
+		}
+		ids[pk] = id
+		return id, nil
+	}
+	putSeg := func(base machine.Word, name string, size int, pages [][]byte, dom machine.DomainID) (segRef, error) {
+		r := segRef{Base: uint64(base), Name: name, Size: size, Pages: make([]int, len(pages)), Domain: uint8(dom)}
+		for i, d := range pages {
+			id, err := pageID(d)
+			if err != nil {
+				return segRef{}, err
+			}
+			r.Pages[i] = id
+		}
+		return r, nil
 	}
 	for _, t := range text {
-		tr, err := putSeg(0, t.Name, t.Data, 0)
+		var pages [][]byte
+		for off := 0; off < len(t.Data); off += machine.PageSize {
+			pages = append(pages, t.Data[off:min(off+machine.PageSize, len(t.Data))])
+		}
+		tr, err := putSeg(0, t.Name, len(t.Data), pages, 0)
 		if err != nil {
 			return err
 		}
@@ -140,7 +178,7 @@ func (s *Store) PutProfile(key Key, prof *profiler.Profile, text []TextImage) er
 			sm.R[j] = uint64(w)
 		}
 		for _, seg := range st.Mem.Segs {
-			sr, err := putSeg(seg.Base, seg.Name, seg.Data, seg.Domain)
+			sr, err := putSeg(seg.Base, seg.Name, seg.Size, seg.Pages, seg.Domain)
 			if err != nil {
 				return err
 			}
@@ -159,13 +197,14 @@ func (s *Store) PutProfile(key Key, prof *profiler.Profile, text []TextImage) er
 }
 
 // GetProfile loads and verifies the profile cached under key. A clean
-// miss (no manifest) returns (nil, nil) and counts a golden miss; any
-// corruption — unreadable manifest, key mismatch, missing or
-// tamper-failing blob — counts store.fallback and returns the error,
-// and the caller runs cold. On a hit the reconstructed snapshots alias
-// one byte slice per distinct blob, restoring the cross-snapshot COW
-// sharing the original capture had (Restore maps segments
-// copy-on-write, so the aliasing is safe to hand to concurrent trials).
+// miss (no manifest, or a manifest of another format) returns (nil,
+// nil) and counts a golden miss; any corruption — unreadable manifest,
+// key mismatch, malformed page table, missing or tamper-failing blob —
+// counts store.fallback and returns the error, and the caller runs
+// cold. On a hit every snapshot page aliases its verified blob, one
+// byte slice per distinct page, restoring the cross-snapshot sharing
+// the original capture had (Restore maps pages copy-on-write, so the
+// aliasing is safe to hand to concurrent trials).
 func (s *Store) GetProfile(key Key) (*profiler.Profile, error) {
 	b, err := os.ReadFile(s.manifestPath(key.ID()))
 	if os.IsNotExist(err) {
@@ -177,6 +216,10 @@ func (s *Store) GetProfile(key Key) (*profiler.Profile, error) {
 		return nil, fmt.Errorf("store: read manifest: %w", err)
 	}
 	prof, err := s.decodeManifest(key, b)
+	if errors.Is(err, errOtherFormat) {
+		s.add(CounterGoldenMisses, 1)
+		return nil, nil
+	}
 	if err != nil {
 		s.add(CounterFallback, 1)
 		return nil, err
@@ -185,9 +228,26 @@ func (s *Store) GetProfile(key Key) (*profiler.Profile, error) {
 	return prof, nil
 }
 
+// unmarshalManifest decodes a manifest, telling a manifest of another
+// format (errOtherFormat) apart from bytes that are not JSON at all. A
+// well-formed JSON document that lacks the current format number is
+// taken to be another format even when its fields do not fit this one's
+// types, as an older manifest's would not.
+func unmarshalManifest(b []byte, man *profileManifest) error {
+	err := json.Unmarshal(b, man)
+	var syntax *json.SyntaxError
+	if man.Format != manifestFormat && !errors.As(err, &syntax) {
+		return errOtherFormat
+	}
+	return err
+}
+
 func (s *Store) decodeManifest(key Key, b []byte) (*profiler.Profile, error) {
 	var man profileManifest
-	if err := json.Unmarshal(b, &man); err != nil {
+	if err := unmarshalManifest(b, &man); err != nil {
+		if errors.Is(err, errOtherFormat) {
+			return nil, err
+		}
 		return nil, fmt.Errorf("store: manifest for %s is not valid JSON: %w", key.ID(), err)
 	}
 	if man.Key.ID() != key.ID() {
@@ -199,22 +259,28 @@ func (s *Store) decodeManifest(key Key, b []byte) (*profiler.Profile, error) {
 		Golden:   fbits.Floats(man.GoldenBits),
 		ExitCode: man.ExitCode,
 	}
-	// pageCache dedups page fetches; segCache keys assembled segments by
-	// their page list so segments shared across snapshots alias one
-	// slice, as they did at capture time.
-	pageCache := map[string][]byte{}
-	segCache := map[string][]byte{}
-	fetch := func(r segRef) ([]byte, error) {
-		segKey := strings.Join(r.Pages, "")
-		if data, ok := segCache[segKey]; ok && len(data) == r.Len {
-			return data, nil
+	// blobs holds each verified page, fetched on first use by a
+	// snapshot (the .text pages are recorded for dedup only and never
+	// read back).
+	blobs := make([][]byte, len(man.Blobs))
+	page := func(r segRef, i int) ([]byte, error) {
+		id := r.Pages[i]
+		if id == -1 {
+			return nil, nil
 		}
-		data, err := s.getChunked(r.Pages, r.Len, pageCache)
-		if err != nil {
-			return nil, err
+		if id < 0 || id >= len(blobs) {
+			return nil, fmt.Errorf("store: segment %s page %d references blob %d of %d", r.Name, i, id, len(blobs))
 		}
-		segCache[segKey] = data
-		return data, nil
+		if blobs[id] == nil {
+			h, err := ParseHash(man.Blobs[id])
+			if err != nil {
+				return nil, err
+			}
+			if blobs[id], err = s.GetBlob(h); err != nil {
+				return nil, err
+			}
+		}
+		return blobs[id], nil
 	}
 	for i, sm := range man.Snaps {
 		if len(sm.R) != machine.NumReg || len(sm.FBits) != machine.NumFReg {
@@ -232,17 +298,32 @@ func (s *Store) decodeManifest(key Key, b []byte) (*profiler.Profile, error) {
 		copy(st.CPU.F[:], fbits.Floats(sm.FBits))
 		st.CPU.PC = machine.Word(sm.PC)
 		st.CPU.Dyn = sm.CPUDyn
+		n := 0
 		for _, r := range sm.Segs {
-			data, err := fetch(r)
-			if err != nil {
-				return nil, err
-			}
-			st.Mem.Segs = append(st.Mem.Segs, machine.SegSnapshot{
+			n += len(r.Pages)
+		}
+		pages := make([][]byte, n)
+		for _, r := range sm.Segs {
+			k := len(r.Pages)
+			seg := machine.SegSnapshot{
 				Base:   machine.Word(r.Base),
 				Name:   r.Name,
-				Data:   data,
+				Size:   r.Size,
+				Pages:  pages[:k:k],
 				Domain: machine.DomainID(r.Domain),
-			})
+			}
+			pages = pages[k:]
+			for j := range seg.Pages {
+				d, err := page(r, j)
+				if err != nil {
+					return nil, err
+				}
+				seg.Pages[j] = d
+			}
+			if err := seg.Validate(); err != nil {
+				return nil, fmt.Errorf("store: snapshot %d: %w", i, err)
+			}
+			st.Mem.Segs = append(st.Mem.Segs, seg)
 		}
 		prof.Snaps = append(prof.Snaps, profiler.SnapPoint{Dyn: sm.Dyn, State: st, Counts: sm.Counts})
 	}
@@ -314,7 +395,7 @@ func (s *Store) List() ([]Entry, error) {
 			continue
 		}
 		var man profileManifest
-		if err := json.Unmarshal(b, &man); err != nil {
+		if err := unmarshalManifest(b, &man); err != nil {
 			continue
 		}
 		e := Entry{Key: man.Key, Snaps: len(man.Snaps)}

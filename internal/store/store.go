@@ -1,7 +1,7 @@
 // Package store is the persistent content-addressed artifact store
-// (ROADMAP item 3): frozen copy-on-write snapshot segments and sealed
+// (ROADMAP item 3): frozen copy-on-write snapshot pages and sealed
 // .text images dedup by SHA-256 in a blob store, a golden-run profile
-// becomes a keyed manifest of segment hashes, and campaign traces seal
+// becomes a keyed manifest of page hashes, and campaign traces seal
 // under a Merkle root with one leaf per trial — the "triangle" of
 // blobs, manifests, and the keyed index.
 //
@@ -111,14 +111,14 @@ const (
 
 // Store is a content-addressed artifact store rooted at a directory:
 //
-//	<dir>/blobs/<hh>/<hash>    segment and .text payloads
+//	<dir>/blobs/<hh>/<hash>    memory-page and .text-page payloads
 //	<dir>/manifests/<id>.json  golden-run profile manifests, by Key.ID
 //	<dir>/traces/<id>.jsonl    sealed campaign trace exports
 //	<dir>/seals/<id>.json      Merkle seals over the trace exports
 //
 // Methods are safe for concurrent use by one process, and writes are
 // atomic (temp file + rename), so independent processes — e.g. shard
-// workers racing on the same segment hash — can share one directory.
+// workers racing on the same page hash — can share one directory.
 type Store struct {
 	dir string
 	mu  sync.Mutex
@@ -175,7 +175,7 @@ func (s *Store) blobPath(h Hash) string {
 
 // PutBlob stores a byte image under its content address. If the store
 // already holds the blob intact the write is skipped and counted as
-// dedup — the common case once a segment has been seen by any prior
+// dedup — the common case once a page has been seen by any prior
 // run, campaign, or shard worker. A file at the address that does not
 // hold exactly these bytes (a corrupted or truncated blob) is rewritten
 // and counted as a put, so a fallback run's repopulate repairs the
@@ -223,65 +223,6 @@ func (s *Store) GetBlob(h Hash) ([]byte, error) {
 	}
 	s.add(CounterBlobGets, 1)
 	s.add(CounterBytesRead, int64(len(data)))
-	return data, nil
-}
-
-// chunkSize is the fixed page granularity segment images are chunked
-// at before entering the blob store. The machine's copy-on-write is
-// whole-segment, so consecutive snapshots of a written segment are
-// distinct multi-megabyte arrays that differ in a few spots; chunking
-// lets the untouched pages dedup by content, which is most of the
-// stored bytes and most of the verified-load cost on a cache hit.
-const chunkSize = 64 << 10
-
-// putChunked stores a byte image as fixed-size page blobs and returns
-// the page hashes in order. Empty data yields no pages. stored holds
-// the pages the caller already put or verified in this pass (the
-// all-zero page of every stack snapshot, say); they count as dedup
-// without reading the blob back again.
-func (s *Store) putChunked(data []byte, stored map[Hash]bool) ([]string, error) {
-	var pages []string
-	for off := 0; off < len(data); off += chunkSize {
-		end := off + chunkSize
-		if end > len(data) {
-			end = len(data)
-		}
-		h := HashBytes(data[off:end])
-		if stored[h] {
-			s.dedup(end - off)
-		} else {
-			if err := s.putBlob(h, data[off:end]); err != nil {
-				return nil, err
-			}
-			stored[h] = true
-		}
-		pages = append(pages, h.String())
-	}
-	return pages, nil
-}
-
-// getChunked fetches, verifies and reassembles a chunked image. cache
-// maps page hash to payload across calls, so a page shared by many
-// snapshots is read and verified exactly once per load.
-func (s *Store) getChunked(pages []string, length int, cache map[string][]byte) ([]byte, error) {
-	data := make([]byte, 0, length)
-	for _, p := range pages {
-		b, ok := cache[p]
-		if !ok {
-			h, err := ParseHash(p)
-			if err != nil {
-				return nil, err
-			}
-			if b, err = s.GetBlob(h); err != nil {
-				return nil, err
-			}
-			cache[p] = b
-		}
-		data = append(data, b...)
-	}
-	if len(data) != length {
-		return nil, fmt.Errorf("store: chunked image reassembles to %d bytes, manifest says %d", len(data), length)
-	}
 	return data, nil
 }
 

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -88,20 +89,48 @@ func TestKeyIDDistinguishesFields(t *testing.T) {
 	}
 }
 
-// fakeProfile builds a two-snapshot profile whose snapshots share one
-// segment backing array (as frozen COW capture produces) and carry a
-// NaN in the golden stream (the bit-exactness hazard fbits exists for).
+// pagesOf slices a byte image into machine pages, the shape
+// machine.Memory.Snapshot hands the store.
+func pagesOf(b []byte) [][]byte {
+	var pages [][]byte
+	for off := 0; off < len(b); off += machine.PageSize {
+		pages = append(pages, b[off:min(off+machine.PageSize, len(b))])
+	}
+	return pages
+}
+
+// segBytes reassembles a segment image, a nil page reading as zeros.
+func segBytes(s machine.SegSnapshot) []byte {
+	out := make([]byte, 0, s.Size)
+	for i, p := range s.Pages {
+		if p == nil {
+			p = make([]byte, min(machine.PageSize, s.Size-i*machine.PageSize))
+		}
+		out = append(out, p...)
+	}
+	return out
+}
+
+// fakeProfile builds a two-snapshot profile shaped like frozen
+// page-granular capture: both snapshots alias one globals page and the
+// middle page of a three-page stack, the stack's first page was never
+// written (nil, the zero page), and each snapshot has private heap and
+// stack-top pages. The golden stream carries a NaN (the bit-exactness
+// hazard fbits exists for).
 func fakeProfile() *profiler.Profile {
 	shared := []byte("shared-cow-segment-bytes")
-	dirty1 := []byte("snap1-private")
-	dirty2 := []byte("snap2-private-longer")
-	mkSnap := func(dyn uint64, dirty []byte) profiler.SnapPoint {
+	stackMid := make([]byte, machine.PageSize)
+	copy(stackMid, "frame-bytes-nobody-rewrote")
+	mkSnap := func(dyn uint64, dirty, top string) profiler.SnapPoint {
+		stackTop := make([]byte, 256)
+		copy(stackTop[200:], top)
 		st := &checkpoint.Snapshot{
 			Mem: &machine.Snapshot{
 				HeapNext: 0x9000,
 				Segs: []machine.SegSnapshot{
-					{Base: 0x1000, Name: "app.data", Data: shared, Domain: 1},
-					{Base: 0x2000, Name: "heap", Data: dirty, Domain: 2},
+					{Base: 0x1000, Name: "app.data", Size: len(shared), Pages: pagesOf(shared), Domain: 1},
+					{Base: 0x2000, Name: "heap", Size: len(dirty), Pages: pagesOf([]byte(dirty)), Domain: 2},
+					{Base: 0x10000, Name: "stack", Size: 2*machine.PageSize + 256, Pages: [][]byte{nil, stackMid, stackTop}, Domain: 5},
 				},
 			},
 			Step:       int(dyn / 100),
@@ -119,7 +148,7 @@ func fakeProfile() *profiler.Profile {
 		Counts:   map[string][]uint64{"app": {5, 6, 7}},
 		Golden:   []float64{3.25, math.NaN(), math.Inf(-1)},
 		ExitCode: 0,
-		Snaps:    []profiler.SnapPoint{mkSnap(100, dirty1), mkSnap(200, dirty2)},
+		Snaps:    []profiler.SnapPoint{mkSnap(100, "snap1-private", "ret-1"), mkSnap(200, "snap2-private-longer", "ret-2")},
 	}
 }
 
@@ -152,7 +181,8 @@ func sameProfile(t *testing.T, got, want *profiler.Profile) {
 		}
 		for j := range g.State.Mem.Segs {
 			gs, ws := g.State.Mem.Segs[j], w.State.Mem.Segs[j]
-			if gs.Base != ws.Base || gs.Name != ws.Name || gs.Domain != ws.Domain || string(gs.Data) != string(ws.Data) {
+			if gs.Base != ws.Base || gs.Name != ws.Name || gs.Domain != ws.Domain || gs.Size != ws.Size ||
+				len(gs.Pages) != len(ws.Pages) || string(segBytes(gs)) != string(segBytes(ws)) {
 				t.Fatalf("snap %d seg %d mismatch", i, j)
 			}
 		}
@@ -170,12 +200,15 @@ func TestProfileRoundTrip(t *testing.T) {
 	if err := s.PutProfile(key, prof, text); err != nil {
 		t.Fatalf("PutProfile: %v", err)
 	}
-	// The shared segment must have been stored once: segments are
-	// 2×shared (aliased) + 2 dirty + 1 text = 4 distinct blobs, and the
-	// aliased copy is recognised by backing-array identity, not even
-	// charged as a dedup hit.
-	if n := s.Counter(CounterBlobPuts); n != 4 {
-		t.Fatalf("blob-puts = %d, want 4", n)
+	// Every distinct non-zero page is stored once: the aliased globals
+	// and stack-middle pages (recognised by backing-array identity, not
+	// even charged as dedup hits), two heap and two stack-top pages, and
+	// the text page. The never-written stack page stores nothing.
+	if n := s.Counter(CounterBlobPuts); n != 7 {
+		t.Fatalf("blob-puts = %d, want 7", n)
+	}
+	if n := s.Counter(CounterBlobDedup); n != 0 {
+		t.Fatalf("blob-dedup-hits = %d, want 0", n)
 	}
 	got, err := s.GetProfile(key)
 	if err != nil {
@@ -186,11 +219,20 @@ func TestProfileRoundTrip(t *testing.T) {
 	}
 	sameProfile(t, got, prof)
 	// Cross-snapshot sharing must survive the round trip: both
-	// snapshots' shared segment alias one backing array.
-	a := got.Snaps[0].State.Mem.Segs[0].Data
-	b := got.Snaps[1].State.Mem.Segs[0].Data
-	if len(a) == 0 || &a[0] != &b[0] {
-		t.Fatalf("shared segment was duplicated on load")
+	// snapshots' shared pages alias one verified blob each, and the
+	// zero page comes back as the zero page.
+	s0, s1 := got.Snaps[0].State.Mem.Segs, got.Snaps[1].State.Mem.Segs
+	for _, at := range []struct{ seg, page int }{{0, 0}, {2, 1}} {
+		a, b := s0[at.seg].Pages[at.page], s1[at.seg].Pages[at.page]
+		if len(a) == 0 || &a[0] != &b[0] {
+			t.Fatalf("shared page %d of %s was duplicated on load", at.page, s0[at.seg].Name)
+		}
+	}
+	if s0[2].Pages[0] != nil || s1[2].Pages[0] != nil {
+		t.Fatal("never-written page did not come back as the zero page")
+	}
+	if a, b := s0[2].Pages[2], s1[2].Pages[2]; &a[0] == &b[0] {
+		t.Fatal("distinct stack-top pages were merged on load")
 	}
 	if n := s.Counter(CounterGoldenHits); n != 1 {
 		t.Fatalf("golden-hits = %d, want 1", n)
@@ -199,12 +241,57 @@ func TestProfileRoundTrip(t *testing.T) {
 	if err := s.PutProfile(key, prof, text); err != nil {
 		t.Fatalf("PutProfile again: %v", err)
 	}
-	if n := s.Counter(CounterBlobPuts); n != 4 {
-		t.Fatalf("blob-puts after re-put = %d, want 4", n)
+	if n := s.Counter(CounterBlobPuts); n != 7 {
+		t.Fatalf("blob-puts after re-put = %d, want 7", n)
 	}
-	if n := s.Counter(CounterBlobDedup); n != 4 {
-		t.Fatalf("blob-dedup-hits after re-put = %d, want 4", n)
+	if n := s.Counter(CounterBlobDedup); n != 7 {
+		t.Fatalf("blob-dedup-hits after re-put = %d, want 7", n)
 	}
+}
+
+// TestOtherFormatManifestIsAMiss: a manifest written before the store
+// keyed blobs by machine page (64 KiB chunk hashes, no format number)
+// is a clean miss, not corruption, and storing the profile again
+// replaces it with a loadable entry.
+func TestOtherFormatManifestIsAMiss(t *testing.T) {
+	s := openT(t)
+	key := Key{Kind: "campaign", Workload: "HPCCG", Seed: 3, WarmStart: true}
+	h, err := s.PutBlob([]byte("shared-cow-segment-bytes"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := json.Marshal(map[string]any{
+		"key":       key,
+		"total_dyn": 12345,
+		"counts":    map[string][]uint64{"app": {5, 6, 7}},
+		"snaps": []map[string]any{{
+			"dyn": 100, "r": make([]uint64, machine.NumReg), "f_bits": make([]uint64, machine.NumFReg),
+			"segs": []map[string]any{{"base": 0x1000, "name": "app.data", "pages": []string{h.String()}, "len": 24, "domain": 1}},
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(s.manifestPath(key.ID()), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if prof, err := s.GetProfile(key); err != nil || prof != nil {
+		t.Fatalf("other-format manifest: profile=%v err=%v, want a clean miss", prof != nil, err)
+	}
+	if m, f := s.Counter(CounterGoldenMisses), s.Counter(CounterFallback); m != 1 || f != 0 {
+		t.Fatalf("golden-misses=%d fallback=%d, want 1 and 0", m, f)
+	}
+	if entries, err := s.List(); err != nil || len(entries) != 0 {
+		t.Fatalf("inventory lists an unloadable entry: %+v, %v", entries, err)
+	}
+	if err := s.PutProfile(key, fakeProfile(), nil); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.GetProfile(key)
+	if err != nil || got == nil {
+		t.Fatalf("rewritten entry does not load: %v", err)
+	}
+	sameProfile(t, got, fakeProfile())
 }
 
 func TestGetProfileCleanMiss(t *testing.T) {
