@@ -313,17 +313,21 @@ func main() {
 
 	if *warmStart {
 		// Warm-start accounting goes to stderr so stdout stays
-		// byte-identical to a cold run (the CI smoke diffs it).
-		var snaps, warm int
-		var skipped uint64
+		// byte-identical to a cold run (the CI smoke diffs it): the golden
+		// prefix the warm trials skipped, and the golden suffix skipped by
+		// trials that rejoined the golden run at a snapshot.
+		var total faultinject.WarmStartStats
 		for _, r := range rows {
 			if ws := r.Res.WarmStart; ws != nil {
-				snaps += ws.Snapshots
-				warm += ws.WarmTrials
-				skipped += ws.SkippedDyn
+				total.Snapshots += ws.Snapshots
+				total.WarmTrials += ws.WarmTrials
+				total.SkippedDyn += ws.SkippedDyn
+				total.ConvergedTrials += ws.ConvergedTrials
+				total.ConvergedDyn += ws.ConvergedDyn
 			}
 		}
-		fmt.Fprintf(os.Stderr, "campaign.warmstart.skipped-dyn=%d (snapshots=%d, warm-trials=%d)\n", skipped, snaps, warm)
+		fmt.Fprintf(os.Stderr, "campaign.warmstart.skipped-dyn=%d (snapshots=%d, warm-trials=%d)\n", total.SkippedDyn, total.Snapshots, total.WarmTrials)
+		fmt.Fprintf(os.Stderr, "campaign.warmstart.converged=%d (converged-dyn=%d)\n", total.ConvergedTrials, total.ConvergedDyn)
 	}
 
 	if st != nil {

@@ -7,6 +7,8 @@ package checkpoint
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"care/internal/machine"
@@ -66,6 +68,39 @@ func (s *Snapshot) Apply(c *machine.CPU) {
 		c.Env.Results = append(c.Env.Results[:0], s.EnvResults...)
 		c.Env.Printed = append(c.Env.Printed[:0], s.EnvPrinted...)
 	}
+}
+
+// Matches reports whether the CPU holds exactly the snapshot's state:
+// integer registers, PC and Dyn, the floating-point registers and the
+// result stream compared by bit pattern (so +0/-0 and NaN payloads
+// differ), the print stream, and the writable memory
+// (machine.Memory.Matches). Code is immutable and not compared. With no
+// step hook, StopPC sentinel or trap, that state alone determines the
+// rest of a run, so a match means the CPU will retrace the snapshotted
+// run from here on.
+func (s *Snapshot) Matches(c *machine.CPU) bool {
+	if c.R != s.CPU.R || c.PC != s.CPU.PC || c.Dyn != s.CPU.Dyn {
+		return false
+	}
+	for i := range c.F {
+		if math.Float64bits(c.F[i]) != math.Float64bits(s.CPU.F[i]) {
+			return false
+		}
+	}
+	var results []float64
+	var printed []string
+	if c.Env != nil {
+		results, printed = c.Env.Results, c.Env.Printed
+	}
+	if len(results) != len(s.EnvResults) || !slices.Equal(printed, s.EnvPrinted) {
+		return false
+	}
+	for i, v := range results {
+		if math.Float64bits(v) != math.Float64bits(s.EnvResults[i]) {
+			return false
+		}
+	}
+	return c.Mem.Matches(s.Mem)
 }
 
 // Bytes is the serialised checkpoint size: memory, register file,

@@ -2,6 +2,7 @@ package checkpoint_test
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"care/internal/checkpoint"
@@ -343,5 +344,57 @@ func TestSnapshotBytesCountWholeSegments(t *testing.T) {
 		if got := p.CPU.Mem.SnapshotDomain(d).Bytes(); got != want {
 			t.Errorf("%v domain snapshot Bytes = %d, want %d", d, got, want)
 		}
+	}
+}
+
+// TestSnapshotMatchesEveryField pins Snapshot.Matches: a CPU matches the
+// snapshot it was captured into, and a difference in any single field
+// fails the match. Floats compare by bit pattern, so +0 and -0, and two
+// NaNs with different payloads, differ.
+func TestSnapshotMatchesEveryField(t *testing.T) {
+	_, p := buildProc(t)
+	for len(p.Results()) == 0 {
+		if st := p.CPU.Run(5_000); st != machine.StatusLimit {
+			t.Fatalf("run ended (%v) before its first result", st)
+		}
+	}
+	p.CPU.F[2] = 0
+	p.CPU.F[3] = math.Float64frombits(0x7ff8_0000_0000_0001)
+	p.Env.Printed = append(p.Env.Printed, "line")
+	snap := checkpoint.Capture(p.CPU, 1)
+	if !snap.Matches(p.CPU) {
+		t.Fatal("a CPU does not match its own capture")
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(c *machine.CPU)
+	}{
+		{"R", func(c *machine.CPU) { c.R[machine.R1] ^= 1 }},
+		{"F/+0-vs--0", func(c *machine.CPU) { c.F[2] = math.Copysign(0, -1) }},
+		{"F/nan-payload", func(c *machine.CPU) { c.F[3] = math.Float64frombits(0x7ff8_0000_0000_0002) }},
+		{"PC", func(c *machine.CPU) { c.PC += 8 }},
+		{"Dyn", func(c *machine.CPU) { c.Dyn++ }},
+		{"EnvResults/value", func(c *machine.CPU) { c.Env.Results[0] = math.Nextafter(c.Env.Results[0], math.Inf(1)) }},
+		{"EnvResults/length", func(c *machine.CPU) { c.Env.Results = append(c.Env.Results, 0) }},
+		{"EnvPrinted", func(c *machine.CPU) { c.Env.Printed[len(c.Env.Printed)-1] = "other" }},
+		{"memory", func(c *machine.CPU) {
+			addr := c.R[machine.SP]
+			v, _ := c.Mem.Read(addr)
+			if f := c.Mem.Write(addr, v+1); f != nil {
+				t.Fatal(f)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, q := buildProc(t)
+			snap.Apply(q.CPU)
+			if !snap.Matches(q.CPU) {
+				t.Fatal("a CPU does not match the snapshot applied to it")
+			}
+			tc.mutate(q.CPU)
+			if snap.Matches(q.CPU) {
+				t.Fatalf("a CPU with a different %s matches", tc.name)
+			}
+		})
 	}
 }

@@ -73,7 +73,12 @@ func TestCampaignEngineEquivalenceWarmStart(t *testing.T) {
 		return res
 	}
 	step := run(machine.TierStep)
+	if step.WarmStart.ConvergedTrials == 0 {
+		t.Fatalf("step loop stopped no trial at a snapshot: %+v", step.WarmStart)
+	}
 	for _, tier := range []machine.InterpTier{machine.TierSuperblock, machine.TierBlock} {
+		// DeepEqual covers WarmStart, so every tier stops the same trials
+		// early at the same snapshots.
 		if fast := run(tier); !reflect.DeepEqual(fast, step) {
 			t.Fatalf("warm-start campaign differs between %v engine and step loop:\n%+v\nvs\n%+v", tier, fast, step)
 		}

@@ -360,11 +360,14 @@ type Campaign struct {
 	Trace bool
 	// WarmStart clones each trial from the latest golden-run snapshot
 	// strictly before its earliest injection target instead of
-	// re-executing the shared prefix from _start. The campaign result —
-	// including the exported trace JSONL — is bit-identical to a cold
-	// campaign for every worker count (the skipped prefix is
-	// deterministic and fault-free); only CampaignResult.WarmStart,
-	// which lives beside the trace, records the shortcut.
+	// re-executing the shared prefix from _start, and ends a trial whose
+	// faults have fired at the first later snapshot whose state it equals
+	// (it is Benign; see drive). The campaign result — including the
+	// exported trace JSONL — is bit-identical to a cold campaign for
+	// every worker count (the skipped prefix is deterministic and
+	// fault-free, and the skipped suffix is the golden one); only
+	// CampaignResult.WarmStart, which lives beside the trace, records the
+	// shortcuts.
 	WarmStart bool
 	// SnapEvery is the snapshot cadence in retired instructions
 	// (warm-start only). 0 picks TotalDyn/64+1: at most 64 snapshots,
@@ -441,6 +444,12 @@ type WarmStartStats struct {
 	// SkippedDyn totals the golden-prefix instructions the warm trials
 	// did not re-execute (the campaign.warmstart.skipped-dyn counter).
 	SkippedDyn uint64
+	// ConvergedTrials counts trials that rejoined the golden run at a
+	// snapshot after their faults fired and stopped there as Benign;
+	// ConvergedDyn totals the golden-suffix instructions they did not
+	// execute (the campaign.warmstart.converged figure).
+	ConvergedTrials int
+	ConvergedDyn    uint64
 }
 
 // CampaignResult aggregates a campaign (Tables 2-4 rows).
@@ -526,6 +535,10 @@ type TrialResult struct {
 	// SkippedDyn is the golden-prefix length the trial warm-started
 	// past (0 for a cold trial).
 	SkippedDyn uint64
+	// ConvergedDyn is the golden-suffix length the trial did not execute
+	// because its state rejoined the golden run at a snapshot (0 when it
+	// ran to its end).
+	ConvergedDyn uint64
 	// Rec is the trial's recorder: outcome/symptom/destination counters
 	// plus a KindTrial summary span (and trap stamps when Campaign.Trace
 	// is set). Merged into the campaign trace in trial-index order.
@@ -546,20 +559,15 @@ func (c *Campaign) runTrial(i int, prof *profiler.Profile, hang uint64) (TrialRe
 		target := uint64(rng.Int63n(int64(prof.TotalDyn))) + 1
 		specs[j] = ArmSpec{Trigger: Trigger{AtDyn: target}, Bits: pickBits(rng, c.Model)}
 	}
+	minTarget := specs[0].Trigger.AtDyn
+	for _, s := range specs[1:] {
+		minTarget = min(minTarget, s.Trigger.AtDyn)
+	}
 	// Warm start: resume from the latest golden snapshot strictly before
 	// the earliest armed target. Everything up to that target is the
 	// deterministic fault-free golden prefix, so the resumed process is
 	// bit-identical to a cold one at the moment the first fault can fire.
-	var snap *profiler.SnapPoint
-	if len(prof.Snaps) > 0 {
-		minTarget := specs[0].Trigger.AtDyn
-		for _, s := range specs[1:] {
-			if s.Trigger.AtDyn < minTarget {
-				minTarget = s.Trigger.AtDyn
-			}
-		}
-		snap = prof.NearestSnap(minTarget)
-	}
+	snap := prof.NearestSnap(minTarget)
 	cfg := core.ProcessConfig{
 		App: c.App, Libs: c.Libs, Tier: c.Tier,
 		Protected: c.Protected, Safeguard: c.Safeguard,
@@ -587,27 +595,36 @@ func (c *Campaign) runTrial(i int, prof *profiler.Profile, hang uint64) (TrialRe
 	if c.Trace {
 		p.CPU.Trace = rec
 	}
-	armed := ArmAll(p.CPU, specs)
 	var tracker *taint.Tracker
 	if c.TrackPropagation {
 		tracker = taint.Attach(p.CPU)
-		for _, st := range armed {
-			st.OnFire = func(cc *machine.CPU, in *machine.MInstr) {
-				tracker.MarkDest(cc, in)
+	}
+	arm := func() []*Armed {
+		armed := ArmAll(p.CPU, specs)
+		if tracker != nil {
+			for _, st := range armed {
+				st.OnFire = func(cc *machine.CPU, in *machine.MInstr) {
+					tracker.MarkDest(cc, in)
+				}
 			}
 		}
+		return armed
 	}
 	// The budget is shared with the skipped prefix: in the golden prefix
 	// every step retires, so a cold trial reaching the snapshot point has
 	// spent exactly snap.Dyn of its budget. Charging it here keeps the
 	// Hang classification bit-identical between warm and cold runs.
-	limit := hang * prof.TotalDyn
+	budget := hang * prof.TotalDyn
 	var skipped uint64
 	if snap != nil {
 		skipped = snap.Dyn
-		limit -= skipped
+		budget -= skipped
 	}
-	status := p.Run(limit)
+	status, armed, rejoined := drive(p.CPU, prof, minTarget, budget, arm)
+	if armed == nil {
+		return TrialResult{}, fmt.Errorf("faultinject: trial %d stopped (%v) at dyn %d, before its first target %d; the golden prefix must reach it",
+			i, status, p.CPU.Dyn, minTarget)
+	}
 	// Fold the safeguard's private trace (activations, phase spans, the
 	// recovered/detected counters) into the trial recorder so campaign
 	// merges see recovery outcomes alongside injection outcomes.
@@ -643,20 +660,29 @@ func (c *Campaign) runTrial(i int, prof *profiler.Profile, hang uint64) (TrialRe
 		inj.TargetDyn, inj.Bits = specs[lastIdx].Trigger.AtDyn, specs[lastIdx].Bits
 		inj.Image, inj.StaticIdx, inj.Dest = last.Image, last.StaticIdx, last.Dest
 	}
-	switch status {
-	case machine.StatusTrapped:
+	endDyn := p.CPU.Dyn
+	var converged uint64
+	switch {
+	case rejoined != nil:
+		// The trial holds the golden state at rejoined.Dyn, so the rest of
+		// its run is the golden suffix: it exits at TotalDyn with the
+		// golden results and raises no trap (see drive).
+		inj.Outcome = Benign
+		endDyn = prof.TotalDyn
+		converged = prof.TotalDyn - rejoined.Dyn
+	case status == machine.StatusTrapped:
 		inj.Outcome = SoftFailure
 		inj.Signal = p.CPU.PendingTrap.Sig
 		if last != nil {
 			inj.Latency = p.CPU.Dyn - last.Dyn
 		}
-	case machine.StatusExited:
+	case status == machine.StatusExited:
 		if sameResults(p.Results(), prof.Golden) && p.CPU.ExitCode == prof.ExitCode {
 			inj.Outcome = Benign
 		} else {
 			inj.Outcome = SDC
 		}
-	case machine.StatusLimit:
+	case status == machine.StatusLimit:
 		inj.Outcome = Hang
 	default:
 		return TrialResult{}, fmt.Errorf("faultinject: unexpected run status %v", status)
@@ -687,10 +713,75 @@ func (c *Campaign) runTrial(i int, prof *profiler.Profile, hang uint64) (TrialRe
 	}
 	rec.Emit(trace.Span{
 		Kind: trace.KindTrial, Parent: trace.NoParent,
-		StartDyn: startDyn, EndDyn: p.CPU.Dyn,
+		StartDyn: startDyn, EndDyn: endDyn,
 		Outcome: inj.Outcome.String(), Val: nFired,
 	})
-	return TrialResult{Index: i, Inj: inj, Fired: fired, Rec: rec, SkippedDyn: skipped}, nil
+	return TrialResult{
+		Index: i, Inj: inj, Fired: fired, Rec: rec,
+		SkippedDyn: skipped, ConvergedDyn: converged,
+	}, nil
+}
+
+// drive runs a trial CPU in budget slices until it ends: with no
+// step hook up to the instruction before the earliest fault target (so
+// the fault-free prefix runs on the fast interpreter tiers), then with
+// the faults armed (arm installs them), stopping at every later golden
+// snapshot. A slice of n attempts that returns StatusLimit charged
+// exactly n; one that retired fewer (a trap a protected binary resumed
+// from) ends short of its boundary, and the next slice runs toward the
+// same boundary. An exhausted budget is a hang, as for a single Run.
+//
+// At a snapshot stop, once every armed fault has fired, the trial is
+// compared with the snapshot. A run's future depends only on the state
+// a snapshot holds as long as no step hook is installed, no StopPC
+// sentinel is set and no trap occurs; the golden suffix from a snapshot
+// raises no trap and exits at TotalDyn after TotalDyn-Dyn retirements
+// and the exit attempt. So a trial that matches, with budget left for
+// that suffix, would finish exactly as the golden run does: drive stops
+// it there and returns the snapshot it rejoined. A trial bound for any
+// other outcome can never match, so the early stop changes no result.
+func drive(cpu *machine.CPU, prof *profiler.Profile, minTarget, budget uint64, arm func() []*Armed) (machine.RunStatus, []*Armed, *profiler.SnapPoint) {
+	var armed []*Armed
+	for {
+		if armed == nil && cpu.Dyn+1 >= minTarget {
+			armed = arm()
+		}
+		// stop is the Dyn this slice runs to (0: the end of the run); at
+		// is the snapshot taken there, if any.
+		var stop uint64
+		var at *profiler.SnapPoint
+		if armed == nil {
+			stop = minTarget - 1
+		} else if at = prof.NextSnap(cpu.Dyn); at != nil {
+			stop = at.Dyn
+		}
+		n := budget
+		if stop > 0 {
+			n = min(n, stop-cpu.Dyn)
+		}
+		if n == 0 {
+			// Run(0) would mean "no limit"; the budget is spent.
+			return machine.StatusLimit, armed, nil
+		}
+		if st := cpu.Run(n); st != machine.StatusLimit {
+			return st, armed, nil
+		}
+		budget -= n
+		if at != nil && cpu.Dyn == at.Dyn && budget > prof.TotalDyn-cpu.Dyn &&
+			allFired(armed) && !cpu.Hooked() && !cpu.StopPCSet && at.State.Matches(cpu) {
+			return machine.StatusLimit, armed, at
+		}
+	}
+}
+
+// allFired reports whether every armed fault has landed.
+func allFired(armed []*Armed) bool {
+	for _, st := range armed {
+		if !st.Fired {
+			return false
+		}
+	}
+	return true
 }
 
 // Run executes the campaign: N independent trials on a pool of Workers
@@ -864,9 +955,15 @@ func (c *Campaign) MergeResults(prof *profiler.Profile, trials []TrialResult) (*
 	for i := range trials {
 		res.Trace.MergeAs(trials[i].Rec, int32(i))
 		res.Injections = append(res.Injections, trials[i].Inj)
-		if res.WarmStart != nil && trials[i].SkippedDyn > 0 {
-			res.WarmStart.WarmTrials++
-			res.WarmStart.SkippedDyn += trials[i].SkippedDyn
+		if ws := res.WarmStart; ws != nil {
+			if trials[i].SkippedDyn > 0 {
+				ws.WarmTrials++
+				ws.SkippedDyn += trials[i].SkippedDyn
+			}
+			if trials[i].ConvergedDyn > 0 {
+				ws.ConvergedTrials++
+				ws.ConvergedDyn += trials[i].ConvergedDyn
+			}
 		}
 	}
 	// Derive the report maps from the merged counters. Only observed

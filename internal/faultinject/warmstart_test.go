@@ -3,13 +3,16 @@ package faultinject
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"care/internal/core"
 	"care/internal/ir"
+	"care/internal/machine"
 	"care/internal/profiler"
 	"care/internal/safeguard"
 	"care/internal/trace"
+	"care/internal/workloads"
 )
 
 // jsonlBytes serialises a recorder the way the CLI tools do; warm and
@@ -97,8 +100,9 @@ func TestWarmStartCampaignEquivalence(t *testing.T) {
 		if warm.WarmStart == nil {
 			t.Fatalf("workers=%d: warm campaign has no warm-start stats", workers)
 		}
-		if warm.WarmStart.Snapshots == 0 || warm.WarmStart.WarmTrials == 0 || warm.WarmStart.SkippedDyn == 0 {
-			t.Fatalf("workers=%d: warm campaign skipped nothing: %+v", workers, warm.WarmStart)
+		if ws := warm.WarmStart; ws.Snapshots == 0 || ws.WarmTrials == 0 || ws.SkippedDyn == 0 ||
+			ws.ConvergedTrials == 0 || ws.ConvergedDyn == 0 {
+			t.Fatalf("workers=%d: warm campaign skipped nothing: %+v", workers, ws)
 		}
 		if !reflect.DeepEqual(scrubWarmStart(warm), cold) {
 			t.Fatalf("workers=%d: warm result differs from cold:\n%+v\nvs\n%+v",
@@ -111,9 +115,11 @@ func TestWarmStartCampaignEquivalence(t *testing.T) {
 }
 
 // TestWarmStartSnapshotCadences sweeps the snapshot cadence across its
-// edge cases on a tiny workload: one snapshot per instruction, a prime
-// stride, and a stride past the end of the run (zero snapshots, so every
-// trial falls back to a cold start). All must reproduce the cold result.
+// edge cases on a tiny workload: one snapshot per instruction (so every
+// trial is compared with the golden run after every instruction once
+// its fault fired), a prime stride, and a stride past the end of the
+// run (zero snapshots, so every trial falls back to a cold start and
+// none can stop early). All must reproduce the cold result.
 func TestWarmStartSnapshotCadences(t *testing.T) {
 	bin := tinyBinary(t)
 	run := func(warm bool, every uint64) *CampaignResult {
@@ -137,11 +143,13 @@ func TestWarmStartSnapshotCadences(t *testing.T) {
 		if !bytes.Equal(jsonlBytes(t, warm.Trace), coldJSON) {
 			t.Fatalf("cadence %d: warm trace JSONL differs from cold", every)
 		}
-		switch {
-		case every == 1 && warm.WarmStart.WarmTrials == 0:
+		switch ws := warm.WarmStart; {
+		case every == 1 && ws.WarmTrials == 0:
 			t.Fatal("cadence 1 warm-started no trial")
-		case every == 1<<40 && warm.WarmStart.Snapshots != 0:
-			t.Fatalf("cadence past TotalDyn captured %d snapshots", warm.WarmStart.Snapshots)
+		case every == 1<<40 && (ws.Snapshots != 0 || ws.ConvergedTrials != 0):
+			t.Fatalf("cadence past TotalDyn captured %d snapshots and stopped %d trials early", ws.Snapshots, ws.ConvergedTrials)
+		case every != 1<<40 && ws.ConvergedTrials == 0:
+			t.Fatalf("cadence %d stopped no trial at a snapshot", every)
 		}
 	}
 }
@@ -170,8 +178,8 @@ func TestWarmStartMultiFaultEquivalence(t *testing.T) {
 	if !bytes.Equal(jsonlBytes(t, warm.Trace), jsonlBytes(t, cold.Trace)) {
 		t.Fatal("multi-fault warm trace JSONL differs from cold")
 	}
-	if warm.WarmStart.WarmTrials == 0 {
-		t.Fatal("multi-fault campaign warm-started no trial")
+	if warm.WarmStart.WarmTrials == 0 || warm.WarmStart.ConvergedTrials == 0 {
+		t.Fatalf("multi-fault campaign warm-started or stopped early no trial: %+v", warm.WarmStart)
 	}
 	// Every fault of every trial must still fire at (or after) its own
 	// target — a snapshot past the earliest target would make that fault
@@ -180,6 +188,134 @@ func TestWarmStartMultiFaultEquivalence(t *testing.T) {
 		for _, fp := range inj.Faults {
 			if fp.Fired && fp.Dyn < fp.TargetDyn {
 				t.Errorf("fault fired at dyn %d before its target %d", fp.Dyn, fp.TargetDyn)
+			}
+		}
+	}
+}
+
+// TestWarmStartProtectedEquivalence extends the contract to protected
+// trials: a CARE build under the Safeguard runtime, whose trials may
+// trap, recover and resume before they rejoin the golden run. Safeguard
+// phase spans carry measured wall times, so the traces are compared on
+// their deterministic skeleton.
+func TestWarmStartProtectedEquivalence(t *testing.T) {
+	bin := buildWorkload(t, "HPCCG", 0, true)
+	run := func(warm bool) *CampaignResult {
+		res, err := (&Campaign{
+			App: bin, N: 24, Model: SingleBit, Seed: 11,
+			Workers: 4, Trace: true, Protected: true, WarmStart: warm,
+		}).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	cold, warm := run(false), run(true)
+	w, c := *scrubWarmStart(warm), *cold
+	w.Trace, c.Trace = nil, nil
+	if !reflect.DeepEqual(w, c) {
+		t.Fatalf("protected warm result differs from cold:\n%+v\nvs\n%+v", w, c)
+	}
+	requireTraceSkeletonEqual(t, warm.Trace, cold.Trace)
+	if warm.WarmStart.ConvergedTrials == 0 {
+		t.Fatalf("protected campaign stopped no trial at a snapshot: %+v", warm.WarmStart)
+	}
+}
+
+// TestWarmStartHangBudgetEquivalence pins the budget condition of the
+// early stop. With HangFactor 1 a trial's budget is TotalDyn attempts,
+// one short of a fault-free run (the exit attempt retires nothing), so a
+// trial that rejoins the golden run still hangs: it may only stop early
+// when its remaining budget covers the golden suffix and the exit.
+func TestWarmStartHangBudgetEquivalence(t *testing.T) {
+	bin := buildWorkload(t, "HPCCG", 0, false)
+	run := func(warm bool, hang uint64) *CampaignResult {
+		res, err := (&Campaign{
+			App: bin, N: 40, Model: SingleBit, Seed: 3, HangFactor: hang,
+			Workers: 4, Trace: true, WarmStart: warm,
+		}).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, hang := range []uint64{1, 2} {
+		cold, warm := run(false, hang), run(true, hang)
+		if !reflect.DeepEqual(scrubWarmStart(warm), cold) {
+			t.Fatalf("hang factor %d: warm result differs from cold:\n%+v\nvs\n%+v", hang, scrubWarmStart(warm), cold)
+		}
+		if !bytes.Equal(jsonlBytes(t, warm.Trace), jsonlBytes(t, cold.Trace)) {
+			t.Fatalf("hang factor %d: warm trace JSONL differs from cold", hang)
+		}
+		if hang == 1 && (cold.Outcomes[Hang] == 0 || warm.WarmStart.ConvergedTrials != 0) {
+			t.Fatalf("hang factor 1: %d hangs, %d trials stopped early; want hangs and no early stop",
+				cold.Outcomes[Hang], warm.WarmStart.ConvergedTrials)
+		}
+		if hang == 2 && warm.WarmStart.ConvergedTrials == 0 {
+			t.Fatal("hang factor 2: no trial stopped at a snapshot")
+		}
+	}
+}
+
+// TestSnapshotPassMatchesStepReference pins the hook-free snapshot
+// pass: RunWithSnapshots captures by budget slicing on the fast tier,
+// and every SnapPoint it takes must equal the state a step-by-step
+// reference loop holds at the same cadence point — Dyn, registers, PC,
+// result and print streams and memory bytes (Snapshot.Matches), and the
+// execution counts. Cadence 1 cuts a slice at every instruction, 7 cuts
+// superblocks at odd places, and a cadence past the end takes none.
+func TestSnapshotPassMatchesStepReference(t *testing.T) {
+	w, err := workloads.Get("HPCCG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A 1x1x1 grid keeps the cadence-1 pass to ~3,200 snapshots.
+	hpccg, err := core.Build(w.Module(workloads.Params{NX: 1, NY: 1, NZ: 1, Steps: 1}), core.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bin := range []*core.Binary{tinyBinary(t), hpccg} {
+		for _, every := range []uint64{1, 7, 1 << 40} {
+			prof, err := profiler.RunWithSnapshots(bin, nil, 0, every)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := core.NewProcess(core.ProcessConfig{App: bin})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := p.CPU
+			c.Profile = true
+			k := 0
+			for c.Status == machine.StatusRunning {
+				before := c.Dyn
+				c.Step()
+				if c.Dyn == before || c.Dyn%every != 0 {
+					continue
+				}
+				if k == len(prof.Snaps) {
+					t.Fatalf("%s/%d: reference reached cadence point %d, the pass captured only %d snapshots", bin.Name, every, c.Dyn, k)
+				}
+				sp := &prof.Snaps[k]
+				if sp.Dyn != c.Dyn || !sp.State.Matches(c) {
+					t.Fatalf("%s/%d: snapshot %d (dyn %d) differs from the reference state at dyn %d", bin.Name, every, k, sp.Dyn, c.Dyn)
+				}
+				for img, cnts := range c.Counts {
+					if !slices.Equal(sp.Counts[img.Prog.Name], cnts) {
+						t.Fatalf("%s/%d: snapshot %d execution counts of %s differ", bin.Name, every, k, img.Prog.Name)
+					}
+				}
+				if len(sp.Counts) != len(c.Counts) {
+					t.Fatalf("%s/%d: snapshot %d has counts for %d images, reference %d", bin.Name, every, k, len(sp.Counts), len(c.Counts))
+				}
+				k++
+			}
+			if c.Status != machine.StatusExited || c.Dyn != prof.TotalDyn || k != len(prof.Snaps) {
+				t.Fatalf("%s/%d: reference ended %v at dyn %d after %d cadence points; pass: %d dyn, %d snapshots",
+					bin.Name, every, c.Status, c.Dyn, k, prof.TotalDyn, len(prof.Snaps))
+			}
+			if every == 1 && k != int(prof.TotalDyn) || every == 1<<40 && k != 0 {
+				t.Fatalf("%s/%d: %d snapshots over %d dyn", bin.Name, every, k, prof.TotalDyn)
 			}
 		}
 	}

@@ -295,3 +295,98 @@ func TestStepAllocFree(t *testing.T) {
 		t.Errorf("step path allocates %.1f times per 1024-step run, want 0", allocs)
 	}
 }
+
+// TestMemoryMatchesSnapshot pins Memory.Matches: equal contents match
+// whether a page aliases the snapshot's image or holds a private copy,
+// and any byte, segment or heap-pointer difference does not.
+func TestMemoryMatchesSnapshot(t *testing.T) {
+	const base, size = 0x40000, 3*PageSize + 256
+	m := NewMemory()
+	if _, err := m.Map(base, size, "seg"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Alloc(64); err != nil {
+		t.Fatal(err)
+	}
+	if f := m.Write(base+PageSize, 0x1122334455667788); f != nil {
+		t.Fatal(f)
+	}
+	sn := m.Snapshot()
+	restored := func() *Memory {
+		r := NewMemory()
+		r.Restore(sn)
+		return r
+	}
+
+	// A restore aliases every snapshot page: the identity path.
+	r := restored()
+	seg := r.Find(base)
+	for i := range seg.pages {
+		img := sn.Segs[0].Pages[i]
+		if img != nil && !sameBacking(seg.pages[i].data, img) || img == nil && !seg.pages[i].zero() {
+			t.Fatalf("restored page %d does not alias the snapshot", i)
+		}
+	}
+	if !r.Matches(sn) {
+		t.Fatal("restored memory does not match its snapshot")
+	}
+
+	// Storing the old value back materialises a private copy with equal
+	// bytes: compared, and still a match.
+	if f := r.Write(base+PageSize, 9); f != nil {
+		t.Fatal(f)
+	}
+	if r.Matches(sn) {
+		t.Fatal("a changed word matches")
+	}
+	if f := r.Write(base+PageSize, 0x1122334455667788); f != nil {
+		t.Fatal(f)
+	}
+	if sameBacking(seg.pages[1].data, sn.Segs[0].Pages[1]) {
+		t.Fatal("the store did not materialise the page")
+	}
+	if !r.Matches(sn) {
+		t.Fatal("a materialised page with the snapshot's bytes does not match")
+	}
+
+	// One byte of difference in the last (short) page.
+	r = restored()
+	if f := r.Write(base+3*PageSize+248, 1<<56); f != nil {
+		t.Fatal(f)
+	}
+	if r.Matches(sn) {
+		t.Fatal("a one-byte difference matches")
+	}
+
+	// A materialised all-zero page equals a never-written (nil) snapshot
+	// page, and a zero page equals a materialised all-zero image.
+	r = restored()
+	if sn.Segs[0].Pages[2] != nil {
+		t.Fatal("page 2 was never written but the snapshot holds an image")
+	}
+	if f := r.Write(base+2*PageSize, 0); f != nil {
+		t.Fatal(f)
+	}
+	if r.Find(base).pages[2].zero() || !r.Matches(sn) {
+		t.Fatal("a materialised zero page does not match the nil snapshot page")
+	}
+	zsn := r.Snapshot()
+	if zsn.Segs[0].Pages[2] == nil || !restored().Matches(zsn) {
+		t.Fatal("a zero page does not match a materialised all-zero image")
+	}
+
+	// An extra allocation adds a segment and moves the heap pointer.
+	r = restored()
+	if _, err := r.Alloc(8); err != nil {
+		t.Fatal(err)
+	}
+	if r.Matches(sn) {
+		t.Fatal("memory with an extra allocation matches")
+	}
+	// The heap pointer alone differs.
+	r = restored()
+	r.heapNext += PageSize
+	if r.Matches(sn) {
+		t.Fatal("memory with another heap pointer matches")
+	}
+}

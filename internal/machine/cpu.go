@@ -136,9 +136,9 @@ type CPU struct {
 	// checked end to end; results must not depend on it.
 	Tier InterpTier
 
-	// afterLive counts the non-nil entries of afterHooks, so Run's
-	// block-engine eligibility check is O(1) instead of scanning the
-	// (append-only, nil-holed) hook slice every iteration.
+	// afterLive counts the non-nil entries of afterHooks, so Hooked (and
+	// with it Run's engine eligibility check) is O(1) instead of scanning
+	// the (append-only, nil-holed) hook slice every iteration.
 	afterLive int
 
 	// ics holds this CPU's per-image memory inline caches (one slot
@@ -179,6 +179,15 @@ func (c *CPU) AddAfterStep(h StepHook) (remove func()) {
 			c.afterLive--
 		}
 	}
+}
+
+// Hooked reports whether a step hook is live: BeforeStep, AfterStep or
+// a hook installed with AddAfterStep. Run executes on the predecoded
+// engines only while it is false, and a run's future depends on its
+// state alone (the premise of snapshot comparison) only while no hook
+// can intervene.
+func (c *CPU) Hooked() bool {
+	return c.BeforeStep != nil || c.AfterStep != nil || c.afterLive != 0
 }
 
 // Context is the architectural state a trap handler may capture and
@@ -565,7 +574,7 @@ func (c *CPU) Run(limit uint64) RunStatus {
 			c.Status = StatusLimit
 			break
 		}
-		if c.Tier != TierStep && c.BeforeStep == nil && c.AfterStep == nil && c.afterLive == 0 {
+		if c.Tier != TierStep && !c.Hooked() {
 			var n uint64
 			var punt bool
 			if c.Tier == TierBlock {

@@ -8,6 +8,7 @@
 package machine
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -128,6 +129,21 @@ type page struct {
 
 // zero reports whether the page still aliases the zero page.
 func (p *page) zero() bool { return &p.data[0] == &zeroPage[0] }
+
+// holds reports whether the page's bytes equal img, a snapshot page
+// image (nil = the zero page). A page still aliasing img, or the zero
+// page against a nil image, is equal without being read.
+func (p *page) holds(img []byte) bool {
+	if img == nil {
+		if p.zero() {
+			return true
+		}
+		img = zeroPage[:len(p.data)]
+	} else if len(img) == len(p.data) && &img[0] == &p.data[0] {
+		return true
+	}
+	return bytes.Equal(p.data, img)
+}
 
 // materialize replaces a frozen page's aliased bytes with a private
 // copy; the copy-on-write fault path of a store.
@@ -539,6 +555,40 @@ func (m *Memory) Restore(sn *Snapshot) {
 		m.segs = append(m.segs, s)
 	}
 	sort.Slice(m.segs, func(i, j int) bool { return m.segs[i].Base < m.segs[j].Base })
+}
+
+// Matches reports whether the writable memory holds exactly the
+// snapshot's image: the same writable segments (base, name and size, in
+// address order), the same heap pointer, and equal bytes in every page.
+// Pages that still alias the snapshot's frozen images (every page a
+// clone of it never stored to, and every page the two runs share) are
+// equal without being read, so the comparison costs only the pages the
+// memory materialised since it last shared them. It only reads, so
+// concurrent comparisons against one shared snapshot are safe.
+func (m *Memory) Matches(sn *Snapshot) bool {
+	if m.heapNext != sn.HeapNext {
+		return false
+	}
+	i := 0
+	for _, s := range m.segs {
+		if s.ro {
+			continue
+		}
+		if i == len(sn.Segs) {
+			return false
+		}
+		ss := &sn.Segs[i]
+		i++
+		if s.Base != ss.Base || s.size != ss.Size || s.Name != ss.Name || len(ss.Pages) != len(s.pages) {
+			return false
+		}
+		for j := range s.pages {
+			if !s.pages[j].holds(ss.Pages[j]) {
+				return false
+			}
+		}
+	}
+	return i == len(sn.Segs)
 }
 
 // Bytes returns the serialised size of a snapshot (for the C/R cost

@@ -8,6 +8,7 @@ package profiler
 
 import (
 	"fmt"
+	"sort"
 
 	"care/internal/checkpoint"
 	"care/internal/core"
@@ -63,6 +64,15 @@ func (p *Profile) NearestSnap(dyn uint64) *SnapPoint {
 	return best
 }
 
+// NextSnap returns the earliest snapshot strictly after dyn, or nil.
+func (p *Profile) NextSnap(dyn uint64) *SnapPoint {
+	i := sort.Search(len(p.Snaps), func(i int) bool { return p.Snaps[i].Dyn > dyn })
+	if i == len(p.Snaps) {
+		return nil
+	}
+	return &p.Snaps[i]
+}
+
 // Run executes the binary (with optional extra library binaries) to
 // completion with profiling enabled. limit bounds the run (0 = none).
 func Run(app *core.Binary, libs []*core.Binary, limit uint64) (*Profile, error) {
@@ -75,41 +85,64 @@ func Run(app *core.Binary, libs []*core.Binary, limit uint64) (*Profile, error) 
 // copying deferred to the pages the run actually dirties before the
 // next capture). snapEvery == 0 disables capture; the profile is
 // then identical to Run's.
+//
+// Capture installs no step hook, so the run stays on the fast
+// interpreter tiers: it is cut into budget slices that end on the
+// cadence, and a snapshot is taken whenever a slice stops at a positive
+// multiple of it. A slice charges exactly the attempts it was given; one
+// that retired fewer (a trapped and resumed attempt) ends short of its
+// boundary, and the next slice runs toward the same boundary.
 func RunWithSnapshots(app *core.Binary, libs []*core.Binary, limit, snapEvery uint64) (*Profile, error) {
 	p, err := core.NewProcess(core.ProcessConfig{App: app, Libs: libs})
 	if err != nil {
 		return nil, err
 	}
-	p.CPU.Profile = true
+	c := p.CPU
+	c.Profile = true
 	prof := &Profile{Counts: map[string][]uint64{}}
-	if snapEvery > 0 {
-		copyCounts := func(c *machine.CPU) map[string][]uint64 {
-			m := make(map[string][]uint64, len(c.Counts))
-			for img, cnts := range c.Counts {
-				m[img.Prog.Name] = append([]uint64(nil), cnts...)
+	left := limit // unspent budget; 0 means unlimited, as for Run
+	var st machine.RunStatus
+	for {
+		n := left
+		if snapEvery > 0 {
+			if k := snapEvery - c.Dyn%snapEvery; n == 0 || k < n {
+				n = k
 			}
-			return m
 		}
-		remove := p.CPU.AddAfterStep(func(c *machine.CPU, _ *machine.Image, _ int, _ *machine.MInstr) {
-			if c.Dyn%snapEvery == 0 {
-				prof.Snaps = append(prof.Snaps, SnapPoint{
-					Dyn:    c.Dyn,
-					State:  checkpoint.Capture(c, 0),
-					Counts: copyCounts(c),
-				})
+		if st = p.Run(n); st != machine.StatusLimit {
+			break
+		}
+		if snapEvery > 0 && c.Dyn > 0 && c.Dyn%snapEvery == 0 {
+			prof.Snaps = append(prof.Snaps, SnapPoint{
+				Dyn:    c.Dyn,
+				State:  checkpoint.Capture(c, 0),
+				Counts: countsByName(c),
+			})
+		}
+		if limit > 0 {
+			if left -= n; left == 0 {
+				break
 			}
-		})
-		defer remove()
+		}
 	}
-	st := p.Run(limit)
 	if st != machine.StatusExited {
-		return nil, fmt.Errorf("profiler: golden run did not exit: %v (trap %v)", st, p.CPU.PendingTrap)
+		return nil, fmt.Errorf("profiler: golden run did not exit: %v (trap %v)", st, c.PendingTrap)
 	}
-	prof.TotalDyn = p.CPU.Dyn
+	prof.TotalDyn = c.Dyn
 	prof.Golden = append([]float64(nil), p.Results()...)
-	prof.ExitCode = p.CPU.ExitCode
-	for img, cnts := range p.CPU.Counts {
+	prof.ExitCode = c.ExitCode
+	for img, cnts := range c.Counts {
 		prof.Counts[img.Prog.Name] = cnts
 	}
 	return prof, nil
+}
+
+// countsByName copies the CPU's per-image execution counts, keyed by
+// program name.
+func countsByName(c *machine.CPU) map[string][]uint64 {
+	m := make(map[string][]uint64, len(c.Counts))
+	for img, cnts := range c.Counts {
+		m[img.Prog.Name] = append([]uint64(nil), cnts...)
+	}
+	return m
 }

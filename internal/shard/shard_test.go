@@ -170,6 +170,37 @@ func TestCampaignShardSubprocess(t *testing.T) {
 	}
 }
 
+// TestCampaignShardWarmStartStats: the warm-start accounting that lives
+// beside the trace (trials warm-started, prefix skipped, trials stopped
+// early where they rejoined the golden run, suffix skipped) crosses the
+// wire, so a 4-shard warm campaign reports the in-process run's stats.
+func TestCampaignShardWarmStartStats(t *testing.T) {
+	build := BuildSpec{Workload: "HPCCG"}
+	bin := buildSpecOrDie(t, build)
+	base := func() *faultinject.Campaign {
+		return &faultinject.Campaign{
+			App: bin, N: 24, Model: faultinject.SingleBit, Seed: 11,
+			Workers: 1, Trace: true, WarmStart: true,
+		}
+	}
+	single, err := base().Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := base()
+	c.Shards = 4
+	res, err := RunCampaign(c, build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if single.WarmStart.ConvergedTrials == 0 || single.WarmStart.ConvergedDyn == 0 {
+		t.Fatalf("in-process run stopped no trial early: %+v", single.WarmStart)
+	}
+	if !reflect.DeepEqual(res.WarmStart, single.WarmStart) {
+		t.Fatalf("4-shard warm-start stats %+v, in-process %+v", res.WarmStart, single.WarmStart)
+	}
+}
+
 // scrubCoverage drops the wall-clock-bearing fields (compared
 // structurally instead) so the rest DeepEqual-compares.
 func scrubCoverage(r *faultinject.CoverageResult) faultinject.CoverageResult {

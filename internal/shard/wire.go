@@ -207,11 +207,12 @@ func profileDigest(p *profiler.Profile) string {
 // wireTrial ships one faultinject.TrialResult; the recorder goes as
 // its JSONL export (base64 inside the JSON frame).
 type wireTrial struct {
-	Index      int                   `json:"index"`
-	Inj        faultinject.Injection `json:"inj"`
-	Fired      bool                  `json:"fired,omitempty"`
-	SkippedDyn uint64                `json:"skipped_dyn,omitempty"`
-	TraceJSONL []byte                `json:"trace_jsonl"`
+	Index        int                   `json:"index"`
+	Inj          faultinject.Injection `json:"inj"`
+	Fired        bool                  `json:"fired,omitempty"`
+	SkippedDyn   uint64                `json:"skipped_dyn,omitempty"`
+	ConvergedDyn uint64                `json:"converged_dyn,omitempty"`
+	TraceJSONL   []byte                `json:"trace_jsonl"`
 }
 
 func encodeTrial(t *faultinject.TrialResult) (wireTrial, error) {
@@ -221,7 +222,8 @@ func encodeTrial(t *faultinject.TrialResult) (wireTrial, error) {
 	}
 	return wireTrial{
 		Index: t.Index, Inj: t.Inj, Fired: t.Fired,
-		SkippedDyn: t.SkippedDyn, TraceJSONL: buf.Bytes(),
+		SkippedDyn: t.SkippedDyn, ConvergedDyn: t.ConvergedDyn,
+		TraceJSONL: buf.Bytes(),
 	}, nil
 }
 
@@ -232,7 +234,7 @@ func decodeTrial(w *wireTrial) (faultinject.TrialResult, error) {
 	}
 	return faultinject.TrialResult{
 		Index: w.Index, Inj: w.Inj, Fired: w.Fired,
-		SkippedDyn: w.SkippedDyn, Rec: rec,
+		SkippedDyn: w.SkippedDyn, ConvergedDyn: w.ConvergedDyn, Rec: rec,
 	}, nil
 }
 
