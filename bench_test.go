@@ -217,10 +217,10 @@ func BenchmarkFigure12DoubleFlipCoverage(b *testing.B) {
 // experiments all sit on top of fault-free replays, so this is the
 // constant every campaign's wall-clock divides by. It runs HPCCG (the
 // 27-point stencil matrix build plus the CG sparse matrix-vector loop)
-// end to end at O0 and O1 on all three interpreter tiers: the default
-// fused superblock engine, the per-µop block engine, and the legacy
-// per-instruction Step loop. The tier ratios are the engines' speedups;
-// CI uploads the output as BENCH_interp.json.
+// end to end at O0 and O1 on both interpreter tiers: the default fused
+// superblock engine and the legacy per-instruction Step loop. The tier
+// ratio is the engine's speedup; CI uploads the output as
+// BENCH_interp.json.
 func BenchmarkGoldenRun(b *testing.B) {
 	for _, opt := range []int{0, 1} {
 		bin, err := experiments.BuildWorkload("HPCCG", workloads.Params{}, opt, nil)

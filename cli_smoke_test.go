@@ -5,6 +5,7 @@
 package care
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -79,6 +80,22 @@ func TestCLISmoke(t *testing.T) {
 		if rec.Counter("campaign.outcome.Benign")+rec.Counter("campaign.outcome.SoftFailure")+
 			rec.Counter("campaign.outcome.SDC")+rec.Counter("campaign.outcome.Hang") != 5 {
 			t.Errorf("outcome counters do not sum to the trial count: %v", rec.CounterNames())
+		}
+	})
+
+	t.Run("care-inject-unknown-tier", func(t *testing.T) {
+		cmd := exec.Command(bins["care-inject"], "-interp", "block", "-n", "1", "-workload", "HPCCG")
+		var stdout, stderr strings.Builder
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		var exit *exec.ExitError
+		if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("unknown tier: %v, want exit status 2", err)
+		}
+		if want := `machine: unknown interpreter tier "block" (want superblock or step)` + "\n"; stderr.String() != want {
+			t.Errorf("stderr %q, want %q", stderr.String(), want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("stdout %q, want nothing", stdout.String())
 		}
 	})
 

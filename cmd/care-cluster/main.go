@@ -5,8 +5,8 @@
 //
 // The paper's configuration is -ranks 512 -threads 6 (3072 cores); the
 // default here is a smaller job that runs in seconds. -interp selects
-// the interpreter tier for every rank (superblock, block or step);
-// rank results and trace spans are identical on every tier — only the
+// the interpreter tier for every rank (superblock or step); rank
+// results and trace spans are identical on both tiers — only the
 // measured wall_ns fields differ.
 package main
 
@@ -87,7 +87,7 @@ func main() {
 	maxDomainRewinds := flag.Int("max-domain-rewinds", 0, "domain-rewind budget per domain per rank (0 = default of 2; with -domain-rewind)")
 	warmStart := flag.Bool("warmstart", false, "warm-start the recoverable-injection search from golden-run snapshots (results are identical)")
 	snapEvery := flag.Uint64("snap-every", 0, "golden-run snapshot cadence in dynamic instructions (0 = TotalDyn/64+1; only with -warmstart)")
-	interp := flag.String("interp", "superblock", "interpreter tier for every rank: superblock (fused engine), block (per-µop engine) or step (legacy per-instruction loop; results are identical)")
+	interp := flag.String("interp", "superblock", "interpreter tier for every rank: superblock (fused engine) or step (legacy per-instruction loop; results are identical)")
 	shards := flag.Int("shards", 1, "split the recoverable-injection search over this many worker subprocesses (the found injection is identical for any value)")
 	shardCmd := flag.String("shard-cmd", "", "worker command for -shards, space-separated (default: this binary with -shard-serve)")
 	shardServe := flag.Bool("shard-serve", false, "run as a shard worker: speak the length-prefixed frame protocol on stdin/stdout (internal; spawned by -shards)")

@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	care-inject [-n 1000] [-faults 1] [-model single|double] [-workload all|NAME] [-opt 0] [-seed 1] [-workers 0] [-defense LIST] [-domains] [-domain-rewind] [-max-rollbacks 0] [-max-domain-rewinds 0] [-trace-out FILE] [-store DIR] [-warmstart] [-snap-every N] [-interp superblock|block|step] [-shards 1] [-shard-cmd CMD] [-progress] [-cpuprofile FILE] [-memprofile FILE]
+//	care-inject [-n 1000] [-faults 1] [-model single|double] [-workload all|NAME] [-opt 0] [-seed 1] [-workers 0] [-defense LIST] [-domains] [-domain-rewind] [-max-rollbacks 0] [-max-domain-rewinds 0] [-trace-out FILE] [-store DIR] [-warmstart] [-snap-every N] [-interp superblock|step] [-shards 1] [-shard-cmd CMD] [-progress] [-cpuprofile FILE] [-memprofile FILE]
 //
 // With -store DIR campaigns consult a persistent content-addressed
 // artifact store: golden-run profiles (snapshots + sealed .text) are
@@ -136,7 +136,7 @@ func main() {
 	storeDir := flag.String("store", "", "persistent artifact store directory: cache golden-run profiles across runs (a second identical campaign skips the golden run) and seal per-campaign traces; results stay byte-identical")
 	warmStart := flag.Bool("warmstart", false, "clone trials from golden-run snapshots instead of replaying the fault-free prefix (results are identical)")
 	snapEvery := flag.Uint64("snap-every", 0, "golden-run snapshot cadence in dynamic instructions (0 = TotalDyn/64+1; only with -warmstart)")
-	interp := flag.String("interp", "superblock", "interpreter tier for trial processes: superblock (fused engine), block (per-µop engine) or step (legacy per-instruction loop; results are identical)")
+	interp := flag.String("interp", "superblock", "interpreter tier for trial processes: superblock (fused engine) or step (legacy per-instruction loop; results are identical)")
 	shards := flag.Int("shards", 1, "split each campaign's trial index space over this many worker subprocesses (results are byte-identical for any value)")
 	shardCmd := flag.String("shard-cmd", "", "worker command for -shards, space-separated (default: this binary with -shard-serve)")
 	shardServe := flag.Bool("shard-serve", false, "run as a shard worker: speak the length-prefixed frame protocol on stdin/stdout (internal; spawned by -shards)")

@@ -62,9 +62,9 @@ type Config struct {
 	// Quantum is the scheduler slice (default 50k instructions).
 	Quantum uint64
 	// Tier selects the interpreter tier every rank runs on
-	// (superblock, block or step). Rank results and trace spans are
-	// identical on every tier — only Span.Wall differs — matching the
-	// care-inject knob (the CI smoke diffs a wall-scrubbed JSONL).
+	// (superblock or step). Rank results and trace spans are identical
+	// on both tiers — only Span.Wall differs — matching the care-inject
+	// knob (the CI smoke diffs a wall-scrubbed JSONL).
 	Tier machine.InterpTier
 	// Workers bounds the goroutines simulating ranks each superstep
 	// (<=0 = one per CPU). The JobResult is identical for every value:

@@ -161,26 +161,23 @@ func TestClusterTierEquivalence(t *testing.T) {
 		}
 		return res
 	}
-	step := run(machine.TierStep)
-	for _, tier := range []machine.InterpTier{machine.TierSuperblock, machine.TierBlock} {
-		fast := run(tier)
-		if fast.Completed != step.Completed || fast.Ranks != step.Ranks ||
-			fast.Cores != step.Cores || fast.MaxDyn != step.MaxDyn ||
-			fast.TotalDyn != step.TotalDyn || fast.Recoveries != step.Recoveries ||
-			fast.Rollbacks != step.Rollbacks || fast.Injected != step.Injected ||
-			fast.DeadRank != step.DeadRank {
-			t.Fatalf("%v job result differs from step:\n%+v\nvs\n%+v", tier, fast, step)
-		}
-		fs, ss := fast.Trace.Spans(), step.Trace.Spans()
-		if len(fs) != len(ss) {
-			t.Fatalf("%v span count %d, step %d", tier, len(fs), len(ss))
-		}
-		for i := range fs {
-			a, b := fs[i], ss[i]
-			a.Wall, b.Wall = 0, 0
-			if a != b {
-				t.Errorf("%v span %d differs (Wall scrubbed):\n %+v\n %+v", tier, i, a, b)
-			}
+	step, fast := run(machine.TierStep), run(machine.TierSuperblock)
+	if fast.Completed != step.Completed || fast.Ranks != step.Ranks ||
+		fast.Cores != step.Cores || fast.MaxDyn != step.MaxDyn ||
+		fast.TotalDyn != step.TotalDyn || fast.Recoveries != step.Recoveries ||
+		fast.Rollbacks != step.Rollbacks || fast.Injected != step.Injected ||
+		fast.DeadRank != step.DeadRank {
+		t.Fatalf("superblock job result differs from step:\n%+v\nvs\n%+v", fast, step)
+	}
+	fs, ss := fast.Trace.Spans(), step.Trace.Spans()
+	if len(fs) != len(ss) {
+		t.Fatalf("superblock span count %d, step %d", len(fs), len(ss))
+	}
+	for i := range fs {
+		a, b := fs[i], ss[i]
+		a.Wall, b.Wall = 0, 0
+		if a != b {
+			t.Errorf("superblock span %d differs (Wall scrubbed):\n %+v\n %+v", i, a, b)
 		}
 	}
 }

@@ -220,10 +220,10 @@ type ProcessConfig struct {
 	Checkpoint             *checkpoint.Store
 	CheckpointEveryResults int
 	// Tier selects the interpreter tier for the process CPU: the fused
-	// superblock engine (the zero-value default), the per-µop block
-	// engine, or the legacy per-instruction Step loop. Results are
-	// identical on every tier (the CI smoke diffs them); the knob
-	// exists for that check and for timing comparisons.
+	// superblock engine (the zero-value default) or the legacy
+	// per-instruction Step loop. Results are identical on both tiers
+	// (the CI smoke diffs them); the knob exists for that check and for
+	// timing comparisons.
 	Tier machine.InterpTier
 }
 

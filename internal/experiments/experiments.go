@@ -64,8 +64,8 @@ type StudyOptions struct {
 	// (0 = TotalDyn/64+1).
 	SnapEvery uint64
 	// Tier selects the interpreter tier trial processes run on
-	// (superblock, block or step); results stay bit-identical on every
-	// tier (the CI smoke diffs them).
+	// (superblock or step); results stay bit-identical on both tiers
+	// (the CI smoke diffs them).
 	Tier machine.InterpTier
 	// Domains attributes each memory-symptom soft failure to the
 	// isolation domain of its faulting address

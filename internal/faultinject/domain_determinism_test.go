@@ -12,7 +12,7 @@ import (
 // TestDomainRewindCoverageTierWorkerDeterminism pins the domain-rewind
 // escalation chain's campaign guarantee: the same multi-fault campaign
 // is bit-identical (in every logical field, span skeleton and counter)
-// across worker counts and across all three interpreter tiers — the
+// across worker counts and across both interpreter tiers — the
 // same contract the CI smoke checks end to end on the care-inject
 // trace files.
 func TestDomainRewindCoverageTierWorkerDeterminism(t *testing.T) {
@@ -58,7 +58,6 @@ func TestDomainRewindCoverageTierWorkerDeterminism(t *testing.T) {
 		tier    machine.InterpTier
 	}{
 		{"workers-8/superblock", 8, machine.TierSuperblock},
-		{"workers-1/block", 1, machine.TierBlock},
 		{"workers-8/step", 8, machine.TierStep},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

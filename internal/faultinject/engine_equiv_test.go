@@ -9,11 +9,11 @@ import (
 	"care/internal/safeguard"
 )
 
-// TestCampaignEngineEquivalence is the fast tiers' end-to-end contract:
-// a campaign run on the superblock or block engine is bit-identical —
-// every result field and the exported trace JSONL — to the same
-// campaign forced onto the legacy per-instruction Step loop, across
-// worker counts and under the multi-fault model.
+// TestCampaignEngineEquivalence is the superblock engine's end-to-end
+// contract: a campaign run on it is bit-identical — every result field
+// and the exported trace JSONL — to the same campaign forced onto the
+// legacy per-instruction Step loop, across worker counts and under the
+// multi-fault model.
 func TestCampaignEngineEquivalence(t *testing.T) {
 	bin := buildWorkload(t, "HPCCG", 0, false)
 	for _, tc := range []struct {
@@ -40,18 +40,16 @@ func TestCampaignEngineEquivalence(t *testing.T) {
 			if err := step.Trace.WriteJSONL(&sj); err != nil {
 				t.Fatal(err)
 			}
-			for _, tier := range []machine.InterpTier{machine.TierSuperblock, machine.TierBlock} {
-				fast := run(tier, 8)
-				if !reflect.DeepEqual(fast, step) {
-					t.Fatalf("campaign result differs between %v engine and step loop:\n%+v\nvs\n%+v", tier, fast, step)
-				}
-				var fj bytes.Buffer
-				if err := fast.Trace.WriteJSONL(&fj); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(fj.Bytes(), sj.Bytes()) {
-					t.Fatalf("trace JSONL differs between %v engine and step loop", tier)
-				}
+			fast := run(machine.TierSuperblock, 8)
+			if !reflect.DeepEqual(fast, step) {
+				t.Fatalf("campaign result differs between superblock engine and step loop:\n%+v\nvs\n%+v", fast, step)
+			}
+			var fj bytes.Buffer
+			if err := fast.Trace.WriteJSONL(&fj); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(fj.Bytes(), sj.Bytes()) {
+				t.Fatal("trace JSONL differs between superblock engine and step loop")
 			}
 		})
 	}
@@ -76,12 +74,10 @@ func TestCampaignEngineEquivalenceWarmStart(t *testing.T) {
 	if step.WarmStart.ConvergedTrials == 0 {
 		t.Fatalf("step loop stopped no trial at a snapshot: %+v", step.WarmStart)
 	}
-	for _, tier := range []machine.InterpTier{machine.TierSuperblock, machine.TierBlock} {
-		// DeepEqual covers WarmStart, so every tier stops the same trials
-		// early at the same snapshots.
-		if fast := run(tier); !reflect.DeepEqual(fast, step) {
-			t.Fatalf("warm-start campaign differs between %v engine and step loop:\n%+v\nvs\n%+v", tier, fast, step)
-		}
+	// DeepEqual covers WarmStart, so both tiers stop the same trials
+	// early at the same snapshots.
+	if fast := run(machine.TierSuperblock); !reflect.DeepEqual(fast, step) {
+		t.Fatalf("warm-start campaign differs between superblock engine and step loop:\n%+v\nvs\n%+v", fast, step)
 	}
 }
 
@@ -115,19 +111,17 @@ func TestCoverageEngineEquivalence(t *testing.T) {
 		return c
 	}
 	step := run(machine.TierStep)
-	for _, tier := range []machine.InterpTier{machine.TierSuperblock, machine.TierBlock} {
-		fast := run(tier)
-		if a, b := scrub(fast), scrub(step); !reflect.DeepEqual(a, b) {
-			t.Fatalf("coverage logical fields differ between %v engine and step loop:\n%+v\nvs\n%+v", tier, a, b)
-		}
-		requireTraceSkeletonEqual(t, fast.Trace, step.Trace)
-		if len(fast.Events) != len(step.Events) {
-			t.Fatalf("event count differs: %d vs %d", len(fast.Events), len(step.Events))
-		}
-		for i := range fast.Events {
-			if fast.Events[i].Outcome != step.Events[i].Outcome {
-				t.Errorf("event %d outcome %s vs %s", i, fast.Events[i].Outcome, step.Events[i].Outcome)
-			}
+	fast := run(machine.TierSuperblock)
+	if a, b := scrub(fast), scrub(step); !reflect.DeepEqual(a, b) {
+		t.Fatalf("coverage logical fields differ between superblock engine and step loop:\n%+v\nvs\n%+v", a, b)
+	}
+	requireTraceSkeletonEqual(t, fast.Trace, step.Trace)
+	if len(fast.Events) != len(step.Events) {
+		t.Fatalf("event count differs: %d vs %d", len(fast.Events), len(step.Events))
+	}
+	for i := range fast.Events {
+		if fast.Events[i].Outcome != step.Events[i].Outcome {
+			t.Errorf("event %d outcome %s vs %s", i, fast.Events[i].Outcome, step.Events[i].Outcome)
 		}
 	}
 }

@@ -375,10 +375,9 @@ type Campaign struct {
 	// prefix at ~1/64 of the run per trial.
 	SnapEvery uint64
 	// Tier selects the interpreter tier every trial runs on
-	// (superblock, block or step; the zero value is the fused
-	// superblock default). The campaign result — including the
-	// exported trace JSONL — is bit-identical on every tier; the CI
-	// smoke diffs them.
+	// (superblock or step; the zero value is the fused superblock
+	// default). The campaign result — including the exported trace
+	// JSONL — is bit-identical on both tiers; the CI smoke diffs them.
 	Tier machine.InterpTier
 	// Domains attributes each memory-symptom soft failure (SIGSEGV or
 	// SIGBUS) to the isolation domain of its faulting address,

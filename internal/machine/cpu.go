@@ -130,10 +130,10 @@ type CPU struct {
 	Trace *trace.Recorder
 
 	// Tier selects the interpreter loop Run uses when no hooks are
-	// installed: the fused superblock engine (the zero-value default),
-	// the per-µop block engine, or the legacy Step loop. Campaigns
-	// expose it (-interp) so the faster tiers' bit-identity can be
-	// checked end to end; results must not depend on it.
+	// installed: the fused superblock engine (the zero-value default)
+	// or the legacy Step loop. Campaigns expose it (-interp) so the
+	// engine's bit-identity can be checked end to end; results must not
+	// depend on it.
 	Tier InterpTier
 
 	// afterLive counts the non-nil entries of afterHooks, so Hooked (and
@@ -551,10 +551,11 @@ func (c *CPU) Step() {
 // additional instructions (0 means no limit). It returns the status.
 //
 // When no step hooks are installed (and Tier is not TierStep), Run
-// executes through the predecoded engines — the fused superblock loop
-// by default, or the per-µop block loop under TierBlock — which batch
-// budget and Dyn accounting and materialise PC lazily; see engine.go.
-// The budget is charged per attempted instruction on every tier — a
+// executes through the predecoded superblock engine, which batches
+// budget and Dyn accounting and materialises PC lazily; see engine.go.
+// The instructions the engine punts (host calls, abort/halt, malformed
+// operands, and any instruction at a misaligned PC) run one Step each.
+// The budget is charged per attempted instruction on both tiers — a
 // trapped-and-resumed instruction consumes budget without retiring —
 // so hang classifications and checkpoint cadences are identical
 // whichever loop executes. Hook-installation state is re-checked every
@@ -575,19 +576,13 @@ func (c *CPU) Run(limit uint64) RunStatus {
 			break
 		}
 		if c.Tier != TierStep && !c.Hooked() {
-			var n uint64
-			var punt bool
-			if c.Tier == TierBlock {
-				n, punt = c.runBlocks(budget)
-			} else {
-				n, punt = c.runSuper(budget)
-			}
+			n, punt := c.runSuper(budget)
 			budget -= n
 			if !punt {
 				continue
 			}
-			// A µop punted: run exactly one legacy Step for it (host
-			// calls, abort/halt, malformed operands), then re-dispatch.
+			// The engine punted: run exactly one legacy Step for the
+			// instruction at c.PC, then re-dispatch.
 			if budget == 0 {
 				c.Status = StatusLimit
 				break

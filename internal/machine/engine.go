@@ -1,13 +1,14 @@
-// Block-predecoded execution engine. Run's hot path no longer
-// interprets MInstr records one Step at a time: at first use each
+// Predecoded superblock execution engine. Run's hot path does not
+// interpret MInstr records one Step at a time: at first use each
 // Program is predecoded into a dense µop array (one µop per
-// instruction, so any PC — including a corrupted, misaligned one — maps
-// onto it with the same base+offset arithmetic Step uses) with operand
-// kinds resolved up front: the src2 immediate-vs-register choice
-// becomes two µop opcodes, absent index registers disappear, and the
-// rare instructions the fast loop does not carry (host calls,
+// instruction, indexed with the same base+offset arithmetic Step uses)
+// with operand kinds resolved up front: the src2 immediate-vs-register
+// choice becomes two µop opcodes, absent index registers disappear, and
+// the rare instructions the engine does not carry (host calls,
 // abort/halt, malformed operands) become uPunt µops that fall back to
-// the legacy Step for exactly one instruction.
+// the legacy Step for exactly one instruction. A misaligned (corrupted)
+// PC lies between µops, so it runs on Step too, one instruction at a
+// time, until a taken branch realigns it.
 //
 // The engine preserves Step-loop semantics bit for bit — campaign
 // results and trace JSONL must not change:
@@ -16,15 +17,14 @@
 //     and resumed instruction consumes budget without retiring),
 //   - Dyn counts retirements only, and is materialized before any trap
 //     is delivered so handlers and trace stamps see the exact count,
-//   - the architectural PC is lazy inside a block but recomputed
-//     exactly (preserving misalignment) for every trap, stop, punt and
-//     image exit — precise PC→kernel mapping is the point of CARE,
-//   - StopPC is compared after every retirement, so mid-block sentinel
+//   - the architectural PC is lazy inside a chain but recomputed
+//     exactly for every trap, stop, punt and image exit — precise
+//     PC→kernel mapping is the point of CARE,
+//   - StopPC is compared after every retirement, so mid-chain sentinel
 //     hits exit on the same dynamic instruction as the Step loop.
 //
-// On top of the per-µop loop (runBlocks, the TierBlock path) sits a
-// third dispatch level (runSuper, the default TierSuperblock path):
-// predecode resolves in-image Jmp/Jnz/Jz/Call targets to µop indices
+// The engine itself is runSuper (the default TierSuperblock path).
+// Predecode resolves in-image Jmp/Jnz/Jz/Call targets to µop indices
 // (uop.tidx) so taken branches jump straight to the successor µop, and
 // computes per-index fallthrough-run lengths (blockPlan.runLen) so each
 // straight-line chain retires under ONE budget/Dyn accounting check
@@ -134,8 +134,8 @@ const (
 	uFPop
 
 	// Fused superinstructions: two adjacent µops retired by one dispatch.
-	// These opcodes never appear in blockPlan.uops (the per-µop stream the
-	// block tier and the disassembler read) — predecode's fusion pass
+	// These opcodes never appear in blockPlan.uops (the per-µop stream
+	// fusion and the disassembler read) — predecode's fusion pass
 	// writes them only into the wide superblock stream (blockPlan.fuops),
 	// picking the pairs that dominate compiled code: the O0 spill/reload
 	// idiom (store+load, load+load and their float forms), address-compute
@@ -222,8 +222,6 @@ type uop struct {
 // form — so a linked branch entering mid-chain (or a chain clamped by
 // budget or StopPC between the two halves) executes the exact same
 // µop sequence, just with one fewer dispatch when the pair is intact.
-// The block tier keeps the compact uop array; only runSuper pays the
-// wider stride.
 type fuop struct {
 	op             uopOp
 	d, a, b, scale uint8
@@ -682,19 +680,11 @@ func (c *CPU) icsFor(img *Image, n int) []icEntry {
 	return e
 }
 
-// icLoad reads an aligned word through an inline cache. The fast path
-// is one generation compare plus one range compare against the cached
-// page; everything else (including every fault) falls to icLoadSlow.
-func icLoad(m *Memory, e *icEntry, addr Word) (Word, *Fault) {
-	if e.gen == m.gen && addr&7 == 0 && addr-e.base < e.rlen {
-		return leLoad(e.pg.data, addr-e.base), nil
-	}
-	return icLoadSlow(m, e, addr)
-}
-
-// icLoadSlow is the miss path: Memory.Read semantics plus a cache
-// refill. Fault priorities match Read exactly (unmapped/short SEGV
-// before misaligned BUS).
+// icLoadSlow is the inline-cache miss path of an aligned word load (the
+// hit path, one generation compare plus one range compare against the
+// cached page, is open-coded in runSuper): Memory.Read semantics plus a
+// cache refill. Fault priorities match Read exactly (unmapped/short
+// SEGV before misaligned BUS).
 func icLoadSlow(m *Memory, e *icEntry, addr Word) (Word, *Fault) {
 	s := m.Find(addr)
 	if s == nil || addr+8 > s.End() {
@@ -707,17 +697,9 @@ func icLoadSlow(m *Memory, e *icEntry, addr Word) (Word, *Fault) {
 	return leLoad(e.pg.data, addr-e.base), nil
 }
 
-// icStore writes an aligned word through an inline cache. Read-only
-// segments and frozen pages always take the slow path (fault /
+// icStoreSlow is the inline-cache miss path of an aligned word store.
+// Read-only segments and frozen pages always take it (fault /
 // first-store materialisation), matching Memory.Write.
-func icStore(m *Memory, e *icEntry, addr, v Word) *Fault {
-	if e.gen == m.gen && addr&7 == 0 && addr-e.base < e.wlen {
-		leStore(e.pg.data, addr-e.base, v)
-		return nil
-	}
-	return icStoreSlow(m, e, addr, v)
-}
-
 func icStoreSlow(m *Memory, e *icEntry, addr, v Word) *Fault {
 	s := m.Find(addr)
 	if s == nil || addr+8 > s.End() || s.ro {
@@ -760,8 +742,8 @@ func (c *CPU) countsFor(img *Image) []uint64 {
 }
 
 // blockTrap materializes the lazy architectural state and delivers a
-// trap from the block engine, mirroring the Trap a Step at pc would
-// have raised.
+// trap from the engine, mirroring the Trap a Step at pc would have
+// raised.
 func (c *CPU) blockTrap(pc Word, done uint64, img *Image, idx int, sig Signal, addr Word) {
 	c.PC = pc
 	c.Dyn += done
@@ -775,311 +757,6 @@ func (c *CPU) stopExit(pc Word, done uint64) {
 	c.ExitCode = c.R[R0]
 	c.PC = pc
 	c.Dyn += done
-}
-
-// runBlocks executes predecoded code starting at c.PC, following taken
-// branches for as long as control stays inside the current image, until
-// the status changes, a trap is delivered, the budget is consumed, the
-// PC leaves the image, or a uPunt µop needs the legacy path. It returns
-// the budget consumed (one per attempted instruction, exactly like the
-// Step loop charges) and whether the instruction now at c.PC must be
-// executed by Step.
-//
-// Callers guarantee budget > 0 and that no step hooks are installed.
-func (c *CPU) runBlocks(budget uint64) (uint64, bool) {
-	img := c.cur
-	if img == nil || !img.Contains(c.PC) {
-		img = c.FindImage(c.PC)
-		if img == nil {
-			c.trap(&Trap{Sig: SigILL, PC: c.PC})
-			return 1, false
-		}
-		c.setCur(img)
-	}
-	plan := c.curPlan
-	if plan == nil {
-		plan = img.Prog.plan()
-		c.curPlan = plan
-	}
-	ics := c.curICs
-	if ics == nil && plan.nIC > 0 {
-		ics = c.icsFor(img, plan.nIC)
-		c.curICs = ics
-	}
-	var cnts []uint64
-	if c.Profile {
-		cnts = c.curCounts
-		if cnts == nil {
-			cnts = c.countsFor(img)
-			c.curCounts = cnts
-		}
-	}
-	m := c.Mem
-	uops := plan.uops
-	sIC := &c.stackIC
-	base := img.Base()
-	pc := c.PC
-	stop, stopSet := c.StopPC, c.StopPCSet
-	var done uint64
-
-	for {
-		if done >= budget {
-			break
-		}
-		idx := int((pc - base) >> 3)
-		if uint(idx) >= uint(len(uops)) {
-			break // control left the image; Run re-resolves (or traps)
-		}
-		u := &uops[idx]
-		switch u.op {
-		case uPunt:
-			c.PC = pc
-			c.Dyn += done
-			return done, true
-		case uNop:
-		case uMovImm:
-			c.R[u.d&15] = Word(u.imm)
-		case uMov:
-			c.R[u.d&15] = c.R[u.a&15]
-		case uAddRR:
-			c.R[u.d&15] = c.R[u.a&15] + c.R[u.b&15]
-		case uAddRI:
-			c.R[u.d&15] = c.R[u.a&15] + Word(u.imm)
-		case uSubRR:
-			c.R[u.d&15] = c.R[u.a&15] - c.R[u.b&15]
-		case uSubRI:
-			c.R[u.d&15] = c.R[u.a&15] - Word(u.imm)
-		case uMulRR:
-			c.R[u.d&15] = Word(int64(c.R[u.a&15]) * int64(c.R[u.b&15]))
-		case uMulRI:
-			c.R[u.d&15] = Word(int64(c.R[u.a&15]) * u.imm)
-		case uDivRR, uDivRI, uRemRR, uRemRI:
-			d := u.imm
-			if u.op == uDivRR || u.op == uRemRR {
-				d = int64(c.R[u.b&15])
-			}
-			n := int64(c.R[u.a&15])
-			if d == 0 || (n == math.MinInt64 && d == -1) {
-				c.blockTrap(pc, done, img, idx, SigFPE, 0)
-				return done + 1, false
-			}
-			if u.op == uDivRR || u.op == uDivRI {
-				c.R[u.d&15] = Word(n / d)
-			} else {
-				c.R[u.d&15] = Word(n % d)
-			}
-		case uAndRR:
-			c.R[u.d&15] = c.R[u.a&15] & c.R[u.b&15]
-		case uAndRI:
-			c.R[u.d&15] = c.R[u.a&15] & Word(u.imm)
-		case uOrRR:
-			c.R[u.d&15] = c.R[u.a&15] | c.R[u.b&15]
-		case uOrRI:
-			c.R[u.d&15] = c.R[u.a&15] | Word(u.imm)
-		case uXorRR:
-			c.R[u.d&15] = c.R[u.a&15] ^ c.R[u.b&15]
-		case uXorRI:
-			c.R[u.d&15] = c.R[u.a&15] ^ Word(u.imm)
-		case uShlRR:
-			c.R[u.d&15] = c.R[u.a&15] << (c.R[u.b&15] & 63)
-		case uShlRI:
-			c.R[u.d&15] = c.R[u.a&15] << (Word(u.imm) & 63)
-		case uShrRR:
-			c.R[u.d&15] = Word(int64(c.R[u.a&15]) >> (c.R[u.b&15] & 63))
-		case uShrRI:
-			c.R[u.d&15] = Word(int64(c.R[u.a&15]) >> (Word(u.imm) & 63))
-		case uFMovImm:
-			c.F[u.d&15] = math.Float64frombits(Word(u.imm))
-		case uFMov:
-			c.F[u.d&15] = c.F[u.a&15]
-		case uFAdd:
-			c.F[u.d&15] = c.F[u.a&15] + c.F[u.b&15]
-		case uFSub:
-			c.F[u.d&15] = c.F[u.a&15] - c.F[u.b&15]
-		case uFMul:
-			c.F[u.d&15] = c.F[u.a&15] * c.F[u.b&15]
-		case uFDiv:
-			c.F[u.d&15] = c.F[u.a&15] / c.F[u.b&15]
-		case uCvtIF:
-			c.F[u.d&15] = float64(int64(c.R[u.a&15]))
-		case uCvtFI:
-			c.R[u.d&15] = Word(int64(c.F[u.a&15]))
-		case uBitIF:
-			c.F[u.d&15] = math.Float64frombits(c.R[u.a&15])
-		case uBitFI:
-			c.R[u.d&15] = math.Float64bits(c.F[u.a&15])
-		case uSetRR:
-			c.R[u.d&15] = boolWord(cmpInt(u.cond, int64(c.R[u.a&15]), int64(c.R[u.b&15])))
-		case uSetRI:
-			c.R[u.d&15] = boolWord(cmpInt(u.cond, int64(c.R[u.a&15]), u.imm))
-		case uFSet:
-			c.R[u.d&15] = boolWord(cmpFloat(u.cond, c.F[u.a&15], c.F[u.b&15]))
-		case uLea:
-			c.R[u.d&15] = c.R[u.a&15] + Word(u.imm)
-		case uLeaX:
-			c.R[u.d&15] = c.R[u.a&15] + c.R[u.b&15]*Word(u.scale) + Word(u.imm)
-		case uJmp:
-			done++
-			if cnts != nil {
-				cnts[idx]++
-			}
-			pc = u.target
-			if stopSet && pc == stop {
-				c.stopExit(pc, done)
-				return done, false
-			}
-			continue
-		case uJnz, uJz:
-			if (c.R[u.a&15] != 0) == (u.op == uJnz) {
-				done++
-				if cnts != nil {
-					cnts[idx]++
-				}
-				pc = u.target
-				if stopSet && pc == stop {
-					c.stopExit(pc, done)
-					return done, false
-				}
-				continue
-			}
-		case uLoad:
-			addr := c.R[u.a&15] + Word(u.imm)
-			v, flt := icLoad(m, &ics[u.ic], addr)
-			if flt != nil {
-				c.blockTrap(pc, done, img, idx, flt.Sig, flt.Addr)
-				return done + 1, false
-			}
-			c.R[u.d&15] = v
-		case uLoadX:
-			addr := c.R[u.a&15] + c.R[u.b&15]*Word(u.scale) + Word(u.imm)
-			v, flt := icLoad(m, &ics[u.ic], addr)
-			if flt != nil {
-				c.blockTrap(pc, done, img, idx, flt.Sig, flt.Addr)
-				return done + 1, false
-			}
-			c.R[u.d&15] = v
-		case uFLoad:
-			addr := c.R[u.a&15] + Word(u.imm)
-			v, flt := icLoad(m, &ics[u.ic], addr)
-			if flt != nil {
-				c.blockTrap(pc, done, img, idx, flt.Sig, flt.Addr)
-				return done + 1, false
-			}
-			c.F[u.d&15] = math.Float64frombits(v)
-		case uFLoadX:
-			addr := c.R[u.a&15] + c.R[u.b&15]*Word(u.scale) + Word(u.imm)
-			v, flt := icLoad(m, &ics[u.ic], addr)
-			if flt != nil {
-				c.blockTrap(pc, done, img, idx, flt.Sig, flt.Addr)
-				return done + 1, false
-			}
-			c.F[u.d&15] = math.Float64frombits(v)
-		case uStore:
-			addr := c.R[u.a&15] + Word(u.imm)
-			if flt := icStore(m, &ics[u.ic], addr, c.R[u.d&15]); flt != nil {
-				c.blockTrap(pc, done, img, idx, flt.Sig, flt.Addr)
-				return done + 1, false
-			}
-		case uStoreX:
-			addr := c.R[u.a&15] + c.R[u.b&15]*Word(u.scale) + Word(u.imm)
-			if flt := icStore(m, &ics[u.ic], addr, c.R[u.d&15]); flt != nil {
-				c.blockTrap(pc, done, img, idx, flt.Sig, flt.Addr)
-				return done + 1, false
-			}
-		case uFStore:
-			addr := c.R[u.a&15] + Word(u.imm)
-			if flt := icStore(m, &ics[u.ic], addr, math.Float64bits(c.F[u.d&15])); flt != nil {
-				c.blockTrap(pc, done, img, idx, flt.Sig, flt.Addr)
-				return done + 1, false
-			}
-		case uFStoreX:
-			addr := c.R[u.a&15] + c.R[u.b&15]*Word(u.scale) + Word(u.imm)
-			if flt := icStore(m, &ics[u.ic], addr, math.Float64bits(c.F[u.d&15])); flt != nil {
-				c.blockTrap(pc, done, img, idx, flt.Sig, flt.Addr)
-				return done + 1, false
-			}
-		case uCall:
-			// The stack write commits SP only on success, so a faulting
-			// call leaves SP exactly where the Step loop's restore does.
-			sp := c.R[SP] - 8
-			if flt := icStore(m, sIC, sp, pc+8); flt != nil {
-				c.blockTrap(pc, done, img, idx, flt.Sig, flt.Addr)
-				return done + 1, false
-			}
-			c.R[SP] = sp
-			done++
-			if cnts != nil {
-				cnts[idx]++
-			}
-			pc = u.target
-			if stopSet && pc == stop {
-				c.stopExit(pc, done)
-				return done, false
-			}
-			continue
-		case uRet:
-			ra, flt := icLoad(m, sIC, c.R[SP])
-			if flt != nil {
-				c.blockTrap(pc, done, img, idx, flt.Sig, flt.Addr)
-				return done + 1, false
-			}
-			c.R[SP] += 8
-			done++
-			if cnts != nil {
-				cnts[idx]++
-			}
-			pc = ra
-			if stopSet && pc == stop {
-				c.stopExit(pc, done)
-				return done, false
-			}
-			continue
-		case uPush:
-			sp := c.R[SP] - 8
-			if flt := icStore(m, sIC, sp, c.R[u.d&15]); flt != nil {
-				c.blockTrap(pc, done, img, idx, flt.Sig, flt.Addr)
-				return done + 1, false
-			}
-			c.R[SP] = sp
-		case uPop:
-			v, flt := icLoad(m, sIC, c.R[SP])
-			if flt != nil {
-				c.blockTrap(pc, done, img, idx, flt.Sig, flt.Addr)
-				return done + 1, false
-			}
-			c.R[SP] += 8
-			c.R[u.d&15] = v
-		case uFPush:
-			sp := c.R[SP] - 8
-			if flt := icStore(m, sIC, sp, math.Float64bits(c.F[u.d&15])); flt != nil {
-				c.blockTrap(pc, done, img, idx, flt.Sig, flt.Addr)
-				return done + 1, false
-			}
-			c.R[SP] = sp
-		case uFPop:
-			v, flt := icLoad(m, sIC, c.R[SP])
-			if flt != nil {
-				c.blockTrap(pc, done, img, idx, flt.Sig, flt.Addr)
-				return done + 1, false
-			}
-			c.R[SP] += 8
-			c.F[u.d&15] = math.Float64frombits(v)
-		}
-
-		// Fallthrough retirement.
-		done++
-		if cnts != nil {
-			cnts[idx]++
-		}
-		pc += 8
-		if stopSet && pc == stop {
-			c.stopExit(pc, done)
-			return done, false
-		}
-	}
-	c.PC = pc
-	c.Dyn += done
-	return done, false
 }
 
 // superTrap delivers a trap from µop entry+i of a fused chain: the i
@@ -1102,20 +779,23 @@ func (c *CPU) superTrap(base Word, entry, i int, done uint64, img *Image, sig Si
 // to the successor µop index without re-entering the dispatch
 // prologue, and the chain body runs from the pair-fused wide stream
 // (blockPlan.fuops), so the hottest adjacent µop pairs retire under
-// one dispatch. Memory accesses take the manually-inlined icTry/icPut
+// one dispatch. Memory accesses take manually-inlined inline-cache
 // hit paths against a generation hoisted for the whole invocation.
-// Semantics are bit-identical to runBlocks and the Step loop: traps
-// materialise the exact PC and Dyn mid-chain, StopPC exits on the same
-// retirement, the budget is charged per attempted instruction, and
-// demoted branches return to Run's dispatch with the exact target PC.
-// A pair whose second half falls past the chain clamp (budget or stop
-// sentinel between the two halves) executes its first half alone — the
-// overlap encoding keeps every µop boundary addressable.
+// Semantics are bit-identical to the Step loop: traps materialise the
+// exact PC and Dyn mid-chain, StopPC exits on the same retirement, the
+// budget is charged per attempted instruction, and demoted branches
+// return to Run's dispatch with the exact target PC. A pair whose
+// second half falls past the chain clamp (budget or stop sentinel
+// between the two halves) executes its first half alone — the overlap
+// encoding keeps every µop boundary addressable.
 //
-// A misaligned (corrupted) PC delegates to runBlocks: chain execution
-// tracks µop indices and cannot carry the sub-instruction bias a
-// lazily-materialised trap PC must preserve, while the per-µop loop
-// round-trips it exactly.
+// It returns the budget consumed and whether the instruction now at
+// c.PC must be executed by Step: a punting µop, or any instruction at a
+// misaligned (corrupted) PC, for which it returns (0, true) at once.
+// Chain execution tracks µop indices and cannot carry the
+// sub-instruction bias a lazily-materialised trap PC must preserve, so
+// Run steps such a PC one instruction at a time, re-entering here after
+// each, until a taken branch realigns it.
 //
 // Callers guarantee budget > 0 and that no step hooks are installed.
 func (c *CPU) runSuper(budget uint64) (uint64, bool) {
@@ -1130,7 +810,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 	}
 	base := img.Base()
 	if (c.PC-base)&7 != 0 {
-		return c.runBlocks(budget)
+		return 0, true
 	}
 	plan := c.curPlan
 	if plan == nil {
@@ -2013,7 +1693,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 			// enter the µop array when it stays aligned inside this image,
 			// else fall out to dispatch with the exact PC (which also
 			// covers corrupted return addresses — the misaligned-PC
-			// delegation above takes over on re-entry).
+			// punt above takes over on re-entry).
 			if off := ra - base; off&7 == 0 && off>>3 < Word(len(fuops)) {
 				idx = int(off >> 3)
 				if idx == stopIdx {

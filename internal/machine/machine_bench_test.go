@@ -47,9 +47,8 @@ func benchLoop(tb testing.TB, n int64) *CPU {
 
 // BenchmarkCPUStepThroughput measures the interpreter's steady-state
 // instructions/second — the constant behind every campaign's runtime —
-// on all three tiers: the fused superblock engine (the default), the
-// per-µop block engine, and the legacy per-instruction Step loop the
-// fast tiers deoptimize to under hooks.
+// on both tiers: the fused superblock engine (the default) and the
+// legacy per-instruction Step loop it deoptimizes to under hooks.
 func BenchmarkCPUStepThroughput(b *testing.B) {
 	for _, tier := range Tiers() {
 		b.Run(tier.String(), func(b *testing.B) {

@@ -2,12 +2,11 @@ package machine
 
 import "fmt"
 
-// InterpTier selects which dispatch level Run uses when no step hooks
-// are installed. The zero value is the fastest tier, so fresh CPUs and
-// zero-valued configs get the default engine; every tier is
-// bit-identical in results (the differential suites and the CI smokes
-// enforce it), so the knob exists for that check and for timing
-// comparisons.
+// InterpTier selects which dispatch loop Run uses when no step hooks are
+// installed. The zero value is the superblock engine, so fresh CPUs and
+// zero-valued configs get the fast path; both tiers are bit-identical
+// in results (the differential suites and the CI smokes enforce it), so
+// the knob exists for that check and for timing comparisons.
 type InterpTier uint8
 
 const (
@@ -15,15 +14,13 @@ const (
 	// chains retire under a single budget/Dyn accounting check and
 	// branches linked at predecode jump straight to the successor µop.
 	TierSuperblock InterpTier = iota
-	// TierBlock runs the per-µop block-predecoded loop (one dispatch,
-	// one budget charge and one PC update per instruction).
-	TierBlock
 	// TierStep forces the legacy per-instruction Step loop — the
-	// reference semantics every faster tier must reproduce bit for bit.
+	// reference semantics the superblock engine must reproduce bit for
+	// bit.
 	TierStep
 )
 
-var tierNames = [...]string{"superblock", "block", "step"}
+var tierNames = [...]string{"superblock", "step"}
 
 // String renders the tier the way the -interp CLI flags spell it.
 func (t InterpTier) String() string {
@@ -40,9 +37,9 @@ func ParseInterpTier(s string) (InterpTier, error) {
 			return InterpTier(i), nil
 		}
 	}
-	return TierSuperblock, fmt.Errorf("machine: unknown interpreter tier %q (want superblock, block or step)", s)
+	return TierSuperblock, fmt.Errorf("machine: unknown interpreter tier %q (want superblock or step)", s)
 }
 
 // Tiers lists every interpreter tier, fastest first — the order the
 // differential tests sweep.
-func Tiers() []InterpTier { return []InterpTier{TierSuperblock, TierBlock, TierStep} }
+func Tiers() []InterpTier { return []InterpTier{TierSuperblock, TierStep} }

@@ -185,7 +185,7 @@ func TestEscalationChainTierIdentity(t *testing.T) {
 		dyn      uint64
 	}
 	runs := map[machine.InterpTier]run{}
-	for _, tier := range []machine.InterpTier{machine.TierSuperblock, machine.TierBlock, machine.TierStep} {
+	for _, tier := range machine.Tiers() {
 		p, _ := chainRun(t, bin, cfg, true, true, tier)
 		r := run{seq: outcomes(p), rewinds: p.SG.DomainRewinds(), rollback: p.SG.Rollbacks(), dyn: p.CPU.Dyn}
 		for _, ev := range p.SG.Stats().Events {
