@@ -96,6 +96,8 @@ func BenchmarkCampaignWarmStart(b *testing.B) {
 // its snapshot cadence every iteration) and against a pre-populated
 // content-addressed store, where Prepare is a pure cache hit that
 // loads the verified profile instead of executing the golden run. The
+// prepare row times that verified hit alone (Campaign.Prepare: read and
+// decode the manifest, re-hash every page blob it uses). The
 // computed CampaignResult is bit-identical either way (pinned by
 // TestCampaignStoreCacheHit); only the preparation cost differs. The
 // workload runs a longer CG solve (Steps 160) than the default test size — the
@@ -156,6 +158,22 @@ func BenchmarkCampaignStoreHit(b *testing.B) {
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "trials/s")
 		})
 	}
+	b.Run("prepare", func(b *testing.B) {
+		st, err := store.Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c := &Campaign{App: bin, N: n, Model: SingleBit, Seed: 1, WarmStart: true, Store: st, StoreKey: key}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := c.Prepare(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if got := st.Counter(store.CounterGoldenHits); got != int64(b.N) {
+			b.Fatalf("golden-hits = %d, want %d", got, b.N)
+		}
+	})
 }
 
 // BenchmarkCoverageWorkers measures the §5 coverage experiment under

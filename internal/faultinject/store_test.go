@@ -3,13 +3,13 @@ package faultinject
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
 	"testing"
 
-	"care/internal/fbits"
 	"care/internal/machine"
 	"care/internal/profiler"
 	"care/internal/store"
@@ -247,12 +247,13 @@ func TestCampaignStoreKeySeparatesCadence(t *testing.T) {
 	}
 }
 
-// TestCampaignStoreOtherFormatIsAMiss: an entry written before the
-// store used machine pages as its blob unit (segments cut into 64 KiB
-// chunks, listed by chunk hash, no format number) is a miss, not
-// corruption. The first Prepare runs cold without charging
-// store.fallback and rewrites the entry, the result is byte-identical,
-// and the next Prepare is a hit.
+// TestCampaignStoreOtherFormatIsAMiss: an entry as earlier stores
+// wrote it (a JSON manifest, format 2, at manifests/<id>.json, over the
+// same page blobs) is a miss, not corruption. The first Prepare runs
+// cold without charging store.fallback, writes no blob bytes because
+// every page it stores is already there, and adds an entry in the
+// current format; the result is byte-identical, and the next Prepare is
+// a hit.
 func TestCampaignStoreOtherFormatIsAMiss(t *testing.T) {
 	bin := buildWorkload(t, "HPCCG", 0, false)
 	key := store.Key{Kind: "campaign", Workload: "HPCCG", Seed: 9, WarmStart: true}
@@ -269,7 +270,7 @@ func TestCampaignStoreOtherFormatIsAMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	plantChunkedManifest(t, openStoreAt(t, dir), key, prof)
+	plantJSONManifest(t, openStoreAt(t, dir), key, prof, bin.Prog.CodeImage())
 
 	for i, wantHit := range []bool{false, true} {
 		s := openStoreAt(t, dir)
@@ -284,23 +285,28 @@ func TestCampaignStoreOtherFormatIsAMiss(t *testing.T) {
 			t.Fatalf("run %d: golden-hits=%d golden-misses=%d fallback=%d, want a clean %s",
 				i+1, hits, misses, fallback, map[bool]string{false: "miss", true: "hit"}[wantHit])
 		}
+		if n := s.Counter(store.CounterBytesWritten); n != 0 {
+			t.Fatalf("run %d wrote %d blob bytes, want every page a dedup hit", i+1, n)
+		}
 		if got := scrubbedJSONL(t, res.Trace); got != want {
 			t.Fatalf("run %d JSONL differs from the storeless run (%d vs %d bytes)", i+1, len(got), len(want))
 		}
 	}
 }
 
-// plantChunkedManifest writes prof under key in the store's earlier
-// format: every segment image reassembled, cut into 64 KiB chunks
-// stored as blobs, and listed by chunk hash and length.
-func plantChunkedManifest(t *testing.T, s *store.Store, key store.Key, prof *profiler.Profile) {
+// plantJSONManifest writes prof under key as earlier stores did: every
+// distinct non-zero page of the snapshots and of the .text image stored
+// as a blob, and a JSON manifest (format 2) at manifests/<id>.json that
+// lists the blob hashes in hex, each segment as indices into that list
+// (-1 for a never-written page), and floats as IEEE-754 bits.
+func plantJSONManifest(t *testing.T, s *store.Store, key store.Key, prof *profiler.Profile, text []byte) {
 	t.Helper()
 	type segRef struct {
-		Base   uint64   `json:"base"`
-		Name   string   `json:"name"`
-		Pages  []string `json:"pages,omitempty"`
-		Len    int      `json:"len"`
-		Domain uint8    `json:"domain,omitempty"`
+		Base   uint64 `json:"base"`
+		Name   string `json:"name"`
+		Size   int    `json:"size"`
+		Pages  []int  `json:"pages"`
+		Domain uint8  `json:"domain,omitempty"`
 	}
 	type snapManifest struct {
 		Dyn        uint64              `json:"dyn"`
@@ -315,38 +321,60 @@ func plantChunkedManifest(t *testing.T, s *store.Store, key store.Key, prof *pro
 		Printed    []string            `json:"printed,omitempty"`
 		Counts     map[string][]uint64 `json:"counts,omitempty"`
 	}
+	bits := func(fs []float64) []uint64 {
+		var bs []uint64
+		for _, f := range fs {
+			bs = append(bs, math.Float64bits(f))
+		}
+		return bs
+	}
 	man := struct {
+		Format     int                 `json:"format"`
 		Key        store.Key           `json:"key"`
+		Blobs      []string            `json:"blobs"`
 		TotalDyn   uint64              `json:"total_dyn"`
 		Counts     map[string][]uint64 `json:"counts"`
 		GoldenBits []uint64            `json:"golden_bits,omitempty"`
 		ExitCode   uint64              `json:"exit_code"`
+		Text       []segRef            `json:"text,omitempty"`
 		Snaps      []snapManifest      `json:"snaps,omitempty"`
-	}{Key: key, TotalDyn: prof.TotalDyn, Counts: prof.Counts, GoldenBits: fbits.Of(prof.Golden), ExitCode: prof.ExitCode}
+	}{Format: 2, Key: key, TotalDyn: prof.TotalDyn, Counts: prof.Counts, GoldenBits: bits(prof.Golden), ExitCode: prof.ExitCode}
+	ids := map[store.Hash]int{}
+	seg := func(base machine.Word, name string, size int, pages [][]byte, dom machine.DomainID) segRef {
+		r := segRef{Base: uint64(base), Name: name, Size: size, Domain: uint8(dom)}
+		for _, p := range pages {
+			if p == nil {
+				r.Pages = append(r.Pages, -1)
+				continue
+			}
+			h, err := s.PutBlob(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id, ok := ids[h]
+			if !ok {
+				id = len(man.Blobs)
+				ids[h] = id
+				man.Blobs = append(man.Blobs, h.String())
+			}
+			r.Pages = append(r.Pages, id)
+		}
+		return r
+	}
+	var textPages [][]byte
+	for off := 0; off < len(text); off += machine.PageSize {
+		textPages = append(textPages, text[off:min(off+machine.PageSize, len(text))])
+	}
+	man.Text = []segRef{seg(0, "app", len(text), textPages, 0)}
 	for _, sp := range prof.Snaps {
 		st := sp.State
-		sm := snapManifest{Dyn: sp.Dyn, FBits: fbits.Of(st.CPU.F[:]), PC: uint64(st.CPU.PC), CPUDyn: st.CPU.Dyn,
-			Step: st.Step, HeapNext: uint64(st.Mem.HeapNext), ResultBits: fbits.Of(st.EnvResults), Printed: st.EnvPrinted, Counts: sp.Counts}
+		sm := snapManifest{Dyn: sp.Dyn, FBits: bits(st.CPU.F[:]), PC: uint64(st.CPU.PC), CPUDyn: st.CPU.Dyn,
+			Step: st.Step, HeapNext: uint64(st.Mem.HeapNext), ResultBits: bits(st.EnvResults), Printed: st.EnvPrinted, Counts: sp.Counts}
 		for _, w := range st.CPU.R {
 			sm.R = append(sm.R, uint64(w))
 		}
-		for _, seg := range st.Mem.Segs {
-			var image []byte
-			for i, p := range seg.Pages {
-				if p == nil {
-					p = make([]byte, min(machine.PageSize, seg.Size-i*machine.PageSize))
-				}
-				image = append(image, p...)
-			}
-			r := segRef{Base: uint64(seg.Base), Name: seg.Name, Len: len(image), Domain: uint8(seg.Domain)}
-			for off := 0; off < len(image); off += 64 << 10 {
-				h, err := s.PutBlob(image[off:min(off+64<<10, len(image))])
-				if err != nil {
-					t.Fatal(err)
-				}
-				r.Pages = append(r.Pages, h.String())
-			}
-			sm.Segs = append(sm.Segs, r)
+		for _, sg := range st.Mem.Segs {
+			sm.Segs = append(sm.Segs, seg(sg.Base, sg.Name, sg.Size, sg.Pages, sg.Domain))
 		}
 		man.Snaps = append(man.Snaps, sm)
 	}

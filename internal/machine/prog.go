@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"io"
 	"sync"
 
 	"care/internal/debuginfo"
@@ -89,6 +90,17 @@ func (p *Program) GlobalAddr(name string) (Word, bool) {
 		}
 	}
 	return 0, false
+}
+
+// gob numbers the types a process meets in first-use order and writes
+// those numbers into what it encodes. Meeting Program's types at init
+// gives them the same numbers in every process, so a program encodes to
+// the same bytes (and a recovery library has the same size) whatever
+// other gob codec ran first, the store's manifests included.
+func init() {
+	if err := gob.NewEncoder(io.Discard).Encode(&Program{}); err != nil {
+		panic(err)
+	}
 }
 
 // Encode serialises the program (the "shared object file" of the

@@ -1,9 +1,10 @@
 package store
 
 import (
-	"encoding/json"
+	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -56,24 +57,43 @@ func wantFallback(t *testing.T, s *Store, key Key) {
 	}
 }
 
-// snapBlobPath returns the path of a blob a snapshot segment actually
-// references (the .text blob is dedup-only and never fetched on load,
-// so corrupting it would not — and should not — trip verification).
-func snapBlobPath(t *testing.T, s *Store, key Key) string {
+// readManifest decodes the manifest stored under key.
+func readManifest(t *testing.T, s *Store, key Key) *profileManifest {
 	t.Helper()
 	b, err := os.ReadFile(s.manifestPath(key.ID()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var man profileManifest
-	if err := json.Unmarshal(b, &man); err != nil {
-		t.Fatal(err)
-	}
-	h, err := ParseHash(man.Blobs[man.Snaps[0].Segs[0].Pages[0]])
+	man, err := decodeManifest(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s.blobPath(h)
+	return man
+}
+
+// rewriteManifest applies rot to the manifest stored under key and
+// stores the result with a valid checksum, so that only the rot itself
+// can fail the next load.
+func rewriteManifest(t *testing.T, s *Store, key Key, rot func(*profileManifest)) {
+	t.Helper()
+	man := readManifest(t, s, key)
+	rot(man)
+	b, err := encodeManifest(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(s.manifestPath(key.ID()), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// snapBlobPath returns the path of a blob a snapshot segment actually
+// references (the .text blob is dedup-only and never fetched on load,
+// so corrupting it would not — and should not — trip verification).
+func snapBlobPath(t *testing.T, s *Store, key Key) string {
+	t.Helper()
+	man := readManifest(t, s, key)
+	return s.blobPath(man.Blobs[man.Snaps[0].Segs[0].Pages[0]])
 }
 
 func TestCorruptTruncatedBlob(t *testing.T) {
@@ -112,12 +132,73 @@ func TestCorruptMissingBlob(t *testing.T) {
 	wantFallback(t, s, key)
 }
 
-func TestCorruptManifestJSON(t *testing.T) {
+// TestCorruptManifestFile: a manifest file that rotted on disk, in its
+// checksum or its payload, or that was cut short or replaced, fails the
+// checksum before any of its payload is decoded.
+func TestCorruptManifestFile(t *testing.T) {
+	for _, tc := range []struct {
+		name, wantErr string
+		rot           func([]byte) []byte
+	}{
+		{"garbage", "checksum", func([]byte) []byte { return bytes.Repeat([]byte("{not a manifest}"), 64) }},
+		{"checksum-byte", "checksum", func(b []byte) []byte { b[7] ^= 0x10; return b }},
+		{"payload-byte", "checksum", func(b []byte) []byte { b[len(b)/2] ^= 0x10; return b }},
+		{"empty", "truncated", func([]byte) []byte { return nil }},
+		{"truncated-in-checksum", "truncated", func(b []byte) []byte { return b[:len(Hash{})/2] }},
+		{"truncated-in-payload", "checksum", func(b []byte) []byte { return b[:len(b)-len(b)/3] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, key := storedProfile(t)
+			path := s.manifestPath(key.ID())
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, tc.rot(b), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			wantFallback(t, s, key)
+			if _, err := s.GetProfile(key); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("error %v, want one mentioning %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestCorruptManifestPayloadRot: rot inside the payload with the
+// checksum recomputed over it gets past the checksum to the gob decoder
+// and the checks behind it. Every such load must end in an error or a
+// profile, never a panic.
+func TestCorruptManifestPayloadRot(t *testing.T) {
 	s, key := storedProfile(t)
-	if err := os.WriteFile(s.manifestPath(key.ID()), []byte("{not json"), 0o644); err != nil {
+	path := s.manifestPath(key.ID())
+	b, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	wantFallback(t, s, key)
+	payload := b[len(Hash{}):]
+	const offsets = 48
+	loaded, loads := 0, 0
+	for k := range offsets {
+		off := k * len(payload) / offsets
+		for _, x := range []byte{0x01, 0x80, 0xff} {
+			rotted := bytes.Clone(payload)
+			rotted[off] ^= x
+			sum := HashBytes(rotted)
+			if err := os.WriteFile(path, append(sum[:], rotted...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			prof, err := s.GetProfile(key)
+			if (prof == nil) == (err == nil) {
+				t.Fatalf("payload byte %d ^ %#x: profile=%v err=%v, want exactly one of them", off, x, prof != nil, err)
+			}
+			if prof != nil {
+				loaded++
+			}
+			loads++
+		}
+	}
+	t.Logf("%d of %d rotted payloads decoded to a profile", loaded, loads)
 }
 
 func TestCorruptManifestKeyMismatch(t *testing.T) {
@@ -137,23 +218,9 @@ func TestCorruptManifestMissingSegEntry(t *testing.T) {
 	// held (the "missing manifest entry" row of the matrix: index and
 	// blobs out of sync).
 	s, key := storedProfile(t)
-	b, err := os.ReadFile(s.manifestPath(key.ID()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var man profileManifest
-	if err := json.Unmarshal(b, &man); err != nil {
-		t.Fatal(err)
-	}
-	// Point one segment page at an address with no blob behind it.
-	man.Blobs[man.Snaps[0].Segs[0].Pages[0]] = HashBytes([]byte("never-stored")).String()
-	swapped, err := json.Marshal(&man)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(s.manifestPath(key.ID()), swapped, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	rewriteManifest(t, s, key, func(m *profileManifest) {
+		m.Blobs[m.Snaps[0].Segs[0].Pages[0]] = HashBytes([]byte("never-stored"))
+	})
 	wantFallback(t, s, key)
 }
 
@@ -174,22 +241,36 @@ func TestCorruptManifestPageTable(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, key := storedProfile(t)
-			b, err := os.ReadFile(s.manifestPath(key.ID()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var man profileManifest
-			if err := json.Unmarshal(b, &man); err != nil {
-				t.Fatal(err)
-			}
-			tc.rot(&man)
-			rotted, err := json.Marshal(&man)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(s.manifestPath(key.ID()), rotted, 0o644); err != nil {
-				t.Fatal(err)
-			}
+			rewriteManifest(t, s, key, tc.rot)
+			wantFallback(t, s, key)
+		})
+	}
+}
+
+// TestCorruptManifestSnapshots: a snapshot list or count table that
+// breaks what trials rely on is corruption, one row per rule of
+// profileManifest.check. Each row breaks that rule alone: fakeProfile's
+// images are "app" and "lib", its snapshots sit at dyn 100 (before lib
+// first runs, so lib's entry is empty) and 200 (= TotalDyn), and the
+// last of app's three instructions never runs.
+func TestCorruptManifestSnapshots(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rot  func(*profileManifest)
+	}{
+		{"image-order", func(m *profileManifest) { m.Images[0], m.Images[1] = m.Images[1], m.Images[0] }},
+		{"counts-list", func(m *profileManifest) { m.Counts = append(m.Counts, nil) }},
+		{"counts-sum", func(m *profileManifest) { m.Counts[0][2]++ }},
+		{"snap-order", func(m *profileManifest) { m.Snaps[0], m.Snaps[1] = m.Snaps[1], m.Snaps[0] }},
+		{"snap-repeated", func(m *profileManifest) { m.Snaps[1] = m.Snaps[0] }},
+		{"snap-past-total", func(m *profileManifest) { m.Snaps[1].Dyn++; m.Snaps[1].Counts[0][0]++ }},
+		{"snap-counts-list", func(m *profileManifest) { m.Snaps[0].Counts = m.Snaps[0].Counts[:1] }},
+		{"snap-counts-length", func(m *profileManifest) { c := m.Snaps[0].Counts; c[0] = c[0][:len(c[0])-1] }},
+		{"snap-counts-sum", func(m *profileManifest) { m.Snaps[1].Counts[1] = nil }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, key := storedProfile(t)
+			rewriteManifest(t, s, key, tc.rot)
 			wantFallback(t, s, key)
 		})
 	}

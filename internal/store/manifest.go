@@ -2,27 +2,28 @@ package store
 
 import (
 	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"care/internal/checkpoint"
-	"care/internal/fbits"
 	"care/internal/machine"
 	"care/internal/profiler"
 	"care/internal/trace"
 )
 
-// manifestFormat versions the manifest encoding. A manifest of another
-// format (one written before the store used machine pages as its blob
-// unit, say) is a miss, not corruption: the run goes cold and rewrites
-// the entry.
-const manifestFormat = 2
-
-// errOtherFormat marks a manifest written in another format.
-var errOtherFormat = errors.New("store: manifest has another format")
+// A manifest file holds the SHA-256 of its payload in its first 32
+// bytes, then the payload: a profileManifest encoded with encoding/gob.
+// The checksum is verified before a byte of the payload is decoded,
+// since gob's decoder is not hardened against adversarial input. The
+// format is part of the file name, so an entry written in any other
+// format (the JSON manifests of earlier stores, say) is simply absent:
+// a clean golden miss that the run rewrites, its page blobs dedup hits.
+const manifestExt = ".v3"
 
 // segRef is a content-addressed pointer to one memory segment, one
 // entry per machine page: an index into the manifest's blob table, or
@@ -31,45 +32,155 @@ var errOtherFormat = errors.New("store: manifest has another format")
 // consecutive snapshots, or the same .text across campaigns — collapse
 // to one blob each.
 type segRef struct {
-	Base   uint64 `json:"base"`
-	Name   string `json:"name"`
-	Size   int    `json:"size"`
-	Pages  []int  `json:"pages"`
-	Domain uint8  `json:"domain,omitempty"`
+	Base   machine.Word
+	Name   string
+	Size   int
+	Pages  []int
+	Domain machine.DomainID
 }
 
 // snapManifest is one golden-run snapshot with its memory image
-// replaced by segment references.
+// replaced by segment references. Dyn is both the snapshot's position
+// in the golden run and its CPU's retired count, stored once. The
+// register files are arrays, so gob itself rejects one of another
+// length.
 type snapManifest struct {
-	Dyn        uint64              `json:"dyn"`
-	R          []uint64            `json:"r"`
-	FBits      []uint64            `json:"f_bits"`
-	PC         uint64              `json:"pc"`
-	CPUDyn     uint64              `json:"cpu_dyn"`
-	Step       int                 `json:"step"`
-	HeapNext   uint64              `json:"heap_next"`
-	Segs       []segRef            `json:"segs"`
-	ResultBits []uint64            `json:"result_bits,omitempty"`
-	Printed    []string            `json:"printed,omitempty"`
-	Counts     map[string][]uint64 `json:"counts,omitempty"`
+	Dyn        uint64
+	R          [machine.NumReg]machine.Word
+	F          [machine.NumFReg]float64
+	PC         machine.Word
+	Step       int
+	HeapNext   machine.Word
+	Segs       []segRef
+	EnvResults []float64
+	EnvPrinted []string
+	// Counts holds the execution counts at capture time in the order of
+	// profileManifest.Images, empty for an image that had not run yet.
+	Counts [][]uint64
 }
 
 // profileManifest is a golden-run profile with every byte image
 // hoisted into the blob store. The key is echoed so a loader can
 // detect an index entry that was moved or overwritten with the wrong
-// campaign's profile.
+// campaign's profile. Execution counts are lists aligned with Images
+// rather than maps, so no length in the payload sizes a map.
 type profileManifest struct {
-	Format int `json:"format"`
-	Key    Key `json:"key"`
+	Key Key
 	// Blobs holds the hash of every distinct non-zero page the
 	// manifest references, in first-use order.
-	Blobs      []string            `json:"blobs"`
-	TotalDyn   uint64              `json:"total_dyn"`
-	Counts     map[string][]uint64 `json:"counts"`
-	GoldenBits []uint64            `json:"golden_bits,omitempty"`
-	ExitCode   uint64              `json:"exit_code"`
-	Text       []segRef            `json:"text,omitempty"`
-	Snaps      []snapManifest      `json:"snaps,omitempty"`
+	Blobs    []Hash
+	TotalDyn uint64
+	// Images names the profiled images in ascending order, and Counts
+	// holds their execution counts in the same order.
+	Images   []string
+	Counts   [][]uint64
+	Golden   []float64
+	ExitCode uint64
+	Text     []segRef
+	Snaps    []snapManifest
+}
+
+// encodeManifest renders a manifest file: checksum, then payload.
+func encodeManifest(man *profileManifest) ([]byte, error) {
+	var buf bytes.Buffer
+	buf.Write(make([]byte, len(Hash{})))
+	if err := gob.NewEncoder(&buf).Encode(man); err != nil {
+		return nil, err
+	}
+	b := buf.Bytes()
+	sum := HashBytes(b[len(Hash{}):])
+	copy(b, sum[:])
+	return b, nil
+}
+
+// decodeManifest inverts encodeManifest, rejecting a file whose payload
+// does not match its checksum before decoding any of it.
+func decodeManifest(b []byte) (*profileManifest, error) {
+	n := len(Hash{})
+	if len(b) < n {
+		return nil, fmt.Errorf("store: manifest truncated to %d bytes", len(b))
+	}
+	if HashBytes(b[n:]) != Hash(b[:n]) {
+		return nil, errors.New("store: manifest fails its checksum")
+	}
+	man := new(profileManifest)
+	if err := gob.NewDecoder(bytes.NewReader(b[n:])).Decode(man); err != nil {
+		return nil, fmt.Errorf("store: decode manifest: %w", err)
+	}
+	return man, nil
+}
+
+// countsIn lays counts out in the order of images, nil for an image
+// absent from counts.
+func countsIn(images []string, counts map[string][]uint64) [][]uint64 {
+	out := make([][]uint64, len(images))
+	for i, name := range images {
+		out[i] = counts[name]
+	}
+	return out
+}
+
+// countsMap inverts countsIn.
+func countsMap(images []string, counts [][]uint64) map[string][]uint64 {
+	m := make(map[string][]uint64, len(counts))
+	for i, c := range counts {
+		if len(c) > 0 {
+			m[images[i]] = c
+		}
+	}
+	return m
+}
+
+// sum totals a count table.
+func sum(counts [][]uint64) uint64 {
+	var n uint64
+	for _, c := range counts {
+		for _, v := range c {
+			n += v
+		}
+	}
+	return n
+}
+
+// check enforces what trials rely on in a decoded manifest's snapshot
+// list and counts. Every retirement of the golden run is counted once,
+// so a count list sums to the Dyn it was taken at. Snapshot Dyns ascend
+// strictly (NextSnap binary-searches them) and never pass TotalDyn (a
+// cadence that divides TotalDyn captures the last retirement, since
+// exit retires nothing). A snapshot's count vector for an image is
+// empty, if the image had not run yet, or exactly as long as the
+// profile's, because warm starts read a missing count as 0 occurrences.
+func (m *profileManifest) check() error {
+	if len(m.Counts) != len(m.Images) {
+		return fmt.Errorf("store: manifest has counts for %d of %d images", len(m.Counts), len(m.Images))
+	}
+	for i := 1; i < len(m.Images); i++ {
+		if m.Images[i-1] >= m.Images[i] {
+			return fmt.Errorf("store: manifest image names %q, %q out of order", m.Images[i-1], m.Images[i])
+		}
+	}
+	if n := sum(m.Counts); n != m.TotalDyn {
+		return fmt.Errorf("store: manifest counts sum to %d, not its %d dyn", n, m.TotalDyn)
+	}
+	var prev uint64
+	for i, sm := range m.Snaps {
+		if i > 0 && sm.Dyn <= prev || sm.Dyn > m.TotalDyn {
+			return fmt.Errorf("store: snapshot %d at dyn %d is not after the previous one (%d) and within the golden run (%d)", i, sm.Dyn, prev, m.TotalDyn)
+		}
+		prev = sm.Dyn
+		if len(sm.Counts) != len(m.Images) {
+			return fmt.Errorf("store: snapshot %d has counts for %d of %d images", i, len(sm.Counts), len(m.Images))
+		}
+		for j, c := range sm.Counts {
+			if len(c) != 0 && len(c) != len(m.Counts[j]) {
+				return fmt.Errorf("store: snapshot %d counts %d of %s's %d instructions", i, len(c), m.Images[j], len(m.Counts[j]))
+			}
+		}
+		if n := sum(sm.Counts); n != sm.Dyn {
+			return fmt.Errorf("store: snapshot %d counts sum to %d, not its %d dyn", i, n, sm.Dyn)
+		}
+	}
+	return nil
 }
 
 // TextImage is a sealed .text byte image offered for dedup alongside a
@@ -84,7 +195,7 @@ type TextImage struct {
 }
 
 func (s *Store) manifestPath(id string) string {
-	return filepath.Join(s.dir, "manifests", id+".json")
+	return filepath.Join(s.dir, "manifests", id+manifestExt)
 }
 
 // PutProfile stores a golden-run profile under key: every distinct
@@ -94,13 +205,18 @@ func (s *Store) manifestPath(id string) string {
 // nobody wrote between two snapshots is hashed once per profile, not
 // once per snapshot.
 func (s *Store) PutProfile(key Key, prof *profiler.Profile, text []TextImage) error {
+	images := make([]string, 0, len(prof.Counts))
+	for name := range prof.Counts {
+		images = append(images, name)
+	}
+	slices.Sort(images)
 	man := profileManifest{
-		Format:     manifestFormat,
-		Key:        key,
-		TotalDyn:   prof.TotalDyn,
-		Counts:     prof.Counts,
-		GoldenBits: fbits.Of(prof.Golden),
-		ExitCode:   prof.ExitCode,
+		Key:      key,
+		TotalDyn: prof.TotalDyn,
+		Images:   images,
+		Counts:   countsIn(images, prof.Counts),
+		Golden:   prof.Golden,
+		ExitCode: prof.ExitCode,
 	}
 	// ids maps a page backing array to its blob index, byHash a page
 	// content to it, so each array is offered to the blob store once and
@@ -128,14 +244,14 @@ func (s *Store) PutProfile(key Key, prof *profiler.Profile, text []TextImage) er
 				return 0, err
 			}
 			id = len(man.Blobs)
-			man.Blobs = append(man.Blobs, h.String())
+			man.Blobs = append(man.Blobs, h)
 			byHash[h] = id
 		}
 		ids[pk] = id
 		return id, nil
 	}
 	putSeg := func(base machine.Word, name string, size int, pages [][]byte, dom machine.DomainID) (segRef, error) {
-		r := segRef{Base: uint64(base), Name: name, Size: size, Pages: make([]int, len(pages)), Domain: uint8(dom)}
+		r := segRef{Base: base, Name: name, Size: size, Pages: make([]int, len(pages)), Domain: dom}
 		for i, d := range pages {
 			id, err := pageID(d)
 			if err != nil {
@@ -164,18 +280,14 @@ func (s *Store) PutProfile(key Key, prof *profiler.Profile, text []TextImage) er
 		}
 		sm := snapManifest{
 			Dyn:        sp.Dyn,
-			R:          make([]uint64, machine.NumReg),
-			FBits:      fbits.Of(st.CPU.F[:]),
-			PC:         uint64(st.CPU.PC),
-			CPUDyn:     st.CPU.Dyn,
+			R:          st.CPU.R,
+			F:          st.CPU.F,
+			PC:         st.CPU.PC,
 			Step:       st.Step,
-			HeapNext:   uint64(st.Mem.HeapNext),
-			ResultBits: fbits.Of(st.EnvResults),
-			Printed:    st.EnvPrinted,
-			Counts:     sp.Counts,
-		}
-		for j, w := range st.CPU.R {
-			sm.R[j] = uint64(w)
+			HeapNext:   st.Mem.HeapNext,
+			EnvResults: st.EnvResults,
+			EnvPrinted: st.EnvPrinted,
+			Counts:     countsIn(images, sp.Counts),
 		}
 		for _, seg := range st.Mem.Segs {
 			sr, err := putSeg(seg.Base, seg.Name, seg.Size, seg.Pages, seg.Domain)
@@ -186,9 +298,9 @@ func (s *Store) PutProfile(key Key, prof *profiler.Profile, text []TextImage) er
 		}
 		man.Snaps = append(man.Snaps, sm)
 	}
-	b, err := json.Marshal(&man)
+	b, err := encodeManifest(&man)
 	if err != nil {
-		return fmt.Errorf("store: marshal manifest: %w", err)
+		return fmt.Errorf("store: encode manifest: %w", err)
 	}
 	if err := atomicWrite(s.manifestPath(key.ID()), b); err != nil {
 		return fmt.Errorf("store: write manifest: %w", err)
@@ -197,9 +309,10 @@ func (s *Store) PutProfile(key Key, prof *profiler.Profile, text []TextImage) er
 }
 
 // GetProfile loads and verifies the profile cached under key. A clean
-// miss (no manifest, or a manifest of another format) returns (nil,
-// nil) and counts a golden miss; any corruption — unreadable manifest,
-// key mismatch, malformed page table, missing or tamper-failing blob —
+// miss (no manifest in this format) returns (nil, nil) and counts a
+// golden miss; any corruption — unreadable or checksum-failing
+// manifest, key mismatch, a snapshot list or count table trials cannot
+// rely on, malformed page table, missing or tamper-failing blob —
 // counts store.fallback and returns the error, and the caller runs
 // cold. On a hit every snapshot page aliases its verified blob, one
 // byte slice per distinct page, restoring the cross-snapshot sharing
@@ -215,11 +328,7 @@ func (s *Store) GetProfile(key Key) (*profiler.Profile, error) {
 		s.add(CounterFallback, 1)
 		return nil, fmt.Errorf("store: read manifest: %w", err)
 	}
-	prof, err := s.decodeManifest(key, b)
-	if errors.Is(err, errOtherFormat) {
-		s.add(CounterGoldenMisses, 1)
-		return nil, nil
-	}
+	prof, err := s.loadProfile(key, b)
 	if err != nil {
 		s.add(CounterFallback, 1)
 		return nil, err
@@ -228,35 +337,23 @@ func (s *Store) GetProfile(key Key) (*profiler.Profile, error) {
 	return prof, nil
 }
 
-// unmarshalManifest decodes a manifest, telling a manifest of another
-// format (errOtherFormat) apart from bytes that are not JSON at all. A
-// well-formed JSON document that lacks the current format number is
-// taken to be another format even when its fields do not fit this one's
-// types, as an older manifest's would not.
-func unmarshalManifest(b []byte, man *profileManifest) error {
-	err := json.Unmarshal(b, man)
-	var syntax *json.SyntaxError
-	if man.Format != manifestFormat && !errors.As(err, &syntax) {
-		return errOtherFormat
-	}
-	return err
-}
-
-func (s *Store) decodeManifest(key Key, b []byte) (*profiler.Profile, error) {
-	var man profileManifest
-	if err := unmarshalManifest(b, &man); err != nil {
-		if errors.Is(err, errOtherFormat) {
-			return nil, err
-		}
-		return nil, fmt.Errorf("store: manifest for %s is not valid JSON: %w", key.ID(), err)
+// loadProfile decodes and checks the manifest file b stored under key
+// and loads the verified pages it references.
+func (s *Store) loadProfile(key Key, b []byte) (*profiler.Profile, error) {
+	man, err := decodeManifest(b)
+	if err != nil {
+		return nil, err
 	}
 	if man.Key.ID() != key.ID() {
 		return nil, fmt.Errorf("store: manifest key mismatch (index entry for %q holds %q)", key.Workload, man.Key.Workload)
 	}
+	if err := man.check(); err != nil {
+		return nil, err
+	}
 	prof := &profiler.Profile{
 		TotalDyn: man.TotalDyn,
-		Counts:   man.Counts,
-		Golden:   fbits.Floats(man.GoldenBits),
+		Counts:   countsMap(man.Images, man.Counts),
+		Golden:   man.Golden,
 		ExitCode: man.ExitCode,
 	}
 	// blobs holds each verified page, fetched on first use by a
@@ -272,32 +369,21 @@ func (s *Store) decodeManifest(key Key, b []byte) (*profiler.Profile, error) {
 			return nil, fmt.Errorf("store: segment %s page %d references blob %d of %d", r.Name, i, id, len(blobs))
 		}
 		if blobs[id] == nil {
-			h, err := ParseHash(man.Blobs[id])
-			if err != nil {
-				return nil, err
-			}
-			if blobs[id], err = s.GetBlob(h); err != nil {
+			var err error
+			if blobs[id], err = s.GetBlob(man.Blobs[id]); err != nil {
 				return nil, err
 			}
 		}
 		return blobs[id], nil
 	}
 	for i, sm := range man.Snaps {
-		if len(sm.R) != machine.NumReg || len(sm.FBits) != machine.NumFReg {
-			return nil, fmt.Errorf("store: snapshot %d has malformed register file", i)
-		}
 		st := &checkpoint.Snapshot{
-			Mem:        &machine.Snapshot{HeapNext: machine.Word(sm.HeapNext)},
+			Mem:        &machine.Snapshot{HeapNext: sm.HeapNext},
+			CPU:        checkpoint.CPUState{R: sm.R, F: sm.F, PC: sm.PC, Dyn: sm.Dyn},
 			Step:       sm.Step,
-			EnvResults: fbits.Floats(sm.ResultBits),
-			EnvPrinted: sm.Printed,
+			EnvResults: sm.EnvResults,
+			EnvPrinted: sm.EnvPrinted,
 		}
-		for j, w := range sm.R {
-			st.CPU.R[j] = machine.Word(w)
-		}
-		copy(st.CPU.F[:], fbits.Floats(sm.FBits))
-		st.CPU.PC = machine.Word(sm.PC)
-		st.CPU.Dyn = sm.CPUDyn
 		n := 0
 		for _, r := range sm.Segs {
 			n += len(r.Pages)
@@ -306,11 +392,11 @@ func (s *Store) decodeManifest(key Key, b []byte) (*profiler.Profile, error) {
 		for _, r := range sm.Segs {
 			k := len(r.Pages)
 			seg := machine.SegSnapshot{
-				Base:   machine.Word(r.Base),
+				Base:   r.Base,
 				Name:   r.Name,
 				Size:   r.Size,
 				Pages:  pages[:k:k],
-				Domain: machine.DomainID(r.Domain),
+				Domain: r.Domain,
 			}
 			pages = pages[k:]
 			for j := range seg.Pages {
@@ -325,7 +411,7 @@ func (s *Store) decodeManifest(key Key, b []byte) (*profiler.Profile, error) {
 			}
 			st.Mem.Segs = append(st.Mem.Segs, seg)
 		}
-		prof.Snaps = append(prof.Snaps, profiler.SnapPoint{Dyn: sm.Dyn, State: st, Counts: sm.Counts})
+		prof.Snaps = append(prof.Snaps, profiler.SnapPoint{Dyn: sm.Dyn, State: st, Counts: countsMap(man.Images, sm.Counts)})
 	}
 	return prof, nil
 }
@@ -384,7 +470,7 @@ type Entry struct {
 // inventory listing. Unreadable entries are skipped — the inventory is
 // advisory, the per-entry verification happens on load.
 func (s *Store) List() ([]Entry, error) {
-	names, err := filepath.Glob(filepath.Join(s.dir, "manifests", "*.json"))
+	names, err := filepath.Glob(filepath.Join(s.dir, "manifests", "*"+manifestExt))
 	if err != nil {
 		return nil, err
 	}
@@ -394,8 +480,8 @@ func (s *Store) List() ([]Entry, error) {
 		if err != nil {
 			continue
 		}
-		var man profileManifest
-		if err := unmarshalManifest(b, &man); err != nil {
+		man, err := decodeManifest(b)
+		if err != nil {
 			continue
 		}
 		e := Entry{Key: man.Key, Snaps: len(man.Snaps)}

@@ -38,17 +38,6 @@ func HashBytes(b []byte) Hash { return sha256.Sum256(b) }
 // String renders the address as lowercase hex.
 func (h Hash) String() string { return hex.EncodeToString(h[:]) }
 
-// ParseHash inverts String.
-func ParseHash(s string) (Hash, error) {
-	var h Hash
-	b, err := hex.DecodeString(s)
-	if err != nil || len(b) != len(h) {
-		return h, fmt.Errorf("store: bad hash %q", s)
-	}
-	copy(h[:], b)
-	return h, nil
-}
-
 // Key identifies one cached golden-run entry: the exact campaign
 // configuration whose profile (and snapshots) the entry reproduces. Two
 // runs with equal Keys are guaranteed identical by the substrate's
@@ -112,7 +101,8 @@ const (
 // Store is a content-addressed artifact store rooted at a directory:
 //
 //	<dir>/blobs/<hh>/<hash>    memory-page and .text-page payloads
-//	<dir>/manifests/<id>.json  golden-run profile manifests, by Key.ID
+//	<dir>/manifests/<id>.v3    golden-run profile manifests, by Key.ID
+//	                           (checksummed gob, see manifestExt)
 //	<dir>/traces/<id>.jsonl    sealed campaign trace exports
 //	<dir>/seals/<id>.json      Merkle seals over the trace exports
 //

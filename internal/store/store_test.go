@@ -1,10 +1,13 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"care/internal/checkpoint"
@@ -56,17 +59,6 @@ func TestBlobRoundTripAndDedup(t *testing.T) {
 	}
 }
 
-func TestHashStringRoundTrip(t *testing.T) {
-	h := HashBytes([]byte("x"))
-	back, err := ParseHash(h.String())
-	if err != nil || back != h {
-		t.Fatalf("ParseHash(%q) = %v, %v", h.String(), back, err)
-	}
-	if _, err := ParseHash("zz"); err == nil {
-		t.Fatalf("ParseHash accepted junk")
-	}
-}
-
 func TestKeyIDDistinguishesFields(t *testing.T) {
 	base := Key{Kind: "campaign", Workload: "HPCCG", Params: `{"n":16}`, Seed: 9, SnapEvery: 0, WarmStart: true}
 	ids := map[string]string{base.ID(): "base"}
@@ -115,13 +107,19 @@ func segBytes(s machine.SegSnapshot) []byte {
 // page-granular capture: both snapshots alias one globals page and the
 // middle page of a three-page stack, the stack's first page was never
 // written (nil, the zero page), and each snapshot has private heap and
-// stack-top pages. The golden stream carries a NaN (the bit-exactness
-// hazard fbits exists for).
+// stack-top pages. Its counts are a golden run's whose library image
+// first runs between the snapshots, so the first snapshot has no count
+// vector for it, and whose cadence divides TotalDyn, so the second
+// snapshot sits at the last retirement (exit retires nothing). The float
+// streams and registers hold -0, infinities and a NaN with a
+// non-default payload, which only a bit-exact encoding keeps.
 func fakeProfile() *profiler.Profile {
+	negZero := math.Copysign(0, -1)
+	nan := math.Float64frombits(0xfff8_0000_0000_beef)
 	shared := []byte("shared-cow-segment-bytes")
 	stackMid := make([]byte, machine.PageSize)
 	copy(stackMid, "frame-bytes-nobody-rewrote")
-	mkSnap := func(dyn uint64, dirty, top string) profiler.SnapPoint {
+	mkSnap := func(dyn uint64, dirty, top string, counts map[string][]uint64) profiler.SnapPoint {
 		stackTop := make([]byte, 256)
 		copy(stackTop[200:], top)
 		st := &checkpoint.Snapshot{
@@ -134,60 +132,87 @@ func fakeProfile() *profiler.Profile {
 				},
 			},
 			Step:       int(dyn / 100),
-			EnvResults: []float64{1.5, math.NaN()},
+			EnvResults: []float64{1.5, nan, negZero},
 			EnvPrinted: []string{"iter"},
 		}
 		st.CPU.PC = machine.Word(0x40 + dyn)
 		st.CPU.Dyn = dyn
 		st.CPU.R[3] = 77
+		st.CPU.F[0] = negZero
+		st.CPU.F[1] = nan
 		st.CPU.F[2] = math.Inf(1)
-		return profiler.SnapPoint{Dyn: dyn, State: st, Counts: map[string][]uint64{"app": {dyn, 2}}}
+		return profiler.SnapPoint{Dyn: dyn, State: st, Counts: counts}
 	}
 	return &profiler.Profile{
-		TotalDyn: 12345,
-		Counts:   map[string][]uint64{"app": {5, 6, 7}},
-		Golden:   []float64{3.25, math.NaN(), math.Inf(-1)},
+		TotalDyn: 200,
+		Counts:   map[string][]uint64{"app": {150, 40, 0}, "lib": {10}},
+		Golden:   []float64{3.25, nan, math.Inf(-1), negZero},
 		ExitCode: 0,
-		Snaps:    []profiler.SnapPoint{mkSnap(100, "snap1-private", "ret-1"), mkSnap(200, "snap2-private-longer", "ret-2")},
+		Snaps: []profiler.SnapPoint{
+			mkSnap(100, "snap1-private", "ret-1", map[string][]uint64{"app": {98, 2, 0}}),
+			mkSnap(200, "snap2-private-longer", "ret-2", map[string][]uint64{"app": {150, 40, 0}, "lib": {10}}),
+		},
 	}
 }
 
+// bitsOf returns the IEEE-754 bit pattern of every element.
+func bitsOf(fs []float64) []uint64 {
+	bs := make([]uint64, len(fs))
+	for i, f := range fs {
+		bs[i] = math.Float64bits(f)
+	}
+	return bs
+}
+
+// sameProfile requires got to equal want in every field, bit for bit:
+// floats compare by their IEEE-754 bits, and a never-written page must
+// come back as the zero page (nil).
 func sameProfile(t *testing.T, got, want *profiler.Profile) {
 	t.Helper()
+	sameCounts := func(g, w map[string][]uint64) bool { return maps.EqualFunc(g, w, slices.Equal[[]uint64]) }
 	if got.TotalDyn != want.TotalDyn || got.ExitCode != want.ExitCode {
 		t.Fatalf("profile header mismatch: %+v vs %+v", got, want)
 	}
-	if len(got.Golden) != len(want.Golden) {
-		t.Fatalf("golden len %d, want %d", len(got.Golden), len(want.Golden))
+	if !slices.Equal(bitsOf(got.Golden), bitsOf(want.Golden)) {
+		t.Fatalf("golden = %v, want %v bit for bit", got.Golden, want.Golden)
 	}
-	for i := range got.Golden {
-		if math.Float64bits(got.Golden[i]) != math.Float64bits(want.Golden[i]) {
-			t.Fatalf("golden[%d] bits differ", i)
-		}
+	if !sameCounts(got.Counts, want.Counts) {
+		t.Fatalf("counts = %v, want %v", got.Counts, want.Counts)
 	}
 	if len(got.Snaps) != len(want.Snaps) {
 		t.Fatalf("snaps = %d, want %d", len(got.Snaps), len(want.Snaps))
 	}
 	for i := range got.Snaps {
-		g, w := got.Snaps[i], want.Snaps[i]
-		if g.Dyn != w.Dyn || g.State.Step != w.State.Step || g.State.CPU != w.State.CPU {
+		g, w := got.Snaps[i].State, want.Snaps[i].State
+		if got.Snaps[i].Dyn != want.Snaps[i].Dyn || g.Step != w.Step || g.CPU.R != w.CPU.R || g.CPU.PC != w.CPU.PC || g.CPU.Dyn != w.CPU.Dyn {
 			t.Fatalf("snap %d header mismatch", i)
 		}
-		if g.State.Mem.HeapNext != w.State.Mem.HeapNext {
+		if !slices.Equal(bitsOf(g.CPU.F[:]), bitsOf(w.CPU.F[:])) {
+			t.Fatalf("snap %d float registers = %v, want %v bit for bit", i, g.CPU.F, w.CPU.F)
+		}
+		if !slices.Equal(bitsOf(g.EnvResults), bitsOf(w.EnvResults)) || !slices.Equal(g.EnvPrinted, w.EnvPrinted) {
+			t.Fatalf("snap %d environment streams mismatch", i)
+		}
+		if !sameCounts(got.Snaps[i].Counts, want.Snaps[i].Counts) {
+			t.Fatalf("snap %d counts = %v, want %v", i, got.Snaps[i].Counts, want.Snaps[i].Counts)
+		}
+		if g.Mem.HeapNext != w.Mem.HeapNext {
 			t.Fatalf("snap %d heap mismatch", i)
 		}
-		if len(g.State.Mem.Segs) != len(w.State.Mem.Segs) {
-			t.Fatalf("snap %d segs = %d, want %d", i, len(g.State.Mem.Segs), len(w.State.Mem.Segs))
+		if len(g.Mem.Segs) != len(w.Mem.Segs) {
+			t.Fatalf("snap %d segs = %d, want %d", i, len(g.Mem.Segs), len(w.Mem.Segs))
 		}
-		for j := range g.State.Mem.Segs {
-			gs, ws := g.State.Mem.Segs[j], w.State.Mem.Segs[j]
+		for j := range g.Mem.Segs {
+			gs, ws := g.Mem.Segs[j], w.Mem.Segs[j]
 			if gs.Base != ws.Base || gs.Name != ws.Name || gs.Domain != ws.Domain || gs.Size != ws.Size ||
-				len(gs.Pages) != len(ws.Pages) || string(segBytes(gs)) != string(segBytes(ws)) {
+				len(gs.Pages) != len(ws.Pages) {
 				t.Fatalf("snap %d seg %d mismatch", i, j)
 			}
-		}
-		if len(g.Counts["app"]) != len(w.Counts["app"]) {
-			t.Fatalf("snap %d counts mismatch", i)
+			for k := range gs.Pages {
+				if (gs.Pages[k] == nil) != (ws.Pages[k] == nil) || !bytes.Equal(gs.Pages[k], ws.Pages[k]) {
+					t.Fatalf("snap %d seg %s page %d mismatch", i, gs.Name, k)
+				}
+			}
 		}
 	}
 }
@@ -249,10 +274,11 @@ func TestProfileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOtherFormatManifestIsAMiss: a manifest written before the store
-// keyed blobs by machine page (64 KiB chunk hashes, no format number)
-// is a clean miss, not corruption, and storing the profile again
-// replaces it with a loadable entry.
+// TestOtherFormatManifestIsAMiss: a manifest where earlier stores
+// wrote theirs (JSON, format 2, at manifests/<id>.json) is no entry of
+// this format: the lookup is a clean miss, not corruption, the
+// inventory skips it, and storing the profile again adds an entry that
+// loads.
 func TestOtherFormatManifestIsAMiss(t *testing.T) {
 	s := openT(t)
 	key := Key{Kind: "campaign", Workload: "HPCCG", Seed: 3, WarmStart: true}
@@ -261,18 +287,21 @@ func TestOtherFormatManifestIsAMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	old, err := json.Marshal(map[string]any{
+		"format":    2,
 		"key":       key,
-		"total_dyn": 12345,
-		"counts":    map[string][]uint64{"app": {5, 6, 7}},
+		"blobs":     []string{h.String()},
+		"total_dyn": 200,
+		"counts":    map[string][]uint64{"app": {150, 40, 0}, "lib": {10}},
 		"snaps": []map[string]any{{
-			"dyn": 100, "r": make([]uint64, machine.NumReg), "f_bits": make([]uint64, machine.NumFReg),
-			"segs": []map[string]any{{"base": 0x1000, "name": "app.data", "pages": []string{h.String()}, "len": 24, "domain": 1}},
+			"dyn": 100, "cpu_dyn": 100, "r": make([]uint64, machine.NumReg), "f_bits": make([]uint64, machine.NumFReg),
+			"segs":   []map[string]any{{"base": 0x1000, "name": "app.data", "size": 24, "pages": []int{0}, "domain": 1}},
+			"counts": map[string][]uint64{"app": {98, 2, 0}},
 		}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(s.manifestPath(key.ID()), old, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(s.Dir(), "manifests", key.ID()+".json"), old, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if prof, err := s.GetProfile(key); err != nil || prof != nil {
