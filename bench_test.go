@@ -169,7 +169,7 @@ func BenchmarkCheckpointRestartBaseline(b *testing.B) {
 // BenchmarkTable9BLAS reproduces the library experiment.
 func BenchmarkTable9BLAS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		row, err := experiments.BLASStudy(25, 0, benchSeed)
+		row, err := experiments.BLASStudy(25, 0, benchSeed, safeguard.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -370,7 +370,7 @@ func BenchmarkExtensionInductionRecovery(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				row, err := experiments.BLASStudy2(30, 0, benchSeed, safeguard.Config{InductionRecovery: on})
+				row, err := experiments.BLASStudy(30, 0, benchSeed, safeguard.Config{InductionRecovery: on})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -37,7 +37,7 @@ func main() {
 	cfg := safeguard.Config{Eager: *eager, PatchBase: *patchBase, Heuristic: *heuristic, InductionRecovery: *induction}
 
 	if *blasMode {
-		row, err := experiments.BLASStudy2(*trials, 0, *seed, cfg)
+		row, err := experiments.BLASStudy(*trials, 0, *seed, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

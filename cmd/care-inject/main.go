@@ -22,13 +22,15 @@
 // byte-identical to a run without -store.
 //
 // With -shards N (N > 1) the manifestation study spreads every
-// campaign's trials over N worker subprocesses (the shard coordinator;
-// workers default to this binary re-executed with -shard-serve). Each
-// worker prepares the golden profile itself, from the -store directory
-// when one is given, and the coordinator merges the streamed results in
-// trial order — the tables and -trace-out JSONL are byte-identical to a
-// single-process run (wall-clock fields aside), which the CI
-// determinism job diffs.
+// campaign's trials, and -domain-rewind every policy cell's attempts,
+// over N worker subprocesses (the shard coordinator; workers default to
+// this binary re-executed with -shard-serve). Each worker prepares the
+// golden profile itself, from the -store directory when one is given,
+// and the coordinator merges the streamed results in index order — the
+// tables and -trace-out JSONL are byte-identical to a single-process run
+// (wall-clock fields aside), which the CI determinism jobs diff. -defense
+// does not shard: its BLAS target links a library no worker can
+// rebuild.
 package main
 
 import (
@@ -151,9 +153,15 @@ func main() {
 		}
 		return
 	}
-	if *shards > 1 && (*def != "" || *domainRewind) {
-		fmt.Fprintln(os.Stderr, "-shards is not supported with -defense or -domain-rewind")
+	if *shards > 1 && *def != "" {
+		// The defense study's BLAS target links a library that a worker
+		// cannot rebuild from a shard.BuildSpec.
+		fmt.Fprintln(os.Stderr, "-shards is not supported with -defense")
 		os.Exit(2)
+	}
+	var shardExec []string
+	if *shards > 1 {
+		shardExec = shardExecArgv(*shardCmd)
 	}
 
 	// The artifact store is an accelerator, never an authority: campaigns
@@ -274,7 +282,7 @@ func main() {
 		spec := experiments.DomainRewindSpec(pol)
 		rows, err := experiments.PolicyStudy(names, *n, *faults, m, *seed, *opt,
 			workloads.Params{}, []experiments.PolicySpec{spec},
-			experiments.StudyOptions{Workers: *workers, Tier: tier})
+			experiments.StudyOptions{Workers: *workers, Tier: tier, Shards: *shards, ShardExec: shardExec})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -297,10 +305,8 @@ func main() {
 		Tier:      tier,
 		Domains:   *domains,
 		Shards:    *shards,
+		ShardExec: shardExec,
 		Store:     st,
-	}
-	if *shards > 1 {
-		sopts.ShardExec = shardExecArgv(*shardCmd)
 	}
 	if *progress {
 		sopts.Progress = heartbeat("trials")
@@ -335,12 +341,8 @@ func main() {
 		// + Merkle seal), keyed exactly like the golden-run manifest so
 		// the inventory row joins profile, snapshots and seal. The seal
 		// is what care-report -diff localises divergence with.
-		keyOpts := sopts
-		if !keyOpts.WarmStart {
-			keyOpts.SnapEvery = 0
-		}
 		for _, r := range rows {
-			key := experiments.CampaignKey("campaign", r.Workload, workloads.Params{}, *opt, nil, *seed, keyOpts)
+			key := shard.BuildSpec{Workload: r.Workload, OptLevel: *opt}.Key("campaign", *seed, *warmStart, *snapEvery)
 			if _, err := st.PutTrace(key, r.Res.Trace); err != nil {
 				fmt.Fprintf(os.Stderr, "store: seal %s: %v\n", r.Workload, err)
 			}

@@ -11,7 +11,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -139,11 +138,11 @@ type SearchOptions struct {
 	// Tier selects the interpreter tier the search attempts run on;
 	// the found injection is identical on every tier.
 	Tier machine.InterpTier
-	// Shards > 1 routes each search attempt wave through the shard
-	// coordinator (shard.RunCoverage); the found injection is identical
-	// for any shard count. ShardExec is the worker subprocess argv
-	// (empty = in-process shards), and Build must then describe how a
-	// worker rebuilds the search binary.
+	// Shards > 1 spreads each search's attempt waves over the shard
+	// coordinator's workers (shard.RunCoverage); the found injection is
+	// identical for any shard count. ShardExec is the worker subprocess
+	// argv (empty = in-process workers), and Build must then describe
+	// how a worker rebuilds the search binary.
 	Shards    int
 	ShardExec []string
 	Build     shard.BuildSpec
@@ -163,25 +162,13 @@ func FindRecoverableInjection(bin *core.Binary, seed int64, opts SearchOptions) 
 			App: bin, Trials: 4, Seed: seed + int64(attempt),
 			MaxAttempts: 400, RecordInjections: true,
 			WarmStart: opts.WarmStart, SnapEvery: opts.SnapEvery,
-			Tier: opts.Tier,
+			Tier: opts.Tier, Shards: opts.Shards, ShardExec: opts.ShardExec,
 		}
 		if opts.Store != nil {
-			pj, _ := json.Marshal(opts.Build.Params)
 			exp.Store = opts.Store
-			exp.StoreKey = store.Key{
-				Kind: "coverage", Workload: opts.Build.Workload, Params: string(pj),
-				OptLevel: opts.Build.OptLevel, Defenses: opts.Build.Defenses,
-				Seed: exp.Seed, SnapEvery: opts.SnapEvery, WarmStart: opts.WarmStart,
-			}
+			exp.StoreKey = opts.Build.Key("coverage", exp.Seed, opts.WarmStart, opts.SnapEvery)
 		}
-		var res *faultinject.CoverageResult
-		var err error
-		if opts.Shards > 1 {
-			exp.Shards, exp.ShardExec = opts.Shards, opts.ShardExec
-			res, err = shard.RunCoverage(exp, opts.Build)
-		} else {
-			res, err = exp.Run()
-		}
+		res, err := shard.RunCoverage(exp, opts.Build)
 		if res != nil && len(res.RecoveredInjections) > 0 {
 			ri := res.RecoveredInjections[0]
 			return &Injection{Trigger: ri.Trigger, Bits: ri.Bits}, nil

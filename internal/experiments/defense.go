@@ -11,6 +11,7 @@ import (
 	"care/internal/faultinject"
 	"care/internal/machine"
 	"care/internal/safeguard"
+	"care/internal/shard"
 	"care/internal/workloads"
 )
 
@@ -153,6 +154,9 @@ func DefenseStudyArms(names []string, arms []DefenseArm, n int, model faultinjec
 					cell.Kernels += s.NumKernels
 				}
 			}
+			// BLAS is no registered workload, so this spec only keys
+			// the store: its library build cannot cross a shard wire.
+			key := shard.BuildSpec{Workload: name, Params: p, OptLevel: opt, Defenses: arm.Defenses}
 			res, err := (&faultinject.Campaign{
 				App: app, Libs: libs, N: n, Model: model, Seed: seed,
 				Workers: opts.Workers, Trace: opts.Traced,
@@ -161,7 +165,7 @@ func DefenseStudyArms(names []string, arms []DefenseArm, n int, model faultinjec
 				Protected: app.Defended(),
 				Safeguard: opts.Safeguard,
 				Store:     opts.Store,
-				StoreKey:  CampaignKey("campaign", name, p, opt, arm.Defenses, seed, opts),
+				StoreKey:  key.Key("campaign", seed, opts.WarmStart, opts.SnapEvery),
 			}).Run()
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", name, arm.Name, err)

@@ -6,7 +6,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -30,11 +29,7 @@ import (
 // BuildWorkload compiles a named workload with the given defense list
 // (nil = undefended; see internal/defense for the registered passes).
 func BuildWorkload(name string, p workloads.Params, opt int, defenses []string) (*core.Binary, error) {
-	w, err := workloads.Get(name)
-	if err != nil {
-		return nil, err
-	}
-	return core.Build(w.Module(p), core.BuildOptions{OptLevel: opt, Defenses: defenses})
+	return shard.BuildSpec{Workload: name, Params: p, OptLevel: opt, Defenses: defenses}.Build()
 }
 
 // OutcomeRow is one workload's row of Tables 2+3+4 (or 10+11 under the
@@ -72,12 +67,12 @@ type StudyOptions struct {
 	// (faultinject.Campaign.Domains); FormatOutcomeTables then appends
 	// the crash-geography table.
 	Domains bool
-	// Shards > 1 routes campaigns through the shard coordinator
+	// Shards > 1 spreads campaigns over the shard coordinator's workers
 	// (shard.RunCampaign / shard.RunCoverage): chunks of the trial index
-	// space run on whichever shard is idle, in worker subprocesses
-	// (ShardExec argv; empty = in-process shards), and results merge in
-	// trial order — bit-identical to the single-process run for every
-	// shard x worker combination.
+	// space run on whichever worker is idle — subprocesses (ShardExec
+	// argv) or, with ShardExec empty, in-process workers speaking the
+	// same protocol — and results merge in trial order, bit-identical to
+	// the single-process run for every shard x worker combination.
 	Shards    int
 	ShardExec []string
 	// Progress, when non-nil, receives (done, total) heartbeats — trial
@@ -92,34 +87,12 @@ type StudyOptions struct {
 	CheckpointEveryResults int
 	CheckpointModel        checkpoint.CostModel
 	// Store, when non-nil, is the persistent content-addressed artifact
-	// store: campaigns consult it for a cached golden-run profile
-	// (keyed by CampaignKey) before profiling and populate it on a miss,
-	// and in subprocess shard mode every worker loads its profile from
-	// the same directory. Study results, traces included, are
-	// byte-identical with or without it.
+	// store: campaigns consult it for a cached golden-run profile (keyed
+	// by shard.BuildSpec.Key) before profiling and populate it on a
+	// miss, and every shard worker loads its profile from the same
+	// directory. Study results, traces included, are byte-identical
+	// with or without it.
 	Store *store.Store
-}
-
-// CampaignKey derives the store cache key for one study campaign: the
-// exact (workload, build options, defense list, seed, snapshot
-// cadence) tuple the golden-run profile depends on. The CLIs reuse it
-// to seal campaign traces under the same index entry.
-func CampaignKey(kind, workload string, p workloads.Params, opt int, defenses []string, seed int64, opts StudyOptions) store.Key {
-	pj, err := json.Marshal(p)
-	if err != nil {
-		// workloads.Params is a plain value type; Marshal cannot fail.
-		panic(fmt.Sprintf("experiments: marshal params: %v", err))
-	}
-	return store.Key{
-		Kind:      kind,
-		Workload:  workload,
-		Params:    string(pj),
-		OptLevel:  opt,
-		Defenses:  defenses,
-		Seed:      seed,
-		SnapEvery: opts.SnapEvery,
-		WarmStart: opts.WarmStart,
-	}
 }
 
 // OutcomeStudy runs the §2 manifestation study (Tables 2, 3, 4 / 10, 11).
@@ -133,24 +106,19 @@ func OutcomeStudy(names []string, n, faults int, model faultinject.Model, seed i
 	rows := make([]OutcomeRow, len(names))
 	err := parallel.ForEach(len(names), opts.Workers, func(i int) error {
 		name := names[i]
-		bin, err := BuildWorkload(name, p, opt, nil)
+		build := shard.BuildSpec{Workload: name, Params: p, OptLevel: opt}
+		bin, err := build.Build()
 		if err != nil {
 			return err
 		}
-		c := &faultinject.Campaign{
+		res, err := shard.RunCampaign(&faultinject.Campaign{
 			App: bin, N: n, FaultsPerTrial: faults, Model: model, Seed: seed,
 			Workers: opts.Workers, Trace: opts.Traced,
 			WarmStart: opts.WarmStart, SnapEvery: opts.SnapEvery,
 			Tier: opts.Tier, Domains: opts.Domains,
 			Shards: opts.Shards, ShardExec: opts.ShardExec, Progress: opts.Progress,
-			Store: opts.Store, StoreKey: CampaignKey("campaign", name, p, opt, nil, seed, opts),
-		}
-		var res *faultinject.CampaignResult
-		if opts.Shards > 1 {
-			res, err = shard.RunCampaign(c, shard.BuildSpec{Workload: name, Params: p, OptLevel: opt})
-		} else {
-			res, err = c.Run()
-		}
+			Store: opts.Store, StoreKey: build.Key("campaign", seed, opts.WarmStart, opts.SnapEvery),
+		}, build)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
@@ -496,8 +464,9 @@ type BLASRow struct {
 	SigsegvTrials int
 }
 
-// BLASStudy reproduces Table 9 (§5.5).
-func BLASStudy(trials int, opt int, seed int64) (*BLASRow, error) {
+// BLASStudy reproduces Table 9 (§5.5) under the given Safeguard
+// configuration (zero value = the paper's).
+func BLASStudy(trials int, opt int, seed int64, cfg safeguard.Config) (*BLASRow, error) {
 	lib, err := core.BuildLib(blas.Library(), opt, 0, []string{"care"})
 	if err != nil {
 		return nil, err
@@ -509,7 +478,7 @@ func BLASStudy(trials int, opt int, seed int64) (*BLASRow, error) {
 	exp := &faultinject.CoverageExperiment{
 		App: drv, Libs: []*core.Binary{lib},
 		TargetImages: []string{"sblat1", "libblas"},
-		Trials:       trials, Seed: seed,
+		Trials:       trials, Seed: seed, Safeguard: cfg,
 	}
 	res, err := exp.Run()
 	if err != nil && res == nil {
@@ -556,33 +525,4 @@ func AllNames() []string {
 		names = append(names, w.Name)
 	}
 	return names
-}
-
-// BLASStudy2 is BLASStudy with an explicit Safeguard configuration
-// (used by the induction-recovery extension benchmark).
-func BLASStudy2(trials, opt int, seed int64, cfg safeguard.Config) (*BLASRow, error) {
-	lib, err := core.BuildLib(blas.Library(), opt, 0, []string{"care"})
-	if err != nil {
-		return nil, err
-	}
-	drv, err := core.Build(blas.Sblat1(5), core.BuildOptions{OptLevel: opt, Defenses: []string{"care"}}, lib)
-	if err != nil {
-		return nil, err
-	}
-	exp := &faultinject.CoverageExperiment{
-		App: drv, Libs: []*core.Binary{lib},
-		TargetImages: []string{"sblat1", "libblas"},
-		Trials:       trials, Seed: seed, Safeguard: cfg,
-	}
-	res, err := exp.Run()
-	if err != nil && res == nil {
-		return nil, err
-	}
-	return &BLASRow{
-		LibKernels:    lib.DefenseStats["care"].NumKernels,
-		DriverKernels: drv.DefenseStats["care"].NumKernels,
-		Coverage:      res.Coverage(),
-		MeanRecovery:  res.MeanRecoveryTime(),
-		SigsegvTrials: res.SigsegvTrials,
-	}, nil
 }

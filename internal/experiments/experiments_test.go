@@ -86,13 +86,19 @@ func TestCoverageStudySmoke(t *testing.T) {
 	}
 }
 
+// TestBLASStudySmoke runs Table 9 with a non-default Safeguard
+// configuration (the care-coverage -blas -induction path): every
+// column, the build times included, must be filled in.
 func TestBLASStudySmoke(t *testing.T) {
-	row, err := BLASStudy(10, 0, 3)
+	row, err := BLASStudy(10, 0, 3, safeguard.Config{InductionRecovery: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if row.LibKernels == 0 || row.DriverKernels == 0 {
 		t.Fatalf("missing kernels: %+v", row)
+	}
+	if row.LibCompile <= 0 || row.LibArmor <= 0 || row.DriverCompile <= 0 || row.DriverArmor <= 0 {
+		t.Fatalf("Table 9 build times not all measured: %+v", row)
 	}
 	if !strings.Contains(FormatBLAS(row), "libblas") {
 		t.Error("format missing libblas row")

@@ -9,6 +9,7 @@ import (
 	"care/internal/faultinject"
 	"care/internal/parallel"
 	"care/internal/safeguard"
+	"care/internal/shard"
 	"care/internal/workloads"
 )
 
@@ -100,8 +101,9 @@ type PolicyRow struct {
 // arms that many independent faults per trial (<=1 = single-fault).
 // Cells run concurrently on up to opts.Workers goroutines and rows come
 // back in (names, specs) order for any worker count; opts.Tier selects
-// the interpreter tier every trial runs on (results are bit-identical
-// across tiers and worker counts).
+// the interpreter tier every trial runs on, and opts.Shards/ShardExec
+// spread each cell's attempts over shard workers (shard.RunCoverage).
+// Results are bit-identical across tiers, worker and shard counts.
 func PolicyStudy(names []string, trials, faultsPerTrial int, model faultinject.Model,
 	seed int64, opt int, p workloads.Params, specs []PolicySpec, opts StudyOptions) ([]PolicyRow, error) {
 	if len(specs) == 0 {
@@ -110,11 +112,12 @@ func PolicyStudy(names []string, trials, faultsPerTrial int, model faultinject.M
 	rows := make([]PolicyRow, len(names)*len(specs))
 	err := parallel.ForEach(len(rows), opts.Workers, func(i int) error {
 		name, spec := names[i/len(specs)], specs[i%len(specs)]
-		bin, err := BuildWorkload(name, p, opt, []string{"care"})
+		build := shard.BuildSpec{Workload: name, Params: p, OptLevel: opt, Defenses: []string{"care"}}
+		bin, err := build.Build()
 		if err != nil {
 			return err
 		}
-		exp := &faultinject.CoverageExperiment{
+		res, err := shard.RunCoverage(&faultinject.CoverageExperiment{
 			App:                    bin,
 			Trials:                 trials,
 			FaultsPerTrial:         faultsPerTrial,
@@ -125,8 +128,9 @@ func PolicyStudy(names []string, trials, faultsPerTrial int, model faultinject.M
 			CheckpointModel:        spec.CheckpointModel,
 			Workers:                opts.Workers,
 			Tier:                   opts.Tier,
-		}
-		res, err := exp.Run()
+			Shards:                 opts.Shards,
+			ShardExec:              opts.ShardExec,
+		}, build)
 		if err != nil && res == nil {
 			return fmt.Errorf("%s/%s: %w", name, spec.Name, err)
 		}

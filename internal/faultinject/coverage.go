@@ -22,9 +22,9 @@ import (
 // (Figure 7 / Figure 12) and recovery time (Figure 9 / Table 9).
 type CoverageExperiment struct {
 	// App is a CARE-protected build.
-	App *core.Binary
+	App *core.Binary `json:"-"`
 	// Libs are linked (possibly protected) library binaries.
-	Libs []*core.Binary
+	Libs []*core.Binary `json:"-"`
 	// TargetImages restricts injection to the named images; empty means
 	// the application image only (the paper's §5 setup — recovering
 	// library faults requires the library to be built with CARE, §5.5).
@@ -83,25 +83,27 @@ type CoverageExperiment struct {
 	Tier machine.InterpTier
 	// Shards splits the attempt index space across the internal/shard
 	// coordinator's workers (subprocesses when ShardExec is set,
-	// in-process otherwise). Run itself stays single-process; callers
-	// route Shards > 1 experiments through shard.RunCoverage. The
-	// in-order merge with early stop makes the sharded result identical
-	// to a single-process run for any shard layout. <=1 disables.
-	Shards int
+	// in-process otherwise). Run itself stays single-process;
+	// shard.RunCoverage runs Shards > 1 experiments. The in-order merge
+	// with early stop (RunWaves) makes the sharded result identical to a
+	// single-process run for any shard layout. <=1 disables. As on
+	// Campaign, the experiment is the worker spec and the json:"-"
+	// fields stay with the coordinator.
+	Shards int `json:"-"`
 	// ShardExec is the worker argv for subprocess shards; empty means
-	// in-process shards. Read by the shard coordinator, ignored by Run.
-	ShardExec []string
+	// in-process workers. Read by the shard coordinator, ignored by Run.
+	ShardExec []string `json:"-"`
 	// Progress, when non-nil, is invoked after each completed attempt
 	// with (done, total) for the range being run; reporting only, never
 	// recorded in traces. May be called concurrently.
-	Progress func(done, total int)
+	Progress func(done, total int) `json:"-"`
 	// Store and StoreKey cache the golden-run profile across runs,
 	// exactly as on Campaign: a verified hit skips the golden passes, a
 	// miss or corrupt entry runs cold and repopulates. The key's
 	// cadence fields are pinned from the experiment's effective
 	// warm-start (which the Safeguard policy can suppress), so entries
 	// with and without snapshots never collide.
-	Store    *store.Store
+	Store    *store.Store `json:"-"`
 	StoreKey store.Key
 }
 
@@ -445,8 +447,8 @@ func (e *CoverageExperiment) runAttempt(i int, prof *profiler.Profile, smp *samp
 // MergeAttempt folds one attempt into the result, mirroring the serial
 // loop. The attempt's trace merges in attempt order with Rank carrying
 // the attempt index; Rollbacks and CheckpointIO re-derive from the
-// merged counters rather than being tallied separately. Exposed for the
-// shard coordinator, which consumes shipped attempts in index order.
+// merged counters rather than being tallied separately. RunWaves calls
+// it for every attempt it keeps.
 func (res *CoverageResult) MergeAttempt(a *AttemptResult, record bool) {
 	res.Attempts++
 	if !a.Counted {
@@ -509,8 +511,8 @@ func (e *CoverageExperiment) Prepare() (*profiler.Profile, error) {
 }
 
 // AttemptBudget is the experiment's attempt index space [0, budget):
-// MaxAttempts, or the 40x Trials default. The shard coordinator
-// partitions this space into waves.
+// MaxAttempts, or the 40x Trials default, which RunWaves partitions
+// into waves.
 func (e *CoverageExperiment) AttemptBudget() int {
 	if e.MaxAttempts > 0 {
 		return e.MaxAttempts
@@ -519,7 +521,7 @@ func (e *CoverageExperiment) AttemptBudget() int {
 }
 
 // NewResult returns an empty CoverageResult ready for MergeAttempt —
-// the coordinator-side accumulator of a sharded experiment.
+// the accumulator RunWaves merges into.
 func (e *CoverageExperiment) NewResult() *CoverageResult {
 	return &CoverageResult{
 		Workload:        e.App.Name,
@@ -570,22 +572,20 @@ func (e *CoverageExperiment) RunAttemptRange(prof *profiler.Profile, lo, hi int)
 	return atts, nil
 }
 
-// runProfiled runs the experiment against an already-profiled golden
-// run (split out so degenerate profiles are testable directly).
-func (e *CoverageExperiment) runProfiled(prof *profiler.Profile) (*CoverageResult, error) {
-	maxAttempts := e.AttemptBudget()
+// RunWaves is the experiment's wave loop, shared by Run and the shard
+// coordinator: run(lo, hi) executes attempts [lo, hi) of the index space
+// in waves of at most wave attempts, and each wave merges strictly in
+// attempt order until enough SIGSEGV trials have been examined.
+// Speculative attempts past the stopping point are discarded, so the
+// stop index — and with it every field except the wall-clock recovery
+// timings — depends only on the attempt sequence, never on the wave
+// size or on where the attempts ran. An experiment that runs out of
+// attempts returns its partial result together with the error.
+func (e *CoverageExperiment) RunWaves(wave int, run func(lo, hi int) ([]AttemptResult, error)) (*CoverageResult, error) {
+	budget := e.AttemptBudget()
 	res := e.NewResult()
-	workers := parallel.Workers(e.Workers, maxAttempts)
-	// Chunked speculation: each wave runs a few attempts per worker, and
-	// the in-order merge stops consuming once enough SIGSEGV trials have
-	// been seen, wasting at most one wave of extra attempts.
-	chunk := 4 * workers
-	for base := 0; base < maxAttempts && res.SigsegvTrials < e.Trials; base += chunk {
-		hi := base + chunk
-		if hi > maxAttempts {
-			hi = maxAttempts
-		}
-		atts, err := e.RunAttemptRange(prof, base, hi)
+	for base := 0; base < budget && res.SigsegvTrials < e.Trials; base += wave {
+		atts, err := run(base, min(base+wave, budget))
 		if err != nil {
 			return nil, err
 		}
@@ -601,4 +601,15 @@ func (e *CoverageExperiment) runProfiled(prof *profiler.Profile) (*CoverageResul
 			res.SigsegvTrials, e.Trials, res.Attempts)
 	}
 	return res, nil
+}
+
+// runProfiled runs the experiment against an already-profiled golden
+// run (split out so degenerate profiles are testable directly). Each
+// wave runs a few attempts per worker, wasting at most one wave of
+// speculative attempts.
+func (e *CoverageExperiment) runProfiled(prof *profiler.Profile) (*CoverageResult, error) {
+	wave := 4 * parallel.Workers(e.Workers, e.AttemptBudget())
+	return e.RunWaves(wave, func(lo, hi int) ([]AttemptResult, error) {
+		return e.RunAttemptRange(prof, lo, hi)
+	})
 }

@@ -325,9 +325,9 @@ func pickBits(rng *rand.Rand, model Model) []int {
 // Campaign is a §2-style manifestation study over one binary.
 type Campaign struct {
 	// App is an unprotected build of the workload.
-	App *core.Binary
+	App *core.Binary `json:"-"`
 	// Libs are linked library binaries (optional).
-	Libs []*core.Binary
+	Libs []*core.Binary `json:"-"`
 	// N is the number of injections (one per run).
 	N int
 	// FaultsPerTrial is the multi-fault model: every trial arms this
@@ -396,23 +396,26 @@ type Campaign struct {
 	Safeguard safeguard.Config
 	// Shards spreads the trial index space over this many shards of the
 	// internal/shard coordinator — worker subprocesses (ShardExec) or
-	// in-process runners — which pull chunks of trials as they go idle;
+	// in-process workers — which pull chunks of trials as they go idle;
 	// results merge in trial-index order, so the result is
 	// byte-identical to a single-process run.
-	// Campaign.Run itself always runs single-process; callers route
-	// Shards > 1 campaigns through shard.RunCampaign (the CLIs and
-	// experiments do). <=1 means no sharding.
-	Shards int
+	// Campaign.Run itself always runs single-process; shard.RunCampaign
+	// runs Shards > 1 campaigns. <=1 means no sharding.
+	//
+	// The campaign itself is the shard worker's spec. The fields tagged
+	// json:"-" stay with the coordinator: a worker rebuilds App from its
+	// build recipe, reopens Store and runs its chunks unsharded.
+	Shards int `json:"-"`
 	// ShardExec is the worker argv for subprocess shards (e.g.
-	// {"care-inject", "-shard-serve"}); empty means in-process shards.
+	// {"care-inject", "-shard-serve"}); empty means in-process workers.
 	// Read by the shard coordinator, ignored by Run.
-	ShardExec []string
+	ShardExec []string `json:"-"`
 	// Progress, when non-nil, is invoked after every completed trial
 	// with (done, total) for the range being run. It may be called
 	// concurrently from worker goroutines and must not touch the trial
 	// results; it exists only for heartbeat reporting and never alters
 	// the campaign outcome or trace.
-	Progress func(done, total int)
+	Progress func(done, total int) `json:"-"`
 	// Store, when non-nil, caches the golden-run profile (and its
 	// warm-start snapshots) under StoreKey: Prepare consults the store
 	// first and a verified hit skips both golden passes entirely; a
@@ -420,7 +423,7 @@ type Campaign struct {
 	// the cold path (the store charges its own fallback counter) — the
 	// campaign result, including the exported trace JSONL, is
 	// byte-identical with the store on, off, cold, or cache-hit.
-	Store *store.Store
+	Store *store.Store `json:"-"`
 	// StoreKey identifies this campaign's cache entry; it must pin
 	// every input the golden run depends on (workload, build options,
 	// defenses) plus the snapshot cadence. Ignored when Store is nil or

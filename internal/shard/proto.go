@@ -1,9 +1,10 @@
 // Package shard is the campaign coordinator: it deals a fault-injection
 // index space (campaign trials or coverage attempts) in small chunks to
-// whichever shard is idle — a spawned worker subprocess, or an
-// in-process runner for tests — and merges the shipped results in index
-// order, so a sharded run is byte-identical to a single-process run at
-// any shard × worker combination.
+// whichever shard is idle — a spawned worker subprocess, or Serve on an
+// in-process goroutine, both speaking the same frame protocol — and
+// merges the shipped results in index order, so a sharded run is
+// byte-identical to a single-process run at any shard × worker
+// combination.
 //
 // The determinism argument is the same one Campaign.Workers already
 // makes, lifted across process boundaries: every trial seeds its RNG

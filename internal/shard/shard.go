@@ -76,22 +76,26 @@ func goPrepare(prepare func() (*profiler.Profile, error)) func() (*profiler.Prof
 	}
 }
 
-// RunCampaign executes a campaign under the shard coordinator. In
-// ShardExec mode the worker subprocesses start first and each runs the
-// same Campaign.Prepare as the coordinator, which prepares its own
-// profile meanwhile. Trials go out in chunks of the per-shard worker
-// count to whichever shard is idle, a worker's first chunk as soon as
-// its ready frame arrives (in-process shards run them directly), and
-// every result round-trips the wire encoding. Before anything merges,
-// every worker's profile digest must match the coordinator's; the
-// results, slotted by trial index, then go to Campaign.MergeResults —
-// so the CampaignResult, trace included, is byte-identical to
-// c.Run()'s for every shard × worker combination.
+// RunCampaign executes a campaign under the shard coordinator; with
+// Shards <= 1 it is c.Run(). The workers start first — subprocesses in
+// ShardExec mode, otherwise Serve goroutines on in-process pipes — and
+// each runs the same Campaign.Prepare as the coordinator, which
+// prepares its own profile meanwhile. Trials go out in chunks of the
+// per-shard worker count to whichever shard is idle, a worker's first
+// chunk as soon as its ready frame arrives, and every result crosses
+// the frame protocol. Before anything merges, every worker's profile
+// digest must match the coordinator's; the results, slotted by trial
+// index, then go to Campaign.MergeResults — so the CampaignResult,
+// trace included, is byte-identical to c.Run()'s for every shard ×
+// worker combination.
 func RunCampaign(c *faultinject.Campaign, build BuildSpec) (*faultinject.CampaignResult, error) {
+	if c.Shards <= 1 {
+		return c.Run()
+	}
 	chunk := parallel.Workers(c.Workers, c.N)
 	shards := shardCount(c.Shards, (c.N+chunk-1)/chunk)
 	pool, err := startPool(c.ShardExec, shards, &WorkerSpec{
-		Build: build, Campaign: campaignSpecOf(c), StoreDir: storeDir(c.Store),
+		Build: build, Campaign: c, StoreDir: storeDir(c.Store),
 	})
 	if err != nil {
 		return nil, err
@@ -102,40 +106,18 @@ func RunCampaign(c *faultinject.Campaign, build BuildSpec) (*faultinject.Campaig
 	trials := make([]faultinject.TrialResult, c.N)
 	var done atomic.Int64
 	err = deal(0, c.N, chunk, shards, func(s, lo, hi int) error {
-		var wts []wireTrial
-		if pool != nil {
-			f, err := pool[s].run(lo, hi)
-			if err != nil {
-				return err
-			}
-			wts = f.Trials
-		} else {
-			// In-process shards still round-trip the wire encoding, so
-			// this mode exercises the exact fidelity the subprocess path
-			// depends on.
-			prof, err := prep()
-			if err != nil {
-				return err
-			}
-			ts, err := c.RunTrialRange(prof, lo, hi)
-			if err != nil {
-				return err
-			}
-			wts = make([]wireTrial, len(ts))
-			for i := range ts {
-				if wts[i], err = encodeTrial(&ts[i]); err != nil {
-					return err
-				}
-			}
+		f, err := pool[s].run(lo, hi)
+		if err != nil {
+			return err
 		}
-		if len(wts) != hi-lo {
-			return fmt.Errorf("shard: %d results for trials [%d,%d)", len(wts), lo, hi)
+		if len(f.Trials) != hi-lo {
+			return fmt.Errorf("shard: %d results for trials [%d,%d)", len(f.Trials), lo, hi)
 		}
-		for i := range wts {
-			if wts[i].Index != lo+i {
-				return fmt.Errorf("shard: trial %d delivered in slot %d of [%d,%d)", wts[i].Index, lo+i, lo, hi)
+		for i := range f.Trials {
+			if f.Trials[i].Index != lo+i {
+				return fmt.Errorf("shard: trial %d delivered in slot %d of [%d,%d)", f.Trials[i].Index, lo+i, lo, hi)
 			}
-			t, err := decodeTrial(&wts[i])
+			t, err := decodeTrial(&f.Trials[i])
 			if err != nil {
 				return err
 			}
@@ -163,20 +145,21 @@ func RunCampaign(c *faultinject.Campaign, build BuildSpec) (*faultinject.Campaig
 }
 
 // RunCoverage executes a coverage experiment under the shard
-// coordinator. Workers prepare their own profiles as in RunCampaign,
-// and every worker's digest is checked before the first merge. The
-// attempt index space runs in waves the size of the single-process
+// coordinator; with Shards <= 1 it is e.Run(). Workers prepare their
+// own profiles as in RunCampaign, and every worker's digest is checked
+// before the first merge. The attempt index space runs through
+// CoverageExperiment.RunWaves in waves the size of the single-process
 // speculation chunk (4 attempts per worker slot) times the shard count,
 // each wave dealt to idle shards in chunks of the per-shard worker
-// count; each wave's attempts merge strictly in index order with the
-// early-stop check before every merge, so the result is identical to
-// CoverageExperiment.Run for any shard layout — the stop index is a
-// property of the attempt sequence, not of how the waves were cut.
+// count, so the result is identical to e.Run() for any shard layout.
 func RunCoverage(e *faultinject.CoverageExperiment, build BuildSpec) (*faultinject.CoverageResult, error) {
+	if e.Shards <= 1 {
+		return e.Run()
+	}
 	budget := e.AttemptBudget()
 	shards := shardCount(e.Shards, budget)
 	pool, err := startPool(e.ShardExec, shards, &WorkerSpec{
-		Build: build, Coverage: coverageSpecOf(e), StoreDir: storeDir(e.Store),
+		Build: build, Coverage: e, StoreDir: storeDir(e.Store),
 	})
 	if err != nil {
 		return nil, err
@@ -184,52 +167,30 @@ func RunCoverage(e *faultinject.CoverageExperiment, build BuildSpec) (*faultinje
 	defer pool.kill()
 	prep := goPrepare(e.Prepare)
 	defer prep()
-	res := e.NewResult()
 	chunk := parallel.Workers(e.Workers, budget)
-	var done int
-	for base := 0; base < budget && res.SigsegvTrials < e.Trials; base += shards * 4 * chunk {
-		end := base + shards*4*chunk
-		if end > budget {
-			end = budget
-		}
+	var done atomic.Int64
+	res, err := e.RunWaves(shards*4*chunk, func(base, end int) ([]faultinject.AttemptResult, error) {
 		atts := make([]faultinject.AttemptResult, end-base)
 		err := deal(base, end, chunk, shards, func(s, lo, hi int) error {
-			var was []wireAttempt
-			if pool != nil {
-				f, err := pool[s].run(lo, hi)
-				if err != nil {
-					return err
-				}
-				was = f.Attempts
-			} else {
-				// The loopback wire round trip, as in the campaign path.
-				prof, err := prep()
-				if err != nil {
-					return err
-				}
-				part, err := e.RunAttemptRange(prof, lo, hi)
-				if err != nil {
-					return err
-				}
-				was = make([]wireAttempt, len(part))
-				for i := range part {
-					if was[i], err = encodeAttempt(&part[i]); err != nil {
-						return err
-					}
-				}
+			f, err := pool[s].run(lo, hi)
+			if err != nil {
+				return err
 			}
-			if len(was) != hi-lo {
-				return fmt.Errorf("shard: %d results for attempts [%d,%d)", len(was), lo, hi)
+			if len(f.Attempts) != hi-lo {
+				return fmt.Errorf("shard: %d results for attempts [%d,%d)", len(f.Attempts), lo, hi)
 			}
-			for i := range was {
-				if was[i].Index != lo+i {
-					return fmt.Errorf("shard: attempt %d delivered in slot %d of [%d,%d)", was[i].Index, lo+i, lo, hi)
+			for i := range f.Attempts {
+				if f.Attempts[i].Index != lo+i {
+					return fmt.Errorf("shard: attempt %d delivered in slot %d of [%d,%d)", f.Attempts[i].Index, lo+i, lo, hi)
 				}
-				a, err := decodeAttempt(&was[i])
+				a, err := decodeAttempt(&f.Attempts[i])
 				if err != nil {
 					return err
 				}
-				atts[a.Index-base] = a
+				atts[lo+i-base] = a
+			}
+			if e.Progress != nil {
+				e.Progress(int(done.Add(int64(hi-lo))), budget)
 			}
 			return nil
 		})
@@ -240,44 +201,38 @@ func RunCoverage(e *faultinject.CoverageExperiment, build BuildSpec) (*faultinje
 		if err != nil {
 			return nil, err
 		}
-		if err := pool.verify(prof); err != nil {
-			return nil, err
-		}
-		for i := range atts {
-			if res.SigsegvTrials >= e.Trials {
-				break // speculative overshoot; discard to stay deterministic
-			}
-			res.MergeAttempt(&atts[i], e.RecordInjections)
-			done++
-			if e.Progress != nil {
-				e.Progress(done, budget)
-			}
-		}
-	}
-	if err := pool.close(); err != nil {
+		return atts, pool.verify(prof)
+	})
+	if res == nil {
 		return nil, err
 	}
-	if res.SigsegvTrials < e.Trials {
-		return res, fmt.Errorf("faultinject: only %d/%d SIGSEGV trials after %d attempts",
-			res.SigsegvTrials, e.Trials, res.Attempts)
+	if _, perr := prep(); perr != nil {
+		// Trials <= 0 runs no wave, so no worker was checked either.
+		return nil, perr
 	}
-	return res, nil
+	if cerr := pool.close(); cerr != nil {
+		return nil, cerr
+	}
+	return res, err
 }
 
-// pool is the worker subprocesses of one sharded run, one per shard;
-// nil means in-process shards, and every method is then a no-op.
-type pool []*workerProc
+// pool is the workers of one sharded run, one per shard.
+type pool []*worker
 
-// startPool spawns one worker per shard and sends each the spec, so
+// startPool starts one worker per shard and sends each the spec, so
 // every worker starts preparing its profile before the coordinator
-// prepares its own. Empty argv means in-process shards (a nil pool).
+// prepares its own. Empty argv means in-process workers.
 func startPool(argv []string, shards int, spec *WorkerSpec) (pool, error) {
+	start := startProc
 	if len(argv) == 0 {
-		return nil, nil
+		start = startLocal
 	}
 	p := make(pool, 0, shards)
 	for s := 0; s < shards; s++ {
-		w, err := startWorker(argv, spec)
+		w, err := start(argv)
+		if err == nil {
+			err = w.send(spec)
+		}
 		if err != nil {
 			p.kill()
 			return nil, err
@@ -323,20 +278,25 @@ func (p pool) kill() {
 	}
 }
 
-// workerProc is one live worker subprocess speaking the shard protocol
-// on its stdin/stdout; its stderr passes through to ours.
-type workerProc struct {
-	cmd  *exec.Cmd
-	in   io.WriteCloser
-	out  *bufio.Reader
-	once sync.Once
+// worker is one live shard worker speaking the frame protocol: in
+// carries coordinator frames to it and out carries its frames back.
+// Both transports — a subprocess's stdin/stdout, or a Serve goroutine's
+// pipes — run the same conversation.
+type worker struct {
+	in  io.WriteCloser
+	out *bufio.Reader
+	// wait reaps the worker after a graceful exit; stop tears it down
+	// at once. Each runs at most once, behind once.
+	wait, stop func() error
+	once       sync.Once
 	// digest is the worker's profile digest, set once its ready frame
 	// has been read.
 	digest string
 }
 
-// startWorker spawns argv, wires the pipes, and sends the spec frame.
-func startWorker(argv []string, spec *WorkerSpec) (*workerProc, error) {
+// startProc spawns argv as a worker subprocess; its stderr passes
+// through to ours.
+func startProc(argv []string) (*worker, error) {
 	cmd := exec.Command(argv[0], argv[1:]...)
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
@@ -350,18 +310,55 @@ func startWorker(argv []string, spec *WorkerSpec) (*workerProc, error) {
 	if err := cmd.Start(); err != nil {
 		return nil, fmt.Errorf("shard: start worker %v: %w", argv, err)
 	}
-	p := &workerProc{cmd: cmd, in: stdin, out: bufio.NewReaderSize(stdout, 1<<16)}
-	if err := writeFrame(p.in, &frame{Type: frameSpec, Spec: spec}); err != nil {
-		p.kill()
-		return nil, fmt.Errorf("shard: send spec: %w", err)
+	return &worker{
+		in: stdin, out: bufio.NewReaderSize(stdout, 1<<16),
+		wait: cmd.Wait,
+		stop: func() error {
+			_ = cmd.Process.Kill()
+			return cmd.Wait()
+		},
+	}, nil
+}
+
+// startLocal runs Serve on a goroutine over two in-process pipes. When
+// Serve returns it closes its own pipe ends, as an exiting subprocess
+// would. A kill closes both of the coordinator's ends, in and (in stop)
+// out: io.Pipe is unbuffered, so a Serve blocked writing a frame nobody
+// will read returns only then. wait and stop both wait for Serve.
+func startLocal([]string) (*worker, error) {
+	inR, inW := io.Pipe()
+	outR, outW := io.Pipe()
+	served := make(chan error, 1)
+	go func() {
+		err := Serve(inR, outW)
+		inR.Close()
+		outW.Close()
+		served <- err
+	}()
+	wait := func() error { return <-served }
+	return &worker{
+		in: inW, out: bufio.NewReaderSize(outR, 1<<16),
+		wait: wait,
+		stop: func() error {
+			outR.Close()
+			return wait()
+		},
+	}, nil
+}
+
+// send writes the spec frame.
+func (w *worker) send(spec *WorkerSpec) error {
+	if err := writeFrame(w.in, &frame{Type: frameSpec, Spec: spec}); err != nil {
+		w.kill()
+		return fmt.Errorf("shard: send spec: %w", err)
 	}
-	return p, nil
+	return nil
 }
 
 // expect reads the worker's next frame, which must be of type want; an
 // error frame becomes the worker's error.
-func (p *workerProc) expect(want string) (*frame, error) {
-	f, err := readFrame(p.out)
+func (w *worker) expect(want string) (*frame, error) {
+	f, err := readFrame(w.out)
 	if err != nil {
 		return nil, fmt.Errorf("shard: worker stream: %w", err)
 	}
@@ -377,32 +374,32 @@ func (p *workerProc) expect(want string) (*frame, error) {
 // ready reads the worker's ready frame, once. A worker whose set-up
 // failed (unknown workload, unreadable store, failing Prepare) answers
 // with its error frame instead, which surfaces here — before the
-// coordinator writes any run frame into the pipe of a dead worker.
-func (p *workerProc) ready() error {
-	if p.digest != "" {
+// coordinator writes any run frame to a dead worker.
+func (w *worker) ready() error {
+	if w.digest != "" {
 		return nil
 	}
-	f, err := p.expect(frameReady)
+	f, err := w.expect(frameReady)
 	if err != nil {
 		return err
 	}
 	if f.Digest == "" {
 		return fmt.Errorf("shard: worker ready frame carries no profile digest")
 	}
-	p.digest = f.Digest
+	w.digest = f.Digest
 	return nil
 }
 
 // run has the worker execute [lo, hi) and returns its done frame, which
 // carries the results.
-func (p *workerProc) run(lo, hi int) (*frame, error) {
-	if err := p.ready(); err != nil {
+func (w *worker) run(lo, hi int) (*frame, error) {
+	if err := w.ready(); err != nil {
 		return nil, err
 	}
-	if err := writeFrame(p.in, &frame{Type: frameRun, Lo: lo, Hi: hi}); err != nil {
+	if err := writeFrame(w.in, &frame{Type: frameRun, Lo: lo, Hi: hi}); err != nil {
 		return nil, fmt.Errorf("shard: send run [%d,%d): %w", lo, hi, err)
 	}
-	f, err := p.expect(frameDone)
+	f, err := w.expect(frameDone)
 	if err != nil {
 		return nil, err
 	}
@@ -413,14 +410,12 @@ func (p *workerProc) run(lo, hi int) (*frame, error) {
 }
 
 // close asks the worker to exit and reaps it.
-func (p *workerProc) close() error {
+func (w *worker) close() error {
 	var err error
-	p.once.Do(func() {
-		if werr := writeFrame(p.in, &frame{Type: frameExit}); werr != nil {
-			err = werr
-		}
-		p.in.Close()
-		if werr := p.cmd.Wait(); werr != nil && err == nil {
+	w.once.Do(func() {
+		err = writeFrame(w.in, &frame{Type: frameExit})
+		w.in.Close()
+		if werr := w.wait(); werr != nil && err == nil {
 			err = fmt.Errorf("shard: worker exit: %w", werr)
 		}
 	})
@@ -429,10 +424,9 @@ func (p *workerProc) close() error {
 
 // kill tears the worker down without ceremony (error paths; close is
 // the graceful shutdown and makes kill a no-op afterwards).
-func (p *workerProc) kill() {
-	p.once.Do(func() {
-		p.in.Close()
-		_ = p.cmd.Process.Kill()
-		_ = p.cmd.Wait()
+func (w *worker) kill() {
+	w.once.Do(func() {
+		w.in.Close()
+		_ = w.stop()
 	})
 }

@@ -9,9 +9,12 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
+	"care/internal/checkpoint"
 	"care/internal/core"
 	"care/internal/faultinject"
+	"care/internal/safeguard"
 	"care/internal/store"
 	"care/internal/trace"
 	"care/internal/workloads"
@@ -231,7 +234,9 @@ func requireCoverageEqual(t *testing.T, single, res *faultinject.CoverageResult)
 
 // TestCoverageShardEquivalence: the early-stopping coverage experiment
 // is invariant to how the attempt waves are cut across shards, both
-// in-process and through worker subprocesses.
+// in-process and through worker subprocesses, and so is a rollback +
+// domain-rewind policy, whose attempts carry checkpoint-store traces
+// across the wire.
 func TestCoverageShardEquivalence(t *testing.T) {
 	build := BuildSpec{Workload: "HPCCG", Defenses: []string{"care"}}
 	bin := buildSpecOrDie(t, build)
@@ -256,6 +261,31 @@ func TestCoverageShardEquivalence(t *testing.T) {
 			requireCoverageEqual(t, single, res)
 		})
 	}
+	t.Run("domain-rewind-inproc-shards=3", func(t *testing.T) {
+		rewind := func() *faultinject.CoverageExperiment {
+			return &faultinject.CoverageExperiment{
+				App: bin, Trials: 8, Model: faultinject.SingleBit, Seed: 7, Workers: 2,
+				Safeguard: safeguard.Config{InductionRecovery: true, Policy: safeguard.Policy{
+					Rollback: true, DomainRewind: true, MaxTrapsPerPC: 8, StormTraps: 4,
+				}},
+				CheckpointEveryResults: 1, CheckpointModel: checkpoint.DefaultCostModel(),
+			}
+		}
+		want, err := rewind().Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Rollbacks == 0 || want.DomainRewinds == 0 {
+			t.Fatalf("policy case exercises %d rollbacks and %d domain rewinds; it needs both", want.Rollbacks, want.DomainRewinds)
+		}
+		e := rewind()
+		e.Shards = 3
+		res, err := RunCoverage(e, build)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireCoverageEqual(t, want, res)
+	})
 	if testing.Short() {
 		return
 	}
@@ -274,21 +304,27 @@ func TestCoverageShardEquivalence(t *testing.T) {
 
 // TestWorkerErrorPropagates: a worker whose set-up fails reports its
 // error frame at the ready handshake instead of wedging the coordinator
-// or dying under a broken pipe: an unknown workload, and a store
-// directory the worker cannot open.
+// or dying under a broken pipe: an unknown workload, for subprocess and
+// in-process workers alike, and a store directory the worker cannot
+// open.
 func TestWorkerErrorPropagates(t *testing.T) {
 	t.Setenv("CARE_SHARD_SERVE", "1")
 	bin := buildSpecOrDie(t, BuildSpec{Workload: "HPCCG"})
-	t.Run("unknown-workload", func(t *testing.T) {
-		c := &faultinject.Campaign{
-			App: bin, N: 4, Model: faultinject.SingleBit, Seed: 1,
-			Shards: 2, ShardExec: selfExec(),
-		}
-		_, err := RunCampaign(c, BuildSpec{Workload: "no-such-workload"})
-		if err == nil || !strings.Contains(err.Error(), "no-such-workload") {
-			t.Fatalf("want workload build error from worker, got %v", err)
-		}
-	})
+	for _, tc := range []struct {
+		name string
+		exec []string
+	}{{"unknown-workload", selfExec()}, {"unknown-workload-in-process", nil}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := &faultinject.Campaign{
+				App: bin, N: 4, Model: faultinject.SingleBit, Seed: 1,
+				Shards: 2, ShardExec: tc.exec,
+			}
+			_, err := RunCampaign(c, BuildSpec{Workload: "no-such-workload"})
+			if err == nil || !strings.Contains(err.Error(), "shard: worker:") || !strings.Contains(err.Error(), "no-such-workload") {
+				t.Fatalf("want workload build error from worker, got %v", err)
+			}
+		})
+	}
 	t.Run("unreadable-store", func(t *testing.T) {
 		dir := t.TempDir()
 		st := openStoreAt(t, dir)
@@ -313,34 +349,82 @@ func TestWorkerErrorPropagates(t *testing.T) {
 	})
 }
 
+// TestKillUnblocksInProcessWorker: an in-process worker blocked writing
+// a frame nobody reads (here, its set-up error) returns once killed, as
+// a killed subprocess would die. io.Pipe is unbuffered, so this holds
+// only because kill closes the coordinator's read end as well.
+func TestKillUnblocksInProcessWorker(t *testing.T) {
+	w, err := startLocal(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.send(&WorkerSpec{Build: BuildSpec{Workload: "no-such-workload"}, Campaign: &faultinject.Campaign{N: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	killed := make(chan struct{})
+	go func() {
+		w.kill()
+		close(killed)
+	}()
+	select {
+	case <-killed:
+	case <-time.After(time.Minute):
+		t.Fatal("kill did not return: the worker is still blocked writing its error frame")
+	}
+}
+
+// TestShardedInvalidConfig: a campaign or coverage search that Run
+// rejects fails the same way sharded, even when no chunk is ever dealt
+// and every in-process worker is left holding its set-up error.
+func TestShardedInvalidConfig(t *testing.T) {
+	build := BuildSpec{Workload: "HPCCG", Defenses: []string{"care"}}
+	bin := buildSpecOrDie(t, build)
+	_, err := RunCampaign(&faultinject.Campaign{App: bin, Seed: 1, Shards: 2}, build)
+	if err == nil || !strings.Contains(err.Error(), "N must be positive") {
+		t.Fatalf("N=0 campaign: got %v", err)
+	}
+	e := &faultinject.CoverageExperiment{App: bin, MaxAttempts: 10, Seed: 1, Shards: 2}
+	if res, err := RunCoverage(e, build); err == nil || res != nil || !strings.Contains(err.Error(), "Trials must be positive") {
+		t.Fatalf("Trials=0 coverage: got res=%v err=%v", res != nil, err)
+	}
+}
+
 // TestWorkerDigestMismatch: a worker that prepares a different golden
 // profile than the coordinator's (here: built with different workload
 // parameters) must end the campaign with an error naming both digests,
-// never with a merged result.
+// never with a merged result — whether the workers are subprocesses or
+// in-process.
 func TestWorkerDigestMismatch(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns subprocesses")
-	}
 	t.Setenv("CARE_SHARD_SERVE", "1")
 	bin := buildSpecOrDie(t, BuildSpec{Workload: "HPCCG"})
 	other := BuildSpec{Workload: "HPCCG", Params: workloads.Params{Steps: 7}}
-	c := &faultinject.Campaign{App: bin, N: 4, Seed: 1, Shards: 2, ShardExec: selfExec()}
-	res, err := RunCampaign(c, other)
-	if err == nil || res != nil {
-		t.Fatalf("mismatched worker profile merged: res=%v err=%v", res != nil, err)
+	mine, err := (&faultinject.Campaign{App: bin, N: 4}).Prepare()
+	if err != nil {
+		t.Fatal(err)
 	}
-	mine, err2 := (&faultinject.Campaign{App: bin, N: 4}).Prepare()
-	if err2 != nil {
-		t.Fatal(err2)
+	theirs, err := (&faultinject.Campaign{App: buildSpecOrDie(t, other), N: 4}).Prepare()
+	if err != nil {
+		t.Fatal(err)
 	}
-	theirs, err2 := (&faultinject.Campaign{App: buildSpecOrDie(t, other), N: 4}).Prepare()
-	if err2 != nil {
-		t.Fatal(err2)
-	}
-	for _, d := range []string{profileDigest(mine), profileDigest(theirs)} {
-		if !strings.Contains(err.Error(), d) {
-			t.Fatalf("error %q does not name digest %s", err, d)
-		}
+	for _, tc := range []struct {
+		name string
+		exec []string
+	}{{"subprocess", selfExec()}, {"in-process", nil}} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.exec != nil && testing.Short() {
+				t.Skip("spawns subprocesses")
+			}
+			c := &faultinject.Campaign{App: bin, N: 4, Seed: 1, Shards: 2, ShardExec: tc.exec}
+			res, err := RunCampaign(c, other)
+			if err == nil || res != nil {
+				t.Fatalf("mismatched worker profile merged: res=%v err=%v", res != nil, err)
+			}
+			for _, d := range []string{profileDigest(mine), profileDigest(theirs)} {
+				if !strings.Contains(err.Error(), d) {
+					t.Fatalf("error %q does not name digest %s", err, d)
+				}
+			}
+		})
 	}
 }
 

@@ -5,14 +5,13 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"math"
 	"time"
 
-	"care/internal/checkpoint"
 	"care/internal/core"
 	"care/internal/faultinject"
-	"care/internal/machine"
 	"care/internal/profiler"
 	"care/internal/safeguard"
 	"care/internal/store"
@@ -55,119 +54,43 @@ func (b BuildSpec) Build() (*core.Binary, error) {
 	return core.Build(w.Module(b.Params), core.BuildOptions{OptLevel: b.OptLevel, Defenses: b.Defenses})
 }
 
-// CampaignSpec is the process-portable subset of faultinject.Campaign:
-// everything except the binaries (rebuilt from BuildSpec), the store
-// (reopened from WorkerSpec.StoreDir) and the coordinator-only knobs
-// (Shards, ShardExec, Progress). TestSpecMirrorsConfig fails when a new
-// Campaign field is neither mirrored here nor coordinator-only.
-type CampaignSpec struct {
-	N                int
-	FaultsPerTrial   int
-	Model            faultinject.Model
-	Seed             int64
-	HangFactor       uint64
-	TrackPropagation bool
-	Workers          int
-	Trace            bool
-	WarmStart        bool
-	SnapEvery        uint64
-	Tier             machine.InterpTier
-	Domains          bool
-	Protected        bool
-	Safeguard        safeguard.Config
-	StoreKey         store.Key
-}
-
-// campaignSpecOf extracts the portable subset of c.
-func campaignSpecOf(c *faultinject.Campaign) *CampaignSpec {
-	return &CampaignSpec{
-		N: c.N, FaultsPerTrial: c.FaultsPerTrial, Model: c.Model,
-		Seed: c.Seed, HangFactor: c.HangFactor,
-		TrackPropagation: c.TrackPropagation, Workers: c.Workers,
-		Trace: c.Trace, WarmStart: c.WarmStart, SnapEvery: c.SnapEvery,
-		Tier: c.Tier, Domains: c.Domains,
-		Protected: c.Protected, Safeguard: c.Safeguard, StoreKey: c.StoreKey,
+// Key is the store key of a campaign or coverage search (kind
+// "campaign" or "coverage") over this build: the workload, its
+// parameters as canonical JSON, the build options and the campaign seed.
+// Like Prepare, it pins the snapshot cadence to 0 unless warm, so the
+// key a caller seals a trace under is the one the golden profile was
+// cached under.
+func (b BuildSpec) Key(kind string, seed int64, warm bool, snapEvery uint64) store.Key {
+	pj, err := json.Marshal(b.Params)
+	if err != nil {
+		// workloads.Params is a plain value type; Marshal cannot fail.
+		panic(fmt.Sprintf("shard: marshal params: %v", err))
 	}
-}
-
-// campaign rebuilds a runnable Campaign around a worker-built binary.
-func (s *CampaignSpec) campaign(app *core.Binary, libs []*core.Binary) *faultinject.Campaign {
-	return &faultinject.Campaign{
-		App: app, Libs: libs,
-		N: s.N, FaultsPerTrial: s.FaultsPerTrial, Model: s.Model,
-		Seed: s.Seed, HangFactor: s.HangFactor,
-		TrackPropagation: s.TrackPropagation, Workers: s.Workers,
-		Trace: s.Trace, WarmStart: s.WarmStart, SnapEvery: s.SnapEvery,
-		Tier: s.Tier, Domains: s.Domains,
-		Protected: s.Protected, Safeguard: s.Safeguard, StoreKey: s.StoreKey,
+	if !warm {
+		snapEvery = 0
 	}
-}
-
-// CoverageSpec is the process-portable subset of
-// faultinject.CoverageExperiment, mirroring CampaignSpec.
-type CoverageSpec struct {
-	TargetImages           []string
-	Trials                 int
-	MaxAttempts            int
-	FaultsPerTrial         int
-	Model                  faultinject.Model
-	Seed                   int64
-	Safeguard              safeguard.Config
-	CheckpointEveryResults int
-	CheckpointModel        checkpoint.CostModel
-	HangFactor             uint64
-	RecordInjections       bool
-	Workers                int
-	Trace                  bool
-	WarmStart              bool
-	SnapEvery              uint64
-	Tier                   machine.InterpTier
-	StoreKey               store.Key
-}
-
-func coverageSpecOf(e *faultinject.CoverageExperiment) *CoverageSpec {
-	return &CoverageSpec{
-		TargetImages: e.TargetImages, Trials: e.Trials,
-		MaxAttempts: e.MaxAttempts, FaultsPerTrial: e.FaultsPerTrial,
-		Model: e.Model, Seed: e.Seed, Safeguard: e.Safeguard,
-		CheckpointEveryResults: e.CheckpointEveryResults,
-		CheckpointModel:        e.CheckpointModel,
-		HangFactor:             e.HangFactor,
-		RecordInjections:       e.RecordInjections,
-		Workers:                e.Workers, Trace: e.Trace,
-		WarmStart: e.WarmStart, SnapEvery: e.SnapEvery,
-		Tier: e.Tier, StoreKey: e.StoreKey,
-	}
-}
-
-func (s *CoverageSpec) experiment(app *core.Binary, libs []*core.Binary) *faultinject.CoverageExperiment {
-	return &faultinject.CoverageExperiment{
-		App: app, Libs: libs,
-		TargetImages: s.TargetImages, Trials: s.Trials,
-		MaxAttempts: s.MaxAttempts, FaultsPerTrial: s.FaultsPerTrial,
-		Model: s.Model, Seed: s.Seed, Safeguard: s.Safeguard,
-		CheckpointEveryResults: s.CheckpointEveryResults,
-		CheckpointModel:        s.CheckpointModel,
-		HangFactor:             s.HangFactor,
-		RecordInjections:       s.RecordInjections,
-		Workers:                s.Workers, Trace: s.Trace,
-		WarmStart: s.WarmStart, SnapEvery: s.SnapEvery,
-		Tier: s.Tier, StoreKey: s.StoreKey,
+	return store.Key{
+		Kind: kind, Workload: b.Workload, Params: string(pj),
+		OptLevel: b.OptLevel, Defenses: b.Defenses,
+		Seed: seed, SnapEvery: snapEvery, WarmStart: warm,
 	}
 }
 
 // WorkerSpec is the one-time configuration frame a worker receives
-// before any run frames. Exactly one of Campaign/Coverage is set. The
-// golden profile never crosses the wire: the worker derives it with the
-// same Prepare call the coordinator makes, from the shared store at
-// StoreDir when one is set (a verified hit, or the same cold fallback
-// the coordinator takes on a corrupt entry), otherwise from its own
-// golden and snapshot passes.
+// before any run frames. Exactly one of Campaign/Coverage is set, and it
+// is the coordinator's own campaign or experiment: the JSON encoding
+// drops the coordinator-only fields (tagged json:"-"), and the worker
+// fills in App from Build and Store from StoreDir. The golden profile
+// never crosses the wire: the worker derives it with the same Prepare
+// call the coordinator makes, from the shared store at StoreDir when
+// one is set (a verified hit, or the same cold fallback the coordinator
+// takes on a corrupt entry), otherwise from its own golden and snapshot
+// passes.
 type WorkerSpec struct {
-	Build    BuildSpec     `json:"build"`
-	Campaign *CampaignSpec `json:"campaign,omitempty"`
-	Coverage *CoverageSpec `json:"coverage,omitempty"`
-	StoreDir string        `json:"store_dir,omitempty"`
+	Build    BuildSpec                       `json:"build"`
+	Campaign *faultinject.Campaign           `json:"campaign,omitempty"`
+	Coverage *faultinject.CoverageExperiment `json:"coverage,omitempty"`
+	StoreDir string                          `json:"store_dir,omitempty"`
 }
 
 // storeDir is the spec's StoreDir for a coordinator-side store.

@@ -9,12 +9,14 @@ import (
 )
 
 // Serve runs the worker side of the shard protocol over (r, w) —
-// `care-inject -shard-serve` wires it to stdin/stdout. The worker
-// receives one spec frame (build recipe, campaign or coverage config,
-// store directory), rebuilds the binary with the deterministic compiler
-// pipeline, prepares the golden profile with the coordinator's own
-// Prepare call, and answers with a ready frame carrying the profile's
-// digest (or an error frame if any of that failed). It then answers
+// `care-inject -shard-serve` wires it to stdin/stdout, and the
+// coordinator's in-process workers to a pair of pipes. The worker
+// receives one spec frame (build recipe, campaign or coverage
+// experiment, store directory), rebuilds the binary with the
+// deterministic compiler pipeline, reopens the store, prepares the
+// golden profile with the coordinator's own Prepare call, and answers
+// with a ready frame carrying the profile's digest (or an error frame
+// if any of that failed). It then answers
 // each run frame with a done frame carrying that range's results, until
 // the exit frame. Anything written to w must be protocol frames, so
 // worker diagnostics belong on stderr.
@@ -74,8 +76,8 @@ func prepare(spec *WorkerSpec) (*profiler.Profile, func(lo, hi int) (*frame, err
 	}
 	switch {
 	case spec.Campaign != nil:
-		c := spec.Campaign.campaign(app, nil)
-		c.Store = st
+		c := spec.Campaign
+		c.App, c.Store = app, st
 		prof, err := c.Prepare()
 		if err != nil {
 			return nil, nil, err
@@ -94,8 +96,8 @@ func prepare(spec *WorkerSpec) (*profiler.Profile, func(lo, hi int) (*frame, err
 			return done, nil
 		}, nil
 	case spec.Coverage != nil:
-		e := spec.Coverage.experiment(app, nil)
-		e.Store = st
+		e := spec.Coverage
+		e.App, e.Store = app, st
 		prof, err := e.Prepare()
 		if err != nil {
 			return nil, nil, err
