@@ -29,7 +29,8 @@ const benchSeed = 1234
 // campaign): the outcome mix of single-bit-flip injections.
 func BenchmarkTable2OutcomeMix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.OutcomeStudy([]string{"HPCCG"}, 60, 1, faultinject.SingleBit, benchSeed, 0, workloads.Params{}, experiments.StudyOptions{})
+		rows, err := experiments.OutcomeStudy([]string{"HPCCG"}, 0, workloads.Params{},
+			faultinject.Campaign{N: 60, Model: faultinject.SingleBit, Seed: benchSeed})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -43,7 +44,8 @@ func BenchmarkTable2OutcomeMix(b *testing.B) {
 // BenchmarkTable3Symptoms reports the SIGSEGV share of soft failures.
 func BenchmarkTable3Symptoms(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.OutcomeStudy([]string{"miniMD"}, 60, 1, faultinject.SingleBit, benchSeed, 0, workloads.Params{}, experiments.StudyOptions{})
+		rows, err := experiments.OutcomeStudy([]string{"miniMD"}, 0, workloads.Params{},
+			faultinject.Campaign{N: 60, Model: faultinject.SingleBit, Seed: benchSeed})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -59,7 +61,8 @@ func BenchmarkTable3Symptoms(b *testing.B) {
 // manifesting within 50 dynamic instructions.
 func BenchmarkTable4Latency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.OutcomeStudy([]string{"GTC-P"}, 60, 1, faultinject.SingleBit, benchSeed, 0, workloads.Params{}, experiments.StudyOptions{})
+		rows, err := experiments.OutcomeStudy([]string{"GTC-P"}, 0, workloads.Params{},
+			faultinject.Campaign{N: 60, Model: faultinject.SingleBit, Seed: benchSeed})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -139,8 +142,9 @@ func BenchmarkFigure9RecoveryTime(b *testing.B) {
 // BenchmarkFigure10Parallel reproduces the parallel-job comparison.
 func BenchmarkFigure10Parallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.ParallelStudy([]string{"HPCCG"}, 8, 6, 0,
-			workloads.Params{NX: 5, NY: 5, NZ: 4, Steps: 12}, benchSeed, experiments.StudyOptions{})
+		rows, err := experiments.ParallelStudy([]string{"HPCCG"}, cluster.Config{
+			Params: workloads.Params{NX: 5, NY: 5, NZ: 4, Steps: 12}, Ranks: 8, ThreadsPerRank: 6, Seed: benchSeed,
+		}, cluster.SearchOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -169,7 +173,7 @@ func BenchmarkCheckpointRestartBaseline(b *testing.B) {
 // BenchmarkTable9BLAS reproduces the library experiment.
 func BenchmarkTable9BLAS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		row, err := experiments.BLASStudy(25, 0, benchSeed, safeguard.Config{})
+		row, err := experiments.BLASStudy(0, faultinject.CoverageExperiment{Trials: 25, Seed: benchSeed})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -180,7 +184,8 @@ func BenchmarkTable9BLAS(b *testing.B) {
 // BenchmarkTable10DoubleFlip reproduces the appendix outcome table.
 func BenchmarkTable10DoubleFlip(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.OutcomeStudy([]string{"CoMD"}, 60, 1, faultinject.DoubleBit, benchSeed, 0, workloads.Params{}, experiments.StudyOptions{})
+		rows, err := experiments.OutcomeStudy([]string{"CoMD"}, 0, workloads.Params{},
+			faultinject.Campaign{N: 60, Model: faultinject.DoubleBit, Seed: benchSeed})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -194,7 +199,8 @@ func BenchmarkTable10DoubleFlip(b *testing.B) {
 // share.
 func BenchmarkTable11DoubleFlipSymptoms(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.OutcomeStudy([]string{"CoMD"}, 60, 1, faultinject.DoubleBit, benchSeed, 0, workloads.Params{}, experiments.StudyOptions{})
+		rows, err := experiments.OutcomeStudy([]string{"CoMD"}, 0, workloads.Params{},
+			faultinject.Campaign{N: 60, Model: faultinject.DoubleBit, Seed: benchSeed})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -370,7 +376,9 @@ func BenchmarkExtensionInductionRecovery(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				row, err := experiments.BLASStudy(30, 0, benchSeed, safeguard.Config{InductionRecovery: on})
+				row, err := experiments.BLASStudy(0, faultinject.CoverageExperiment{
+					Trials: 30, Seed: benchSeed, Safeguard: safeguard.Config{InductionRecovery: on},
+				})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -99,6 +99,31 @@ func TestCLISmoke(t *testing.T) {
 		}
 	})
 
+	// -domain-rewind hands -store and -progress to its policy study: the
+	// first run caches the golden profile, the second loads it, and
+	// both report attempt progress on stderr.
+	t.Run("care-inject-domain-rewind-store", func(t *testing.T) {
+		dir := t.TempDir()
+		for _, want := range []string{"store.golden-misses=1", "store.golden-hits=1"} {
+			cmd := exec.Command(bins["care-inject"], "-domain-rewind", "-n", "4", "-faults", "2",
+				"-workload", "HPCCG", "-seed", "7", "-store", dir, "-progress")
+			var stderr strings.Builder
+			cmd.Stderr = &stderr
+			out, err := cmd.Output()
+			if err != nil {
+				t.Fatalf("care-inject -domain-rewind: %v\nstderr:\n%s", err, stderr.String())
+			}
+			if !strings.Contains(string(out), "domain-rewind-chain") {
+				t.Errorf("missing the policy row in output:\n%s", out)
+			}
+			for _, w := range []string{want, "progress: ", " attempts ("} {
+				if !strings.Contains(stderr.String(), w) {
+					t.Errorf("missing %q in stderr:\n%s", w, stderr.String())
+				}
+			}
+		}
+	})
+
 	t.Run("care-trace", func(t *testing.T) {
 		out := runCLI(t, bins["care-trace"], "-workload", "HPCCG", "-n", "5")
 		for _, want := range []string{"outcomes by corrupted unit", "propagation extent"} {

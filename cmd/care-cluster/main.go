@@ -21,7 +21,7 @@ import (
 	"sync"
 	"time"
 
-	"care/internal/checkpoint"
+	"care/internal/cluster"
 	"care/internal/experiments"
 	"care/internal/machine"
 	"care/internal/safeguard"
@@ -159,28 +159,32 @@ func main() {
 	if *workload != "all" {
 		names = []string{*workload}
 	}
-	opts := experiments.StudyOptions{Workers: *workers, WarmStart: *warmStart, SnapEvery: *snapEvery, Tier: tier, Shards: *shards}
+	cfg := cluster.Config{
+		Params: workloads.Params{NX: 5, NY: 5, NZ: 4, Steps: 12}, OptLevel: *opt,
+		Ranks: *ranks, ThreadsPerRank: *threads, Seed: *seed, Tier: tier, Workers: *workers,
+	}
+	search := cluster.SearchOptions{WarmStart: *warmStart, SnapEvery: *snapEvery, Tier: tier, Shards: *shards}
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir)
 		if err != nil {
 			log.Fatal(err)
 		}
-		opts.Store = st
+		search.Store = st
 		defer func() { fmt.Fprintln(os.Stderr, st.StatsLine()) }()
 	}
 	if *shards > 1 {
 		if *shardCmd != "" {
-			opts.ShardExec = strings.Fields(*shardCmd)
+			search.ShardExec = strings.Fields(*shardCmd)
 		} else {
 			exe, err := os.Executable()
 			if err != nil {
 				log.Fatal(err)
 			}
-			opts.ShardExec = []string{exe, "-shard-serve"}
+			search.ShardExec = []string{exe, "-shard-serve"}
 		}
 	}
 	if *progress {
-		opts.Progress = heartbeat("ranks")
+		cfg.Progress = heartbeat("ranks")
 	}
 	// Same shared validation point as care-inject (satellite of the
 	// budget plumbing): reject negative budgets before any rank runs.
@@ -190,13 +194,9 @@ func main() {
 		os.Exit(2)
 	}
 	if *domainRewind {
-		spec := experiments.DomainRewindSpec(pol)
-		opts.Safeguard = spec.Safeguard
-		opts.CheckpointEveryResults = spec.CheckpointEveryResults
-		opts.CheckpointModel = checkpoint.DefaultCostModel()
+		cfg.Safeguard = experiments.DomainRewindSpec(pol).Safeguard
 	}
-	rows, err := experiments.ParallelStudy(names, *ranks, *threads, *opt,
-		workloads.Params{NX: 5, NY: 5, NZ: 4, Steps: 12}, *seed, opts)
+	rows, err := experiments.ParallelStudy(names, cfg, search)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -34,10 +34,13 @@ func main() {
 	if *model == "double" {
 		m = faultinject.DoubleBit
 	}
-	cfg := safeguard.Config{Eager: *eager, PatchBase: *patchBase, Heuristic: *heuristic, InductionRecovery: *induction}
+	e := faultinject.CoverageExperiment{
+		Trials: *trials, Model: m, Seed: *seed, Workers: *workers,
+		Safeguard: safeguard.Config{Eager: *eager, PatchBase: *patchBase, Heuristic: *heuristic, InductionRecovery: *induction},
+	}
 
 	if *blasMode {
-		row, err := experiments.BLASStudy(*trials, 0, *seed, cfg)
+		row, err := experiments.BLASStudy(0, e)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -52,7 +55,7 @@ func main() {
 		}
 		names = []string{*workload}
 	}
-	rows, err := experiments.CoverageStudy(names, *trials, m, *seed, workloads.Params{}, cfg, *workers)
+	rows, err := experiments.CoverageStudy(names, workloads.Params{}, e)
 	if err != nil {
 		log.Fatal(err)
 	}

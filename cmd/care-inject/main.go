@@ -55,10 +55,14 @@ import (
 	"care/internal/workloads"
 )
 
-// heartbeat returns a rate-limited stderr progress callback (the
-// -progress flag). Campaign workers call it concurrently, so it
-// serialises on a mutex; it never touches stdout or the traces.
-func heartbeat(unit string) func(done, total int) {
+// heartbeat returns a rate-limited stderr progress callback counting
+// unit, or nil unless on (the -progress flag). Campaign workers call it
+// concurrently, so it serialises on a mutex; it never touches stdout or
+// the traces.
+func heartbeat(on bool, unit string) func(done, total int) {
+	if !on {
+		return nil
+	}
 	var mu sync.Mutex
 	start := time.Now()
 	var last time.Time
@@ -252,14 +256,11 @@ func main() {
 		// Single bake-off arm: identical campaign machinery to the
 		// manifestation study, but on builds defended by the given list.
 		arm := experiments.DefenseArm{Name: strings.Join(defs, "+"), Defenses: defs}
-		cells, err := experiments.DefenseStudyArms(names, []experiments.DefenseArm{arm},
-			*n, m, *seed, *opt, workloads.Params{}, experiments.StudyOptions{
-				Workers:   *workers,
-				Traced:    *traceOut != "",
-				WarmStart: *warmStart,
-				SnapEvery: *snapEvery,
-				Tier:      tier,
-				Store:     st,
+		cells, err := experiments.DefenseStudy(names, []experiments.DefenseArm{arm}, *opt, workloads.Params{},
+			faultinject.Campaign{
+				N: *n, Model: m, Seed: *seed, Workers: *workers, Trace: *traceOut != "",
+				WarmStart: *warmStart, SnapEvery: *snapEvery, Tier: tier,
+				Progress: heartbeat(*progress, "trials"), Store: st,
 			}, false)
 		if err != nil {
 			log.Fatal(err)
@@ -279,10 +280,12 @@ func main() {
 		// Domain-rewind policy campaign: multi-fault trials on protected
 		// builds, with the full escalation chain ending in domain rewind
 		// before whole-process rollback.
-		spec := experiments.DomainRewindSpec(pol)
-		rows, err := experiments.PolicyStudy(names, *n, *faults, m, *seed, *opt,
-			workloads.Params{}, []experiments.PolicySpec{spec},
-			experiments.StudyOptions{Workers: *workers, Tier: tier, Shards: *shards, ShardExec: shardExec})
+		rows, err := experiments.PolicyStudy(names, *opt, workloads.Params{},
+			[]experiments.PolicySpec{experiments.DomainRewindSpec(pol)},
+			faultinject.CoverageExperiment{
+				Trials: *n, FaultsPerTrial: *faults, Model: m, Seed: *seed, Workers: *workers, Tier: tier,
+				Shards: *shards, ShardExec: shardExec, Progress: heartbeat(*progress, "attempts"), Store: st,
+			})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -297,21 +300,12 @@ func main() {
 		return
 	}
 
-	sopts := experiments.StudyOptions{
-		Workers:   *workers,
-		Traced:    *traceOut != "" || *domains || st != nil,
-		WarmStart: *warmStart,
-		SnapEvery: *snapEvery,
-		Tier:      tier,
-		Domains:   *domains,
-		Shards:    *shards,
-		ShardExec: shardExec,
-		Store:     st,
-	}
-	if *progress {
-		sopts.Progress = heartbeat("trials")
-	}
-	rows, err := experiments.OutcomeStudy(names, *n, *faults, m, *seed, *opt, workloads.Params{}, sopts)
+	rows, err := experiments.OutcomeStudy(names, *opt, workloads.Params{}, faultinject.Campaign{
+		N: *n, FaultsPerTrial: *faults, Model: m, Seed: *seed, Workers: *workers,
+		Trace: *traceOut != "" || *domains || st != nil, WarmStart: *warmStart, SnapEvery: *snapEvery,
+		Tier: tier, Domains: *domains, Shards: *shards, ShardExec: shardExec,
+		Progress: heartbeat(*progress, "trials"), Store: st,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

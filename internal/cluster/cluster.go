@@ -46,16 +46,10 @@ type Config struct {
 	Protected bool
 	// Safeguard tunes the runtime on every rank (zero value = paper
 	// one-shot configuration). When Safeguard.Policy needs a checkpoint
-	// store (Rollback or DomainRewind), each rank gets its own (initial
-	// snapshot at _start, cadence below) so the chain's rewind and
+	// store (Rollback or DomainRewind), each rank gets its own
+	// (core.ProcessConfig.WireCheckpoints) so the chain's rewind and
 	// rollback stages can restore.
 	Safeguard safeguard.Config
-	// CheckpointEveryResults is the per-rank snapshot cadence for the
-	// rollback stage (observable results between snapshots; 0 keeps only
-	// the _start snapshot).
-	CheckpointEveryResults int
-	// CheckpointModel prices the rollback stage's snapshot I/O.
-	CheckpointModel checkpoint.CostModel
 	// Seed drives the search for a recoverable injection.
 	Seed int64
 	// Quantum is the scheduler slice (default 50k instructions).
@@ -213,10 +207,7 @@ func RunJob(cfg Config, bin *core.Binary, inj *Injection) (*JobResult, error) {
 			Env:       world.Env(r),
 			Tier:      cfg.Tier,
 		}
-		if cfg.Protected && cfg.Safeguard.Policy.NeedsStore() {
-			pcfg.Checkpoint = checkpoint.NewStore(cfg.CheckpointModel)
-			pcfg.CheckpointEveryResults = cfg.CheckpointEveryResults
-		}
+		pcfg.WireCheckpoints()
 		p, err := core.NewProcess(pcfg)
 		if err != nil {
 			return err

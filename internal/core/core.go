@@ -227,6 +227,19 @@ type ProcessConfig struct {
 	Tier machine.InterpTier
 }
 
+// WireCheckpoints gives a protected configuration whose Safeguard
+// policy restores from a checkpoint store (Rollback or DomainRewind) a
+// fresh one: a snapshot at _start and one per observable result, with
+// I/O priced by checkpoint.DefaultCostModel. Coverage attempts and
+// cluster ranks wire their stores through it; a configuration that
+// needs no store is left as it is.
+func (cfg *ProcessConfig) WireCheckpoints() {
+	if cfg.Protected && cfg.Safeguard.Policy.NeedsStore() {
+		cfg.Checkpoint = checkpoint.NewStore(checkpoint.DefaultCostModel())
+		cfg.CheckpointEveryResults = 1
+	}
+}
+
 // Process is one simulated process: a CPU, its memory and images, and
 // optionally the Safeguard runtime.
 type Process struct {

@@ -116,26 +116,26 @@ func DefenseNames() []string {
 	return append(EvaluatedNames(), "BLAS")
 }
 
-// DefenseStudy runs the rival-defense bake-off: every arm of
-// DefenseArms builds every named workload and faces an identical
-// warm-started injection campaign (same seed, same fault model, same
-// trial RNG streams), so the arms differ only in the defense under
-// test. Defended arms run with the Safeguard attached; no checkpoint
+// DefenseStudy runs the rival-defense bake-off: every arm (nil =
+// DefenseArms) builds every named workload and faces a copy of campaign
+// c (same seed, same fault model, same trial RNG streams), so the arms
+// differ only in the defense under test. Each cell sets only the
+// campaign's App, Libs, StoreKey and Protected, which attaches the
+// Safeguard (configured by c.Safeguard) to defended arms. No checkpoint
 // store is wired, so a detection trap is a fail-stop and CARE repairs
 // in place — the paper's configurations. Cells come back in (names,
-// arms) order and are bit-identical for every opts.Workers value.
-// opts.Traced additionally keeps machine-level trap stamps.
+// arms) order and are bit-identical for every c.Workers value; c.Trace
+// additionally keeps machine-level trap stamps. The campaigns run in
+// this process: the BLAS target links a library that no shard worker
+// can rebuild.
 //
 // measureRates adds the wall-clock golden-run throughput per
 // interpreter tier (DefenseCell.Rates) — wall-based and excluded from
 // the determinism contract; leave it off for byte-diff runs.
-func DefenseStudy(names []string, n int, model faultinject.Model, seed int64, opt int, p workloads.Params, opts StudyOptions, measureRates bool) ([]DefenseCell, error) {
-	return DefenseStudyArms(names, DefenseArms(), n, model, seed, opt, p, opts, measureRates)
-}
-
-// DefenseStudyArms is DefenseStudy over an explicit arm list — the
-// care-inject -defense path runs a single caller-chosen arm through it.
-func DefenseStudyArms(names []string, arms []DefenseArm, n int, model faultinject.Model, seed int64, opt int, p workloads.Params, opts StudyOptions, measureRates bool) ([]DefenseCell, error) {
+func DefenseStudy(names []string, arms []DefenseArm, opt int, p workloads.Params, c faultinject.Campaign, measureRates bool) ([]DefenseCell, error) {
+	if len(arms) == 0 {
+		arms = DefenseArms()
+	}
 	cells := make([]DefenseCell, 0, len(names)*len(arms))
 	for _, name := range names {
 		for _, arm := range arms {
@@ -154,19 +154,13 @@ func DefenseStudyArms(names []string, arms []DefenseArm, n int, model faultinjec
 					cell.Kernels += s.NumKernels
 				}
 			}
-			// BLAS is no registered workload, so this spec only keys
-			// the store: its library build cannot cross a shard wire.
+			camp := c
+			camp.App, camp.Libs, camp.Protected = app, libs, app.Defended()
+			// BLAS is no registered workload, so this spec only keys the
+			// store.
 			key := shard.BuildSpec{Workload: name, Params: p, OptLevel: opt, Defenses: arm.Defenses}
-			res, err := (&faultinject.Campaign{
-				App: app, Libs: libs, N: n, Model: model, Seed: seed,
-				Workers: opts.Workers, Trace: opts.Traced,
-				WarmStart: opts.WarmStart, SnapEvery: opts.SnapEvery,
-				Tier:      opts.Tier,
-				Protected: app.Defended(),
-				Safeguard: opts.Safeguard,
-				Store:     opts.Store,
-				StoreKey:  key.Key("campaign", seed, opts.WarmStart, opts.SnapEvery),
-			}).Run()
+			camp.StoreKey = key.Key("campaign", c.Seed, c.WarmStart, c.SnapEvery)
+			res, err := camp.Run()
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", name, arm.Name, err)
 			}

@@ -23,8 +23,8 @@ func defenseCell(t *testing.T, cells []DefenseCell, workload, arm string) *Defen
 }
 
 func TestDefenseStudySmoke(t *testing.T) {
-	cells, err := DefenseStudy([]string{"HPCCG"}, 60, faultinject.SingleBit, 5, 0,
-		workloads.Params{}, StudyOptions{}, false)
+	cells, err := DefenseStudy([]string{"HPCCG"}, nil, 0, workloads.Params{},
+		faultinject.Campaign{N: 60, Model: faultinject.SingleBit, Seed: 5}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +90,8 @@ func scrubTrace(t *testing.T, rec *trace.Recorder) string {
 // wall-measured fields are scrubbed.
 func TestDefenseStudyWorkerDeterminism(t *testing.T) {
 	run := func(workers int) []DefenseCell {
-		cells, err := DefenseStudy([]string{"HPCCG"}, 30, faultinject.SingleBit, 7, 0,
-			workloads.Params{}, StudyOptions{Workers: workers, Traced: true}, false)
+		cells, err := DefenseStudy([]string{"HPCCG"}, nil, 0, workloads.Params{},
+			faultinject.Campaign{N: 30, Model: faultinject.SingleBit, Seed: 7, Workers: workers, Trace: true}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,8 +114,8 @@ func TestDefenseStudyWorkerDeterminism(t *testing.T) {
 // TestDefenseStudyBLASTarget covers the shared-library arm of the
 // bake-off grid (library + driver both defended).
 func TestDefenseStudyBLASTarget(t *testing.T) {
-	cells, err := DefenseStudy([]string{"BLAS"}, 20, faultinject.SingleBit, 9, 0,
-		workloads.Params{}, StudyOptions{}, false)
+	cells, err := DefenseStudy([]string{"BLAS"}, nil, 0, workloads.Params{},
+		faultinject.Campaign{N: 20, Model: faultinject.SingleBit, Seed: 9}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

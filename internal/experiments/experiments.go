@@ -12,16 +12,13 @@ import (
 	"time"
 
 	"care/internal/armor"
-	"care/internal/blas"
 	"care/internal/checkpoint"
 	"care/internal/cluster"
 	"care/internal/core"
 	"care/internal/faultinject"
 	"care/internal/machine"
 	"care/internal/parallel"
-	"care/internal/safeguard"
 	"care/internal/shard"
-	"care/internal/store"
 	"care/internal/trace"
 	"care/internal/workloads"
 )
@@ -39,86 +36,29 @@ type OutcomeRow struct {
 	Res      *faultinject.CampaignResult
 }
 
-// StudyOptions bundles the execution knobs shared by the study runners:
-// how wide to run, whether to keep traces, and whether campaigns
-// warm-start their trials from golden-run snapshots. The zero value is
-// the paper's serial-equivalent cold configuration (all-CPU workers,
-// tracing off, cold trials).
-type StudyOptions struct {
-	// Workers bounds concurrent goroutines (<=0 = one per CPU). Results
-	// are identical for every value.
-	Workers int
-	// Traced enables the per-campaign trace recorder (Row.Res.Trace),
-	// which stays bit-identical for any worker count and warm-start
-	// setting.
-	Traced bool
-	// WarmStart clones campaign trials from golden-run snapshots
-	// (faultinject.Campaign.WarmStart); results stay bit-identical.
-	WarmStart bool
-	// SnapEvery is the snapshot cadence in retired instructions
-	// (0 = TotalDyn/64+1).
-	SnapEvery uint64
-	// Tier selects the interpreter tier trial processes run on
-	// (superblock or step); results stay bit-identical on both tiers
-	// (the CI smoke diffs them).
-	Tier machine.InterpTier
-	// Domains attributes each memory-symptom soft failure to the
-	// isolation domain of its faulting address
-	// (faultinject.Campaign.Domains); FormatOutcomeTables then appends
-	// the crash-geography table.
-	Domains bool
-	// Shards > 1 spreads campaigns over the shard coordinator's workers
-	// (shard.RunCampaign / shard.RunCoverage): chunks of the trial index
-	// space run on whichever worker is idle — subprocesses (ShardExec
-	// argv) or, with ShardExec empty, in-process workers speaking the
-	// same protocol — and results merge in trial order, bit-identical to
-	// the single-process run for every shard x worker combination.
-	Shards    int
-	ShardExec []string
-	// Progress, when non-nil, receives (done, total) heartbeats — trial
-	// counts for campaigns, exited-rank counts for parallel jobs. Never
-	// part of any trace or table.
-	Progress func(done, total int)
-	// Safeguard, CheckpointEveryResults and CheckpointModel configure
-	// the per-rank recovery runtime of ParallelStudy jobs (zero value =
-	// the paper's one-shot Safeguard with no checkpoint store). Studies
-	// that take an explicit safeguard.Config parameter ignore these.
-	Safeguard              safeguard.Config
-	CheckpointEveryResults int
-	CheckpointModel        checkpoint.CostModel
-	// Store, when non-nil, is the persistent content-addressed artifact
-	// store: campaigns consult it for a cached golden-run profile (keyed
-	// by shard.BuildSpec.Key) before profiling and populate it on a
-	// miss, and every shard worker loads its profile from the same
-	// directory. Study results, traces included, are byte-identical
-	// with or without it.
-	Store *store.Store
-}
-
-// OutcomeStudy runs the §2 manifestation study (Tables 2, 3, 4 / 10, 11).
-// Workloads build and run concurrently on up to opts.Workers goroutines,
-// and each campaign spreads its trials over the same worker budget; rows
-// come back in names order and every campaign seeds per-trial RNGs from
-// (seed, trial), so the study is deterministic for any worker count and
-// for warm or cold starts. faults arms that many independent faults per
-// trial (<=1 = the paper's single-fault model).
-func OutcomeStudy(names []string, n, faults int, model faultinject.Model, seed int64, opt int, p workloads.Params, opts StudyOptions) ([]OutcomeRow, error) {
+// OutcomeStudy runs the §2 manifestation study (Tables 2, 3, 4 / 10,
+// 11): campaign c on every named workload, built at optimisation level
+// opt with parameters p. Each cell copies c and sets only its App and
+// StoreKey, so c carries every other knob (trials, faults per trial,
+// model, seed, workers, tracing, warm start, tier, domains, shards,
+// store, heartbeat). Workloads build and run concurrently on up to
+// c.Workers goroutines, and each campaign spreads its trials over the
+// same worker budget; rows come back in names order and every campaign
+// seeds per-trial RNGs from (Seed, trial), so the study is
+// deterministic for any worker count and for warm or cold starts.
+func OutcomeStudy(names []string, opt int, p workloads.Params, c faultinject.Campaign) ([]OutcomeRow, error) {
 	rows := make([]OutcomeRow, len(names))
-	err := parallel.ForEach(len(names), opts.Workers, func(i int) error {
+	err := parallel.ForEach(len(names), c.Workers, func(i int) error {
 		name := names[i]
 		build := shard.BuildSpec{Workload: name, Params: p, OptLevel: opt}
 		bin, err := build.Build()
 		if err != nil {
 			return err
 		}
-		res, err := shard.RunCampaign(&faultinject.Campaign{
-			App: bin, N: n, FaultsPerTrial: faults, Model: model, Seed: seed,
-			Workers: opts.Workers, Trace: opts.Traced,
-			WarmStart: opts.WarmStart, SnapEvery: opts.SnapEvery,
-			Tier: opts.Tier, Domains: opts.Domains,
-			Shards: opts.Shards, ShardExec: opts.ShardExec, Progress: opts.Progress,
-			Store: opts.Store, StoreKey: build.Key("campaign", seed, opts.WarmStart, opts.SnapEvery),
-		}, build)
+		cell := c
+		cell.App = bin
+		cell.StoreKey = build.Key("campaign", c.Seed, c.WarmStart, c.SnapEvery)
+		res, err := shard.RunCampaign(&cell, build)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
@@ -281,24 +221,27 @@ type CoverageRow struct {
 	Res      *faultinject.CoverageResult
 }
 
-// CoverageStudy runs the §5.2/§5.3 evaluation over the named workloads
-// at both optimisation levels. The (workload, opt-level) grid cells run
-// concurrently on up to workers goroutines (<=0 means one per CPU),
-// each spreading its injection attempts over the same budget; rows come
-// back in (names, opt) order regardless of the worker count.
-func CoverageStudy(names []string, trials int, model faultinject.Model, seed int64, p workloads.Params, cfg safeguard.Config, workers int) ([]CoverageRow, error) {
+// CoverageStudy runs the §5.2/§5.3 evaluation: experiment e on every
+// named workload, CARE-protected, at both optimisation levels. Each
+// (workload, opt-level) cell copies e and sets only its App and
+// StoreKey; the cells run concurrently on up to e.Workers goroutines
+// (<=0 means one per CPU), each spreading its injection attempts over
+// the same budget, and rows come back in (names, opt) order regardless
+// of the worker count.
+func CoverageStudy(names []string, p workloads.Params, e faultinject.CoverageExperiment) ([]CoverageRow, error) {
 	opts := []int{0, 1}
 	rows := make([]CoverageRow, len(names)*len(opts))
-	err := parallel.ForEach(len(rows), workers, func(i int) error {
+	err := parallel.ForEach(len(rows), e.Workers, func(i int) error {
 		name, opt := names[i/len(opts)], opts[i%len(opts)]
-		bin, err := BuildWorkload(name, p, opt, []string{"care"})
+		build := shard.BuildSpec{Workload: name, Params: p, OptLevel: opt, Defenses: []string{"care"}}
+		bin, err := build.Build()
 		if err != nil {
 			return err
 		}
-		exp := &faultinject.CoverageExperiment{
-			App: bin, Trials: trials, Model: model, Seed: seed, Safeguard: cfg, Workers: workers,
-		}
-		res, err := exp.Run()
+		cell := e
+		cell.App = bin
+		cell.StoreKey = build.Key("coverage", e.Seed, e.WarmStart, e.SnapEvery)
+		res, err := shard.RunCoverage(&cell, build)
 		if err != nil && res == nil {
 			return fmt.Errorf("%s O%d: %w", name, opt, err)
 		}
@@ -336,37 +279,26 @@ type ParallelRow struct {
 	Faulty   *cluster.JobResult
 }
 
-// ParallelStudy reproduces Figure 10: each evaluated workload runs as an
-// N-rank job with and without a CARE-recoverable fault at rank 0.
-// opts.WarmStart/SnapEvery speed up the recoverable-injection search
-// that precedes each job, Tier selects the interpreter tier for both
-// the search and every rank, and opts.Safeguard (with the checkpoint
-// cadence/model) configures each rank's recovery chain — e.g. the
-// domain-rewind escalation stage.
-func ParallelStudy(names []string, ranks, threads, opt int, p workloads.Params, seed int64, opts StudyOptions) ([]ParallelRow, error) {
+// ParallelStudy reproduces Figure 10: each named workload runs as the
+// job cfg describes, with and without a CARE-recoverable fault at rank
+// 0. For each workload the study sets only cfg's Workload and Protected
+// and search's Build (the CARE build at cfg.Params and cfg.OptLevel);
+// search, seeded with cfg.Seed, finds the injection (its warm start,
+// tier, shards and store only speed that up), and cfg carries the
+// rest: ranks, tier, workers, heartbeat and each rank's Safeguard
+// configuration, e.g. the domain-rewind escalation chain.
+func ParallelStudy(names []string, cfg cluster.Config, search cluster.SearchOptions) ([]ParallelRow, error) {
 	var rows []ParallelRow
 	for _, name := range names {
-		bin, err := BuildWorkload(name, p, opt, []string{"care"})
+		cfg.Workload, cfg.Protected = name, true
+		search.Build = shard.BuildSpec{Workload: name, Params: cfg.Params, OptLevel: cfg.OptLevel, Defenses: []string{"care"}}
+		bin, err := search.Build.Build()
 		if err != nil {
 			return nil, err
 		}
-		inj, err := cluster.FindRecoverableInjection(bin, seed,
-			cluster.SearchOptions{
-				WarmStart: opts.WarmStart, SnapEvery: opts.SnapEvery, Tier: opts.Tier,
-				Shards: opts.Shards, ShardExec: opts.ShardExec,
-				Build: shard.BuildSpec{Workload: name, Params: p, OptLevel: opt, Defenses: []string{"care"}},
-				Store: opts.Store,
-			})
+		inj, err := cluster.FindRecoverableInjection(bin, cfg.Seed, search)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		cfg := cluster.Config{
-			Workload: name, Ranks: ranks, ThreadsPerRank: threads, Protected: true, Tier: opts.Tier,
-			Safeguard:              opts.Safeguard,
-			CheckpointEveryResults: opts.CheckpointEveryResults,
-			CheckpointModel:        opts.CheckpointModel,
-			Workers:                opts.Workers,
-			Progress:               opts.Progress,
 		}
 		base, err := cluster.RunJob(cfg, bin, nil)
 		if err != nil {
@@ -464,23 +396,21 @@ type BLASRow struct {
 	SigsegvTrials int
 }
 
-// BLASStudy reproduces Table 9 (§5.5) under the given Safeguard
+// BLASStudy reproduces Table 9 (§5.5): experiment e against the
+// CARE-protected BLAS library and its sblat1 driver, injecting into
+// both images. The study sets only App, Libs, TargetImages and
+// StoreKey; e carries trials, model, seed, workers and the Safeguard
 // configuration (zero value = the paper's).
-func BLASStudy(trials int, opt int, seed int64, cfg safeguard.Config) (*BLASRow, error) {
-	lib, err := core.BuildLib(blas.Library(), opt, 0, []string{"care"})
+func BLASStudy(opt int, e faultinject.CoverageExperiment) (*BLASRow, error) {
+	drv, libs, err := buildDefenseTarget("BLAS", workloads.Params{}, opt, []string{"care"})
 	if err != nil {
 		return nil, err
 	}
-	drv, err := core.Build(blas.Sblat1(5), core.BuildOptions{OptLevel: opt, Defenses: []string{"care"}}, lib)
-	if err != nil {
-		return nil, err
-	}
-	exp := &faultinject.CoverageExperiment{
-		App: drv, Libs: []*core.Binary{lib},
-		TargetImages: []string{"sblat1", "libblas"},
-		Trials:       trials, Seed: seed, Safeguard: cfg,
-	}
-	res, err := exp.Run()
+	lib := libs[0]
+	e.App, e.Libs = drv, libs
+	e.TargetImages = []string{"sblat1", "libblas"}
+	e.StoreKey = shard.BuildSpec{Workload: "BLAS", OptLevel: opt, Defenses: []string{"care"}}.Key("coverage", e.Seed, e.WarmStart, e.SnapEvery)
+	res, err := e.Run()
 	if err != nil && res == nil {
 		return nil, err
 	}

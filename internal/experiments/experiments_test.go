@@ -11,7 +11,8 @@ import (
 )
 
 func TestOutcomeStudyAndFormat(t *testing.T) {
-	rows, err := OutcomeStudy([]string{"HPCCG"}, 25, 1, faultinject.SingleBit, 1, 0, workloads.Params{}, StudyOptions{Traced: true})
+	rows, err := OutcomeStudy([]string{"HPCCG"}, 0, workloads.Params{},
+		faultinject.Campaign{N: 25, Model: faultinject.SingleBit, Seed: 1, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,11 +29,14 @@ func TestOutcomeStudyAndFormat(t *testing.T) {
 // whether it runs serially or with per-CPU workers.
 func TestOutcomeStudyWorkerDeterminism(t *testing.T) {
 	names := []string{"HPCCG", "miniMD"}
-	serial, err := OutcomeStudy(names, 20, 1, faultinject.SingleBit, 3, 0, workloads.Params{}, StudyOptions{Workers: 1, Traced: true})
+	campaign := func(workers int) faultinject.Campaign {
+		return faultinject.Campaign{N: 20, Model: faultinject.SingleBit, Seed: 3, Workers: workers, Trace: true}
+	}
+	serial, err := OutcomeStudy(names, 0, workloads.Params{}, campaign(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := OutcomeStudy(names, 20, 1, faultinject.SingleBit, 3, 0, workloads.Params{}, StudyOptions{Workers: 8, Traced: true})
+	par, err := OutcomeStudy(names, 0, workloads.Params{}, campaign(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +77,8 @@ func TestArmorStudyEvaluatedSet(t *testing.T) {
 }
 
 func TestCoverageStudySmoke(t *testing.T) {
-	rows, err := CoverageStudy([]string{"HPCCG"}, 10, faultinject.SingleBit, 2, workloads.Params{}, safeguard.Config{}, 0)
+	rows, err := CoverageStudy([]string{"HPCCG"}, workloads.Params{},
+		faultinject.CoverageExperiment{Trials: 10, Model: faultinject.SingleBit, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +95,9 @@ func TestCoverageStudySmoke(t *testing.T) {
 // configuration (the care-coverage -blas -induction path): every
 // column, the build times included, must be filled in.
 func TestBLASStudySmoke(t *testing.T) {
-	row, err := BLASStudy(10, 0, 3, safeguard.Config{InductionRecovery: true})
+	row, err := BLASStudy(0, faultinject.CoverageExperiment{
+		Trials: 10, Seed: 3, Safeguard: safeguard.Config{InductionRecovery: true},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

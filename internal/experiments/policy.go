@@ -18,11 +18,6 @@ import (
 type PolicySpec struct {
 	Name      string
 	Safeguard safeguard.Config
-	// CheckpointEveryResults / CheckpointModel configure the rollback
-	// stage's snapshot cadence and I/O pricing (only consulted when
-	// Safeguard.Policy.Rollback is set).
-	CheckpointEveryResults int
-	CheckpointModel        checkpoint.CostModel
 }
 
 // DefaultPolicySpecs is the study's standard four-way comparison:
@@ -33,7 +28,7 @@ type PolicySpec struct {
 //     the process alive at the risk of SDCs).
 //   - rollback-chain: recompute → induction repair → checkpoint rollback,
 //     with the retry budget and storm detector armed, and snapshot I/O
-//     priced by the default cost model.
+//     priced by the default cost model (core.ProcessConfig.WireCheckpoints).
 //   - domain-rewind-chain: the rollback chain with the domain-rewind
 //     stage in front of whole-process rollback — rewind only the
 //     faulting domain's memory, keeping registers and every other
@@ -52,8 +47,6 @@ func DefaultPolicySpecs() []PolicySpec {
 					StormTraps:    4,
 				},
 			},
-			CheckpointEveryResults: 1,
-			CheckpointModel:        checkpoint.DefaultCostModel(),
 		},
 		DomainRewindSpec(safeguard.Policy{}),
 	}
@@ -81,8 +74,6 @@ func DomainRewindSpec(pol safeguard.Policy) PolicySpec {
 			InductionRecovery: true,
 			Policy:            pol,
 		},
-		CheckpointEveryResults: 1,
-		CheckpointModel:        checkpoint.DefaultCostModel(),
 	}
 }
 
@@ -97,40 +88,30 @@ type PolicyRow struct {
 // every policy examines the same injections (the trial set depends only
 // on (seed, attempt index) and on the pre-trap execution, which no
 // policy influences), so differences in recovery rate, SDC count and
-// modelled stall are attributable to the policy alone. faultsPerTrial
-// arms that many independent faults per trial (<=1 = single-fault).
-// Cells run concurrently on up to opts.Workers goroutines and rows come
-// back in (names, specs) order for any worker count; opts.Tier selects
-// the interpreter tier every trial runs on, and opts.Shards/ShardExec
-// spread each cell's attempts over shard workers (shard.RunCoverage).
-// Results are bit-identical across tiers, worker and shard counts.
-func PolicyStudy(names []string, trials, faultsPerTrial int, model faultinject.Model,
-	seed int64, opt int, p workloads.Params, specs []PolicySpec, opts StudyOptions) ([]PolicyRow, error) {
+// modelled stall are attributable to the policy alone. Each (workload,
+// policy) cell copies experiment e and sets only its App, StoreKey and
+// the policy's Safeguard, so e carries trials, faults per trial, model,
+// seed, workers, tier, shards, store and heartbeat. Cells run
+// concurrently on up to e.Workers goroutines and rows come back in
+// (names, specs) order for any worker count; each cell's attempts
+// spread over e.Shards shard workers (shard.RunCoverage). Results are
+// bit-identical across tiers, worker and shard counts.
+func PolicyStudy(names []string, opt int, p workloads.Params, specs []PolicySpec, e faultinject.CoverageExperiment) ([]PolicyRow, error) {
 	if len(specs) == 0 {
 		specs = DefaultPolicySpecs()
 	}
 	rows := make([]PolicyRow, len(names)*len(specs))
-	err := parallel.ForEach(len(rows), opts.Workers, func(i int) error {
+	err := parallel.ForEach(len(rows), e.Workers, func(i int) error {
 		name, spec := names[i/len(specs)], specs[i%len(specs)]
 		build := shard.BuildSpec{Workload: name, Params: p, OptLevel: opt, Defenses: []string{"care"}}
 		bin, err := build.Build()
 		if err != nil {
 			return err
 		}
-		res, err := shard.RunCoverage(&faultinject.CoverageExperiment{
-			App:                    bin,
-			Trials:                 trials,
-			FaultsPerTrial:         faultsPerTrial,
-			Model:                  model,
-			Seed:                   seed,
-			Safeguard:              spec.Safeguard,
-			CheckpointEveryResults: spec.CheckpointEveryResults,
-			CheckpointModel:        spec.CheckpointModel,
-			Workers:                opts.Workers,
-			Tier:                   opts.Tier,
-			Shards:                 opts.Shards,
-			ShardExec:              opts.ShardExec,
-		}, build)
+		cell := e
+		cell.App, cell.Safeguard = bin, spec.Safeguard
+		cell.StoreKey = build.Key("coverage", e.Seed, e.WarmStart, e.SnapEvery)
+		res, err := shard.RunCoverage(&cell, build)
 		if err != nil && res == nil {
 			return fmt.Errorf("%s/%s: %w", name, spec.Name, err)
 		}

@@ -15,8 +15,8 @@ import (
 // adding silent data corruptions.
 func TestPolicyStudyRollbackBeatsKill(t *testing.T) {
 	names := []string{"HPCCG", "GTC-P"}
-	rows, err := PolicyStudy(names, 20, 1, faultinject.SingleBit, 7, 0,
-		workloads.Params{}, DefaultPolicySpecs(), StudyOptions{})
+	rows, err := PolicyStudy(names, 0, workloads.Params{}, DefaultPolicySpecs(),
+		faultinject.CoverageExperiment{Trials: 20, Model: faultinject.SingleBit, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,8 +57,9 @@ func TestPolicyStudyRollbackBeatsKill(t *testing.T) {
 // and counters all derive from (seed, attempt index) only).
 func TestPolicyStudyWorkerDeterminism(t *testing.T) {
 	run := func(workers int) []PolicyRow {
-		rows, err := PolicyStudy([]string{"HPCCG"}, 8, 2, faultinject.SingleBit, 5, 0,
-			workloads.Params{}, nil, StudyOptions{Workers: workers})
+		rows, err := PolicyStudy([]string{"HPCCG"}, 0, workloads.Params{}, nil, faultinject.CoverageExperiment{
+			Trials: 8, FaultsPerTrial: 2, Model: faultinject.SingleBit, Seed: 5, Workers: workers,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,8 +88,8 @@ func TestPolicyStudyWorkerDeterminism(t *testing.T) {
 }
 
 func TestFormatPolicyStudy(t *testing.T) {
-	rows, err := PolicyStudy([]string{"HPCCG"}, 5, 1, faultinject.SingleBit, 9, 0,
-		workloads.Params{}, nil, StudyOptions{})
+	rows, err := PolicyStudy([]string{"HPCCG"}, 0, workloads.Params{}, nil,
+		faultinject.CoverageExperiment{Trials: 5, Model: faultinject.SingleBit, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,17 +41,10 @@ type CoverageExperiment struct {
 	// Seed drives the randomness.
 	Seed int64
 	// Safeguard configures the runtime (zero = paper configuration).
-	// When Safeguard.Policy.Rollback is set, every attempt's process
-	// gets its own checkpoint store: an initial snapshot at _start plus
-	// one every CheckpointEveryResults result values.
+	// When its policy needs a checkpoint store (Rollback or
+	// DomainRewind), every attempt's process gets its own
+	// (core.ProcessConfig.WireCheckpoints).
 	Safeguard safeguard.Config
-	// CheckpointEveryResults is the snapshot cadence for the rollback
-	// stage, in result values (0 = initial snapshot only).
-	CheckpointEveryResults int
-	// CheckpointModel prices the rollback stage's snapshot I/O (zero
-	// value = free I/O; pass checkpoint.DefaultCostModel() for a
-	// parallel-filesystem share).
-	CheckpointModel checkpoint.CostModel
 	// HangFactor multiplies the golden dynamic count (default 4).
 	HangFactor uint64
 	// RecordInjections retains the (trigger, bits) of recovered trials
@@ -365,10 +358,7 @@ func (e *CoverageExperiment) runAttempt(i int, prof *profiler.Profile, smp *samp
 		App: e.App, Libs: e.Libs, Protected: true, Safeguard: e.Safeguard,
 		Tier: e.Tier,
 	}
-	if e.Safeguard.Policy.NeedsStore() {
-		cfg.Checkpoint = checkpoint.NewStore(e.CheckpointModel)
-		cfg.CheckpointEveryResults = e.CheckpointEveryResults
-	}
+	cfg.WireCheckpoints()
 	// Warm start: the latest snapshot at which every armed occurrence
 	// trigger still lies ahead. The snapshot's per-instruction counts
 	// pre-seed the arming hook so each fault fires on exactly the same
@@ -592,6 +582,9 @@ func (e *CoverageExperiment) RunWaves(wave int, run func(lo, hi int) ([]AttemptR
 		for i := range atts {
 			if res.SigsegvTrials >= e.Trials {
 				break // speculative overshoot; discard to stay deterministic
+			}
+			if atts[i].Index != base+i {
+				return nil, fmt.Errorf("faultinject: attempt result %d carries index %d; results must arrive in index order", base+i, atts[i].Index)
 			}
 			res.MergeAttempt(&atts[i], e.RecordInjections)
 		}

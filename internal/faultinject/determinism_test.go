@@ -137,8 +137,7 @@ func TestMultiFaultCoverageRollbackDeterminism(t *testing.T) {
 				InductionRecovery: true,
 				Policy:            safeguard.Policy{Rollback: true, MaxTrapsPerPC: 8, StormTraps: 4},
 			},
-			CheckpointEveryResults: 1,
-			Workers:                workers,
+			Workers: workers,
 		}).Run()
 		if err != nil {
 			t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"care/internal/checkpoint"
 	"care/internal/machine"
 	"care/internal/safeguard"
 )
@@ -27,10 +26,8 @@ func TestDomainRewindCoverageTierWorkerDeterminism(t *testing.T) {
 					MaxTrapsPerPC: 8, StormTraps: 4,
 				},
 			},
-			CheckpointEveryResults: 1,
-			CheckpointModel:        checkpoint.DefaultCostModel(),
-			Workers:                workers,
-			Tier:                   tier,
+			Workers: workers,
+			Tier:    tier,
 		}).Run()
 		if err != nil {
 			t.Fatal(err)

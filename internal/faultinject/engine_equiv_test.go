@@ -94,9 +94,8 @@ func TestCoverageEngineEquivalence(t *testing.T) {
 				InductionRecovery: true,
 				Policy:            safeguard.Policy{Rollback: true, MaxTrapsPerPC: 8, StormTraps: 4},
 			},
-			CheckpointEveryResults: 1,
-			Workers:                4,
-			Tier:                   tier,
+			Workers: 4,
+			Tier:    tier,
 		}).Run()
 		if err != nil {
 			t.Fatal(err)

@@ -1,11 +1,13 @@
 package faultinject
 
 import (
+	"strings"
 	"testing"
 
 	"care/internal/core"
 	"care/internal/defense"
 	"care/internal/machine"
+	"care/internal/profiler"
 	"care/internal/safeguard"
 	"care/internal/workloads"
 )
@@ -208,5 +210,25 @@ func TestPropagationTracking(t *testing.T) {
 			t.Fatalf("tracking changed outcome %d: %v vs %v", i,
 				base.Injections[i].Outcome, res.Injections[i].Outcome)
 		}
+	}
+}
+
+// TestMergeRejectsResultsOutOfOrder: the merges are what guarantees
+// that results arrive in index order (the shard coordinator slots a
+// worker's results by chunk without looking at them), so a result
+// carrying the wrong index fails the run instead of being merged as
+// another trial.
+func TestMergeRejectsResultsOutOfOrder(t *testing.T) {
+	bin := buildWorkload(t, "HPCCG", 0, true)
+	c := &Campaign{App: bin, N: 2}
+	if _, err := c.MergeResults(&profiler.Profile{TotalDyn: 1}, []TrialResult{{Index: 1}, {Index: 0}}); err == nil || !strings.Contains(err.Error(), "index order") {
+		t.Fatalf("trials out of order: got %v", err)
+	}
+	e := &CoverageExperiment{App: bin, Trials: 1, MaxAttempts: 4}
+	res, err := e.RunWaves(2, func(lo, hi int) ([]AttemptResult, error) {
+		return []AttemptResult{{Index: lo + 1}, {Index: lo}}, nil
+	})
+	if err == nil || res != nil || !strings.Contains(err.Error(), "index order") {
+		t.Fatalf("attempts out of order: got res=%v err=%v", res != nil, err)
 	}
 }

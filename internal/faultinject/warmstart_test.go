@@ -384,9 +384,8 @@ func TestWarmStartCoverageRollbackGuard(t *testing.T) {
 			Safeguard: safeguard.Config{
 				Policy: safeguard.Policy{Rollback: true, MaxTrapsPerPC: 8, StormTraps: 4},
 			},
-			CheckpointEveryResults: 1,
-			Workers:                4,
-			WarmStart:              warm,
+			Workers:   4,
+			WarmStart: warm,
 		}).Run()
 		if err != nil {
 			t.Fatal(err)

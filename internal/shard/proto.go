@@ -23,7 +23,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
+
+	"care/internal/faultinject"
 )
 
 // Frame types. A worker conversation is:
@@ -54,9 +55,10 @@ type frame struct {
 	Lo int `json:"lo,omitempty"`
 	Hi int `json:"hi,omitempty"`
 	// Trials/Attempts carry the range's results in index order
-	// (frameDone; mode-dependent).
-	Trials   []wireTrial   `json:"trials,omitempty"`
-	Attempts []wireAttempt `json:"attempts,omitempty"`
+	// (frameDone; mode-dependent). Trace recorders cross as their JSONL
+	// export (trace.Recorder.MarshalJSON).
+	Trials   []faultinject.TrialResult   `json:"trials,omitempty"`
+	Attempts []faultinject.AttemptResult `json:"attempts,omitempty"`
 	// Err describes a worker failure (frameError).
 	Err string `json:"err,omitempty"`
 }
@@ -66,38 +68,15 @@ type frame struct {
 // a corrupt length prefix could wedge the host.
 const maxFrame = 1 << 30
 
-// maxPooled caps the capacity a buffer may keep when returned to its
-// pool: steady-state result frames reuse their buffer, while the rare
-// giant frame (a range of long traces) is released to the GC rather
-// than pinned for the life of the process.
-const maxPooled = 4 << 20
-
-// frameBufPool recycles encode buffers across writeFrame calls, and
-// frameBodyPool recycles decode bodies across readFrame calls. Safe
-// because writeFrame flushes the buffer before putting it back and
-// json.Unmarshal copies every field (including base64 []byte fields)
-// out of the input, so nothing aliases a pooled body after return.
-var frameBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-var frameBodyPool = sync.Pool{New: func() any { return new([]byte) }}
-
 // writeFrame emits one length-prefixed JSON frame. The body is encoded
-// into a pooled buffer behind a reserved 4-byte header, the header is
-// patched once the length is known, and the whole frame goes out in a
-// single Write — zero per-frame allocation in steady state.
+// behind a reserved 4-byte header, the header is patched once the
+// length is known, and the whole frame goes out in a single Write.
 func writeFrame(w io.Writer, f *frame) error {
-	buf := frameBufPool.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= maxPooled {
-			buf.Reset()
-			frameBufPool.Put(buf)
-		}
-	}()
-	buf.Reset()
+	var buf bytes.Buffer
 	buf.Write([]byte{0, 0, 0, 0})
 	// Encoder appends a trailing newline after the JSON value; it is
 	// counted in the length prefix and ignored by the decoder.
-	if err := json.NewEncoder(buf).Encode(f); err != nil {
+	if err := json.NewEncoder(&buf).Encode(f); err != nil {
 		return fmt.Errorf("shard: encode %s frame: %w", f.Type, err)
 	}
 	body := buf.Bytes()[4:]
@@ -109,7 +88,7 @@ func writeFrame(w io.Writer, f *frame) error {
 	return err
 }
 
-// readFrame reads one length-prefixed JSON frame into a pooled body.
+// readFrame reads one length-prefixed JSON frame.
 func readFrame(r io.Reader) (*frame, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -119,16 +98,7 @@ func readFrame(r io.Reader) (*frame, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("shard: frame length %d exceeds limit (corrupt stream?)", n)
 	}
-	bp := frameBodyPool.Get().(*[]byte)
-	if uint32(cap(*bp)) < n {
-		*bp = make([]byte, n)
-	}
-	body := (*bp)[:n]
-	defer func() {
-		if cap(*bp) <= maxPooled {
-			frameBodyPool.Put(bp)
-		}
-	}()
+	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, err
 	}

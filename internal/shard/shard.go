@@ -84,10 +84,10 @@ func goPrepare(prepare func() (*profiler.Profile, error)) func() (*profiler.Prof
 // per-shard worker count to whichever shard is idle, a worker's first
 // chunk as soon as its ready frame arrives, and every result crosses
 // the frame protocol. Before anything merges, every worker's profile
-// digest must match the coordinator's; the results, slotted by trial
-// index, then go to Campaign.MergeResults — so the CampaignResult,
-// trace included, is byte-identical to c.Run()'s for every shard ×
-// worker combination.
+// digest must match the coordinator's; the results, slotted by their
+// chunk, then go to Campaign.MergeResults, which rejects any trial out
+// of index order — so the CampaignResult, trace included, is
+// byte-identical to c.Run()'s for every shard × worker combination.
 func RunCampaign(c *faultinject.Campaign, build BuildSpec) (*faultinject.CampaignResult, error) {
 	if c.Shards <= 1 {
 		return c.Run()
@@ -113,16 +113,7 @@ func RunCampaign(c *faultinject.Campaign, build BuildSpec) (*faultinject.Campaig
 		if len(f.Trials) != hi-lo {
 			return fmt.Errorf("shard: %d results for trials [%d,%d)", len(f.Trials), lo, hi)
 		}
-		for i := range f.Trials {
-			if f.Trials[i].Index != lo+i {
-				return fmt.Errorf("shard: trial %d delivered in slot %d of [%d,%d)", f.Trials[i].Index, lo+i, lo, hi)
-			}
-			t, err := decodeTrial(&f.Trials[i])
-			if err != nil {
-				return err
-			}
-			trials[lo+i] = t
-		}
+		copy(trials[lo:hi], f.Trials)
 		if c.Progress != nil {
 			c.Progress(int(done.Add(int64(hi-lo))), c.N)
 		}
@@ -151,7 +142,8 @@ func RunCampaign(c *faultinject.Campaign, build BuildSpec) (*faultinject.Campaig
 // CoverageExperiment.RunWaves in waves the size of the single-process
 // speculation chunk (4 attempts per worker slot) times the shard count,
 // each wave dealt to idle shards in chunks of the per-shard worker
-// count, so the result is identical to e.Run() for any shard layout.
+// count, and RunWaves rejects any attempt out of index order, so the
+// result is identical to e.Run() for any shard layout.
 func RunCoverage(e *faultinject.CoverageExperiment, build BuildSpec) (*faultinject.CoverageResult, error) {
 	if e.Shards <= 1 {
 		return e.Run()
@@ -179,16 +171,7 @@ func RunCoverage(e *faultinject.CoverageExperiment, build BuildSpec) (*faultinje
 			if len(f.Attempts) != hi-lo {
 				return fmt.Errorf("shard: %d results for attempts [%d,%d)", len(f.Attempts), lo, hi)
 			}
-			for i := range f.Attempts {
-				if f.Attempts[i].Index != lo+i {
-					return fmt.Errorf("shard: attempt %d delivered in slot %d of [%d,%d)", f.Attempts[i].Index, lo+i, lo, hi)
-				}
-				a, err := decodeAttempt(&f.Attempts[i])
-				if err != nil {
-					return err
-				}
-				atts[lo+i-base] = a
-			}
+			copy(atts[lo-base:hi-base], f.Attempts)
 			if e.Progress != nil {
 				e.Progress(int(done.Add(int64(hi-lo))), budget)
 			}

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"care/internal/checkpoint"
 	"care/internal/core"
 	"care/internal/faultinject"
 	"care/internal/safeguard"
@@ -268,7 +267,6 @@ func TestCoverageShardEquivalence(t *testing.T) {
 				Safeguard: safeguard.Config{InductionRecovery: true, Policy: safeguard.Policy{
 					Rollback: true, DomainRewind: true, MaxTrapsPerPC: 8, StormTraps: 4,
 				}},
-				CheckpointEveryResults: 1, CheckpointModel: checkpoint.DefaultCostModel(),
 			}
 		}
 		want, err := rewind().Run()
@@ -493,5 +491,37 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	if _, err := readFrame(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff})); err == nil {
 		t.Fatal("oversized length prefix must error")
+	}
+}
+
+// TestFrameRoundTripAfterPooling: a large results frame followed by a
+// small one on the same stream both arrive intact, so no byte of the
+// first frame leaks into the second.
+func TestFrameRoundTripAfterPooling(t *testing.T) {
+	rec := trace.New(1 << 12)
+	for i := 0; i < 1<<12; i++ {
+		rec.Emit(trace.Span{Kind: trace.KindTrial, Parent: trace.NoParent, EndDyn: uint64(i), Outcome: "Benign"})
+	}
+	big := &frame{Type: frameDone, Hi: 2, Trials: []faultinject.TrialResult{{Index: 0, Rec: rec}, {Index: 1, Rec: rec}}}
+	small := &frame{Type: frameDone, Lo: 1, Hi: 2}
+	var buf bytes.Buffer
+	for _, f := range []*frame{big, small} {
+		if err := writeFrame(&buf, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g1, err := readFrame(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2, err := readFrame(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(g1.Trials) != 2 || g1.Trials[1].Index != 1 || scrubJSONL(t, g1.Trials[1].Rec) != scrubJSONL(t, rec) {
+		t.Fatalf("large results frame corrupted: %d trials", len(g1.Trials))
+	}
+	if !reflect.DeepEqual(g2, small) {
+		t.Fatalf("small frame after a large one: %+v, want %+v", g2, small)
 	}
 }

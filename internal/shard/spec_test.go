@@ -2,14 +2,17 @@ package shard
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"care/internal/faultinject"
 	"care/internal/store"
+	"care/internal/trace"
 	"care/internal/workloads"
 )
 
@@ -75,12 +78,47 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestResultRoundTrip is TestSpecRoundTrip for the done frame: every
+// exported field of a TrialResult and an AttemptResult, whatever its
+// value, survives writeFrame and readFrame. A recorder (random spans
+// and counters in a ring that has dropped spans) must arrive with the
+// same JSONL export and merge exactly like the original.
+func TestResultRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 20; i++ {
+		done := &frame{
+			Type: frameDone, Lo: i, Hi: i + 1,
+			Trials:   make([]faultinject.TrialResult, 1),
+			Attempts: make([]faultinject.AttemptResult, 1),
+		}
+		randomize(t, &done.Trials[0], rng)
+		randomize(t, &done.Attempts[0], rng)
+		var buf bytes.Buffer
+		if err := writeFrame(&buf, done); err != nil {
+			t.Fatal(err)
+		}
+		f, err := readFrame(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireCrossed(t, &done.Trials[0], &f.Trials[0])
+		requireCrossed(t, &done.Attempts[0], &f.Attempts[0])
+	}
+}
+
+var recorderType = reflect.TypeOf((*trace.Recorder)(nil))
+
 // randomize fills every crossing field of the struct cfg points at with
-// an arbitrary value.
+// an arbitrary value; a recorder gets random spans and counters in a
+// ring too small to keep them all.
 func randomize(t *testing.T, cfg any, rng *rand.Rand) {
 	t.Helper()
 	v := reflect.ValueOf(cfg).Elem()
 	for _, f := range crossing(v.Type()) {
+		if f.Type == recorderType {
+			v.FieldByIndex(f.Index).Set(reflect.ValueOf(randomRecorder(rng)))
+			continue
+		}
 		x, ok := quick.Value(f.Type, rng)
 		if !ok {
 			t.Fatalf("cannot generate a %s for %s", f.Type, f.Name)
@@ -89,9 +127,53 @@ func randomize(t *testing.T, cfg any, rng *rand.Rand) {
 	}
 }
 
+// randomRecorder emits more spans than its ring holds, with random
+// kinds, parents and attributes, plus random counters and high-water
+// marks.
+func randomRecorder(rng *rand.Rand) *trace.Recorder {
+	size := 1 + rng.Intn(4)
+	rec := trace.New(size)
+	for i := 0; i < size+1+rng.Intn(6); i++ {
+		parent := trace.NoParent
+		if i > 0 && rng.Intn(2) == 0 {
+			parent = int32(rng.Intn(i))
+		}
+		rec.Emit(trace.Span{
+			Kind: trace.Kind(1 + rng.Intn(int(trace.KindDomainRewind))), Parent: parent,
+			StartDyn: rng.Uint64(), EndDyn: rng.Uint64(), Wall: time.Duration(rng.Int63()),
+			PC: rng.Uint64(), Addr: rng.Uint64(), Outcome: fmt.Sprint("outcome-", rng.Intn(9)),
+			Rank: rng.Int31(), Val: rng.Int63(),
+		})
+	}
+	for i := 0; i < 1+rng.Intn(4); i++ {
+		rec.Add(fmt.Sprint("counter.", rng.Intn(9)), 1+rng.Int63n(1<<40))
+		rec.Max(fmt.Sprint("max.", rng.Intn(9)), rng.Int63())
+	}
+	return rec
+}
+
+// recorderPrint renders a recorder for comparison: its JSONL export,
+// then the export of a recorder it was merged into between two spans
+// of its own, which shows the emission totals the merge rebased by.
+func recorderPrint(t *testing.T, rec *trace.Recorder) string {
+	t.Helper()
+	merged := trace.New(64)
+	merged.Emit(trace.Span{Kind: trace.KindJob, Parent: trace.NoParent})
+	merged.MergeAs(rec, 3)
+	merged.Emit(trace.Span{Kind: trace.KindJob, Parent: trace.NoParent})
+	var buf bytes.Buffer
+	for _, r := range []*trace.Recorder{rec, merged} {
+		if err := r.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.String()
+}
+
 // requireCrossed checks that every crossing field arrived from want in
 // got. Store keys compare by ID, the identity the store uses: an empty
-// Defenses list is omitted on the wire and arrives as nil.
+// Defenses list is omitted on the wire and arrives as nil. Recorders
+// compare by recorderPrint.
 func requireCrossed(t *testing.T, want, got any) {
 	t.Helper()
 	w, g := reflect.ValueOf(want).Elem(), reflect.ValueOf(got).Elem()
@@ -100,8 +182,11 @@ func requireCrossed(t *testing.T, want, got any) {
 		if ka, ok := a.(store.Key); ok {
 			a, b = ka.ID(), b.(store.Key).ID()
 		}
+		if ra, ok := a.(*trace.Recorder); ok {
+			a, b = recorderPrint(t, ra), recorderPrint(t, b.(*trace.Recorder))
+		}
 		if !reflect.DeepEqual(a, b) {
-			t.Errorf("%s.%s lost in the spec frame: %#v became %#v", w.Type(), f.Name, a, b)
+			t.Errorf("%s.%s lost on the wire: %#v became %#v", w.Type(), f.Name, a, b)
 		}
 	}
 }

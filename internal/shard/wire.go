@@ -1,32 +1,30 @@
 package shard
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
-	"time"
 
 	"care/internal/core"
 	"care/internal/faultinject"
 	"care/internal/profiler"
-	"care/internal/safeguard"
 	"care/internal/store"
-	"care/internal/trace"
 	"care/internal/workloads"
 )
 
 // The wire layer round-trips every value a worker needs through JSON
-// without losing a bit. Only configuration and results cross it: the
-// worker rebuilds the binary from a BuildSpec and prepares the golden
-// profile itself, so no float stream or memory image is ever encoded
-// here (the store manifest is the only encoding of a profile). Trace
-// recorders ship as their JSONL export, whose decoder restores the ID
-// allocator and drop counts, so a shipped recorder merges exactly like
-// the original (the byte-identity contract).
+// without losing a bit. Only configuration and results cross it, each
+// as itself: the campaign or experiment is the spec, and its
+// TrialResults or AttemptResults are the done frames. The worker
+// rebuilds the binary from a BuildSpec and prepares the golden profile
+// itself, so no float stream or memory image is ever encoded here (the
+// store manifest is the only encoding of a profile). Trace recorders
+// ship as their JSONL export, whose decoder restores the ID allocator
+// and drop counts, so a shipped recorder merges exactly like the
+// original (the byte-identity contract).
 
 // BuildSpec tells a worker how to rebuild the campaign binary. The
 // compiler pipeline is deterministic, so a worker's build is identical
@@ -125,87 +123,4 @@ func profileDigest(p *profiler.Profile) string {
 		put(p.Snaps[i].Dyn)
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// wireTrial ships one faultinject.TrialResult; the recorder goes as
-// its JSONL export (base64 inside the JSON frame).
-type wireTrial struct {
-	Index        int                   `json:"index"`
-	Inj          faultinject.Injection `json:"inj"`
-	Fired        bool                  `json:"fired,omitempty"`
-	SkippedDyn   uint64                `json:"skipped_dyn,omitempty"`
-	ConvergedDyn uint64                `json:"converged_dyn,omitempty"`
-	TraceJSONL   []byte                `json:"trace_jsonl"`
-}
-
-func encodeTrial(t *faultinject.TrialResult) (wireTrial, error) {
-	var buf bytes.Buffer
-	if err := t.Rec.WriteJSONL(&buf); err != nil {
-		return wireTrial{}, err
-	}
-	return wireTrial{
-		Index: t.Index, Inj: t.Inj, Fired: t.Fired,
-		SkippedDyn: t.SkippedDyn, ConvergedDyn: t.ConvergedDyn,
-		TraceJSONL: buf.Bytes(),
-	}, nil
-}
-
-func decodeTrial(w *wireTrial) (faultinject.TrialResult, error) {
-	rec, err := trace.ReadJSONL(bytes.NewReader(w.TraceJSONL))
-	if err != nil {
-		return faultinject.TrialResult{}, fmt.Errorf("shard: trial %d trace: %w", w.Index, err)
-	}
-	return faultinject.TrialResult{
-		Index: w.Index, Inj: w.Inj, Fired: w.Fired,
-		SkippedDyn: w.SkippedDyn, ConvergedDyn: w.ConvergedDyn, Rec: rec,
-	}, nil
-}
-
-// wireAttempt ships one faultinject.AttemptResult. Uncounted attempts
-// carry no trace (nil recorder on both ends).
-type wireAttempt struct {
-	Index       int                           `json:"index"`
-	Counted     bool                          `json:"counted,omitempty"`
-	Events      []safeguard.Event             `json:"events,omitempty"`
-	TraceJSONL  []byte                        `json:"trace_jsonl,omitempty"`
-	Recovered   bool                          `json:"recovered,omitempty"`
-	Clean       bool                          `json:"clean,omitempty"`
-	RecTimeNs   int64                         `json:"rec_time_ns,omitempty"`
-	Activations int                           `json:"activations,omitempty"`
-	Failure     safeguard.Outcome             `json:"failure,omitempty"`
-	Rec         faultinject.RecordedInjection `json:"rec,omitempty"`
-}
-
-func encodeAttempt(a *faultinject.AttemptResult) (wireAttempt, error) {
-	w := wireAttempt{
-		Index: a.Index, Counted: a.Counted, Events: a.Events,
-		Recovered: a.Recovered, Clean: a.Clean,
-		RecTimeNs: a.RecTime.Nanoseconds(), Activations: a.Activations,
-		Failure: a.Failure, Rec: a.Rec,
-	}
-	if a.Trace != nil {
-		var buf bytes.Buffer
-		if err := a.Trace.WriteJSONL(&buf); err != nil {
-			return wireAttempt{}, err
-		}
-		w.TraceJSONL = buf.Bytes()
-	}
-	return w, nil
-}
-
-func decodeAttempt(w *wireAttempt) (faultinject.AttemptResult, error) {
-	a := faultinject.AttemptResult{
-		Index: w.Index, Counted: w.Counted, Events: w.Events,
-		Recovered: w.Recovered, Clean: w.Clean,
-		RecTime: time.Duration(w.RecTimeNs), Activations: w.Activations,
-		Failure: w.Failure, Rec: w.Rec,
-	}
-	if len(w.TraceJSONL) > 0 {
-		rec, err := trace.ReadJSONL(bytes.NewReader(w.TraceJSONL))
-		if err != nil {
-			return faultinject.AttemptResult{}, fmt.Errorf("shard: attempt %d trace: %w", w.Index, err)
-		}
-		a.Trace = rec
-	}
-	return a, nil
 }

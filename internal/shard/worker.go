@@ -87,13 +87,7 @@ func prepare(spec *WorkerSpec) (*profiler.Profile, func(lo, hi int) (*frame, err
 			if err != nil {
 				return nil, err
 			}
-			done := &frame{Type: frameDone, Lo: lo, Hi: hi, Trials: make([]wireTrial, len(trials))}
-			for i := range trials {
-				if done.Trials[i], err = encodeTrial(&trials[i]); err != nil {
-					return nil, err
-				}
-			}
-			return done, nil
+			return &frame{Type: frameDone, Lo: lo, Hi: hi, Trials: trials}, nil
 		}, nil
 	case spec.Coverage != nil:
 		e := spec.Coverage
@@ -107,13 +101,7 @@ func prepare(spec *WorkerSpec) (*profiler.Profile, func(lo, hi int) (*frame, err
 			if err != nil {
 				return nil, err
 			}
-			done := &frame{Type: frameDone, Lo: lo, Hi: hi, Attempts: make([]wireAttempt, len(atts))}
-			for i := range atts {
-				if done.Attempts[i], err = encodeAttempt(&atts[i]); err != nil {
-					return nil, err
-				}
-			}
-			return done, nil
+			return &frame{Type: frameDone, Lo: lo, Hi: hi, Attempts: atts}, nil
 		}, nil
 	}
 	return nil, nil, fmt.Errorf("shard: spec frame names neither campaign nor coverage")

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -174,4 +175,31 @@ func ReadJSONL(rd io.Reader) (*Recorder, error) {
 		r.Max(n, v)
 	}
 	return r, nil
+}
+
+// MarshalJSON encodes the recorder as its JSONL export, carried as a
+// JSON string like any []byte, so a recorder inside a JSON message
+// (a shard worker's trial results) crosses with the same fidelity as a
+// JSONL file. encoding/json writes a nil *Recorder as null.
+func (r *Recorder) MarshalJSON() ([]byte, error) {
+	var buf bytes.Buffer
+	if err := r.WriteJSONL(&buf); err != nil {
+		return nil, err
+	}
+	return json.Marshal(buf.Bytes())
+}
+
+// UnmarshalJSON is the inverse of MarshalJSON: it decodes the JSONL
+// export with ReadJSONL, restoring the emission totals.
+func (r *Recorder) UnmarshalJSON(data []byte) error {
+	var jsonl []byte
+	if err := json.Unmarshal(data, &jsonl); err != nil {
+		return err
+	}
+	rec, err := ReadJSONL(bytes.NewReader(jsonl))
+	if err != nil {
+		return err
+	}
+	*r = *rec
+	return nil
 }

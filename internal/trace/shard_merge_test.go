@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
@@ -111,5 +112,57 @@ func TestReadJSONLRestoresEmissionTotals(t *testing.T) {
 	}
 	if next := a.Emit(Span{Kind: KindTrial, Parent: NoParent}); next != b.Emit(Span{Kind: KindTrial, Parent: NoParent}) {
 		t.Fatalf("next assigned ID diverges after merge")
+	}
+}
+
+// TestRecorderJSONRoundTrip: a recorder inside a JSON message (a shard
+// worker's done frame) survives json.Marshal and json.Unmarshal like a
+// JSONL file. A nil recorder stays nil, and one whose ring has dropped
+// spans keeps its spans, counters and emission totals, so it merges
+// exactly like the original.
+func TestRecorderJSONRoundTrip(t *testing.T) {
+	type message struct{ Rec *Recorder }
+	data, err := json.Marshal(message{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var empty message
+	if err := json.Unmarshal(data, &empty); err != nil {
+		t.Fatal(err)
+	}
+	if empty.Rec != nil || empty.Rec.Emitted() != 0 || empty.Rec.Dropped() != 0 {
+		t.Fatalf("nil recorder came back as %+v", empty.Rec)
+	}
+
+	r := shardTrialRec(5) // a 4-span ring that emitted 7
+	if r.Dropped() == 0 {
+		t.Fatal("the case needs a ring that has dropped spans")
+	}
+	if data, err = json.Marshal(message{Rec: r}); err != nil {
+		t.Fatal(err)
+	}
+	var back message
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back.Rec.Emitted() != r.Emitted() || back.Rec.Dropped() != r.Dropped() || back.Rec.Len() != r.Len() {
+		t.Fatalf("emission totals lost: emitted %d/%d dropped %d/%d len %d/%d",
+			back.Rec.Emitted(), r.Emitted(), back.Rec.Dropped(), r.Dropped(), back.Rec.Len(), r.Len())
+	}
+	export := func(rec *Recorder) string {
+		merged := New(64)
+		merged.Emit(Span{Kind: KindJob, Parent: NoParent})
+		merged.MergeAs(rec, 2)
+		merged.Emit(Span{Kind: KindJob, Parent: NoParent})
+		var buf bytes.Buffer
+		for _, x := range []*Recorder{rec, merged} {
+			if err := x.WriteJSONL(&buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return buf.String()
+	}
+	if got, want := export(back.Rec), export(r); got != want {
+		t.Fatalf("recorder changed in JSON:\n%s\nvs\n%s", got, want)
 	}
 }
