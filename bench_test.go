@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"care/internal/armor"
-	"care/internal/checkpoint"
 	"care/internal/cluster"
 	"care/internal/core"
 	"care/internal/experiments"
@@ -161,8 +160,7 @@ func BenchmarkCheckpointRestartBaseline(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		r, err := cluster.RunCheckpointRestart(w, workloads.Params{Steps: 40, NParticles: 60},
-			0, 10, 33, checkpoint.DefaultCostModel(), 1)
+		r, err := cluster.RunCheckpointRestart(w, workloads.Params{Steps: 40, NParticles: 60}, 0, 10, 33)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"log"
 
-	"care/internal/checkpoint"
 	"care/internal/cluster"
 	"care/internal/core"
 	"care/internal/workloads"
@@ -58,8 +57,7 @@ func main() {
 	}
 	fmt.Println("checkpoint/restart baseline (GTC-P, fault at step 66):")
 	for _, interval := range []int{20, 50, 75} {
-		r, err := cluster.RunCheckpointRestart(gtcp, workloads.Params{Steps: 80, NParticles: 80},
-			0, interval, 66, checkpoint.DefaultCostModel(), 1)
+		r, err := cluster.RunCheckpointRestart(gtcp, workloads.Params{Steps: 80, NParticles: 80}, 0, interval, 66)
 		if err != nil {
 			log.Fatal(err)
 		}

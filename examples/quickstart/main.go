@@ -81,14 +81,14 @@ func main() {
 		}
 	}
 	flipped := false
-	p.CPU.AfterStep = func(c *machine.CPU, img *machine.Image, idx int, in *machine.MInstr) {
+	p.CPU.AddAfterStep(func(c *machine.CPU, img *machine.Image, idx int, in *machine.MInstr) {
 		if !flipped && c.PC == target && c.Dyn > 200 {
 			flipped = true
 			mi := img.Prog.Code[(target-img.Base())/8]
 			c.R[mi.Index] ^= 1 << 43
 			fmt.Printf("injected: bit 43 flipped in %s at dyn=%d\n", mi.Index, c.Dyn)
 		}
-	}
+	})
 	st := p.Run(0)
 
 	// 4. Report.

@@ -290,17 +290,9 @@ func (st *Store) RestoreDomain(c *machine.CPU, d machine.DomainID) (time.Duratio
 // Saves reports how many checkpoints were written.
 func (st *Store) Saves() int { return int(st.rec.Counter(CounterSaves)) }
 
-// Restores reports how many snapshots were read back.
-func (st *Store) Restores() int { return int(st.rec.Counter(CounterRestores)) }
-
 // ModeledWriteTime is the accumulated modelled cost of every Save.
 func (st *Store) ModeledWriteTime() time.Duration {
 	return time.Duration(st.rec.Counter(CounterWriteNs))
-}
-
-// ModeledReadTime is the accumulated modelled cost of every Restore.
-func (st *Store) ModeledReadTime() time.Duration {
-	return time.Duration(st.rec.Counter(CounterReadNs))
 }
 
 // Latest returns the most recent snapshot, or nil.

@@ -4,7 +4,7 @@
 // against the Checkpoint/Restart baseline (checkpoint every 20/50/75
 // steps) that motivates CARE's near-zero recovery cost.
 //
-// Job time is virtual: retired instructions scaled by NsPerInstr, plus
+// Job time is virtual: one nanosecond per retired instruction, plus
 // wall-measured Safeguard recovery time (which stalls every rank at the
 // next collective, exactly as a real recovery stalls the job at its
 // next barrier).
@@ -39,9 +39,6 @@ type Config struct {
 	// the reported core count (512 x 6 = 3072 in the paper).
 	Ranks          int
 	ThreadsPerRank int
-	// NsPerInstr converts retired instructions to virtual time
-	// (default 1ns).
-	NsPerInstr float64
 	// Protected attaches Safeguard to every rank.
 	Protected bool
 	// Safeguard tunes the runtime on every rank (zero value = paper
@@ -52,8 +49,6 @@ type Config struct {
 	Safeguard safeguard.Config
 	// Seed drives the search for a recoverable injection.
 	Seed int64
-	// Quantum is the scheduler slice (default 50k instructions).
-	Quantum uint64
 	// Tier selects the interpreter tier every rank runs on
 	// (superblock or step). Rank results and trace spans are identical
 	// on both tiers — only Span.Wall differs — matching the care-inject
@@ -71,13 +66,6 @@ type Config struct {
 	Progress func(done, total int)
 }
 
-func (c Config) nsPerInstr() float64 {
-	if c.NsPerInstr == 0 {
-		return 1
-	}
-	return c.NsPerInstr
-}
-
 // JobResult summarises one job execution.
 type JobResult struct {
 	Completed bool
@@ -86,7 +74,7 @@ type JobResult struct {
 	// MaxDyn is the slowest rank's instruction count.
 	MaxDyn   uint64
 	TotalDyn uint64
-	// VirtualTime = MaxDyn * NsPerInstr + RecoveryStall.
+	// VirtualTime = MaxDyn * 1ns + RecoveryStall.
 	VirtualTime time.Duration
 	// RecoveryStall is the wall-measured Safeguard time summed across
 	// ranks (in the §5.4 setup only rank 0 is injected, so this is rank
@@ -110,8 +98,8 @@ type JobResult struct {
 	// Trace is the job's merged recorder: every rank's safeguard and
 	// checkpoint spans (Rank-attributed), one KindRankStall span per
 	// stalled rank, and a KindJob summary span whose Wall is the job's
-	// virtual time. Figure 10 report sections derive from comparing the
-	// traces of a faulty and a baseline job (trace.Compare).
+	// virtual time (VirtualTime and RecoveryStall are read from those
+	// spans).
 	Trace *trace.Recorder
 }
 
@@ -223,7 +211,7 @@ func RunJob(cfg Config, bin *core.Binary, inj *Injection) (*JobResult, error) {
 	if inj != nil {
 		armed = faultinject.Arm(cpus[0], inj.Trigger, inj.Bits)
 	}
-	mres, err := mpi.RunSharded(world, cpus, cfg.Quantum, cfg.Workers, cfg.Progress)
+	mres, err := mpi.RunSharded(world, cpus, cfg.Workers, cfg.Progress)
 	if err != nil {
 		return nil, err
 	}
@@ -282,7 +270,7 @@ func RunJob(cfg Config, bin *core.Binary, inj *Injection) (*JobResult, error) {
 			}
 		}
 	}
-	out.VirtualTime = time.Duration(float64(out.MaxDyn)*cfg.nsPerInstr()) + out.RecoveryStall
+	out.VirtualTime = time.Duration(out.MaxDyn) + out.RecoveryStall
 	rec.Emit(trace.Span{
 		Kind: trace.KindJob, Parent: trace.NoParent,
 		EndDyn: out.MaxDyn, Wall: out.VirtualTime,
@@ -319,13 +307,10 @@ type CRResult struct {
 // RunCheckpointRestart measures the C/R baseline: run the workload
 // checkpointing every interval steps, kill it at faultStep (a soft
 // failure without CARE kills the job), restore the latest checkpoint and
-// re-execute to completion — verifying output — while charging modelled
-// requeue and I/O costs.
-func RunCheckpointRestart(w *workloads.Workload, p workloads.Params, opt int,
-	interval, faultStep int, model checkpoint.CostModel, nsPerInstr float64) (*CRResult, error) {
-	if nsPerInstr == 0 {
-		nsPerInstr = 1
-	}
+// re-execute to completion — verifying output — while charging the
+// default cost model's requeue and I/O costs and one virtual nanosecond
+// per recomputed instruction.
+func RunCheckpointRestart(w *workloads.Workload, p workloads.Params, opt, interval, faultStep int) (*CRResult, error) {
 	bin, err := core.Build(w.Module(p), core.BuildOptions{OptLevel: opt})
 	if err != nil {
 		return nil, err
@@ -343,6 +328,7 @@ func RunCheckpointRestart(w *workloads.Workload, p workloads.Params, opt int,
 	if err != nil {
 		return nil, err
 	}
+	model := checkpoint.DefaultCostModel()
 	store := checkpoint.NewStore(model)
 	res := &CRResult{Interval: interval}
 
@@ -406,13 +392,13 @@ func RunCheckpointRestart(w *workloads.Workload, p workloads.Params, opt int,
 		res.RecomputeDyn = faultDyn - before
 		res.Verified = sameFloats(proc.Results(), prof.Golden)
 	}
-	res.Recompute = time.Duration(float64(res.RecomputeDyn) * nsPerInstr)
+	res.Recompute = time.Duration(res.RecomputeDyn)
 	res.RecoveryTotal = res.Requeue + res.RestartRead + res.Recompute
 
 	// One step's virtual time, for scaling commentary.
 	stepsTotal := len(prof.Golden) / resultsPerStep
 	if stepsTotal > 0 {
-		res.StepVirtual = time.Duration(float64(prof.TotalDyn) * nsPerInstr / float64(stepsTotal))
+		res.StepVirtual = time.Duration(float64(prof.TotalDyn) / float64(stepsTotal))
 	}
 	return res, nil
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"care/internal/checkpoint"
 	"care/internal/core"
 	"care/internal/defense"
 	"care/internal/machine"
@@ -122,7 +121,7 @@ func TestCheckpointRestartBaseline(t *testing.T) {
 	params := workloads.Params{Steps: 40, NParticles: 60}
 	var prev time.Duration
 	for _, interval := range []int{5, 10, 20} {
-		res, err := RunCheckpointRestart(w, params, 0, interval, 33, checkpoint.DefaultCostModel(), 1)
+		res, err := RunCheckpointRestart(w, params, 0, interval, 33)
 		if err != nil {
 			t.Fatalf("interval %d: %v", interval, err)
 		}

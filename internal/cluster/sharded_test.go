@@ -46,7 +46,7 @@ func TestRunShardedMatchesRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		w2, cpus2, procs2 := rankFleet(t, bin, 6, false)
-		r2, err := mpi.RunSharded(w2, cpus2, 0, workers, nil)
+		r2, err := mpi.RunSharded(w2, cpus2, workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestRunShardedDeadRankMatchesRun(t *testing.T) {
 	}
 	w2, cpus2, _ := rankFleet(t, bin, 4, false)
 	faultinject.Arm(cpus2[0], inj.Trigger, inj.Bits)
-	r2, err := mpi.RunSharded(w2, cpus2, 0, 4, nil)
+	r2, err := mpi.RunSharded(w2, cpus2, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -175,13 +175,13 @@ func TestRecoveryFromCorruptedIndex(t *testing.T) {
 		li := findProtectedLoad(t, bin)
 		target := bin.Prog.AddrOf(li)
 		corrupted := false
-		p.CPU.AfterStep = func(c *machine.CPU, img *machine.Image, idx int, in *machine.MInstr) {
+		p.CPU.AddAfterStep(func(c *machine.CPU, img *machine.Image, idx int, in *machine.MInstr) {
 			if !corrupted && c.PC == target && c.Dyn > 500 {
 				corrupted = true
 				mi := &bin.Prog.Code[li]
 				c.R[mi.Index] ^= 1 << 41 // transient flip in the index register
 			}
-		}
+		})
 		st := p.Run(10_000_000)
 		if st != machine.StatusExited {
 			t.Fatalf("O%d: status %v trap=%v", opt, st, p.CPU.PendingTrap)
@@ -236,7 +236,7 @@ func TestScopeCheckDetectsContaminatedInput(t *testing.T) {
 	}
 	target := bin.Prog.AddrOf(li)
 	corrupted := false
-	p.CPU.AfterStep = func(c *machine.CPU, img *machine.Image, idx int, in *machine.MInstr) {
+	p.CPU.AddAfterStep(func(c *machine.CPU, img *machine.Image, idx int, in *machine.MInstr) {
 		if corrupted || c.PC != target || c.Dyn < 500 {
 			return
 		}
@@ -262,7 +262,7 @@ func TestScopeCheckDetectsContaminatedInput(t *testing.T) {
 			corrupted = true
 			return
 		}
-	}
+	})
 	st := p.Run(10_000_000)
 	if !corrupted {
 		t.Fatal("corruption never armed")
@@ -299,14 +299,14 @@ func TestHeuristicModeTradesCrashForPossibleSDC(t *testing.T) {
 		t.Fatal(err)
 	}
 	corrupted := false
-	p.CPU.AfterStep = func(c *machine.CPU, img *machine.Image, idx int, in *machine.MInstr) {
+	p.CPU.AddAfterStep(func(c *machine.CPU, img *machine.Image, idx int, in *machine.MInstr) {
 		if !corrupted && c.PC == target && c.Dyn > 500 {
 			corrupted = true
 			mi := &bin.Prog.Code[li]
 			c.R[mi.Index] += 1 << 50 // beyond any recovery: base+index wild
 			c.R[mi.Base] += 1 << 51  // contaminate base too so the kernel result mismatches structure
 		}
-	}
+	})
 	st := p.Run(10_000_000)
 	if st != machine.StatusExited {
 		t.Fatalf("heuristic mode should survive, got %v (events %+v)", st, p.SG.Stats().Events)

@@ -12,14 +12,12 @@ import (
 	"time"
 
 	"care/internal/armor"
-	"care/internal/checkpoint"
 	"care/internal/cluster"
 	"care/internal/core"
 	"care/internal/faultinject"
 	"care/internal/machine"
 	"care/internal/parallel"
 	"care/internal/shard"
-	"care/internal/trace"
 	"care/internal/workloads"
 )
 
@@ -313,11 +311,9 @@ func ParallelStudy(names []string, cfg cluster.Config, search cluster.SearchOpti
 	return rows, nil
 }
 
-// FormatParallel renders Figure 10. Every number in the table is
-// derived from the two job traces: the job durations and the recovery
-// stall come out of the KindJob / KindRankStall rows of a
-// trace.Compare between the baseline and faulty runs, so the report is
-// a view over the trace spine rather than a recomputation.
+// FormatParallel renders Figure 10 from the two jobs' VirtualTime and
+// the faulty job's RecoveryStall, which RunJob reads off each job
+// trace's KindJob and KindRankStall spans.
 func FormatParallel(rows []ParallelRow) string {
 	var sb strings.Builder
 	if len(rows) > 0 {
@@ -327,22 +323,17 @@ func FormatParallel(rows []ParallelRow) string {
 	fmt.Fprintf(&sb, "%-10s %14s %14s %12s %10s %12s %9s\n",
 		"Workload", "Normal", "Fault+CARE", "Stall", "Delta%", "@60s-job", "Survived")
 	for _, r := range rows {
-		deltas := trace.Compare(
-			trace.Aggregate(r.Base.Trace.Spans()),
-			trace.Aggregate(r.Faulty.Trace.Spans()))
-		job := trace.DeltaFor(deltas, trace.KindJob)
-		stall := trace.DeltaFor(deltas, trace.KindRankStall)
+		base, faulty, stall := r.Base.VirtualTime, r.Faulty.VirtualTime, r.Faulty.RecoveryStall
 		d := 0.0
-		if job.WallA > 0 {
-			d = float64(job.Diff) / float64(job.WallA) * 100
+		if base > 0 {
+			d = float64(faulty-base) / float64(base) * 100
 		}
 		// The stall is an absolute cost; scaled to a realistic job
 		// length (the paper's jobs run minutes) it vanishes.
-		at60 := float64(stall.WallB) / float64(60*time.Second) * 100
+		at60 := float64(stall) / float64(60*time.Second) * 100
 		fmt.Fprintf(&sb, "%-10s %14s %14s %12s %9.3f%% %11.5f%% %9v\n",
-			r.Workload, job.WallA.Round(time.Microsecond),
-			job.WallB.Round(time.Microsecond),
-			stall.WallB.Round(time.Microsecond), d, at60, r.Faulty.Completed)
+			r.Workload, base.Round(time.Microsecond), faulty.Round(time.Microsecond),
+			stall.Round(time.Microsecond), d, at60, r.Faulty.Completed)
 	}
 	return sb.String()
 }
@@ -356,7 +347,7 @@ func CRStudy(intervals []int, steps, faultStep int, p workloads.Params) ([]*clus
 	p.Steps = steps
 	var out []*cluster.CRResult
 	for _, iv := range intervals {
-		r, err := cluster.RunCheckpointRestart(w, p, 0, iv, faultStep, checkpoint.DefaultCostModel(), 1)
+		r, err := cluster.RunCheckpointRestart(w, p, 0, iv, faultStep)
 		if err != nil {
 			return nil, fmt.Errorf("interval %d: %w", iv, err)
 		}

@@ -87,8 +87,10 @@ type CoverageExperiment struct {
 	// in-process workers. Read by the shard coordinator, ignored by Run.
 	ShardExec []string `json:"-"`
 	// Progress, when non-nil, is invoked after each completed attempt
-	// with (done, total) for the range being run; reporting only, never
-	// recorded in traces. May be called concurrently.
+	// with (done, AttemptBudget()), done counting from attempt 0 so the
+	// count keeps rising across waves (an early stop leaves it short of
+	// the budget); reporting only, never recorded in traces. May be
+	// called concurrently.
 	Progress func(done, total int) `json:"-"`
 	// Store and StoreKey cache the golden-run profile across runs,
 	// exactly as on Campaign: a verified hit skips the golden passes, a
@@ -545,6 +547,8 @@ func (e *CoverageExperiment) RunAttemptRange(prof *profiler.Profile, lo, hi int)
 	}
 	atts := make([]AttemptResult, hi-lo)
 	var done atomic.Int64
+	done.Store(int64(lo))
+	budget := e.AttemptBudget()
 	err = parallel.ForEach(hi-lo, e.Workers, func(j int) error {
 		a, err := e.runAttempt(lo+j, prof, smp, hang)
 		if err != nil {
@@ -552,7 +556,7 @@ func (e *CoverageExperiment) RunAttemptRange(prof *profiler.Profile, lo, hi int)
 		}
 		atts[j] = a
 		if e.Progress != nil {
-			e.Progress(int(done.Add(1)), hi-lo)
+			e.Progress(int(done.Add(1)), budget)
 		}
 		return nil
 	})

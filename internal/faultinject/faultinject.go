@@ -411,7 +411,7 @@ type Campaign struct {
 	// Read by the shard coordinator, ignored by Run.
 	ShardExec []string `json:"-"`
 	// Progress, when non-nil, is invoked after every completed trial
-	// with (done, total) for the range being run. It may be called
+	// with (done, N), done counting from trial 0. It may be called
 	// concurrently from worker goroutines and must not touch the trial
 	// results; it exists only for heartbeat reporting and never alters
 	// the campaign outcome or trace.
@@ -903,6 +903,7 @@ func (c *Campaign) RunTrialRange(prof *profiler.Profile, lo, hi int) ([]TrialRes
 	}
 	trials := make([]TrialResult, hi-lo)
 	var done atomic.Int64
+	done.Store(int64(lo))
 	err := parallel.ForEach(hi-lo, c.Workers, func(j int) error {
 		t, err := c.runTrial(lo+j, prof, hang)
 		if err != nil {
@@ -910,7 +911,7 @@ func (c *Campaign) RunTrialRange(prof *profiler.Profile, lo, hi int) ([]TrialRes
 		}
 		trials[j] = t
 		if c.Progress != nil {
-			c.Progress(int(done.Add(1)), hi-lo)
+			c.Progress(int(done.Add(1)), c.N)
 		}
 		return nil
 	})

@@ -232,3 +232,30 @@ func TestMergeRejectsResultsOutOfOrder(t *testing.T) {
 		t.Fatalf("attempts out of order: got res=%v err=%v", res != nil, err)
 	}
 }
+
+// TestProgressCountsAcrossWaves: an in-process coverage experiment runs
+// one attempt range per wave, and its heartbeat must keep counting
+// across the waves against the whole attempt budget, as the shard
+// coordinator's does, instead of restarting at every wave.
+func TestProgressCountsAcrossWaves(t *testing.T) {
+	bin := buildWorkload(t, "HPCCG", 0, true)
+	var got [][2]int
+	e := &CoverageExperiment{App: bin, Trials: 2, Seed: 7, Workers: 1,
+		Progress: func(done, total int) { got = append(got, [2]int{done, total}) }}
+	res, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wave = 4 // 4 attempts per worker
+	if res.Attempts <= wave {
+		t.Fatalf("%d attempts fit in one wave of %d; the test needs several", res.Attempts, wave)
+	}
+	if len(got) < res.Attempts {
+		t.Fatalf("%d reports for %d attempts", len(got), res.Attempts)
+	}
+	for i, p := range got {
+		if p != [2]int{i + 1, e.AttemptBudget()} {
+			t.Fatalf("report %d is %d/%d, want %d/%d", i, p[0], p[1], i+1, e.AttemptBudget())
+		}
+	}
+}

@@ -106,16 +106,15 @@ type CPU struct {
 	// (registers still hold the operand values the instruction will
 	// read). Taint tracking uses it to apply propagation rules.
 	BeforeStep StepHook
-	// AfterStep, when non-nil, runs after every retired instruction.
-	AfterStep StepHook
-	// afterHooks are additional retire hooks installed with
-	// AddAfterStep; they run after AfterStep, in installation order.
-	// Removed hooks leave nil slots so installation order is stable.
+	// afterHooks are the retire hooks installed with AddAfterStep, run
+	// after every retired instruction in installation order. Removed
+	// hooks leave nil slots so installation order is stable.
 	afterHooks []StepHook
 
 	// StopPC, when StopPCSet, exits the CPU cleanly when control
 	// reaches that address. Safeguard uses it as the return-address
 	// sentinel when calling a recovery kernel (the libffi analogue).
+	// Like a step hook, a set sentinel keeps Run on the Step loop.
 	StopPC    Word
 	StopPCSet bool
 
@@ -163,12 +162,11 @@ type CPU struct {
 	hostArgBuf [8]Word
 }
 
-// AddAfterStep installs an additional retire hook without disturbing
-// AfterStep or previously-installed hooks, and returns a function that
-// removes exactly this hook. Several subsystems observe retirement at
-// once (fault injectors arming independent faults, the checkpoint
-// cadence, tracers), so hooks must compose rather than overwrite each
-// other.
+// AddAfterStep installs a retire hook without disturbing previously
+// installed ones, and returns a function that removes exactly this
+// hook. Several subsystems observe retirement at once (fault injectors
+// arming independent faults, the checkpoint cadence, tracers), so hooks
+// must compose rather than overwrite each other.
 func (c *CPU) AddAfterStep(h StepHook) (remove func()) {
 	c.afterHooks = append(c.afterHooks, h)
 	c.afterLive++
@@ -181,13 +179,13 @@ func (c *CPU) AddAfterStep(h StepHook) (remove func()) {
 	}
 }
 
-// Hooked reports whether a step hook is live: BeforeStep, AfterStep or
-// a hook installed with AddAfterStep. Run executes on the predecoded
-// engines only while it is false, and a run's future depends on its
-// state alone (the premise of snapshot comparison) only while no hook
-// can intervene.
+// Hooked reports whether a step hook is live: BeforeStep or a hook
+// installed with AddAfterStep. Run executes on the predecoded engine
+// only while it is false, and a run's future depends on its state alone
+// (the premise of snapshot comparison) only while no hook can
+// intervene.
 func (c *CPU) Hooked() bool {
-	return c.BeforeStep != nil || c.AfterStep != nil || c.afterLive != 0
+	return c.BeforeStep != nil || c.afterLive != 0
 }
 
 // Context is the architectural state a trap handler may capture and
@@ -234,20 +232,6 @@ func NewCPU(mem *Memory, env *hostenv.Env) *CPU {
 
 // Attach adds a loaded image to the process.
 func (c *CPU) Attach(im *Image) { c.Images = append(c.Images, im) }
-
-// Detach removes an image (dlclose).
-func (c *CPU) Detach(im *Image) {
-	for i, x := range c.Images {
-		if x == im {
-			c.Images = append(c.Images[:i], c.Images[i+1:]...)
-			break
-		}
-	}
-	if c.cur == im {
-		c.setCur(nil)
-	}
-	delete(c.ics, im)
-}
 
 // FindImage returns the image whose code contains pc (dladdr).
 func (c *CPU) FindImage(pc Word) *Image {
@@ -537,9 +521,6 @@ func (c *CPU) Step() {
 		c.ExitCode = c.R[R0]
 		return
 	}
-	if c.AfterStep != nil {
-		c.AfterStep(c, img, idx, in)
-	}
 	for i := 0; i < len(c.afterHooks); i++ {
 		if h := c.afterHooks[i]; h != nil {
 			h(c, img, idx, in)
@@ -550,12 +531,15 @@ func (c *CPU) Step() {
 // Run steps the CPU until it exits, traps, blocks, or retires `limit`
 // additional instructions (0 means no limit). It returns the status.
 //
-// When no step hooks are installed (and Tier is not TierStep), Run
-// executes through the predecoded superblock engine, which batches
-// budget and Dyn accounting and materialises PC lazily; see engine.go.
-// The instructions the engine punts (host calls, abort/halt, malformed
-// operands, and any instruction at a misaligned PC) run one Step each.
-// The budget is charged per attempted instruction on both tiers — a
+// When no step hook is installed, no StopPC sentinel is set and Tier
+// is not TierStep, Run executes through the predecoded superblock
+// engine, which batches budget and Dyn accounting and materialises PC
+// lazily; see engine.go. The instructions the engine punts (host calls,
+// abort/halt, malformed operands, and any instruction at a misaligned
+// PC) run one Step each. A sentinel run (a recovery kernel: a handful
+// of instructions in a freshly decoded library) goes to the Step loop
+// like a hooked one, so it never pays for the Program's µop plan. The
+// budget is charged per attempted instruction on both tiers — a
 // trapped-and-resumed instruction consumes budget without retiring —
 // so hang classifications and checkpoint cadences are identical
 // whichever loop executes. Hook-installation state is re-checked every
@@ -575,7 +559,7 @@ func (c *CPU) Run(limit uint64) RunStatus {
 			c.Status = StatusLimit
 			break
 		}
-		if c.Tier != TierStep && !c.Hooked() {
+		if c.Tier != TierStep && !c.Hooked() && !c.StopPCSet {
 			n, punt := c.runSuper(budget)
 			budget -= n
 			if !punt {

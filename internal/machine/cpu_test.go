@@ -372,9 +372,9 @@ func TestAfterStepHookFires(t *testing.T) {
 		{Op: MHalt},
 	})
 	var seen []MOp
-	cpu.AfterStep = func(c *CPU, img *Image, idx int, in *MInstr) {
+	cpu.AddAfterStep(func(c *CPU, img *Image, idx int, in *MInstr) {
 		seen = append(seen, in.Op)
-	}
+	})
 	cpu.Run(10)
 	if len(seen) != 2 || seen[0] != MMovImm {
 		t.Fatalf("hook saw %v", seen)

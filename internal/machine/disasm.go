@@ -120,9 +120,9 @@ func Disassemble(in *MInstr) string {
 	return fmt.Sprintf("?%d", in.Op)
 }
 
-// DisassembleProgram renders the whole image with addresses and source
-// keys, for debugging and documentation. The annotations explain how
-// the engine tiers see each instruction:
+// DisassembleProgramAnnotated renders the whole image with addresses
+// and source keys, for debugging and documentation. The annotations
+// explain how the engine sees each instruction:
 //
 //	; step             punts to the legacy per-instruction loop
 //	                   (host calls, halt/abort, malformed operands)
@@ -133,14 +133,9 @@ func Disassemble(in *MInstr) string {
 //	                   (target-outside-image, target-mid-instruction,
 //	                   target-punts)
 //
-// so care-disasm output shows exactly why a region won't fuse.
-func DisassembleProgram(p *Program) string {
-	return DisassembleProgramAnnotated(p, nil)
-}
-
-// DisassembleProgramAnnotated is DisassembleProgram with a caller-chosen
-// source-location annotator: when annotate returns a non-empty string
-// for an instruction's (line, col) debug stamp, that string replaces the
+// so care-disasm output shows exactly why a region won't fuse. When
+// annotate (which may be nil) returns a non-empty string for an
+// instruction's (line, col) debug stamp, that string replaces the
 // default `!line:col` marker. care-disasm uses it to label instructions
 // a defense pass inserted (their reserved negative provenance columns
 // map back to the pass name), keeping machine free of any dependency on

@@ -18,10 +18,8 @@
 //   - Dyn counts retirements only, and is materialized before any trap
 //     is delivered so handlers and trace stamps see the exact count,
 //   - the architectural PC is lazy inside a chain but recomputed
-//     exactly for every trap, stop, punt and image exit — precise
-//     PC→kernel mapping is the point of CARE,
-//   - StopPC is compared after every retirement, so mid-chain sentinel
-//     hits exit on the same dynamic instruction as the Step loop.
+//     exactly for every trap, pause, punt and image exit — precise
+//     PC→kernel mapping is the point of CARE.
 //
 // The engine itself is runSuper (the default TierSuperblock path).
 // Predecode resolves in-image Jmp/Jnz/Jz/Call targets to µop indices
@@ -38,10 +36,11 @@
 // PC and returns to Run's dispatch, exactly like an image exit.
 //
 // Eligibility is re-checked by Run before every engine call: any
-// installed BeforeStep/AfterStep hook (fault arming, taint, checkpoint
-// cadences, snapshot capture) deopts to the per-instruction loop, and a
-// hook installed mid-run by a trap handler takes effect at the next
-// block boundary because traps always return to Run's dispatch loop.
+// installed step hook (fault arming, taint, checkpoint cadences) or a
+// return-address sentinel (a recovery-kernel call) deopts to the
+// per-instruction loop, and a hook installed mid-run by a trap handler
+// takes effect at the next block boundary because traps always return
+// to Run's dispatch loop.
 //
 // Loads and stores go through per-µop memory inline caches: each
 // memory-access µop owns one icEntry slot per CPU remembering the last
@@ -220,7 +219,7 @@ type uop struct {
 // overlap-encoded — every index that STARTS a fusible pair carries the
 // fused form, and the second µop's index still holds its plain single
 // form — so a linked branch entering mid-chain (or a chain clamped by
-// budget or StopPC between the two halves) executes the exact same
+// the budget between the two halves) executes the exact same
 // µop sequence, just with one fewer dispatch when the pair is intact.
 type fuop struct {
 	op             uopOp
@@ -750,15 +749,6 @@ func (c *CPU) blockTrap(pc Word, done uint64, img *Image, idx int, sig Signal, a
 	c.trap(&Trap{Sig: sig, PC: pc, Addr: addr, Img: img, Idx: idx, Instr: &img.Prog.Code[idx]})
 }
 
-// stopExit materializes state and exits cleanly at the StopPC sentinel
-// (same disposition as the Step loop: ExitCode from R0).
-func (c *CPU) stopExit(pc Word, done uint64) {
-	c.Status = StatusExited
-	c.ExitCode = c.R[R0]
-	c.PC = pc
-	c.Dyn += done
-}
-
 // superTrap delivers a trap from µop entry+i of a fused chain: the i
 // preceding µops of the chain retired (their profile counts are settled
 // here — the happy path batches them), the faulting one did not.
@@ -773,21 +763,19 @@ func (c *CPU) superTrap(base Word, entry, i int, done uint64, img *Image, sig Si
 
 // runSuper executes predecoded code starting at c.PC on the superblock
 // tier: each straight-line fallthrough chain retires under a single
-// budget/Dyn accounting check (clamped at the remaining budget and the
-// stop sentinel up front, so the chain body pays no per-µop budget, PC
-// or StopPC bookkeeping), branches linked at predecode jump straight
-// to the successor µop index without re-entering the dispatch
-// prologue, and the chain body runs from the pair-fused wide stream
-// (blockPlan.fuops), so the hottest adjacent µop pairs retire under
-// one dispatch. Memory accesses take manually-inlined inline-cache
-// hit paths against a generation hoisted for the whole invocation.
-// Semantics are bit-identical to the Step loop: traps materialise the
-// exact PC and Dyn mid-chain, StopPC exits on the same retirement, the
-// budget is charged per attempted instruction, and demoted branches
-// return to Run's dispatch with the exact target PC. A pair whose
-// second half falls past the chain clamp (budget or stop sentinel
-// between the two halves) executes its first half alone — the overlap
-// encoding keeps every µop boundary addressable.
+// budget/Dyn accounting check (clamped at the remaining budget up
+// front, so the chain body pays no per-µop budget or PC bookkeeping),
+// branches linked at predecode jump straight to the successor µop index
+// without re-entering the dispatch prologue, and the chain body runs
+// from the pair-fused wide stream (blockPlan.fuops), so the hottest
+// adjacent µop pairs retire under one dispatch. Memory accesses take
+// manually-inlined inline-cache hit paths against a generation hoisted
+// for the whole invocation. Semantics are bit-identical to the Step
+// loop: traps materialise the exact PC and Dyn mid-chain, the budget is
+// charged per attempted instruction, and demoted branches return to
+// Run's dispatch with the exact target PC. A pair whose second half
+// falls past the budget clamp executes its first half alone — the
+// overlap encoding keeps every µop boundary addressable.
 //
 // It returns the budget consumed and whether the instruction now at
 // c.PC must be executed by Step: a punting µop, or any instruction at a
@@ -797,7 +785,8 @@ func (c *CPU) superTrap(base Word, entry, i int, done uint64, img *Image, sig Si
 // Run steps such a PC one instruction at a time, re-entering here after
 // each, until a taken branch realigns it.
 //
-// Callers guarantee budget > 0 and that no step hooks are installed.
+// Callers guarantee budget > 0, that no step hooks are installed and
+// that no return-address sentinel is set.
 func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 	img := c.cur
 	if img == nil || !img.Contains(c.PC) {
@@ -836,28 +825,12 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 	runs := plan.runLen
 	sIC := &c.stackIC
 	idx := int((c.PC - base) >> 3)
-
-	// stopIdx is the StopPC sentinel as a µop index (-1 when unset, or
-	// when the sentinel is misaligned or outside this image — such a hit
-	// can only happen where a PC materialises, and those exits compare
-	// the exact address below).
-	stopIdx := -1
-	if c.StopPCSet {
-		if off := c.StopPC - base; off&7 == 0 && off>>3 < Word(len(fuops)) {
-			stopIdx = int(off >> 3)
-		}
-	}
 	var done uint64
 
 	for {
 		if uint(idx) >= uint(len(fuops)) {
 			// Fell off the end of the image; Run re-resolves (or traps).
-			pc := base + Word(8*idx)
-			if c.StopPCSet && pc == c.StopPC {
-				c.stopExit(pc, done)
-				return done, false
-			}
-			c.PC = pc
+			c.PC = base + Word(8*idx)
 			c.Dyn += done
 			return done, false
 		}
@@ -867,9 +840,6 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 		if n := int(runs[idx]); n > 0 {
 			if rem := budget - done; uint64(n) > rem {
 				n = int(rem)
-			}
-			if stopIdx > idx && stopIdx < idx+n {
-				n = stopIdx - idx
 			}
 			entry := idx
 			chain := fuops[entry : entry+n]
@@ -1566,10 +1536,6 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 			}
 			done += uint64(n)
 			idx = entry + n
-			if idx == stopIdx {
-				c.stopExit(base+Word(8*idx), done)
-				return done, false
-			}
 			// An unclamped chain always lands on a runLen-0 µop (its
 			// terminating branch/call/punt — runLen has no cap), so fall
 			// straight into the control switch instead of paying another
@@ -1596,20 +1562,11 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 			}
 			if t := int(u.tidx); t >= 0 {
 				idx = t
-				if idx == stopIdx {
-					c.stopExit(base+Word(8*idx), done)
-					return done, false
-				}
 				continue
 			}
 			// Demoted at predecode: materialise the exact target PC and
 			// return to Run's dispatch (which re-resolves or traps).
-			pc := u.target
-			if c.StopPCSet && pc == c.StopPC {
-				c.stopExit(pc, done)
-				return done, false
-			}
-			c.PC = pc
+			c.PC = u.target
 			c.Dyn += done
 			return done, false
 		case uJnz, uJz:
@@ -1620,26 +1577,13 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 			if (c.R[u.a&15] != 0) != (u.op == uJnz) {
 				// Not taken: plain fallthrough retirement.
 				idx++
-				if idx == stopIdx {
-					c.stopExit(base+Word(8*idx), done)
-					return done, false
-				}
 				continue
 			}
 			if t := int(u.tidx); t >= 0 {
 				idx = t
-				if idx == stopIdx {
-					c.stopExit(base+Word(8*idx), done)
-					return done, false
-				}
 				continue
 			}
-			pc := u.target
-			if c.StopPCSet && pc == c.StopPC {
-				c.stopExit(pc, done)
-				return done, false
-			}
-			c.PC = pc
+			c.PC = u.target
 			c.Dyn += done
 			return done, false
 		case uCall:
@@ -1659,18 +1603,9 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 			}
 			if t := int(u.tidx); t >= 0 {
 				idx = t
-				if idx == stopIdx {
-					c.stopExit(base+Word(8*idx), done)
-					return done, false
-				}
 				continue
 			}
-			pc := u.target
-			if c.StopPCSet && pc == c.StopPC {
-				c.stopExit(pc, done)
-				return done, false
-			}
-			c.PC = pc
+			c.PC = u.target
 			c.Dyn += done
 			return done, false
 		case uRet:
@@ -1696,15 +1631,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 			// punt above takes over on re-entry).
 			if off := ra - base; off&7 == 0 && off>>3 < Word(len(fuops)) {
 				idx = int(off >> 3)
-				if idx == stopIdx {
-					c.stopExit(ra, done)
-					return done, false
-				}
 				continue
-			}
-			if c.StopPCSet && ra == c.StopPC {
-				c.stopExit(ra, done)
-				return done, false
 			}
 			c.PC = ra
 			c.Dyn += done

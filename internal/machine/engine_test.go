@@ -390,8 +390,11 @@ func TestEngineMisalignedTrapPC(t *testing.T) {
 }
 
 // TestEngineStopPCMidBlock plants the stop sentinel on a branch target
-// in the middle of the hot loop: the engine must exit on the same
-// retirement as the Step loop, not at the next block boundary.
+// in the middle of the hot loop: driven by either fast arm, the run
+// must exit on the same retirement as the Step loop, not at the next
+// block boundary. The engine has no sentinel check; Run keeps a
+// sentinel run on the Step loop, and this fails if it ever stops doing
+// so.
 func TestEngineStopPCMidBlock(t *testing.T) {
 	for _, stopIdx := range []int{3, 10, 15} {
 		t.Run(fmt.Sprintf("idx%d", stopIdx), func(t *testing.T) {
@@ -401,6 +404,32 @@ func TestEngineStopPCMidBlock(t *testing.T) {
 				c.StopPCSet = true
 			}
 			runDual(t, loopProgram(5), setup, 0)
+		})
+	}
+}
+
+// TestSentinelRunSkipsEngine: a run with the StopPC sentinel set (a
+// recovery-kernel call) executes on the Step loop on every tier, so it
+// never builds the Program's µop plan, and it stops on the same
+// retirement as a plain loop of Step calls, or runs to the same exit
+// when it never reaches the sentinel.
+func TestSentinelRunSkipsEngine(t *testing.T) {
+	for _, stop := range []Word{AppCodeBase + 8*3, AppCodeBase + 8*10, AppCodeBase + 8*15, 0x7eee00000000} {
+		t.Run(fmt.Sprintf("0x%x", stop), func(t *testing.T) {
+			run, step := dualAsm(t, loopProgram(5), func(c *CPU) {
+				mapData(t)(c)
+				c.StopPC, c.StopPCSet = stop, true
+			}, TierSuperblock)
+			if st := run.Run(0); st != StatusExited {
+				t.Fatalf("sentinel run ended %v", st)
+			}
+			if run.Images[0].Prog.ublocks != nil {
+				t.Error("a sentinel run built the µop plan")
+			}
+			for step.Status == StatusRunning {
+				step.Step()
+			}
+			compareCPUs(t, run, step)
 		})
 	}
 }

@@ -82,16 +82,6 @@ func (p *Program) FuncEntry(name string) (Word, bool) {
 	return 0, false
 }
 
-// GlobalAddr returns the absolute address of a named global.
-func (p *Program) GlobalAddr(name string) (Word, bool) {
-	for _, g := range p.Globals {
-		if g.Name == name {
-			return g.Addr, true
-		}
-	}
-	return 0, false
-}
-
 // gob numbers the types a process meets in first-use order and writes
 // those numbers into what it encodes. Meeting Program's types at init
 // gives them the same numbers in every process, so a program encodes to

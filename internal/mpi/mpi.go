@@ -123,17 +123,21 @@ type RunResult struct {
 	TotalDyn uint64
 }
 
-// Run interleaves the rank CPUs round-robin with the given quantum until
-// all ranks exit, one dies, or no rank can make progress. A dead rank
-// makes the collectives unsatisfiable, so the run stops as soon as every
-// surviving rank is parked (the MPI job-kill behaviour the paper's C/R
-// baseline suffers).
+// defaultQuantum is the scheduler slice in instructions: RunSharded's,
+// and Run's when given 0.
+const defaultQuantum = 50_000
+
+// Run interleaves the rank CPUs round-robin with the given quantum (0
+// means defaultQuantum) until all ranks exit, one dies, or no rank can
+// make progress. A dead rank makes the collectives unsatisfiable, so the
+// run stops as soon as every surviving rank is parked (the MPI job-kill
+// behaviour the paper's C/R baseline suffers).
 func Run(w *World, cpus []*machine.CPU, quantum uint64) (*RunResult, error) {
 	if len(cpus) != w.N {
 		return nil, fmt.Errorf("mpi: %d cpus for %d ranks", len(cpus), w.N)
 	}
 	if quantum == 0 {
-		quantum = 50_000
+		quantum = defaultQuantum
 	}
 	res := &RunResult{DeadRank: -1}
 	for {

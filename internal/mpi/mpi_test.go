@@ -109,12 +109,12 @@ func TestDeadRankParksSurvivors(t *testing.T) {
 	}
 	// Kill rank 1 almost immediately: corrupt its PC to unmapped code.
 	fired := false
-	cpus[1].AfterStep = func(c *machine.CPU, img *machine.Image, idx int, in *machine.MInstr) {
+	cpus[1].AddAfterStep(func(c *machine.CPU, img *machine.Image, idx int, in *machine.MInstr) {
 		if !fired && c.Dyn > 20 {
 			fired = true
 			c.PC = 0x1234
 		}
-	}
+	})
 	res, err := Run(w, cpus, 1000)
 	if err != nil {
 		t.Fatal(err)

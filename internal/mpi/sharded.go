@@ -108,20 +108,17 @@ func (w *World) consume(rank int) {
 }
 
 // RunSharded executes the world with superstep parallelism: each
-// superstep gives every live rank one quantum on a pool of up to
-// workers goroutines (<=0 = one per CPU), then a serial exchange phase
-// batches the superstep's collective arrivals, completes instances, and
-// publishes results. The RunResult is identical to Run's on the same
-// world; only wall-clock differs. Each rank's hostenv Coll is pointed
-// at its proxy for the duration and restored on return. progress, when
-// non-nil, is called after every superstep with (ranksExited, ranks) —
-// heartbeat reporting only.
-func RunSharded(w *World, cpus []*machine.CPU, quantum uint64, workers int, progress func(done, total int)) (*RunResult, error) {
+// superstep gives every live rank one quantum (defaultQuantum
+// instructions) on a pool of up to workers goroutines (<=0 = one per
+// CPU), then a serial exchange phase batches the superstep's collective
+// arrivals, completes instances, and publishes results. The RunResult
+// is identical to Run's on the same world; only wall-clock differs.
+// Each rank's hostenv Coll is pointed at its proxy for the duration and
+// restored on return. progress, when non-nil, is called after every
+// superstep with (ranksExited, ranks) — heartbeat reporting only.
+func RunSharded(w *World, cpus []*machine.CPU, workers int, progress func(done, total int)) (*RunResult, error) {
 	if len(cpus) != w.N {
 		return nil, fmt.Errorf("mpi: %d cpus for %d ranks", len(cpus), w.N)
-	}
-	if quantum == 0 {
-		quantum = 50_000
 	}
 	proxies := make([]*rankColl, w.N)
 	restore := make([]hostenv.Collectives, w.N)
@@ -151,7 +148,7 @@ func RunSharded(w *World, cpus []*machine.CPU, quantum uint64, workers int, prog
 			case machine.StatusBlocked:
 				c.Unblock()
 			}
-			c.Run(quantum)
+			c.Run(defaultQuantum)
 			return nil
 		})
 		running, blocked, exited := 0, 0, 0

@@ -35,13 +35,13 @@ func chainRun(t *testing.T, bin *core.Binary, cfg safeguard.Config, withStore, p
 		p.Store.Save(p.CPU, 1)
 	}
 	injected := false
-	p.CPU.AfterStep = func(c *machine.CPU, img *machine.Image, idx int, in *machine.MInstr) {
+	p.CPU.AddAfterStep(func(c *machine.CPU, img *machine.Image, idx int, in *machine.MInstr) {
 		if c.PC == target && (persistent || !injected) && c.Dyn > 2_000 {
 			injected = true
 			mi := img.Prog.Code[(target-img.Base())/8]
 			c.R[mi.Index] ^= 1 << 30
 		}
-	}
+	})
 	st := p.Run(0)
 	if !injected {
 		t.Fatal("injection site never reached")

@@ -106,7 +106,7 @@ func armIxCorruption(t *testing.T, bin *core.Binary, p *core.Process) *bool {
 	}
 	target := bin.Prog.AddrOf(li)
 	corrupted := new(bool)
-	p.CPU.AfterStep = func(c *machine.CPU, img *machine.Image, idx int, in *machine.MInstr) {
+	p.CPU.AddAfterStep(func(c *machine.CPU, img *machine.Image, idx int, in *machine.MInstr) {
 		if *corrupted || c.PC != target || c.Dyn < 400 {
 			return
 		}
@@ -128,7 +128,7 @@ func armIxCorruption(t *testing.T, bin *core.Binary, p *core.Process) *bool {
 			c.R[loc.Reg] ^= 1 << 33
 		}
 		*corrupted = true
-	}
+	})
 	return corrupted
 }
 

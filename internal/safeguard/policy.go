@@ -51,15 +51,16 @@ type Policy struct {
 	// and the chain escalates straight to rollback/kill. 0 disables the
 	// budget (the paper's runtime has none).
 	MaxTrapsPerPC int
-	// StormTraps and StormWindow form the recovery-storm detector:
-	// StormTraps traps at the same PC within StormWindow dynamic
-	// instructions mean patching is not making progress (each repair
-	// immediately re-faults), so the chain stops patching and
-	// escalates. StormTraps 0 disables the detector; StormWindow 0
-	// defaults to 4096 instructions.
-	StormTraps  int
-	StormWindow uint64
+	// StormTraps is the recovery-storm detector: StormTraps traps at
+	// the same PC within stormWindow dynamic instructions mean patching
+	// is not making progress (each repair immediately re-faults), so
+	// the chain stops patching and escalates. 0 disables the detector.
+	StormTraps int
 }
+
+// stormWindow is the recovery-storm detector's window in dynamic
+// instructions.
+const stormWindow = 4096
 
 func (p Policy) maxRollbacks() int {
 	if p.MaxRollbacks == 0 {
@@ -98,13 +99,6 @@ func (p Policy) Validate() error {
 	return nil
 }
 
-func (p Policy) stormWindow() uint64 {
-	if p.StormWindow == 0 {
-		return 4096
-	}
-	return p.StormWindow
-}
-
 // pcState tracks trap pressure at one PC for the retry budget and the
 // storm detector.
 type pcState struct {
@@ -141,7 +135,7 @@ func (sg *Safeguard) noteTrap(c *machine.CPU, t *machine.Trap) (skip bool, why O
 			st.recent = st.recent[1:]
 		}
 		if len(st.recent) == pol.StormTraps &&
-			st.recent[len(st.recent)-1]-st.recent[0] <= pol.stormWindow() {
+			st.recent[len(st.recent)-1]-st.recent[0] <= stormWindow {
 			sg.rec.Add(CounterStorms, 1)
 			return true, RecoveryStorm
 		}

@@ -71,7 +71,7 @@ func TestHandleBusClassification(t *testing.T) {
 			t.Fatal(err)
 		}
 		injected := false
-		p.CPU.AfterStep = func(c *machine.CPU, img *machine.Image, idx int, in *machine.MInstr) {
+		p.CPU.AddAfterStep(func(c *machine.CPU, img *machine.Image, idx int, in *machine.MInstr) {
 			if c.PC == target && !injected && c.Dyn > 1000 {
 				injected = true
 				// Bit 0 of the base register: the access stays inside
@@ -79,7 +79,7 @@ func TestHandleBusClassification(t *testing.T) {
 				mi := img.Prog.Code[(target-img.Base())/8]
 				c.R[mi.Base] ^= 1
 			}
-		}
+		})
 		st := p.Run(0)
 		if !injected {
 			t.Fatal("injection site never reached")
@@ -142,13 +142,13 @@ func TestHeuristicBitBucket(t *testing.T) {
 		t.Fatal(err)
 	}
 	injected := false
-	p.CPU.AfterStep = func(c *machine.CPU, img *machine.Image, idx int, in *machine.MInstr) {
+	p.CPU.AddAfterStep(func(c *machine.CPU, img *machine.Image, idx int, in *machine.MInstr) {
 		if c.PC == target && !injected && c.Dyn > 1000 {
 			injected = true
 			mi := img.Prog.Code[(target-img.Base())/8]
 			c.R[mi.Index] ^= 1 << 42
 		}
-	}
+	})
 	st := p.Run(8 * dyn)
 	if !injected {
 		t.Fatal("injection site never reached")
@@ -197,13 +197,13 @@ func TestRollbackStageRestoresGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	injected := false
-	p.CPU.AfterStep = func(c *machine.CPU, img *machine.Image, idx int, in *machine.MInstr) {
+	p.CPU.AddAfterStep(func(c *machine.CPU, img *machine.Image, idx int, in *machine.MInstr) {
 		if c.PC == target && !injected && c.Dyn > 1000 {
 			injected = true
 			mi := img.Prog.Code[(target-img.Base())/8]
 			c.R[mi.Index] ^= 1 << 42
 		}
-	}
+	})
 	st := p.Run(0)
 	if st != machine.StatusExited {
 		t.Fatalf("rollback run ended %v (%v)", st, p.CPU.PendingTrap)
@@ -250,12 +250,12 @@ func TestRollbackBudgetStopsLoop(t *testing.T) {
 	}
 	// No once-flag: the corruption recurs on every execution of the
 	// target, like a genuine program bug.
-	p.CPU.AfterStep = func(c *machine.CPU, img *machine.Image, idx int, in *machine.MInstr) {
+	p.CPU.AddAfterStep(func(c *machine.CPU, img *machine.Image, idx int, in *machine.MInstr) {
 		if c.PC == target && c.Dyn > 1000 {
 			mi := img.Prog.Code[(target-img.Base())/8]
 			c.R[mi.Index] ^= 1 << 42
 		}
-	}
+	})
 	st := p.Run(0)
 	if st == machine.StatusExited {
 		t.Fatal("deterministic bug exited cleanly")
@@ -285,12 +285,12 @@ func TestRetryBudgetEscalates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.CPU.AfterStep = func(c *machine.CPU, img *machine.Image, idx int, in *machine.MInstr) {
+	p.CPU.AddAfterStep(func(c *machine.CPU, img *machine.Image, idx int, in *machine.MInstr) {
 		if c.PC == target && c.Dyn > 1000 {
 			mi := img.Prog.Code[(target-img.Base())/8]
 			c.R[mi.Index] ^= 1 << 42
 		}
-	}
+	})
 	st := p.Run(0)
 	if st == machine.StatusExited {
 		t.Fatal("persistent corruption exited cleanly")
@@ -325,12 +325,12 @@ func TestStormDetectorTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.CPU.AfterStep = func(c *machine.CPU, img *machine.Image, idx int, in *machine.MInstr) {
+	p.CPU.AddAfterStep(func(c *machine.CPU, img *machine.Image, idx int, in *machine.MInstr) {
 		if c.PC == target && c.Dyn > 1000 {
 			mi := img.Prog.Code[(target-img.Base())/8]
 			c.R[mi.Index] ^= 1 << 42
 		}
-	}
+	})
 	st := p.Run(0)
 	if st == machine.StatusExited {
 		t.Fatal("storming run exited cleanly")

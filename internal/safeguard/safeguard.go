@@ -70,8 +70,8 @@ const (
 	// step (Policy.Rollback).
 	RolledBack Outcome = "rolled-back"
 	// RecoveryStorm: the storm detector saw Policy.StormTraps traps at
-	// this PC within Policy.StormWindow dynamic instructions — patching
-	// is not making progress — and no rollback was available.
+	// this PC within stormWindow dynamic instructions — patching is not
+	// making progress — and no rollback was available.
 	RecoveryStorm Outcome = "recovery-storm"
 	// RetryBudgetExhausted: more than Policy.MaxTrapsPerPC traps were
 	// handled at this PC and no rollback was available.
@@ -167,8 +167,6 @@ type Config struct {
 	// before giving up. Off by default (the paper lists it as future
 	// work).
 	InductionRecovery bool
-	// MaxKernelSteps bounds recovery-kernel execution (0 = 1<<20).
-	MaxKernelSteps uint64
 	// TraceCap is the span capacity of the safeguard's trace recorder
 	// (0 = trace.DefaultSpanCap). Counters stay exact past the cap; only
 	// per-span detail is dropped oldest-first.
@@ -643,9 +641,14 @@ func (sg *Safeguard) fetchParams(c *machine.CPU, t *machine.Trap, e *rtable.Entr
 // sub-CPU halts cleanly when control returns to it.
 const retSentinel machine.Word = 0x0000_7eee_0000_0000
 
+// maxKernelSteps bounds recovery-kernel execution.
+const maxKernelSteps = 1 << 20
+
 // runKernel executes a recovery kernel on a scratch CPU sharing the
 // process's memory (signal-handler-on-altstack semantics). It returns
-// the recomputed effective address.
+// the recomputed effective address. The return-address sentinel keeps
+// the kernel on the Step loop whatever the process's tier: a kernel is
+// a handful of instructions, not worth predecoding its whole library.
 func (sg *Safeguard) runKernel(c *machine.CPU, lib *machine.Program, symbol string, args []machine.Word) (machine.Word, error) {
 	entry, ok := lib.FuncEntry(symbol)
 	if !ok {
@@ -667,10 +670,6 @@ func (sg *Safeguard) runKernel(c *machine.CPU, lib *machine.Program, symbol stri
 	defer libImg.Unload(c.Mem)
 
 	sub := machine.NewCPU(c.Mem, hostenv.NewEnv())
-	// Inherit the interpreter tier so forcing the legacy Step loop
-	// (-interp step) covers recovery-kernel execution too; the kernel
-	// returns through the StopPC sentinel identically on every tier.
-	sub.Tier = c.Tier
 	// The kernel may call back into simple application functions, so
 	// the whole process image list is visible.
 	sub.Images = append(append([]*machine.Image{}, c.Images...), libImg)
@@ -688,11 +687,7 @@ func (sg *Safeguard) runKernel(c *machine.CPU, lib *machine.Program, symbol stri
 	}
 	sub.PC = entry
 	sub.StopPC, sub.StopPCSet = retSentinel, true
-	limit := sg.cfg.MaxKernelSteps
-	if limit == 0 {
-		limit = 1 << 20
-	}
-	switch sub.Run(limit) {
+	switch sub.Run(maxKernelSteps) {
 	case machine.StatusExited:
 		return sub.R[machine.R0], nil
 	case machine.StatusTrapped:
@@ -746,12 +741,4 @@ func (sg *Safeguard) heuristicPatch(c *machine.CPU, t *machine.Trap) bool {
 	}
 	c.R[mo.Base] = sg.bitBucket - machine.Word(mo.Disp)
 	return true
-}
-
-// CoverageRate returns the fraction of SIGSEGV activations recovered.
-func (s Stats) CoverageRate() float64 {
-	if s.Activations == 0 {
-		return 0
-	}
-	return float64(s.Recovered) / float64(s.Activations)
 }

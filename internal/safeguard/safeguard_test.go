@@ -41,7 +41,7 @@ func TestKernelsRecomputeTrueAddresses(t *testing.T) {
 			checked := map[int]int{}
 			checks, mismatches := 0, 0
 			const perSite = 2
-			p.CPU.AfterStep = func(c *machine.CPU, img *machine.Image, idx int, in *machine.MInstr) {
+			p.CPU.AddAfterStep(func(c *machine.CPU, img *machine.Image, idx int, in *machine.MInstr) {
 				// The next instruction is about to execute; if it is a
 				// protected access its address registers are final.
 				ni := img.Prog.IndexOf(c.PC)
@@ -69,7 +69,7 @@ func TestKernelsRecomputeTrueAddresses(t *testing.T) {
 					t.Errorf("%s O%d idx %d (%s): kernel computed 0x%x, instruction accesses 0x%x",
 						wname, opt, ni, machine.Disassemble(next), computed, actual)
 				}
-			}
+			})
 			if st := p.Run(0); st != machine.StatusExited {
 				t.Fatalf("%s O%d: %v (%v)", wname, opt, st, p.CPU.PendingTrap)
 			}
@@ -151,7 +151,7 @@ func TestRecoveryStatsAccumulate(t *testing.T) {
 		t.Skip("not enough protected float loads")
 	}
 	injected := map[machine.Word]bool{}
-	p.CPU.AfterStep = func(c *machine.CPU, img *machine.Image, idx int, in *machine.MInstr) {
+	p.CPU.AddAfterStep(func(c *machine.CPU, img *machine.Image, idx int, in *machine.MInstr) {
 		for _, tgt := range targets {
 			if c.PC == tgt && !injected[tgt] && c.Dyn > 1000 {
 				injected[tgt] = true
@@ -159,7 +159,7 @@ func TestRecoveryStatsAccumulate(t *testing.T) {
 				c.R[mi.Index] ^= 1 << 42
 			}
 		}
-	}
+	})
 	st := p.Run(0)
 	if st != machine.StatusExited {
 		t.Fatalf("%v (%v)", st, p.CPU.PendingTrap)

@@ -222,12 +222,3 @@ func (t *Tracker) step(c *machine.CPU, img *machine.Image, idx int, in *machine.
 		setReg(machine.R0, tainted)
 	}
 }
-
-// FirstTaintDyn returns the dynamic timestamp of the first propagation
-// event (0 when none).
-func (t *Tracker) FirstTaintDyn() uint64 {
-	if len(t.Trace) == 0 {
-		return 0
-	}
-	return t.Trace[0].Dyn
-}

@@ -143,14 +143,14 @@ func TestEndToEndPropagationTrace(t *testing.T) {
 	}
 	tr := Attach(p.CPU)
 	seeded := false
-	p.CPU.AfterStep = func(c *machine.CPU, img *machine.Image, idx int, in *machine.MInstr) {
+	p.CPU.AddAfterStep(func(c *machine.CPU, img *machine.Image, idx int, in *machine.MInstr) {
 		if !seeded && c.Dyn >= 20_000 {
 			if _, ok := in.HasDest(); ok {
 				seeded = true
 				tr.MarkDest(c, in)
 			}
 		}
-	}
+	})
 	st := p.Run(0)
 	if !seeded {
 		t.Skip("seed point had no destination")

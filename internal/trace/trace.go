@@ -74,8 +74,6 @@ const (
 	// an activation) it carries the stage's wall cost with Val holding
 	// the machine.DomainID.
 	KindDomainRewind
-
-	numKinds // sentinel; keep last
 )
 
 var kindNames = [...]string{

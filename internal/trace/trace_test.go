@@ -140,48 +140,6 @@ func TestNilRecorderIsNoOpWithoutAllocations(t *testing.T) {
 	}
 }
 
-func TestAggregateAndPrepFraction(t *testing.T) {
-	r := New(32)
-	act := r.Emit(Span{Kind: KindActivation, Wall: 100, Parent: NoParent})
-	r.Emit(Span{Kind: KindDiagnose, Wall: 40, Parent: act})
-	r.Emit(Span{Kind: KindLoad, Wall: 30, Parent: act})
-	r.Emit(Span{Kind: KindFetch, Wall: 20, Parent: act})
-	r.Emit(Span{Kind: KindKernel, Wall: 2, Parent: act})
-	r.Emit(Span{Kind: KindPatch, Wall: 8, Parent: act})
-	r.Emit(Span{Kind: KindRollback, Wall: 500, Parent: act})
-	b := Aggregate(r.Spans())
-	if got := b.RecoveryTotal(); got != 600 {
-		t.Fatalf("RecoveryTotal %v, want 600", got)
-	}
-	// Prep excludes kernel AND rollback.
-	if got := b.PrepTime(); got != 98 {
-		t.Fatalf("PrepTime %v, want 98", got)
-	}
-	if got := b.PrepFraction(); got != 98.0/600.0 {
-		t.Fatalf("PrepFraction %v", got)
-	}
-	if b.Count(KindActivation) != 1 || b.Wall(KindActivation) != 100 {
-		t.Fatalf("activation aggregation: %+v", b)
-	}
-}
-
-func TestCompare(t *testing.T) {
-	a := Aggregate([]Span{{Kind: KindJob, Wall: 1000}})
-	b := Aggregate([]Span{{Kind: KindJob, Wall: 1250}, {Kind: KindRankStall, Wall: 250, Rank: 0}})
-	deltas := Compare(a, b)
-	job := DeltaFor(deltas, KindJob)
-	if job.Diff != 250 || job.WallA != 1000 || job.WallB != 1250 {
-		t.Fatalf("job delta %+v", job)
-	}
-	stall := DeltaFor(deltas, KindRankStall)
-	if stall.CountA != 0 || stall.CountB != 1 || stall.Diff != 250 {
-		t.Fatalf("stall delta %+v", stall)
-	}
-	if missing := DeltaFor(deltas, KindKernel); missing.Diff != 0 || missing.Kind != KindKernel {
-		t.Fatalf("missing-kind delta %+v", missing)
-	}
-}
-
 func TestJSONLRoundTrip(t *testing.T) {
 	r := New(16)
 	act := r.Emit(Span{
