@@ -116,7 +116,7 @@ func TestCLISmoke(t *testing.T) {
 			if !strings.Contains(string(out), "domain-rewind-chain") {
 				t.Errorf("missing the policy row in output:\n%s", out)
 			}
-			for _, w := range []string{want, "progress: ", " attempts ("} {
+			for _, w := range []string{want, "progress: ", " trials ("} {
 				if !strings.Contains(stderr.String(), w) {
 					t.Errorf("missing %q in stderr:\n%s", w, stderr.String())
 				}

@@ -284,7 +284,8 @@ func main() {
 			[]experiments.PolicySpec{experiments.DomainRewindSpec(pol)},
 			faultinject.CoverageExperiment{
 				Trials: *n, FaultsPerTrial: *faults, Model: m, Seed: *seed, Workers: *workers, Tier: tier,
-				Shards: *shards, ShardExec: shardExec, Progress: heartbeat(*progress, "attempts"), Store: st,
+				WarmStart: *warmStart, SnapEvery: *snapEvery,
+				Shards: *shards, ShardExec: shardExec, Progress: heartbeat(*progress, "trials"), Store: st,
 			})
 		if err != nil {
 			log.Fatal(err)

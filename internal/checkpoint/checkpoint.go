@@ -15,18 +15,11 @@ import (
 	"care/internal/trace"
 )
 
-// CPUState is the architectural part of a snapshot.
-type CPUState struct {
-	R   [machine.NumReg]machine.Word
-	F   [machine.NumFReg]float64
-	PC  machine.Word
-	Dyn uint64
-}
-
 // Snapshot is a full process checkpoint.
 type Snapshot struct {
 	Mem *machine.Snapshot
-	CPU CPUState
+	// CPU is the architectural part of the snapshot.
+	CPU machine.Context
 	// Step is the application step at which the snapshot was taken.
 	Step int
 	// EnvResults preserves the result stream position.
@@ -44,7 +37,7 @@ type Snapshot struct {
 func Capture(c *machine.CPU, step int) *Snapshot {
 	s := &Snapshot{
 		Mem:  c.Mem.Snapshot(),
-		CPU:  CPUState{R: c.R, F: c.F, PC: c.PC, Dyn: c.Dyn},
+		CPU:  c.Context(),
 		Step: step,
 	}
 	if c.Env != nil {
@@ -63,7 +56,7 @@ func Capture(c *machine.CPU, step int) *Snapshot {
 // with ordinary C/R).
 func (s *Snapshot) Apply(c *machine.CPU) {
 	c.Mem.Restore(s.Mem)
-	c.SetContext(machine.Context{R: s.CPU.R, F: s.CPU.F, PC: s.CPU.PC, Dyn: s.CPU.Dyn})
+	c.SetContext(s.CPU)
 	if c.Env != nil {
 		c.Env.Results = append(c.Env.Results[:0], s.EnvResults...)
 		c.Env.Printed = append(c.Env.Printed[:0], s.EnvPrinted...)
@@ -111,54 +104,32 @@ func (s *Snapshot) Bytes() int {
 	return s.Mem.Bytes() + (machine.NumReg+machine.NumFReg)*8 + 16 + 8*len(s.EnvResults)
 }
 
-// CostModel converts checkpoint sizes into modelled I/O time.
-type CostModel struct {
-	// WriteBandwidth and ReadBandwidth in bytes/second.
-	WriteBandwidth float64
-	ReadBandwidth  float64
-	// WriteLatency/ReadLatency are fixed per-operation costs.
-	WriteLatency time.Duration
-	ReadLatency  time.Duration
-	// RequeueDelay models the batch-queue wait before a restarted job
-	// runs again (the paper's "wait in the job queue").
-	RequeueDelay time.Duration
-	// DomainRewindBandwidth prices a domain-scoped partial rollback, in
-	// bytes/second. A domain rewind is an in-process memory swap — no
-	// parallel-filesystem read and no requeue — so it is charged as a
-	// plain memory copy of the domain image. 0 means free.
-	DomainRewindBandwidth float64
-}
+// The modelled I/O of a modest parallel-filesystem share: snapshot
+// write and read bandwidth in bytes/second, and a fixed cost per
+// operation. A domain rewind is an in-process memory swap, with no
+// filesystem read and no requeue, so it is priced as a plain copy of
+// the domain image at ~DDR-class bandwidth: a rewound domain costs
+// microseconds where a full rollback pays filesystem latency plus
+// requeue.
+const (
+	writeBandwidth        = 200e6
+	readBandwidth         = 400e6
+	ioLatency             = 5 * time.Millisecond
+	domainRewindBandwidth = 10e9
+)
 
-// DefaultCostModel approximates a modest parallel filesystem share.
-func DefaultCostModel() CostModel {
-	return CostModel{
-		WriteBandwidth: 200e6,
-		ReadBandwidth:  400e6,
-		WriteLatency:   5 * time.Millisecond,
-		ReadLatency:    5 * time.Millisecond,
-		RequeueDelay:   2 * time.Second,
-		// ~DDR-class copy bandwidth; a rewound domain costs microseconds
-		// where a full rollback pays filesystem latency plus requeue.
-		DomainRewindBandwidth: 10e9,
-	}
-}
+// RequeueDelay models the batch-queue wait before a restarted job runs
+// again (the paper's "wait in the job queue").
+const RequeueDelay = 2 * time.Second
 
 // WriteCost models writing a snapshot.
-func (m CostModel) WriteCost(s *Snapshot) time.Duration {
-	return m.WriteLatency + time.Duration(float64(s.Bytes())/m.WriteBandwidth*1e9)
+func WriteCost(s *Snapshot) time.Duration {
+	return ioLatency + time.Duration(float64(s.Bytes())/writeBandwidth*1e9)
 }
 
 // ReadCost models reading a snapshot back.
-func (m CostModel) ReadCost(s *Snapshot) time.Duration {
-	return m.ReadLatency + time.Duration(float64(s.Bytes())/m.ReadBandwidth*1e9)
-}
-
-// DomainRewindCost models swapping one domain's image back in place.
-func (m CostModel) DomainRewindCost(bytes int) time.Duration {
-	if m.DomainRewindBandwidth <= 0 {
-		return 0
-	}
-	return time.Duration(float64(bytes) / m.DomainRewindBandwidth * 1e9)
+func ReadCost(s *Snapshot) time.Duration {
+	return ioLatency + time.Duration(float64(s.Bytes())/readBandwidth*1e9)
 }
 
 // Trace counter names charged by the store. Durations are charged in
@@ -169,9 +140,8 @@ const (
 	CounterWriteNs  = "checkpoint.write-ns"
 	CounterRestores = "checkpoint.restores"
 	CounterReadNs   = "checkpoint.read-ns"
-	// CounterDomainSaves/CounterDomainRestores/CounterDomainReadNs account
-	// for domain-scoped captures and rewinds.
-	CounterDomainSaves    = "checkpoint.domain-saves"
+	// CounterDomainRestores/CounterDomainReadNs account for domain
+	// rewinds.
 	CounterDomainRestores = "checkpoint.domain-restores"
 	CounterDomainReadNs   = "checkpoint.domain-read-ns"
 	// CounterLostDyn accumulates the virtual-clock work discarded by full
@@ -186,28 +156,17 @@ const (
 // modelled write/read time — lives on the store's trace recorder; the
 // Saves/ModeledWriteTime/... accessors are views over it.
 type Store struct {
-	Model  CostModel
 	rec    *trace.Recorder
 	latest *Snapshot
-	// domains holds the latest consistent per-domain generation. Full
-	// saves refresh every populated domain (as zero-copy views over the
-	// frozen snapshot); SaveDomain refreshes one.
-	domains [machine.NumDomains]*DomainSnap
-	gen     int
+	// domains holds each domain's latest generation: its view of the
+	// newest full save that held any of its segments, aliasing that
+	// save's frozen pages.
+	domains [machine.NumDomains]*machine.DomainSnapshot
 }
 
-// DomainSnap is one domain's snapshot generation in a store.
-type DomainSnap struct {
-	Mem *machine.DomainSnapshot
-	// Gen orders generations across domains; Step/Dyn locate the capture.
-	Gen  int
-	Step int
-	Dyn  uint64
-}
-
-// NewStore builds a store with the given cost model.
-func NewStore(m CostModel) *Store {
-	return &Store{Model: m, rec: trace.New(trace.DefaultSpanCap)}
+// NewStore builds an empty store.
+func NewStore() *Store {
+	return &Store{rec: trace.New(trace.DefaultSpanCap)}
 }
 
 // Trace exposes the store's recorder (one span per save/restore plus
@@ -219,7 +178,7 @@ func (st *Store) Trace() *trace.Recorder { return st.rec }
 func (st *Store) Save(c *machine.CPU, step int) *Snapshot {
 	s := Capture(c, step)
 	st.latest = s
-	cost := st.Model.WriteCost(s)
+	cost := WriteCost(s)
 	st.rec.Emit(trace.Span{
 		Kind: trace.KindCheckpointSave, Parent: trace.NoParent,
 		StartDyn: c.Dyn, EndDyn: c.Dyn,
@@ -227,39 +186,16 @@ func (st *Store) Save(c *machine.CPU, step int) *Snapshot {
 	})
 	st.rec.Add(CounterSaves, 1)
 	st.rec.Add(CounterWriteNs, cost.Nanoseconds())
-	st.noteDomains(s, step)
+	for d := machine.DomainID(0); d < machine.NumDomains; d++ {
+		if v := s.Mem.DomainView(d); v != nil {
+			st.domains[d] = v
+		}
+	}
 	return s
 }
 
-// noteDomains refreshes every domain generation from a just-taken full
-// snapshot. The views alias the snapshot's frozen segments, so this
-// copies nothing.
-func (st *Store) noteDomains(s *Snapshot, step int) {
-	st.gen++
-	for d := machine.DomainID(0); d < machine.NumDomains; d++ {
-		if v := s.Mem.DomainView(d); v != nil {
-			st.domains[d] = &DomainSnap{Mem: v, Gen: st.gen, Step: step, Dyn: s.CPU.Dyn}
-		}
-	}
-}
-
-// SaveDomain captures one domain's current state (freezing only that
-// domain's segments) as its newest generation. Returns nil when the
-// domain has no writable segments.
-func (st *Store) SaveDomain(c *machine.CPU, d machine.DomainID, step int) *DomainSnap {
-	v := c.Mem.SnapshotDomain(d)
-	if v == nil {
-		return nil
-	}
-	st.gen++
-	ds := &DomainSnap{Mem: v, Gen: st.gen, Step: step, Dyn: c.Dyn}
-	st.domains[d] = ds
-	st.rec.Add(CounterDomainSaves, 1)
-	return ds
-}
-
 // LatestDomain returns the domain's latest generation, or nil.
-func (st *Store) LatestDomain(d machine.DomainID) *DomainSnap { return st.domains[d] }
+func (st *Store) LatestDomain(d machine.DomainID) *machine.DomainSnapshot { return st.domains[d] }
 
 // RestoreDomain rewinds one domain to its latest generation, leaving
 // every other domain and all architectural state in place, and returns
@@ -272,11 +208,11 @@ func (st *Store) RestoreDomain(c *machine.CPU, d machine.DomainID) (time.Duratio
 	if ds == nil {
 		return 0, fmt.Errorf("checkpoint: no %v-domain snapshot to rewind to", d)
 	}
-	if err := c.Mem.RestoreDomain(ds.Mem); err != nil {
+	if err := c.Mem.RestoreDomain(ds); err != nil {
 		return 0, err
 	}
-	bytes := ds.Mem.Bytes()
-	cost := st.Model.DomainRewindCost(bytes)
+	bytes := ds.Bytes()
+	cost := time.Duration(float64(bytes) / domainRewindBandwidth * 1e9)
 	st.rec.Emit(trace.Span{
 		Kind: trace.KindDomainRewind, Parent: trace.NoParent,
 		StartDyn: c.Dyn, EndDyn: c.Dyn,
@@ -309,7 +245,7 @@ func (st *Store) Restore(c *machine.CPU, s *Snapshot) (time.Duration, error) {
 	}
 	preDyn := c.Dyn
 	s.Apply(c)
-	cost := st.Model.ReadCost(s)
+	cost := ReadCost(s)
 	st.rec.Emit(trace.Span{
 		Kind: trace.KindCheckpointRestore, Parent: trace.NoParent,
 		StartDyn: preDyn, EndDyn: s.CPU.Dyn,
@@ -324,22 +260,14 @@ func (st *Store) Restore(c *machine.CPU, s *Snapshot) (time.Duration, error) {
 }
 
 // AutoSave installs a retire hook that checkpoints the CPU each time
-// its result stream grows past another `every` result values (the
-// simulation's observable notion of an application step). The
-// high-water mark is monotonic, so re-execution after a rollback does
-// not re-write checkpoints it already paid for. The returned function
-// removes the hook.
-func AutoSave(st *Store, c *machine.CPU, every int) (remove func()) {
-	if every <= 0 {
-		return func() {}
-	}
+// its result stream grows (the simulation's observable notion of an
+// application step). The high-water mark is monotonic, so re-execution
+// after a rollback does not re-write checkpoints it already paid for.
+func AutoSave(st *Store, c *machine.CPU) {
 	saved := 0 // highest result count already checkpointed
-	return c.AddAfterStep(func(cc *machine.CPU, _ *machine.Image, _ int, _ *machine.MInstr) {
-		if cc.Env == nil {
-			return
-		}
-		if n := len(cc.Env.Results); n >= saved+every {
-			saved = n - n%every
+	c.AddAfterStep(func(cc *machine.CPU, _ *machine.Image, _ int, _ *machine.MInstr) {
+		if cc.Env != nil && len(cc.Env.Results) > saved {
+			saved = len(cc.Env.Results)
 			st.Save(cc, saved)
 		}
 	})

@@ -43,9 +43,8 @@ type Config struct {
 	Protected bool
 	// Safeguard tunes the runtime on every rank (zero value = paper
 	// one-shot configuration). When Safeguard.Policy needs a checkpoint
-	// store (Rollback or DomainRewind), each rank gets its own
-	// (core.ProcessConfig.WireCheckpoints) so the chain's rewind and
-	// rollback stages can restore.
+	// store (Rollback or DomainRewind), each rank's Safeguard keeps its
+	// own, and the job trace merges it with the rank's attribution.
 	Safeguard safeguard.Config
 	// Seed drives the search for a recoverable injection.
 	Seed int64
@@ -104,10 +103,7 @@ type JobResult struct {
 }
 
 // Injection pins a specific fault for rank 0.
-type Injection struct {
-	Trigger faultinject.Trigger
-	Bits    []int
-}
+type Injection = faultinject.ArmSpec
 
 // SearchOptions tunes FindRecoverableInjection.
 type SearchOptions struct {
@@ -152,8 +148,7 @@ func FindRecoverableInjection(bin *core.Binary, seed int64, opts SearchOptions) 
 		}
 		res, err := shard.RunCoverage(exp, opts.Build)
 		if res != nil && len(res.RecoveredInjections) > 0 {
-			ri := res.RecoveredInjections[0]
-			return &Injection{Trigger: ri.Trigger, Bits: ri.Bits}, nil
+			return &res.RecoveredInjections[0], nil
 		}
 		if err != nil && res == nil {
 			return nil, err
@@ -195,7 +190,6 @@ func RunJob(cfg Config, bin *core.Binary, inj *Injection) (*JobResult, error) {
 			Env:       world.Env(r),
 			Tier:      cfg.Tier,
 		}
-		pcfg.WireCheckpoints()
 		p, err := core.NewProcess(pcfg)
 		if err != nil {
 			return err
@@ -236,8 +230,8 @@ func RunJob(cfg Config, bin *core.Binary, inj *Injection) (*JobResult, error) {
 			continue
 		}
 		rec.MergeAs(sg.Trace(), int32(r))
-		if p.Store != nil {
-			rec.MergeAs(p.Store.Trace(), int32(r))
+		if st := sg.Checkpoints(); st != nil {
+			rec.MergeAs(st.Trace(), int32(r))
 		}
 		var stall time.Duration
 		for _, ev := range sg.Events() {
@@ -308,8 +302,8 @@ type CRResult struct {
 // checkpointing every interval steps, kill it at faultStep (a soft
 // failure without CARE kills the job), restore the latest checkpoint and
 // re-execute to completion — verifying output — while charging the
-// default cost model's requeue and I/O costs and one virtual nanosecond
-// per recomputed instruction.
+// checkpoint package's modelled requeue and I/O costs and one virtual
+// nanosecond per recomputed instruction.
 func RunCheckpointRestart(w *workloads.Workload, p workloads.Params, opt, interval, faultStep int) (*CRResult, error) {
 	bin, err := core.Build(w.Module(p), core.BuildOptions{OptLevel: opt})
 	if err != nil {
@@ -328,8 +322,7 @@ func RunCheckpointRestart(w *workloads.Workload, p workloads.Params, opt, interv
 	if err != nil {
 		return nil, err
 	}
-	model := checkpoint.DefaultCostModel()
-	store := checkpoint.NewStore(model)
+	store := checkpoint.NewStore()
 	res := &CRResult{Interval: interval}
 
 	// Drive the run in quanta, checkpointing at step boundaries and
@@ -363,7 +356,7 @@ func RunCheckpointRestart(w *workloads.Workload, p workloads.Params, opt, interv
 	res.Trace = store.Trace()
 
 	// Restart: requeue, read the checkpoint, re-execute.
-	res.Requeue = model.RequeueDelay
+	res.Requeue = checkpoint.RequeueDelay
 	snap := store.Latest()
 	if snap == nil {
 		// No checkpoint yet: restart from scratch.

@@ -213,31 +213,12 @@ type ProcessConfig struct {
 	Safeguard safeguard.Config
 	// Env overrides the host environment (nil = fresh single-rank env).
 	Env *hostenv.Env
-	// Checkpoint, when non-nil and Protected, is wired into Safeguard's
-	// rollback stage: an initial snapshot is saved at _start and, when
-	// CheckpointEveryResults > 0, another each time the result stream
-	// grows by that many values.
-	Checkpoint             *checkpoint.Store
-	CheckpointEveryResults int
 	// Tier selects the interpreter tier for the process CPU: the fused
 	// superblock engine (the zero-value default) or the legacy
 	// per-instruction Step loop. Results are identical on both tiers
 	// (the CI smoke diffs them); the knob exists for that check and for
 	// timing comparisons.
 	Tier machine.InterpTier
-}
-
-// WireCheckpoints gives a protected configuration whose Safeguard
-// policy restores from a checkpoint store (Rollback or DomainRewind) a
-// fresh one: a snapshot at _start and one per observable result, with
-// I/O priced by checkpoint.DefaultCostModel. Coverage attempts and
-// cluster ranks wire their stores through it; a configuration that
-// needs no store is left as it is.
-func (cfg *ProcessConfig) WireCheckpoints() {
-	if cfg.Protected && cfg.Safeguard.Policy.NeedsStore() {
-		cfg.Checkpoint = checkpoint.NewStore(checkpoint.DefaultCostModel())
-		cfg.CheckpointEveryResults = 1
-	}
 }
 
 // Process is one simulated process: a CPU, its memory and images, and
@@ -249,9 +230,6 @@ type Process struct {
 	App    *machine.Image
 	Images []*machine.Image
 	SG     *safeguard.Safeguard
-	// Store is the checkpoint store backing the rollback stage (nil
-	// unless ProcessConfig.Checkpoint was set).
-	Store *checkpoint.Store
 }
 
 // newLoadedProcess assembles the address space shared by the cold and
@@ -317,12 +295,6 @@ func NewProcess(cfg ProcessConfig) (*Process, error) {
 	}
 	if cfg.Protected {
 		p.SG = safeguard.Attach(cpu, units, cfg.Safeguard)
-		if cfg.Checkpoint != nil {
-			p.Store = cfg.Checkpoint
-			p.SG.UseCheckpoints(cfg.Checkpoint)
-			cfg.Checkpoint.Save(cpu, 0)
-			checkpoint.AutoSave(cfg.Checkpoint, cpu, cfg.CheckpointEveryResults)
-		}
 	}
 	return p, nil
 }
@@ -337,15 +309,16 @@ func NewProcess(cfg ProcessConfig) (*Process, error) {
 //
 // The golden prefix is fault-free, so a Safeguard attached after the
 // restore holds exactly the state it would have held at that point of a
-// cold run (no activations yet). A checkpoint store cannot be seeded
-// this way — its _start snapshot would capture mid-run state and turn
-// rollback into a semantic no-op — so cfg.Checkpoint must be nil.
+// cold run (no activations yet). Its checkpoint store cannot be seeded
+// this way — the _start snapshot would capture mid-run state and turn
+// rollback into a semantic no-op — so a protected config whose policy
+// restores (Policy.NeedsStore) is refused.
 func NewProcessFromSnapshot(cfg ProcessConfig, sn *checkpoint.Snapshot) (*Process, error) {
 	if sn == nil {
 		return nil, fmt.Errorf("core: nil snapshot")
 	}
-	if cfg.Checkpoint != nil {
-		return nil, fmt.Errorf("core: warm start cannot seed a checkpoint store (its initial snapshot would capture mid-run state)")
+	if cfg.Protected && cfg.Safeguard.Policy.NeedsStore() {
+		return nil, fmt.Errorf("core: warm start cannot seed the Safeguard's checkpoint store (its initial snapshot would capture mid-run state)")
 	}
 	p, units, err := newLoadedProcess(cfg)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"care/internal/checkpoint"
 	"care/internal/debuginfo"
 	"care/internal/ir"
 	"care/internal/machine"
@@ -352,5 +353,45 @@ func TestNewProcessAllocatesNoStack(t *testing.T) {
 	}
 	if st := p.Run(0); st != machine.StatusExited {
 		t.Fatalf("process on a zero-page stack: %v (%v)", st, p.CPU.PendingTrap)
+	}
+}
+
+// TestWarmStartRefusesRestoringPolicy: a warm-started process cannot
+// seed the Safeguard's checkpoint store (its first snapshot would hold
+// mid-run state, and a rollback to it would undo nothing), so a
+// protected config whose policy restores is refused; every other config
+// warm-starts.
+func TestWarmStartRefusesRestoringPolicy(t *testing.T) {
+	bin, err := Build(buildStencil(t), BuildOptions{Defenses: []string{"care"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewProcess(ProcessConfig{App: bin})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Run(200)
+	sn := checkpoint.Capture(p.CPU, 0)
+	for _, tc := range []struct {
+		name   string
+		cfg    ProcessConfig
+		refuse bool
+	}{
+		{"rollback", ProcessConfig{Protected: true, Safeguard: safeguard.Config{Policy: safeguard.Policy{Rollback: true}}}, true},
+		{"domain-rewind", ProcessConfig{Protected: true, Safeguard: safeguard.Config{Policy: safeguard.Policy{DomainRewind: true}}}, true},
+		{"one-shot", ProcessConfig{Protected: true}, false},
+		{"unprotected", ProcessConfig{Safeguard: safeguard.Config{Policy: safeguard.Policy{Rollback: true}}}, false},
+	} {
+		tc.cfg.App = bin
+		q, err := NewProcessFromSnapshot(tc.cfg, sn)
+		if tc.refuse && err == nil {
+			t.Errorf("%s: warm start accepted a policy that restores", tc.name)
+		}
+		if !tc.refuse && err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if err == nil && q.CPU.Dyn != sn.CPU.Dyn {
+			t.Errorf("%s: warm process at dyn %d, want %d", tc.name, q.CPU.Dyn, sn.CPU.Dyn)
+		}
 	}
 }

@@ -121,9 +121,9 @@ func DefenseNames() []string {
 // c (same seed, same fault model, same trial RNG streams), so the arms
 // differ only in the defense under test. Each cell sets only the
 // campaign's App, Libs, StoreKey and Protected, which attaches the
-// Safeguard (configured by c.Safeguard) to defended arms. No checkpoint
-// store is wired, so a detection trap is a fail-stop and CARE repairs
-// in place — the paper's configurations. Cells come back in (names,
+// Safeguard (configured by c.Safeguard) to defended arms. Under the
+// paper's one-shot policy (the zero c.Safeguard) a detection trap is a
+// fail-stop and CARE repairs in place — the paper's configurations. Cells come back in (names,
 // arms) order and are bit-identical for every c.Workers value; c.Trace
 // additionally keeps machine-level trap stamps. The campaigns run in
 // this process: the BLAS target links a library that no shard worker

@@ -27,8 +27,9 @@ type PolicySpec struct {
 //   - heuristic: recompute, then the LetGo-style bit-bucket patch (keeps
 //     the process alive at the risk of SDCs).
 //   - rollback-chain: recompute → induction repair → checkpoint rollback,
-//     with the retry budget and storm detector armed, and snapshot I/O
-//     priced by the default cost model (core.ProcessConfig.WireCheckpoints).
+//     with the retry budget and storm detector armed; the Safeguard
+//     restores from its own checkpoint store, with snapshot I/O priced
+//     by checkpoint.WriteCost and ReadCost.
 //   - domain-rewind-chain: the rollback chain with the domain-rewind
 //     stage in front of whole-process rollback — rewind only the
 //     faulting domain's memory, keeping registers and every other

@@ -3,7 +3,6 @@ package faultinject
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"care/internal/checkpoint"
@@ -42,8 +41,8 @@ type CoverageExperiment struct {
 	Seed int64
 	// Safeguard configures the runtime (zero = paper configuration).
 	// When its policy needs a checkpoint store (Rollback or
-	// DomainRewind), every attempt's process gets its own
-	// (core.ProcessConfig.WireCheckpoints).
+	// DomainRewind), the Safeguard of every attempt's process keeps its
+	// own, and the attempt's trace merges that store's trace.
 	Safeguard safeguard.Config
 	// HangFactor multiplies the golden dynamic count (default 4).
 	HangFactor uint64
@@ -56,10 +55,6 @@ type CoverageExperiment struct {
 	// every field except the wall-clock recovery timings is identical
 	// for every worker count.
 	Workers int
-	// Trace additionally stamps machine-level trap deliveries into each
-	// examined attempt's trace (machine.CPU.Trace). Safeguard activation
-	// spans and checkpoint I/O spans are always recorded.
-	Trace bool
 	// WarmStart clones each attempt from the latest golden-run snapshot
 	// whose execution counts precede every armed occurrence trigger,
 	// pre-seeding the arming hook with the snapshot's counts so faults
@@ -86,11 +81,11 @@ type CoverageExperiment struct {
 	// ShardExec is the worker argv for subprocess shards; empty means
 	// in-process workers. Read by the shard coordinator, ignored by Run.
 	ShardExec []string `json:"-"`
-	// Progress, when non-nil, is invoked after each completed attempt
-	// with (done, AttemptBudget()), done counting from attempt 0 so the
-	// count keeps rising across waves (an early stop leaves it short of
-	// the budget); reporting only, never recorded in traces. May be
-	// called concurrently.
+	// Progress, when non-nil, is invoked once per merged wave with
+	// (examined, Trials): the SIGSEGV trials examined so far out of the
+	// Trials the experiment stops at (an experiment that runs out of
+	// attempts stops short of it). Reporting only, never recorded in
+	// traces.
 	Progress func(done, total int) `json:"-"`
 	// Store and StoreKey cache the golden-run profile across runs,
 	// exactly as on Campaign: a verified hit skips the golden passes, a
@@ -100,12 +95,6 @@ type CoverageExperiment struct {
 	// with and without snapshots never collide.
 	Store    *store.Store `json:"-"`
 	StoreKey store.Key
-}
-
-// RecordedInjection identifies a replayable injection.
-type RecordedInjection struct {
-	Trigger Trigger
-	Bits    []int
 }
 
 // CoverageResult aggregates the experiment.
@@ -136,7 +125,7 @@ type CoverageResult struct {
 	// RecoveredInjections replays recovered trials (only populated when
 	// the experiment sets RecordInjections and arms one fault per
 	// trial).
-	RecoveredInjections []RecordedInjection
+	RecoveredInjections []ArmSpec
 	// Rollbacks counts checkpoint-rollback activations across examined
 	// trials (escalation-chain policies only). Derived from the merged
 	// trace's safeguard counters.
@@ -336,7 +325,7 @@ type AttemptResult struct {
 	RecTime     time.Duration
 	Activations int
 	Failure     safeguard.Outcome
-	Rec         RecordedInjection
+	Rec         ArmSpec
 }
 
 // runAttempt performs the i'th injection attempt against a fresh
@@ -360,7 +349,6 @@ func (e *CoverageExperiment) runAttempt(i int, prof *profiler.Profile, smp *samp
 		App: e.App, Libs: e.Libs, Protected: true, Safeguard: e.Safeguard,
 		Tier: e.Tier,
 	}
-	cfg.WireCheckpoints()
 	// Warm start: the latest snapshot at which every armed occurrence
 	// trigger still lies ahead. The snapshot's per-instruction counts
 	// pre-seed the arming hook so each fault fires on exactly the same
@@ -375,11 +363,6 @@ func (e *CoverageExperiment) runAttempt(i int, prof *profiler.Profile, smp *samp
 	}
 	if err != nil {
 		return AttemptResult{}, err
-	}
-	var cpuRec *trace.Recorder
-	if e.Trace {
-		cpuRec = trace.New(1024)
-		p.CPU.Trace = cpuRec
 	}
 	armed := armAllSeeded(p.CPU, specs, seed)
 	limit := hang * prof.TotalDyn
@@ -409,9 +392,8 @@ func (e *CoverageExperiment) runAttempt(i int, prof *profiler.Profile, smp *samp
 	a.Events = events
 	a.Trace = trace.New(trace.DefaultSpanCap)
 	a.Trace.Merge(sg.Trace())
-	a.Trace.Merge(cpuRec)
-	if p.Store != nil {
-		a.Trace.Merge(p.Store.Trace())
+	if st := sg.Checkpoints(); st != nil {
+		a.Trace.Merge(st.Trace())
 	}
 	if status != machine.StatusExited {
 		// Unrecovered: attribute to the last activation's outcome.
@@ -422,7 +404,7 @@ func (e *CoverageExperiment) runAttempt(i int, prof *profiler.Profile, smp *samp
 	if sameResults(p.Results(), prof.Golden) {
 		a.Clean = true
 		if k == 1 {
-			a.Rec = RecordedInjection{Trigger: specs[0].Trigger, Bits: specs[0].Bits}
+			a.Rec = specs[0]
 		}
 	}
 	for _, ev := range events {
@@ -546,19 +528,10 @@ func (e *CoverageExperiment) RunAttemptRange(prof *profiler.Profile, lo, hi int)
 		return nil, err
 	}
 	atts := make([]AttemptResult, hi-lo)
-	var done atomic.Int64
-	done.Store(int64(lo))
-	budget := e.AttemptBudget()
 	err = parallel.ForEach(hi-lo, e.Workers, func(j int) error {
 		a, err := e.runAttempt(lo+j, prof, smp, hang)
-		if err != nil {
-			return err
-		}
 		atts[j] = a
-		if e.Progress != nil {
-			e.Progress(int(done.Add(1)), budget)
-		}
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -573,8 +546,9 @@ func (e *CoverageExperiment) RunAttemptRange(prof *profiler.Profile, lo, hi int)
 // Speculative attempts past the stopping point are discarded, so the
 // stop index — and with it every field except the wall-clock recovery
 // timings — depends only on the attempt sequence, never on the wave
-// size or on where the attempts ran. An experiment that runs out of
-// attempts returns its partial result together with the error.
+// size or on where the attempts ran. Progress hears the examined count
+// after every merged wave. An experiment that runs out of attempts
+// returns its partial result together with the error.
 func (e *CoverageExperiment) RunWaves(wave int, run func(lo, hi int) ([]AttemptResult, error)) (*CoverageResult, error) {
 	budget := e.AttemptBudget()
 	res := e.NewResult()
@@ -591,6 +565,9 @@ func (e *CoverageExperiment) RunWaves(wave int, run func(lo, hi int) ([]AttemptR
 				return nil, fmt.Errorf("faultinject: attempt result %d carries index %d; results must arrive in index order", base+i, atts[i].Index)
 			}
 			res.MergeAttempt(&atts[i], e.RecordInjections)
+		}
+		if e.Progress != nil {
+			e.Progress(res.SigsegvTrials, e.Trials)
 		}
 	}
 	if res.SigsegvTrials < e.Trials {

@@ -79,7 +79,7 @@ var allOutcomes = [...]Outcome{Benign, SoftFailure, SDC, Hang}
 
 // allSignals enumerates the crash-symptom classes. SIGTRAP is the
 // deterministic detection trap of a detection-only defense pass
-// (fail-stop when no checkpoint store is wired).
+// (fail-stop unless the Safeguard policy restores).
 var allSignals = [...]machine.Signal{
 	machine.SigSEGV, machine.SigBUS, machine.SigFPE,
 	machine.SigABRT, machine.SigILL, machine.SigTRAP,
@@ -367,7 +367,9 @@ type Campaign struct {
 	// every worker count (the skipped prefix is deterministic and
 	// fault-free, and the skipped suffix is the golden one); only
 	// CampaignResult.WarmStart, which lives beside the trace, records the
-	// shortcuts.
+	// shortcuts. Ignored for a Protected campaign whose policy needs a
+	// checkpoint store (Rollback or DomainRewind), as on
+	// CoverageExperiment.
 	WarmStart bool
 	// SnapEvery is the snapshot cadence in retired instructions
 	// (warm-start only). 0 picks TotalDyn/64+1: at most 64 snapshots,
@@ -392,7 +394,9 @@ type Campaign struct {
 	// the campaign trace stays bit-identical across worker counts.
 	Protected bool
 	// Safeguard tunes the attached runtime (zero value = the paper's
-	// one-shot configuration; Protected only).
+	// one-shot configuration; Protected only). A policy that restores
+	// gets the Safeguard's own checkpoint store, saved at _start, so
+	// such a campaign starts every trial cold.
 	Safeguard safeguard.Config
 	// Shards spreads the trial index space over this many shards of the
 	// internal/shard coordinator — worker subprocesses (ShardExec) or
@@ -806,7 +810,8 @@ func (c *Campaign) Prepare() (*profiler.Profile, error) {
 	if c.N <= 0 {
 		return nil, fmt.Errorf("faultinject: campaign N must be positive")
 	}
-	return prepareProfile(c.App, c.Libs, c.Store, c.StoreKey, c.WarmStart, c.SnapEvery)
+	warm := c.WarmStart && !(c.Protected && c.Safeguard.Policy.NeedsStore())
+	return prepareProfile(c.App, c.Libs, c.Store, c.StoreKey, warm, c.SnapEvery)
 }
 
 // prepareProfile is the golden pass Campaign.Prepare and

@@ -233,10 +233,10 @@ func TestMergeRejectsResultsOutOfOrder(t *testing.T) {
 	}
 }
 
-// TestProgressCountsAcrossWaves: an in-process coverage experiment runs
-// one attempt range per wave, and its heartbeat must keep counting
-// across the waves against the whole attempt budget, as the shard
-// coordinator's does, instead of restarting at every wave.
+// TestProgressCountsAcrossWaves: a coverage experiment stops once it has
+// examined Trials SIGSEGV trials, so its heartbeat counts examined trials
+// out of Trials, once per merged wave: the counts never fall, and the
+// last report is Trials/Trials, so the heartbeat ends on a final line.
 func TestProgressCountsAcrossWaves(t *testing.T) {
 	bin := buildWorkload(t, "HPCCG", 0, true)
 	var got [][2]int
@@ -247,15 +247,19 @@ func TestProgressCountsAcrossWaves(t *testing.T) {
 		t.Fatal(err)
 	}
 	const wave = 4 // 4 attempts per worker
-	if res.Attempts <= wave {
+	waves := (res.Attempts + wave - 1) / wave
+	if waves < 2 {
 		t.Fatalf("%d attempts fit in one wave of %d; the test needs several", res.Attempts, wave)
 	}
-	if len(got) < res.Attempts {
-		t.Fatalf("%d reports for %d attempts", len(got), res.Attempts)
+	if len(got) != waves {
+		t.Fatalf("%d reports for %d waves", len(got), waves)
 	}
 	for i, p := range got {
-		if p != [2]int{i + 1, e.AttemptBudget()} {
-			t.Fatalf("report %d is %d/%d, want %d/%d", i, p[0], p[1], i+1, e.AttemptBudget())
+		if p[1] != e.Trials || p[0] > e.Trials || (i > 0 && p[0] < got[i-1][0]) {
+			t.Fatalf("reports %v: want non-decreasing counts out of %d", got, e.Trials)
 		}
+	}
+	if last := got[len(got)-1]; last != [2]int{e.Trials, e.Trials} {
+		t.Fatalf("last report %d/%d, want %d/%d", last[0], last[1], e.Trials, e.Trials)
 	}
 }

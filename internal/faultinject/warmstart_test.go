@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"care/internal/core"
@@ -219,6 +220,41 @@ func TestWarmStartProtectedEquivalence(t *testing.T) {
 	requireTraceSkeletonEqual(t, warm.Trace, cold.Trace)
 	if warm.WarmStart.ConvergedTrials == 0 {
 		t.Fatalf("protected campaign stopped no trial at a snapshot: %+v", warm.WarmStart)
+	}
+}
+
+// TestRestoringCampaignRollsBack: a protected campaign whose policy
+// restores gets the Safeguard's own checkpoint store in every trial, so
+// the rollback stage can run (no wiring step to forget), and it starts
+// every trial cold, so its warm-started run exports the same trace as
+// its cold run (wall-measured fields scrubbed).
+func TestRestoringCampaignRollsBack(t *testing.T) {
+	bin := buildWorkload(t, "HPCCG", 0, true)
+	run := func(warm bool) *CampaignResult {
+		res, err := (&Campaign{
+			App: bin, N: 60, Model: SingleBit, Seed: 5, Protected: true, WarmStart: warm,
+			Safeguard: safeguard.Config{Policy: safeguard.Policy{Rollback: true}},
+		}).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	cold, warm := run(false), run(true)
+	n := cold.Trace.Counter(safeguard.CounterRolledBack)
+	if n == 0 {
+		t.Fatalf("no trial rolled back (outcomes %v)", cold.Outcomes)
+	}
+	t.Logf("%d rollbacks, outcomes %v", n, cold.Outcomes)
+	jsonl := scrubbedJSONL(t, cold.Trace)
+	if strings.Contains(jsonl, "safeguard.rollback.unwired") {
+		t.Fatal("trace reports a rollback stage without a checkpoint store")
+	}
+	if warm.WarmStart.WarmTrials != 0 {
+		t.Fatalf("%d trials warm-started under a restoring policy", warm.WarmStart.WarmTrials)
+	}
+	if scrubbedJSONL(t, warm.Trace) != jsonl {
+		t.Fatal("warm-started trace JSONL differs from the cold run's")
 	}
 }
 

@@ -122,41 +122,6 @@ func (sn *DomainSnapshot) Bytes() int {
 	return n
 }
 
-// writableLayout censuses every non-read-only segment (scratch
-// included; consumers decide what to check).
-func (m *Memory) writableLayout() []SegLayout {
-	var out []SegLayout
-	for _, s := range m.segs {
-		if s.ro {
-			continue
-		}
-		out = append(out, SegLayout{Base: s.Base, Size: s.size, Domain: s.Domain})
-	}
-	return out
-}
-
-// SnapshotDomain freezes the pages of one domain's writable segments
-// and returns their aliased images — capturing a domain never copies or
-// touches any other domain's bytes. Returns nil when the domain has no
-// writable segments.
-func (m *Memory) SnapshotDomain(d DomainID) *DomainSnapshot {
-	sn := &DomainSnapshot{Domain: d, HeapNext: m.heapNext}
-	for _, s := range m.segs {
-		if s.ro || s.Domain != d {
-			continue
-		}
-		sn.Segs = append(sn.Segs, s.freeze(make([][]byte, len(s.pages))))
-	}
-	if len(sn.Segs) == 0 {
-		return nil
-	}
-	// Freezing pages invalidates inline-cache slots that proved in-place
-	// writability — same rule as Snapshot.
-	m.gen++
-	sn.Layout = m.writableLayout()
-	return sn
-}
-
 // DomainView extracts one domain's slice of a full snapshot, sharing
 // the already-frozen segment aliases (no copying). Returns nil when the
 // snapshot holds no segments of that domain.

@@ -65,10 +65,10 @@ func TestSegmentDomainTags(t *testing.T) {
 	}
 }
 
-// TestSnapshotDomainIsolation is the tentpole's core contract: capturing
-// one domain copies no bytes (the snapshot aliases the frozen segments),
-// and rewinding it restores exactly that domain's contents while every
-// other domain keeps its post-capture progress.
+// TestSnapshotDomainIsolation is the domain rewind's core contract: a
+// domain's image copies no bytes (the view aliases the snapshot's
+// frozen pages), and rewinding it restores exactly that domain's
+// contents while every other domain keeps its post-capture progress.
 func TestSnapshotDomainIsolation(t *testing.T) {
 	m := NewMemory()
 	if _, err := m.Map(AppGlobalBase, 0x100, "globals"); err != nil {
@@ -86,12 +86,12 @@ func TestSnapshotDomainIsolation(t *testing.T) {
 	}
 
 	gen0 := m.gen
-	sn := m.SnapshotDomain(DomainGlobals)
+	sn := m.Snapshot().DomainView(DomainGlobals)
 	if sn == nil || sn.Domain != DomainGlobals || len(sn.Segs) != 1 {
 		t.Fatalf("globals capture: %+v", sn)
 	}
 	if m.gen == gen0 {
-		t.Error("SnapshotDomain did not invalidate inline caches (gen unchanged)")
+		t.Error("Snapshot did not invalidate inline caches (gen unchanged)")
 	}
 	if live := &m.Find(AppGlobalBase).pages[0]; !live.frozen || !sameBacking(sn.Segs[0].Pages[0], live.data) {
 		t.Error("capture copied the globals page instead of freezing and aliasing it")
@@ -142,7 +142,7 @@ func TestSnapshotDomainIsolation(t *testing.T) {
 	}
 
 	// A domain with no writable segments has nothing to capture.
-	if sn := m.SnapshotDomain(DomainStack); sn != nil {
+	if sn := m.Snapshot().DomainView(DomainStack); sn != nil {
 		t.Errorf("empty-domain capture returned %+v, want nil", sn)
 	}
 	if err := m.RestoreDomain(nil); err == nil {
@@ -165,7 +165,7 @@ func TestRestoreDomainConsistencyGuards(t *testing.T) {
 		if f := m.Write(a, 5); f != nil {
 			t.Fatal(f)
 		}
-		sn := m.SnapshotDomain(DomainHeap)
+		sn := m.Snapshot().DomainView(DomainHeap)
 		if _, err := m.Alloc(64); err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +191,7 @@ func TestRestoreDomainConsistencyGuards(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sn := m.SnapshotDomain(DomainGlobals)
+		sn := m.Snapshot().DomainView(DomainGlobals)
 		m.Unmap(m.Find(hb))
 		if err := m.RestoreDomain(sn); !errors.Is(err, ErrDomainInconsistent) {
 			t.Fatalf("rewind with a censused segment unmapped: %v, want ErrDomainInconsistent", err)
@@ -210,7 +210,7 @@ func TestRestoreDomainConsistencyGuards(t *testing.T) {
 		if scratch.Domain != DomainScratch {
 			t.Fatalf("scratch segment tagged %v", scratch.Domain)
 		}
-		sn := m.SnapshotDomain(DomainGlobals)
+		sn := m.Snapshot().DomainView(DomainGlobals)
 		m.Unmap(scratch)
 		if err := m.RestoreDomain(sn); err != nil {
 			t.Fatalf("scratch-stack churn blocked an unrelated rewind: %v", err)
@@ -230,7 +230,7 @@ func TestRestoreDomainHeapNext(t *testing.T) {
 	if f := m.Write(a, 5); f != nil {
 		t.Fatal(f)
 	}
-	sn := m.SnapshotDomain(DomainHeap)
+	sn := m.Snapshot().DomainView(DomainHeap)
 	b, err := m.Alloc(64)
 	if err != nil {
 		t.Fatal(err)

@@ -233,7 +233,7 @@ type Memory struct {
 	cache *Segment
 	// gen is the mapping generation, bumped whenever a segment is
 	// removed or replaced (Unmap, Restore) or pages are frozen
-	// (Snapshot, SnapshotDomain, RestoreDomain). The execution engine's
+	// (Snapshot, RestoreDomain). The execution engine's
 	// per-instruction memory inline caches hold *page references
 	// stamped with the generation they were filled at; a bump
 	// invalidates every cache at once. Map never bumps: adding a

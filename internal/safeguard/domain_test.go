@@ -3,7 +3,6 @@ package safeguard_test
 import (
 	"testing"
 
-	"care/internal/checkpoint"
 	"care/internal/core"
 	"care/internal/machine"
 	"care/internal/safeguard"
@@ -16,23 +15,18 @@ import (
 // resolve it. persistent re-corrupts on every execution of the target,
 // like a genuine bug; otherwise the register is corrupted once (but
 // stays corrupt until the program overwrites it).
-func chainRun(t *testing.T, bin *core.Binary, cfg safeguard.Config, withStore, persistent bool, tier machine.InterpTier) (*core.Process, machine.RunStatus) {
+func chainRun(t *testing.T, bin *core.Binary, cfg safeguard.Config, persistent bool, tier machine.InterpTier) (*core.Process, machine.RunStatus) {
 	t.Helper()
 	target, _ := protectedFloatLoad(t, bin)
-	pc := core.ProcessConfig{App: bin, Protected: true, Safeguard: cfg, Tier: tier}
-	if withStore {
-		pc.Checkpoint = checkpoint.NewStore(checkpoint.CostModel{})
-		pc.CheckpointEveryResults = 1
-	}
-	p, err := core.NewProcess(pc)
+	p, err := core.NewProcess(core.ProcessConfig{App: bin, Protected: true, Safeguard: cfg, Tier: tier})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Clean prefix, then a full save so every live domain has a
 	// generation to rewind to before the first fault.
 	p.CPU.Run(2_000)
-	if withStore {
-		p.Store.Save(p.CPU, 1)
+	if st := p.SG.Checkpoints(); st != nil {
+		st.Save(p.CPU, 1)
 	}
 	injected := false
 	p.CPU.AddAfterStep(func(c *machine.CPU, img *machine.Image, idx int, in *machine.MInstr) {
@@ -86,7 +80,7 @@ func TestEscalationStageOrder(t *testing.T) {
 	t.Run("kernel-preempts-rewind", func(t *testing.T) {
 		// With recovery artifacts every trap resolves in the kernel
 		// stage; the armed rewind/rollback stages never fire.
-		p, st := chainRun(t, armored, safeguard.Config{Policy: fullChain}, true, false, machine.TierSuperblock)
+		p, st := chainRun(t, armored, safeguard.Config{Policy: fullChain}, false, machine.TierSuperblock)
 		if st != machine.StatusExited {
 			t.Fatalf("armored run ended %v", st)
 		}
@@ -103,7 +97,7 @@ func TestEscalationStageOrder(t *testing.T) {
 
 	t.Run("heuristic-preempts-rewind", func(t *testing.T) {
 		cfg := safeguard.Config{Heuristic: true, Policy: fullChain}
-		p, _ := chainRun(t, bare, cfg, true, false, machine.TierSuperblock)
+		p, _ := chainRun(t, bare, cfg, false, machine.TierSuperblock)
 		for _, o := range outcomes(p) {
 			if o != safeguard.HeuristicPatched {
 				t.Fatalf("outcome %s with the heuristic armed, want %s", o, safeguard.HeuristicPatched)
@@ -120,7 +114,7 @@ func TestEscalationStageOrder(t *testing.T) {
 		// corrupt register immediately re-faults), then — the per-domain
 		// budget spent and never reset — two full rollbacks, then kill
 		// with the patch stages' verdict.
-		p, st := chainRun(t, bare, safeguard.Config{Policy: fullChain}, true, true, machine.TierSuperblock)
+		p, st := chainRun(t, bare, safeguard.Config{Policy: fullChain}, true, machine.TierSuperblock)
 		if st == machine.StatusExited {
 			t.Fatal("persistent bug exited cleanly")
 		}
@@ -144,7 +138,7 @@ func TestEscalationStageOrder(t *testing.T) {
 	})
 
 	t.Run("rewind-exhaustion-without-rollback-kills", func(t *testing.T) {
-		p, st := chainRun(t, bare, safeguard.Config{Policy: safeguard.Policy{DomainRewind: true}}, true, true, machine.TierSuperblock)
+		p, st := chainRun(t, bare, safeguard.Config{Policy: safeguard.Policy{DomainRewind: true}}, true, machine.TierSuperblock)
 		if st == machine.StatusExited {
 			t.Fatal("persistent bug exited cleanly")
 		}
@@ -161,7 +155,7 @@ func TestEscalationStageOrder(t *testing.T) {
 		// still gets its shot, and only when its budget is also spent
 		// does the exhaustion verdict reach the kill.
 		pol := safeguard.Policy{DomainRewind: true, MaxDomainRewinds: 1, MaxTrapsPerPC: 1}
-		p, st := chainRun(t, bare, safeguard.Config{Policy: pol}, true, true, machine.TierSuperblock)
+		p, st := chainRun(t, bare, safeguard.Config{Policy: pol}, true, machine.TierSuperblock)
 		if st == machine.StatusExited {
 			t.Fatal("persistent bug exited cleanly")
 		}
@@ -186,7 +180,7 @@ func TestEscalationChainTierIdentity(t *testing.T) {
 	}
 	runs := map[machine.InterpTier]run{}
 	for _, tier := range machine.Tiers() {
-		p, _ := chainRun(t, bin, cfg, true, true, tier)
+		p, _ := chainRun(t, bin, cfg, true, tier)
 		r := run{seq: outcomes(p), rewinds: p.SG.DomainRewinds(), rollback: p.SG.Rollbacks(), dyn: p.CPU.Dyn}
 		for _, ev := range p.SG.Stats().Events {
 			r.domains = append(r.domains, ev.Domain)
@@ -207,25 +201,6 @@ func TestEscalationChainTierIdentity(t *testing.T) {
 	}
 }
 
-// TestUnwiredStoreDiagnostic: arming the rollback or rewind stages
-// without wiring a checkpoint store is a misconfiguration the chain
-// must surface (once) instead of silently killing.
-func TestUnwiredStoreDiagnostic(t *testing.T) {
-	bin := buildHPCCG(t, true)
-	cfg := safeguard.Config{Policy: safeguard.Policy{DomainRewind: true, Rollback: true}}
-	p, st := chainRun(t, bin, cfg, false, true, machine.TierSuperblock)
-	if st == machine.StatusExited {
-		t.Fatal("storeless chain exited cleanly")
-	}
-	if got := p.SG.Trace().Counter(safeguard.CounterRollbackUnwired); got != 1 {
-		t.Fatalf("%s = %d, want exactly 1", safeguard.CounterRollbackUnwired, got)
-	}
-	if p.SG.DomainRewinds() != 0 || p.SG.Rollbacks() != 0 {
-		t.Fatal("storeless chain claims to have rewound or rolled back")
-	}
-	requireSequence(t, p, []safeguard.Outcome{safeguard.NoDebugKey})
-}
-
 // TestBudgetCountersLogged: Attach surfaces the *effective* escalation
 // budgets as high-water trace counters, so a campaign trace alone
 // documents the policy it ran under.
@@ -236,7 +211,6 @@ func TestBudgetCountersLogged(t *testing.T) {
 		Safeguard: safeguard.Config{
 			Policy: safeguard.Policy{Rollback: true, MaxRollbacks: 5, DomainRewind: true},
 		},
-		Checkpoint: checkpoint.NewStore(checkpoint.CostModel{}),
 	})
 	if err != nil {
 		t.Fatal(err)

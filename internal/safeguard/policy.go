@@ -3,8 +3,6 @@ package safeguard
 import (
 	"errors"
 	"fmt"
-	"os"
-	"sync"
 	"time"
 
 	"care/internal/checkpoint"
@@ -24,10 +22,11 @@ import (
 // patching and escalate.)
 type Policy struct {
 	// Rollback enables the checkpoint-rollback stage: when no patch
-	// stage applies, restore the latest snapshot of the store wired via
-	// Safeguard.UseCheckpoints and resume from the snapshot step. The
-	// modelled snapshot-read and requeue costs of the store's CostModel
-	// are charged into the activation's Event.Rollback phase.
+	// stage applies, restore the latest snapshot of the Safeguard's own
+	// checkpoint store (Checkpoints) and resume from the snapshot step.
+	// The modelled snapshot-read and requeue costs
+	// (checkpoint.ReadCost, checkpoint.RequeueDelay) are charged into
+	// the activation's Event.Rollback phase.
 	Rollback bool
 	// MaxRollbacks bounds snapshot restores per process, so a
 	// deterministically recurring trap (a genuine program bug) cannot
@@ -76,9 +75,10 @@ func (p Policy) maxDomainRewinds() int {
 	return p.MaxDomainRewinds
 }
 
-// NeedsStore reports whether the policy has a stage that consumes a
-// checkpoint store. Campaign and cluster layers use it to decide when
-// to wire one (and when warm-start snapshot reuse is unsafe).
+// NeedsStore reports whether the policy has a stage that restores from
+// a checkpoint store. Attach creates the Safeguard's own store exactly
+// then; campaign layers use it to decide when warm-start snapshot reuse
+// is unsafe (the store's first snapshot must be taken at _start).
 func (p Policy) NeedsStore() bool { return p.Rollback || p.DomainRewind }
 
 // Validate rejects unusable budget values. It is the single validation
@@ -105,12 +105,6 @@ type pcState struct {
 	traps  int      // total traps handled at this PC (monotonic)
 	recent []uint64 // Dyn at the most recent traps (ring of StormTraps)
 }
-
-// UseCheckpoints wires a checkpoint store into the rollback stage.
-// Callers save an initial snapshot (and typically install a
-// checkpoint.AutoSave cadence) so Latest() is never empty when a fault
-// arrives.
-func (sg *Safeguard) UseCheckpoints(st *checkpoint.Store) { sg.store = st }
 
 // noteTrap records a handled trap at t.PC and reports whether the
 // policy's circuit breakers demand skipping the patch stages, along
@@ -152,40 +146,33 @@ func (sg *Safeguard) noteTrap(c *machine.CPU, t *machine.Trap) (skip bool, why O
 // successful rewind or rollback overwrites it.
 func (sg *Safeguard) escalate(c *machine.CPU, t *machine.Trap, ev Event) machine.TrapAction {
 	pol := sg.cfg.Policy
-	if pol.NeedsStore() && sg.store == nil {
-		sg.noteUnwiredStore()
-	}
-	if pol.DomainRewind && sg.store != nil {
+	if pol.DomainRewind {
 		if act, ok := sg.tryDomainRewind(c, t, ev); ok {
 			return act
 		}
 	}
-	if pol.Rollback && sg.store != nil && sg.Rollbacks() < pol.maxRollbacks() {
-		if snap := sg.store.Latest(); snap != nil {
-			t0 := time.Now()
-			rd, err := sg.store.Restore(c, snap)
-			if err == nil {
-				// The restored memory predates this handler's transient
-				// mappings; re-probe the scratch stack and re-allocate
-				// the bit bucket on next use.
-				sg.bitBucket = 0
-				// A rollback resets the storm windows: execution resumes
-				// from a known-good state, so earlier trap bursts no
-				// longer describe the current trajectory. Total per-PC
-				// counts stay (the retry budget is cumulative).
-				for _, st := range sg.pcTraps {
-					st.recent = st.recent[:0]
-				}
-				// Charge the modelled snapshot read plus the requeue
-				// delay of the store's cost model on top of the live
-				// restore time, so policy comparisons see the I/O a real
-				// rollback would pay.
-				ev.Rollback = time.Since(t0) + rd + sg.store.Model.RequeueDelay
-				ev.Outcome = RolledBack
-				sg.record(c.Dyn, ev)
-				sg.release()
-				return machine.TrapResume
+	if pol.Rollback && sg.Rollbacks() < pol.maxRollbacks() {
+		t0 := time.Now()
+		if rd, err := sg.store.Restore(c, sg.store.Latest()); err == nil {
+			// The restored memory predates this handler's transient
+			// mappings; re-probe the scratch stack and re-allocate the
+			// bit bucket on next use.
+			sg.bitBucket = 0
+			// A rollback resets the storm windows: execution resumes
+			// from a known-good state, so earlier trap bursts no longer
+			// describe the current trajectory. Total per-PC counts stay
+			// (the retry budget is cumulative).
+			for _, st := range sg.pcTraps {
+				st.recent = st.recent[:0]
 			}
+			// Charge the modelled snapshot read plus the requeue delay
+			// on top of the live restore time, so policy comparisons
+			// see the I/O a real rollback would pay.
+			ev.Rollback = time.Since(t0) + rd + checkpoint.RequeueDelay
+			ev.Outcome = RolledBack
+			sg.record(c.Dyn, ev)
+			sg.release()
+			return machine.TrapResume
 		}
 	}
 	sg.record(c.Dyn, ev)
@@ -241,25 +228,6 @@ func (sg *Safeguard) tryDomainRewind(c *machine.CPU, t *machine.Trap, ev Event) 
 	sg.record(c.Dyn, ev)
 	sg.release()
 	return machine.TrapResume, true
-}
-
-// unwiredWarnOnce keeps the stderr diagnostic to one line per process
-// even when many safeguards are misconfigured the same way (campaign
-// trials construct one per attempt).
-var unwiredWarnOnce sync.Once
-
-// noteUnwiredStore records the rollback-enabled-but-no-store
-// misconfiguration: once per safeguard on the trace, once per process
-// on stderr.
-func (sg *Safeguard) noteUnwiredStore() {
-	if sg.unwiredWarned {
-		return
-	}
-	sg.unwiredWarned = true
-	sg.rec.Add(CounterRollbackUnwired, 1)
-	unwiredWarnOnce.Do(func() {
-		fmt.Fprintln(os.Stderr, "safeguard: rollback/domain-rewind stage enabled but no checkpoint store wired (UseCheckpoints not called); escalation will fall through to kill")
-	})
 }
 
 // Rollbacks reports how many checkpoint rollbacks this process has

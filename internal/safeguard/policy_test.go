@@ -3,7 +3,6 @@ package safeguard_test
 import (
 	"testing"
 
-	"care/internal/checkpoint"
 	"care/internal/core"
 	"care/internal/defense"
 	"care/internal/machine"
@@ -190,8 +189,6 @@ func TestRollbackStageRestoresGolden(t *testing.T) {
 		Safeguard: safeguard.Config{
 			Policy: safeguard.Policy{Rollback: true},
 		},
-		Checkpoint:             checkpoint.NewStore(checkpoint.DefaultCostModel()),
-		CheckpointEveryResults: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +240,6 @@ func TestRollbackBudgetStopsLoop(t *testing.T) {
 		Safeguard: safeguard.Config{
 			Policy: safeguard.Policy{Rollback: true, MaxRollbacks: 2},
 		},
-		Checkpoint: checkpoint.NewStore(checkpoint.CostModel{}),
 	})
 	if err != nil {
 		t.Fatal(err)

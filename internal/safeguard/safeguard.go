@@ -80,8 +80,8 @@ const (
 	// raised a deterministic SIGTRAP via care_detect. There is no
 	// kernel to recompute — the check proves corruption but cannot
 	// repair it — so the activation enters the escalation chain
-	// directly at the domain-rewind/rollback stages; without a wired
-	// checkpoint store the detection is fail-stop.
+	// directly at the domain-rewind/rollback stages; unless the policy
+	// restores (Policy.NeedsStore), the detection is fail-stop.
 	DefenseDetected Outcome = "defense-detected"
 )
 
@@ -193,10 +193,6 @@ const (
 	// CounterDomainRewindInconsistent counts rewinds refused by the
 	// cross-domain consistency proofs (each one escalated instead).
 	CounterDomainRewindInconsistent = "safeguard.domain-rewind.inconsistent"
-	// CounterRollbackUnwired flags a misconfiguration: a rollback or
-	// domain-rewind stage was enabled but no checkpoint store was wired
-	// (UseCheckpoints never called), so escalation fell through.
-	CounterRollbackUnwired = "safeguard.rollback.unwired"
 	// CounterPeakRecovery is a high-water mark (Recorder.MaxCounter).
 	CounterPeakRecovery = "safeguard.peak-recovery-bytes"
 	// CounterMaxRollbacksBudget / CounterMaxDomainRewindsBudget surface
@@ -248,8 +244,9 @@ type Safeguard struct {
 	cachedLibs   map[*Unit]*machine.Program
 	bitBucket    machine.Word
 
-	// store backs the rollback stage (UseCheckpoints); restores are
-	// counted on the trace against Policy.MaxRollbacks.
+	// store backs the domain-rewind and rollback stages (nil unless the
+	// policy needs it); restores are counted on the trace against
+	// Policy.MaxRollbacks.
 	store *checkpoint.Store
 	// pcTraps tracks per-PC trap pressure for the retry budget and the
 	// recovery-storm detector.
@@ -259,14 +256,14 @@ type Safeguard struct {
 	// deliberately not reset by a full rollback, so a domain that keeps
 	// re-faulting cannot ping-pong between rewind and rollback forever.
 	domainRewinds [machine.NumDomains]int
-	// unwiredWarned makes the rollback-unwired diagnostic one-shot per
-	// safeguard.
-	unwiredWarned bool
 }
 
 // Attach installs Safeguard as the process's SIGSEGV handler (the
 // LD_PRELOAD constructor analogue) and returns it. Units list the
-// protected images with their recovery data.
+// protected images with their recovery data. When the policy restores
+// (Policy.NeedsStore), Attach also creates the Safeguard's checkpoint
+// store: it saves the CPU as attached (at _start, for a fresh process)
+// and then once per new result value (checkpoint.AutoSave).
 func Attach(cpu *machine.CPU, units []*Unit, cfg Config) *Safeguard {
 	sg := &Safeguard{
 		cfg:          cfg,
@@ -288,9 +285,20 @@ func Attach(cpu *machine.CPU, units []*Unit, cfg Config) *Safeguard {
 	if cfg.Policy.DomainRewind {
 		sg.rec.Max(CounterMaxDomainRewindsBudget, int64(cfg.Policy.maxDomainRewinds()))
 	}
+	if cfg.Policy.NeedsStore() {
+		sg.store = checkpoint.NewStore()
+		sg.store.Save(cpu, 0)
+		checkpoint.AutoSave(sg.store, cpu)
+	}
 	cpu.Handler = sg.handle
 	return sg
 }
+
+// Checkpoints returns the store the domain-rewind and rollback stages
+// restore from, or nil when the policy needs none. Its trace holds the
+// save and restore spans and the checkpoint I/O counters; campaign and
+// cluster layers merge it beside Trace.
+func (sg *Safeguard) Checkpoints() *checkpoint.Store { return sg.store }
 
 // Trace exposes the safeguard's recorder: one activation span (with
 // phase-timing child spans) per handled trap, plus the outcome and
@@ -440,8 +448,8 @@ func (sg *Safeguard) handle(c *machine.CPU, t *machine.Trap) machine.TrapAction 
 		// A detection-only defense fired (care_detect). The check can
 		// prove corruption but not repair it — no recovery-table entry,
 		// no kernel — so skip the patch stages and enter the escalation
-		// chain directly at its domain-rewind/rollback stages. Without a
-		// wired checkpoint store this is a fail-stop kill.
+		// chain directly at its domain-rewind/rollback stages. Unless the
+		// policy restores, this is a fail-stop kill.
 		sg.rec.Add(CounterDetected, 1)
 		ev.Outcome = DefenseDetected
 		return sg.escalate(c, t, ev)

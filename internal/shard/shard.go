@@ -160,7 +160,6 @@ func RunCoverage(e *faultinject.CoverageExperiment, build BuildSpec) (*faultinje
 	prep := goPrepare(e.Prepare)
 	defer prep()
 	chunk := parallel.Workers(e.Workers, budget)
-	var done atomic.Int64
 	res, err := e.RunWaves(shards*4*chunk, func(base, end int) ([]faultinject.AttemptResult, error) {
 		atts := make([]faultinject.AttemptResult, end-base)
 		err := deal(base, end, chunk, shards, func(s, lo, hi int) error {
@@ -172,9 +171,6 @@ func RunCoverage(e *faultinject.CoverageExperiment, build BuildSpec) (*faultinje
 				return fmt.Errorf("shard: %d results for attempts [%d,%d)", len(f.Attempts), lo, hi)
 			}
 			copy(atts[lo-base:hi-base], f.Attempts)
-			if e.Progress != nil {
-				e.Progress(int(done.Add(int64(hi-lo))), budget)
-			}
 			return nil
 		})
 		prof, perr := prep()

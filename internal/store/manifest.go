@@ -379,7 +379,7 @@ func (s *Store) loadProfile(key Key, b []byte) (*profiler.Profile, error) {
 	for i, sm := range man.Snaps {
 		st := &checkpoint.Snapshot{
 			Mem:        &machine.Snapshot{HeapNext: sm.HeapNext},
-			CPU:        checkpoint.CPUState{R: sm.R, F: sm.F, PC: sm.PC, Dyn: sm.Dyn},
+			CPU:        machine.Context{R: sm.R, F: sm.F, PC: sm.PC, Dyn: sm.Dyn},
 			Step:       sm.Step,
 			EnvResults: sm.EnvResults,
 			EnvPrinted: sm.EnvPrinted,
