@@ -124,6 +124,27 @@ func TestCLISmoke(t *testing.T) {
 		}
 	})
 
+	// A restoring policy runs every attempt cold, so -warmstart says
+	// on stderr that it is off instead of switching silently.
+	t.Run("care-inject-domain-rewind-warmstart-off", func(t *testing.T) {
+		const line = "coverage.warmstart=off (policy restores checkpoints; attempts start at _start)\n"
+		for _, warm := range []bool{true, false} {
+			args := []string{"-domain-rewind", "-n", "2", "-faults", "2", "-workload", "HPCCG", "-seed", "7"}
+			if warm {
+				args = append(args, "-warmstart")
+			}
+			cmd := exec.Command(bins["care-inject"], args...)
+			var stderr strings.Builder
+			cmd.Stderr = &stderr
+			if _, err := cmd.Output(); err != nil {
+				t.Fatalf("care-inject %v: %v\nstderr:\n%s", args, err, stderr.String())
+			}
+			if got := strings.Contains(stderr.String(), line); got != warm {
+				t.Errorf("care-inject %v: warm-start-off line present = %v, want %v; stderr:\n%s", args, got, warm, stderr.String())
+			}
+		}
+	})
+
 	t.Run("care-trace", func(t *testing.T) {
 		out := runCLI(t, bins["care-trace"], "-workload", "HPCCG", "-n", "5")
 		for _, want := range []string{"outcomes by corrupted unit", "propagation extent"} {

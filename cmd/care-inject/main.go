@@ -280,8 +280,14 @@ func main() {
 		// Domain-rewind policy campaign: multi-fault trials on protected
 		// builds, with the full escalation chain ending in domain rewind
 		// before whole-process rollback.
+		spec := experiments.DomainRewindSpec(pol)
+		if *warmStart && spec.Safeguard.Policy.NeedsStore() {
+			// The Safeguard's checkpoint store starts at _start, so
+			// CoverageExperiment.Prepare runs such a policy cold.
+			fmt.Fprintln(os.Stderr, "coverage.warmstart=off (policy restores checkpoints; attempts start at _start)")
+		}
 		rows, err := experiments.PolicyStudy(names, *opt, workloads.Params{},
-			[]experiments.PolicySpec{experiments.DomainRewindSpec(pol)},
+			[]experiments.PolicySpec{spec},
 			faultinject.CoverageExperiment{
 				Trials: *n, FaultsPerTrial: *faults, Model: m, Seed: *seed, Workers: *workers, Tier: tier,
 				WarmStart: *warmStart, SnapEvery: *snapEvery,

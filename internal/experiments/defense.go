@@ -137,6 +137,7 @@ func DefenseStudy(names []string, arms []DefenseArm, opt int, p workloads.Params
 		arms = DefenseArms()
 	}
 	cells := make([]DefenseCell, 0, len(names)*len(arms))
+	progress := cellProgress(c.Progress, cap(cells), c.N)
 	for _, name := range names {
 		for _, arm := range arms {
 			app, libs, err := buildDefenseTarget(name, p, opt, arm.Defenses)
@@ -156,6 +157,7 @@ func DefenseStudy(names []string, arms []DefenseArm, opt int, p workloads.Params
 			}
 			camp := c
 			camp.App, camp.Libs, camp.Protected = app, libs, app.Defended()
+			camp.Progress = progress[len(cells)]
 			// BLAS is no registered workload, so this spec only keys the
 			// store.
 			key := shard.BuildSpec{Workload: name, Params: p, OptLevel: opt, Defenses: arm.Defenses}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"care/internal/armor"
@@ -46,6 +47,7 @@ type OutcomeRow struct {
 // deterministic for any worker count and for warm or cold starts.
 func OutcomeStudy(names []string, opt int, p workloads.Params, c faultinject.Campaign) ([]OutcomeRow, error) {
 	rows := make([]OutcomeRow, len(names))
+	progress := cellProgress(c.Progress, len(names), c.N)
 	err := parallel.ForEach(len(names), c.Workers, func(i int) error {
 		name := names[i]
 		build := shard.BuildSpec{Workload: name, Params: p, OptLevel: opt}
@@ -54,7 +56,7 @@ func OutcomeStudy(names []string, opt int, p workloads.Params, c faultinject.Cam
 			return err
 		}
 		cell := c
-		cell.App = bin
+		cell.App, cell.Progress = bin, progress[i]
 		cell.StoreKey = build.Key("campaign", c.Seed, c.WarmStart, c.SnapEvery)
 		res, err := shard.RunCampaign(&cell, build)
 		if err != nil {
@@ -67,6 +69,34 @@ func OutcomeStudy(names []string, opt int, p workloads.Params, c faultinject.Cam
 		return nil, err
 	}
 	return rows, nil
+}
+
+// cellProgress splits a study's progress callback into one per cell.
+// Cells run concurrently and each counts its own trials, up to each:
+// cell i reports through the i-th callback, which records that cell's
+// furthest count (a campaign's workers may report out of order) and,
+// when it moves, hands progress the sum over all cells against the
+// whole study's total, so done == total once, last. The sums reach
+// progress under the lock, so they arrive in order. A nil progress
+// yields nil callbacks.
+func cellProgress(progress func(done, total int), cells, each int) []func(done, total int) {
+	out := make([]func(done, total int), cells)
+	if progress == nil {
+		return out
+	}
+	var mu sync.Mutex
+	done, sum := make([]int, cells), 0
+	for i := range out {
+		out[i] = func(d, _ int) {
+			mu.Lock()
+			defer mu.Unlock()
+			if d > done[i] {
+				sum, done[i] = sum+d-done[i], d
+				progress(sum, cells*each)
+			}
+		}
+	}
+	return out
 }
 
 // FormatOutcomeTables renders Tables 2, 3 and 4 for the rows.

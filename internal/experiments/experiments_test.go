@@ -3,6 +3,7 @@ package experiments
 import (
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"care/internal/faultinject"
@@ -42,6 +43,41 @@ func TestOutcomeStudyWorkerDeterminism(t *testing.T) {
 	}
 	if !reflect.DeepEqual(serial, par) {
 		t.Fatalf("study differs between workers=1 and workers=8:\n%+v\nvs\n%+v", serial, par)
+	}
+}
+
+// TestStudyProgressCountsWholeStudy: a study's cells run concurrently,
+// and its Progress hears the sums of their counts, not each cell's own:
+// every report's total is the whole study's, done never falls back,
+// and only the last report is complete.
+func TestStudyProgressCountsWholeStudy(t *testing.T) {
+	const n = 12
+	var mu sync.Mutex
+	var reports [][2]int
+	c := faultinject.Campaign{N: n, Model: faultinject.SingleBit, Seed: 3, Workers: 2, Progress: func(done, total int) {
+		mu.Lock()
+		reports = append(reports, [2]int{done, total})
+		mu.Unlock()
+	}}
+	if _, err := OutcomeStudy([]string{"HPCCG", "miniMD"}, 0, workloads.Params{}, c); err != nil {
+		t.Fatal(err)
+	}
+	if len(reports) == 0 {
+		t.Fatal("no progress reports")
+	}
+	prev := 0
+	for i, r := range reports {
+		done, total := r[0], r[1]
+		if total != 2*n {
+			t.Fatalf("report %d: total %d, want %d (both cells)", i, total, 2*n)
+		}
+		if done < prev {
+			t.Fatalf("report %d: done fell from %d to %d", i, prev, done)
+		}
+		if last := i == len(reports)-1; (done == total) != last {
+			t.Fatalf("report %d of %d: %d/%d; only the last report may be complete", i+1, len(reports), done, total)
+		}
+		prev = done
 	}
 }
 

@@ -102,6 +102,7 @@ func PolicyStudy(names []string, opt int, p workloads.Params, specs []PolicySpec
 		specs = DefaultPolicySpecs()
 	}
 	rows := make([]PolicyRow, len(names)*len(specs))
+	progress := cellProgress(e.Progress, len(rows), e.Trials)
 	err := parallel.ForEach(len(rows), e.Workers, func(i int) error {
 		name, spec := names[i/len(specs)], specs[i%len(specs)]
 		build := shard.BuildSpec{Workload: name, Params: p, OptLevel: opt, Defenses: []string{"care"}}
@@ -110,7 +111,7 @@ func PolicyStudy(names []string, opt int, p workloads.Params, specs []PolicySpec
 			return err
 		}
 		cell := e
-		cell.App, cell.Safeguard = bin, spec.Safeguard
+		cell.App, cell.Safeguard, cell.Progress = bin, spec.Safeguard, progress[i]
 		cell.StoreKey = build.Key("coverage", e.Seed, e.WarmStart, e.SnapEvery)
 		res, err := shard.RunCoverage(&cell, build)
 		if err != nil && res == nil {

@@ -97,11 +97,11 @@ func BenchmarkCampaignWarmStart(b *testing.B) {
 // content-addressed store, where Prepare is a pure cache hit that
 // loads the verified profile instead of executing the golden run. The
 // prepare row times that verified hit alone (Campaign.Prepare: read and
-// decode the manifest, re-hash every page blob it uses). The
+// decode the manifest, read and re-hash the one pack of pages). The
 // computed CampaignResult is bit-identical either way (pinned by
 // TestCampaignStoreCacheHit); only the preparation cost differs. The
 // workload runs a longer CG solve (Steps 160) than the default test size — the
-// store trades verified page reads for golden-run execution, so its
+// store trades one verified pack read for golden-run execution, so its
 // win scales with golden-run length (the paper's golden runs are
 // minutes, not milliseconds).
 func BenchmarkCampaignStoreHit(b *testing.B) {

@@ -248,12 +248,11 @@ func TestCampaignStoreKeySeparatesCadence(t *testing.T) {
 }
 
 // TestCampaignStoreOtherFormatIsAMiss: an entry as earlier stores
-// wrote it (a JSON manifest, format 2, at manifests/<id>.json, over the
-// same page blobs) is a miss, not corruption. The first Prepare runs
-// cold without charging store.fallback, writes no blob bytes because
-// every page it stores is already there, and adds an entry in the
-// current format; the result is byte-identical, and the next Prepare is
-// a hit.
+// wrote it (a JSON manifest, format 2, at manifests/<id>.json, over one
+// blob per page) is a miss, not corruption. The first run goes cold
+// without charging store.fallback and writes exactly one blob, the
+// pack, beside an entry in the current format; the result is
+// byte-identical, and the next run is a hit that writes nothing.
 func TestCampaignStoreOtherFormatIsAMiss(t *testing.T) {
 	bin := buildWorkload(t, "HPCCG", 0, false)
 	key := store.Key{Kind: "campaign", Workload: "HPCCG", Seed: 9, WarmStart: true}
@@ -285,8 +284,8 @@ func TestCampaignStoreOtherFormatIsAMiss(t *testing.T) {
 			t.Fatalf("run %d: golden-hits=%d golden-misses=%d fallback=%d, want a clean %s",
 				i+1, hits, misses, fallback, map[bool]string{false: "miss", true: "hit"}[wantHit])
 		}
-		if n := s.Counter(store.CounterBytesWritten); n != 0 {
-			t.Fatalf("run %d wrote %d blob bytes, want every page a dedup hit", i+1, n)
+		if n, want := s.Counter(store.CounterBlobPuts), map[bool]int64{false: 1}[wantHit]; n != want {
+			t.Fatalf("run %d wrote %d blobs, want %d", i+1, n, want)
 		}
 		if got := scrubbedJSONL(t, res.Trace); got != want {
 			t.Fatalf("run %d JSONL differs from the storeless run (%d vs %d bytes)", i+1, len(got), len(want))

@@ -87,46 +87,39 @@ func rewriteManifest(t *testing.T, s *Store, key Key, rot func(*profileManifest)
 	}
 }
 
-// snapBlobPath returns the path of a blob a snapshot segment actually
-// references (the .text blob is dedup-only and never fetched on load,
-// so corrupting it would not — and should not — trip verification).
-func snapBlobPath(t *testing.T, s *Store, key Key) string {
+// packPath returns the path of the pack the manifest under key names.
+func packPath(t *testing.T, s *Store, key Key) string {
 	t.Helper()
-	man := readManifest(t, s, key)
-	return s.blobPath(man.Blobs[man.Snaps[0].Segs[0].Pages[0]])
+	return s.blobPath(readManifest(t, s, key).Pack)
+}
+
+// rotFile rewrites the file at path with rot applied to its bytes.
+func rotFile(t *testing.T, path string, rot func([]byte) []byte) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, rot(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestCorruptTruncatedBlob(t *testing.T) {
 	s, key := storedProfile(t)
-	f := snapBlobPath(t, s, key)
-	data, err := os.ReadFile(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(f, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
+	rotFile(t, packPath(t, s, key), func(b []byte) []byte { return b[:len(b)/2] })
 	wantFallback(t, s, key)
 }
 
 func TestCorruptFlippedByte(t *testing.T) {
 	s, key := storedProfile(t)
-	for _, f := range blobFiles(t, s) {
-		data, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[len(data)/2] ^= 0x40
-		if err := os.WriteFile(f, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	rotFile(t, packPath(t, s, key), func(b []byte) []byte { b[len(b)/2] ^= 0x40; return b })
 	wantFallback(t, s, key)
 }
 
 func TestCorruptMissingBlob(t *testing.T) {
 	s, key := storedProfile(t)
-	if err := os.Remove(snapBlobPath(t, s, key)); err != nil {
+	if err := os.Remove(packPath(t, s, key)); err != nil {
 		t.Fatal(err)
 	}
 	wantFallback(t, s, key)
@@ -214,30 +207,40 @@ func TestCorruptManifestKeyMismatch(t *testing.T) {
 }
 
 func TestCorruptManifestMissingSegEntry(t *testing.T) {
-	// A manifest whose segment list references a blob the store never
-	// held (the "missing manifest entry" row of the matrix: index and
-	// blobs out of sync).
+	// A manifest that names a pack the store never held (the "missing
+	// manifest entry" row of the matrix: index and blobs out of sync).
 	s, key := storedProfile(t)
 	rewriteManifest(t, s, key, func(m *profileManifest) {
-		m.Blobs[m.Snaps[0].Segs[0].Pages[0]] = HashBytes([]byte("never-stored"))
+		m.Pack = HashBytes([]byte("never-stored"))
 	})
 	wantFallback(t, s, key)
 }
 
 // TestCorruptManifestPageTable: a page table that does not fit its
-// segment — an index past the blob table, the wrong page count, a
-// verified blob of the wrong length for its slot, or a base the machine
-// cannot map — is corruption, not a profile with a malformed segment.
+// segment — an index past the pack's page table, the wrong page count,
+// a page of the wrong length for its slot, or a base the machine cannot
+// map — is corruption, not a profile with a malformed segment. So are
+// page bounds that do not slice the verified pack into whole pages: not
+// starting at 0, not strictly ascending, or not ending at its length.
+// fakeProfile's pack is the text page, then six snapshot pages.
 func TestCorruptManifestPageTable(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		rot  func(*profileManifest)
 	}{
-		{"index-past-table", func(m *profileManifest) { m.Snaps[0].Segs[0].Pages[0] = len(m.Blobs) }},
+		{"index-past-table", func(m *profileManifest) { m.Snaps[0].Segs[0].Pages[0] = len(m.Bounds) - 1 }},
 		{"negative-index", func(m *profileManifest) { m.Snaps[0].Segs[0].Pages[0] = -2 }},
 		{"page-count", func(m *profileManifest) { m.Snaps[1].Segs[2].Pages = m.Snaps[1].Segs[2].Pages[:2] }},
 		{"blob-length", func(m *profileManifest) { m.Snaps[0].Segs[2].Pages[1] = m.Snaps[0].Segs[0].Pages[0] }},
 		{"misaligned-base", func(m *profileManifest) { m.Snaps[1].Segs[2].Base += 4 }},
+		{"bounds-missing", func(m *profileManifest) { m.Bounds = nil }},
+		{"bounds-start", func(m *profileManifest) { m.Bounds[0] = 1 }},
+		{"bounds-negative-start", func(m *profileManifest) { m.Bounds[0] = -1 }},
+		{"bounds-repeated", func(m *profileManifest) { m.Bounds[2] = m.Bounds[1] }},
+		{"bounds-descending", func(m *profileManifest) { m.Bounds[1], m.Bounds[2] = m.Bounds[2], m.Bounds[1] }},
+		{"bounds-short-end", func(m *profileManifest) { m.Bounds[len(m.Bounds)-1]-- }},
+		{"bounds-past-end", func(m *profileManifest) { m.Bounds[len(m.Bounds)-1]++ }},
+		{"bounds-dropped-page", func(m *profileManifest) { m.Bounds = m.Bounds[:len(m.Bounds)-1] }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, key := storedProfile(t)

@@ -21,16 +21,17 @@ import (
 // The checksum is verified before a byte of the payload is decoded,
 // since gob's decoder is not hardened against adversarial input. The
 // format is part of the file name, so an entry written in any other
-// format (the JSON manifests of earlier stores, say) is simply absent:
-// a clean golden miss that the run rewrites, its page blobs dedup hits.
-const manifestExt = ".v3"
+// format (the per-page blob tables of .v3 manifests, the JSON manifests
+// before them) is simply absent: a clean golden miss that the run
+// rewrites as one pack.
+const manifestExt = ".v4"
 
-// segRef is a content-addressed pointer to one memory segment, one
-// entry per machine page: an index into the manifest's blob table, or
-// -1 for a page that was never written (the machine's zero page).
-// Identical pages — the untouched majority of a segment across
-// consecutive snapshots, or the same .text across campaigns — collapse
-// to one blob each.
+// segRef points one memory segment into the profile's pack, one entry
+// per machine page: the index of a page of the pack (see
+// profileManifest.Bounds), or -1 for a page that was never written
+// (the machine's zero page). Identical pages — the untouched majority
+// of a segment across consecutive snapshots — collapse to one page of
+// the pack.
 type segRef struct {
 	Base   machine.Word
 	Name   string
@@ -60,15 +61,18 @@ type snapManifest struct {
 }
 
 // profileManifest is a golden-run profile with every byte image
-// hoisted into the blob store. The key is echoed so a loader can
+// hoisted into one blob, the pack. The key is echoed so a loader can
 // detect an index entry that was moved or overwritten with the wrong
 // campaign's profile. Execution counts are lists aligned with Images
 // rather than maps, so no length in the payload sizes a map.
 type profileManifest struct {
 	Key Key
-	// Blobs holds the hash of every distinct non-zero page the
-	// manifest references, in first-use order.
-	Blobs    []Hash
+	// Pack addresses the blob that holds every distinct non-zero page
+	// the manifest references, concatenated in first-use order. Page i
+	// is pack[Bounds[i]:Bounds[i+1]], so Bounds starts at 0, ascends
+	// strictly and ends at the pack's length.
+	Pack     Hash
+	Bounds   []int
 	TotalDyn uint64
 	// Images names the profiled images in ascending order, and Counts
 	// holds their execution counts in the same order.
@@ -183,12 +187,12 @@ func (m *profileManifest) check() error {
 	return nil
 }
 
-// TextImage is a sealed .text byte image offered for dedup alongside a
-// profile (see machine.Program.CodeImage). The store records it in the
-// manifest so an identical binary in a later campaign is a pure blob
-// dedup hit; the loader does not need it to reconstruct the profile
-// (code is re-derived from the build, exactly as memory.Restore keeps
-// read-only segments in place).
+// TextImage is a sealed .text byte image offered alongside a profile
+// (see machine.Program.CodeImage). The store packs its pages with the
+// snapshot pages, so the pack records the code the profile ran; the
+// loader does not need it to reconstruct the profile (code is
+// re-derived from the build, exactly as memory.Restore keeps read-only
+// segments in place).
 type TextImage struct {
 	Name string
 	Data []byte
@@ -199,11 +203,14 @@ func (s *Store) manifestPath(id string) string {
 }
 
 // PutProfile stores a golden-run profile under key: every distinct
-// machine page of the snapshots and the .text images becomes a blob, the
-// rest becomes a manifest. Frozen pages shared by consecutive snapshots
-// are recognised by backing-array identity before hashing, so a page
-// nobody wrote between two snapshots is hashed once per profile, not
-// once per snapshot.
+// non-zero machine page of the .text images and the snapshots goes into
+// one pack, stored as a blob under its own hash, and the rest becomes a
+// manifest. Frozen pages shared by consecutive snapshots are recognised
+// by backing-array identity before their contents are compared, so a
+// page nobody wrote between two snapshots is looked up once per
+// profile, not once per snapshot. Profiles with the same pages (the
+// campaigns of one build and cadence that differ only in Key.Seed)
+// share one pack file.
 func (s *Store) PutProfile(key Key, prof *profiler.Profile, text []TextImage) error {
 	images := make([]string, 0, len(prof.Counts))
 	for name := range prof.Counts {
@@ -212,65 +219,56 @@ func (s *Store) PutProfile(key Key, prof *profiler.Profile, text []TextImage) er
 	slices.Sort(images)
 	man := profileManifest{
 		Key:      key,
+		Bounds:   []int{0},
 		TotalDyn: prof.TotalDyn,
 		Images:   images,
 		Counts:   countsIn(images, prof.Counts),
 		Golden:   prof.Golden,
 		ExitCode: prof.ExitCode,
 	}
-	// ids maps a page backing array to its blob index, byHash a page
-	// content to it, so each array is offered to the blob store once and
-	// equal contents share one entry.
+	// ids maps a page backing array to its page index, byContent a page
+	// content to it, so each array is packed once and equal contents
+	// share one page.
 	type pageKey struct {
 		p *byte
 		n int
 	}
 	ids := map[pageKey]int{}
-	byHash := map[Hash]int{}
-	pageID := func(d []byte) (int, error) {
+	byContent := map[string]int{}
+	var pack []byte
+	pageID := func(d []byte) int {
 		if d == nil {
-			return -1, nil
+			return -1
 		}
 		pk := pageKey{&d[0], len(d)}
 		if id, ok := ids[pk]; ok {
-			return id, nil
+			return id
 		}
-		h := HashBytes(d)
-		id, ok := byHash[h]
+		id, ok := byContent[string(d)]
 		if ok {
 			s.dedup(len(d))
 		} else {
-			if err := s.putBlob(h, d); err != nil {
-				return 0, err
-			}
-			id = len(man.Blobs)
-			man.Blobs = append(man.Blobs, h)
-			byHash[h] = id
+			id = len(man.Bounds) - 1
+			byContent[string(d)] = id
+			pack = append(pack, d...)
+			man.Bounds = append(man.Bounds, len(pack))
 		}
 		ids[pk] = id
-		return id, nil
+		return id
 	}
-	putSeg := func(base machine.Word, name string, size int, pages [][]byte, dom machine.DomainID) (segRef, error) {
+	putSeg := func(base machine.Word, name string, size int, pages [][]byte, dom machine.DomainID) segRef {
 		r := segRef{Base: base, Name: name, Size: size, Pages: make([]int, len(pages)), Domain: dom}
 		for i, d := range pages {
-			id, err := pageID(d)
-			if err != nil {
-				return segRef{}, err
-			}
-			r.Pages[i] = id
+			r.Pages[i] = pageID(d)
 		}
-		return r, nil
+		return r
 	}
 	for _, t := range text {
 		var pages [][]byte
 		for off := 0; off < len(t.Data); off += machine.PageSize {
 			pages = append(pages, t.Data[off:min(off+machine.PageSize, len(t.Data))])
 		}
-		tr, err := putSeg(0, t.Name, len(t.Data), pages, 0)
-		if err != nil {
-			return err
-		}
-		man.Text = append(man.Text, tr)
+		man.Text = append(man.Text, putSeg(0, t.Name, len(t.Data), pages, 0))
 	}
 	for i := range prof.Snaps {
 		sp := &prof.Snaps[i]
@@ -290,13 +288,13 @@ func (s *Store) PutProfile(key Key, prof *profiler.Profile, text []TextImage) er
 			Counts:     countsIn(images, sp.Counts),
 		}
 		for _, seg := range st.Mem.Segs {
-			sr, err := putSeg(seg.Base, seg.Name, seg.Size, seg.Pages, seg.Domain)
-			if err != nil {
-				return err
-			}
-			sm.Segs = append(sm.Segs, sr)
+			sm.Segs = append(sm.Segs, putSeg(seg.Base, seg.Name, seg.Size, seg.Pages, seg.Domain))
 		}
 		man.Snaps = append(man.Snaps, sm)
+	}
+	man.Pack = HashBytes(pack)
+	if err := s.putBlob(man.Pack, pack); err != nil {
+		return err
 	}
 	b, err := encodeManifest(&man)
 	if err != nil {
@@ -312,12 +310,13 @@ func (s *Store) PutProfile(key Key, prof *profiler.Profile, text []TextImage) er
 // miss (no manifest in this format) returns (nil, nil) and counts a
 // golden miss; any corruption — unreadable or checksum-failing
 // manifest, key mismatch, a snapshot list or count table trials cannot
-// rely on, malformed page table, missing or tamper-failing blob —
-// counts store.fallback and returns the error, and the caller runs
-// cold. On a hit every snapshot page aliases its verified blob, one
-// byte slice per distinct page, restoring the cross-snapshot sharing
-// the original capture had (Restore maps pages copy-on-write, so the
-// aliasing is safe to hand to concurrent trials).
+// rely on, missing or tamper-failing pack, page bounds that do not
+// span it, malformed page table — counts store.fallback and returns
+// the error, and the caller runs cold. On a hit every snapshot page is
+// a slice of the one verified pack, capped at the page's end, one slice
+// per distinct page, restoring the cross-snapshot sharing the original
+// capture had (Restore maps pages copy-on-write, so the aliasing is
+// safe to hand to concurrent trials).
 func (s *Store) GetProfile(key Key) (*profiler.Profile, error) {
 	b, err := os.ReadFile(s.manifestPath(key.ID()))
 	if os.IsNotExist(err) {
@@ -338,7 +337,7 @@ func (s *Store) GetProfile(key Key) (*profiler.Profile, error) {
 }
 
 // loadProfile decodes and checks the manifest file b stored under key
-// and loads the verified pages it references.
+// and slices its snapshot pages out of the verified pack.
 func (s *Store) loadProfile(key Key, b []byte) (*profiler.Profile, error) {
 	man, err := decodeManifest(b)
 	if err != nil {
@@ -350,31 +349,37 @@ func (s *Store) loadProfile(key Key, b []byte) (*profiler.Profile, error) {
 	if err := man.check(); err != nil {
 		return nil, err
 	}
+	pack, err := s.GetBlob(man.Pack)
+	if err != nil {
+		return nil, err
+	}
+	bounds := man.Bounds
+	if len(bounds) == 0 || bounds[0] != 0 || bounds[len(bounds)-1] != len(pack) {
+		return nil, fmt.Errorf("store: page bounds do not span the %d-byte pack", len(pack))
+	}
+	for i := 1; i < len(bounds); i++ {
+		if bounds[i] <= bounds[i-1] {
+			return nil, fmt.Errorf("store: page bound %d (%d) does not ascend past %d", i, bounds[i], bounds[i-1])
+		}
+	}
 	prof := &profiler.Profile{
 		TotalDyn: man.TotalDyn,
 		Counts:   countsMap(man.Images, man.Counts),
 		Golden:   man.Golden,
 		ExitCode: man.ExitCode,
 	}
-	// blobs holds each verified page, fetched on first use by a
-	// snapshot (the .text pages are recorded for dedup only and never
-	// read back).
-	blobs := make([][]byte, len(man.Blobs))
+	// The .text pages are packed for the record only and never
+	// referenced here.
 	page := func(r segRef, i int) ([]byte, error) {
 		id := r.Pages[i]
 		if id == -1 {
 			return nil, nil
 		}
-		if id < 0 || id >= len(blobs) {
-			return nil, fmt.Errorf("store: segment %s page %d references blob %d of %d", r.Name, i, id, len(blobs))
+		if id < 0 || id >= len(bounds)-1 {
+			return nil, fmt.Errorf("store: segment %s page %d references page %d of %d", r.Name, i, id, len(bounds)-1)
 		}
-		if blobs[id] == nil {
-			var err error
-			if blobs[id], err = s.GetBlob(man.Blobs[id]); err != nil {
-				return nil, err
-			}
-		}
-		return blobs[id], nil
+		hi := bounds[id+1]
+		return pack[bounds[id]:hi:hi], nil
 	}
 	for i, sm := range man.Snaps {
 		st := &checkpoint.Snapshot{

@@ -1,9 +1,10 @@
 // Package store is the persistent content-addressed artifact store
-// (ROADMAP item 3): frozen copy-on-write snapshot pages and sealed
-// .text images dedup by SHA-256 in a blob store, a golden-run profile
-// becomes a keyed manifest of page hashes, and campaign traces seal
-// under a Merkle root with one leaf per trial — the "triangle" of
-// blobs, manifests, and the keyed index.
+// (ROADMAP item 3): a golden-run profile's distinct frozen
+// copy-on-write snapshot pages and sealed .text pages are concatenated
+// into one pack, stored as a blob under its SHA-256, the rest of the
+// profile becomes a keyed manifest naming the pack and the page bounds
+// inside it, and campaign traces seal under a Merkle root with one leaf
+// per trial — the "triangle" of blobs, manifests, and the keyed index.
 //
 // The store is an accelerator, never an authority: every blob is
 // verified against its hash on load, and any mismatch, truncation, or
@@ -86,7 +87,8 @@ const (
 	CounterFallback = "store.fallback"
 	// CounterBlobPuts / CounterBytesWritten account for new (or
 	// repaired) blobs; CounterBlobDedup / CounterBytesDeduped for writes
-	// the store already held intact (the dedup win).
+	// the store already held intact and for pages a profile's pack
+	// already held (the dedup win).
 	CounterBlobPuts     = "store.blob-puts"
 	CounterBytesWritten = "store.bytes-written"
 	CounterBlobDedup    = "store.blob-dedup-hits"
@@ -100,15 +102,16 @@ const (
 
 // Store is a content-addressed artifact store rooted at a directory:
 //
-//	<dir>/blobs/<hh>/<hash>    memory-page and .text-page payloads
-//	<dir>/manifests/<id>.v3    golden-run profile manifests, by Key.ID
+//	<dir>/blobs/<hh>/<hash>    content-addressed payloads: one pack of
+//	                           memory and .text pages per profile
+//	<dir>/manifests/<id>.v4    golden-run profile manifests, by Key.ID
 //	                           (checksummed gob, see manifestExt)
 //	<dir>/traces/<id>.jsonl    sealed campaign trace exports
 //	<dir>/seals/<id>.json      Merkle seals over the trace exports
 //
 // Methods are safe for concurrent use by one process, and writes are
 // atomic (temp file + rename), so independent processes — e.g. shard
-// workers racing on the same page hash — can share one directory.
+// workers racing on the same pack — can share one directory.
 type Store struct {
 	dir string
 	mu  sync.Mutex
@@ -165,7 +168,7 @@ func (s *Store) blobPath(h Hash) string {
 
 // PutBlob stores a byte image under its content address. If the store
 // already holds the blob intact the write is skipped and counted as
-// dedup — the common case once a page has been seen by any prior
+// dedup — the common case once a pack has been written by any prior
 // run, campaign, or shard worker. A file at the address that does not
 // hold exactly these bytes (a corrupted or truncated blob) is rewritten
 // and counted as a put, so a fallback run's repopulate repairs the

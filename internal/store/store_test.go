@@ -225,15 +225,20 @@ func TestProfileRoundTrip(t *testing.T) {
 	if err := s.PutProfile(key, prof, text); err != nil {
 		t.Fatalf("PutProfile: %v", err)
 	}
-	// Every distinct non-zero page is stored once: the aliased globals
+	// Every distinct non-zero page is packed once: the aliased globals
 	// and stack-middle pages (recognised by backing-array identity, not
 	// even charged as dedup hits), two heap and two stack-top pages, and
-	// the text page. The never-written stack page stores nothing.
-	if n := s.Counter(CounterBlobPuts); n != 7 {
-		t.Fatalf("blob-puts = %d, want 7", n)
+	// the text page. The never-written stack page stores nothing. The
+	// pack is the one blob the profile writes.
+	if n := s.Counter(CounterBlobPuts); n != 1 {
+		t.Fatalf("blob-puts = %d, want 1", n)
 	}
 	if n := s.Counter(CounterBlobDedup); n != 0 {
 		t.Fatalf("blob-dedup-hits = %d, want 0", n)
+	}
+	if n, want := s.Counter(CounterBytesWritten), int64(len("packed-text-image")+len("shared-cow-segment-bytes")+
+		len("snap1-private")+len("snap2-private-longer")+machine.PageSize+2*256); n != want {
+		t.Fatalf("bytes-written = %d, want %d (seven pages)", n, want)
 	}
 	got, err := s.GetProfile(key)
 	if err != nil {
@@ -244,8 +249,8 @@ func TestProfileRoundTrip(t *testing.T) {
 	}
 	sameProfile(t, got, prof)
 	// Cross-snapshot sharing must survive the round trip: both
-	// snapshots' shared pages alias one verified blob each, and the
-	// zero page comes back as the zero page.
+	// snapshots' shared pages alias one page of the verified pack each,
+	// and the zero page comes back as the zero page.
 	s0, s1 := got.Snaps[0].State.Mem.Segs, got.Snaps[1].State.Mem.Segs
 	for _, at := range []struct{ seg, page int }{{0, 0}, {2, 1}} {
 		a, b := s0[at.seg].Pages[at.page], s1[at.seg].Pages[at.page]
@@ -262,15 +267,49 @@ func TestProfileRoundTrip(t *testing.T) {
 	if n := s.Counter(CounterGoldenHits); n != 1 {
 		t.Fatalf("golden-hits = %d, want 1", n)
 	}
-	// A second identical store of the profile is pure dedup.
+	// A second identical store of the profile is pure dedup: the same
+	// pack again.
 	if err := s.PutProfile(key, prof, text); err != nil {
 		t.Fatalf("PutProfile again: %v", err)
 	}
-	if n := s.Counter(CounterBlobPuts); n != 7 {
-		t.Fatalf("blob-puts after re-put = %d, want 7", n)
+	if n := s.Counter(CounterBlobPuts); n != 1 {
+		t.Fatalf("blob-puts after re-put = %d, want 1", n)
 	}
-	if n := s.Counter(CounterBlobDedup); n != 7 {
-		t.Fatalf("blob-dedup-hits after re-put = %d, want 7", n)
+	if n := s.Counter(CounterBlobDedup); n != 1 {
+		t.Fatalf("blob-dedup-hits after re-put = %d, want 1", n)
+	}
+}
+
+// TestProfileHitReadsOnePack: a hit reads one blob, the pack, whole:
+// one verified get whose bytes are every blob byte the store holds.
+// The same profile stored under another seed shares that pack.
+func TestProfileHitReadsOnePack(t *testing.T) {
+	s, key := storedProfile(t)
+	other := key
+	other.Seed++
+	if err := s.PutProfile(other, fakeProfile(), []TextImage{{Name: "app", Data: []byte("text-bytes")}}); err != nil {
+		t.Fatal(err)
+	}
+	files := blobFiles(t, s)
+	if len(files) != 1 {
+		t.Fatalf("two seeds of one profile stored %d blobs, want 1 (the pack)", len(files))
+	}
+	fi, err := os.Stat(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit, err := Open(s.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prof, err := hit.GetProfile(key); err != nil || prof == nil {
+		t.Fatalf("GetProfile: %v, %v", prof != nil, err)
+	}
+	if n := hit.Counter(CounterBlobGets); n != 1 {
+		t.Fatalf("blob-gets = %d, want 1", n)
+	}
+	if n := hit.Counter(CounterBytesRead); n != fi.Size() {
+		t.Fatalf("bytes-read = %d, want the pack's %d", n, fi.Size())
 	}
 }
 
