@@ -68,9 +68,8 @@ func (s *Snapshot) Apply(c *machine.CPU) {
 // result stream compared by bit pattern (so +0/-0 and NaN payloads
 // differ), the print stream, and the writable memory
 // (machine.Memory.Matches). Code is immutable and not compared. With no
-// step hook, StopPC sentinel or trap, that state alone determines the
-// rest of a run, so a match means the CPU will retrace the snapshotted
-// run from here on.
+// step hook or trap, that state alone determines the rest of a run, so
+// a match means the CPU will retrace the snapshotted run from here on.
 func (s *Snapshot) Matches(c *machine.CPU) bool {
 	if c.R != s.CPU.R || c.PC != s.CPU.PC || c.Dyn != s.CPU.Dyn {
 		return false

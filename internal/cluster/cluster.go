@@ -12,6 +12,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"care/internal/checkpoint"
@@ -369,7 +370,7 @@ func RunCheckpointRestart(w *workloads.Workload, p workloads.Params, opt, interv
 			return nil, fmt.Errorf("cluster: scratch restart failed: %v", st)
 		}
 		res.RecomputeDyn = faultDyn
-		res.Verified = sameFloats(proc2.Results(), prof.Golden)
+		res.Verified = slices.Equal(proc2.Results(), prof.Golden)
 	} else {
 		rd, err := store.Restore(proc.CPU, snap)
 		if err != nil {
@@ -383,7 +384,7 @@ func RunCheckpointRestart(w *workloads.Workload, p workloads.Params, opt, interv
 		}
 		// Lost work: from the checkpoint to the fault point.
 		res.RecomputeDyn = faultDyn - before
-		res.Verified = sameFloats(proc.Results(), prof.Golden)
+		res.Verified = slices.Equal(proc.Results(), prof.Golden)
 	}
 	res.Recompute = time.Duration(res.RecomputeDyn)
 	res.RecoveryTotal = res.Requeue + res.RestartRead + res.Recompute
@@ -394,16 +395,4 @@ func RunCheckpointRestart(w *workloads.Workload, p workloads.Params, opt, interv
 		res.StepVirtual = time.Duration(float64(prof.TotalDyn) / float64(stepsTotal))
 	}
 	return res, nil
-}
-
-func sameFloats(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -123,11 +123,11 @@ func DefenseNames() []string {
 // campaign's App, Libs, StoreKey and Protected, which attaches the
 // Safeguard (configured by c.Safeguard) to defended arms. Under the
 // paper's one-shot policy (the zero c.Safeguard) a detection trap is a
-// fail-stop and CARE repairs in place — the paper's configurations. Cells come back in (names,
-// arms) order and are bit-identical for every c.Workers value; c.Trace
-// additionally keeps machine-level trap stamps. The campaigns run in
-// this process: the BLAS target links a library that no shard worker
-// can rebuild.
+// fail-stop and CARE repairs in place — the paper's configurations.
+// Cells come back in (names, arms) order and are bit-identical for
+// every c.Workers value; c.Trace additionally keeps machine-level trap
+// stamps. The campaigns run in this process: the BLAS target links a
+// library that no shard worker can rebuild.
 //
 // measureRates adds the wall-clock golden-run throughput per
 // interpreter tier (DefenseCell.Rates) — wall-based and excluded from

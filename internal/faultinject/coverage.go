@@ -3,6 +3,7 @@ package faultinject
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"care/internal/checkpoint"
@@ -44,8 +45,6 @@ type CoverageExperiment struct {
 	// DomainRewind), the Safeguard of every attempt's process keeps its
 	// own, and the attempt's trace merges that store's trace.
 	Safeguard safeguard.Config
-	// HangFactor multiplies the golden dynamic count (default 4).
-	HangFactor uint64
 	// RecordInjections retains the (trigger, bits) of recovered trials
 	// so callers (e.g. the cluster experiment) can replay them.
 	RecordInjections bool
@@ -58,7 +57,9 @@ type CoverageExperiment struct {
 	// WarmStart clones each attempt from the latest golden-run snapshot
 	// whose execution counts precede every armed occurrence trigger,
 	// pre-seeding the arming hook with the snapshot's counts so faults
-	// fire at exactly the dyn they would in a cold run. Ignored when the
+	// fire at exactly the dyn they would in a cold run, and ends an
+	// attempt whose faults have fired at the first later snapshot whose
+	// state it equals, as Campaign.WarmStart does. Ignored when the
 	// policy needs a checkpoint store (Rollback or DomainRewind): those
 	// stages checkpoint each process at _start, which a mid-run clone
 	// cannot reproduce.
@@ -263,45 +264,6 @@ func (s *sampler) draw(rng *rand.Rand) (string, int, uint64) {
 	return s.images[ii], lo, occ
 }
 
-// warmSnapFor picks the latest profile snapshot that precedes every
-// armed occurrence trigger, returning it with the per-spec occurrence
-// seeds (how often each spec's static instruction had retired by the
-// snapshot). A snapshot is only eligible while the seed is strictly
-// below the trigger occurrence — at equality the target retirement has
-// already happened, uncorrupted. Returns (nil, nil) when no snapshot is
-// eligible (cold start).
-func warmSnapFor(prof *profiler.Profile, specs []ArmSpec) (*profiler.SnapPoint, []uint64) {
-	if len(prof.Snaps) == 0 {
-		return nil, nil
-	}
-	countAt := func(sp *profiler.SnapPoint, trig Trigger) uint64 {
-		cnts := sp.Counts[trig.Image]
-		if trig.StaticIdx >= len(cnts) {
-			return 0
-		}
-		return cnts[trig.StaticIdx]
-	}
-	for i := len(prof.Snaps) - 1; i >= 0; i-- {
-		sp := &prof.Snaps[i]
-		ok := true
-		for _, s := range specs {
-			if countAt(sp, s.Trigger) >= s.Trigger.Occurrence {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		seed := make([]uint64, len(specs))
-		for si, s := range specs {
-			seed[si] = countAt(sp, s.Trigger)
-		}
-		return sp, seed
-	}
-	return nil, nil
-}
-
 // AttemptResult is the outcome of one injection attempt — the unit the
 // in-order merge consumes and the shard coordinator ships between
 // processes. Every field except RecTime is on the deterministic virtual
@@ -331,7 +293,7 @@ type AttemptResult struct {
 // runAttempt performs the i'th injection attempt against a fresh
 // protected process. All randomness derives from (e.Seed, i), so
 // attempts are independent and may run concurrently.
-func (e *CoverageExperiment) runAttempt(i int, prof *profiler.Profile, smp *sampler, hang uint64) (AttemptResult, error) {
+func (e *CoverageExperiment) runAttempt(i int, prof *profiler.Profile, smp *sampler) (AttemptResult, error) {
 	rng := rand.New(rand.NewSource(TrialSeed(e.Seed, uint64(i))))
 	k := e.FaultsPerTrial
 	if k <= 0 {
@@ -345,39 +307,22 @@ func (e *CoverageExperiment) runAttempt(i int, prof *profiler.Profile, smp *samp
 			Bits:    pickBits(rng, e.Model),
 		}
 	}
-	cfg := core.ProcessConfig{
+	p, seed, err := startRun(core.ProcessConfig{
 		App: e.App, Libs: e.Libs, Protected: true, Safeguard: e.Safeguard,
 		Tier: e.Tier,
-	}
-	// Warm start: the latest snapshot at which every armed occurrence
-	// trigger still lies ahead. The snapshot's per-instruction counts
-	// pre-seed the arming hook so each fault fires on exactly the same
-	// retirement as in a cold run.
-	snap, seed := warmSnapFor(prof, specs)
-	var p *core.Process
-	var err error
-	if snap != nil {
-		p, err = core.NewProcessFromSnapshot(cfg, snap.State)
-	} else {
-		p, err = core.NewProcess(cfg)
-	}
+	}, prof, specs)
 	if err != nil {
 		return AttemptResult{}, err
 	}
-	armed := armAllSeeded(p.CPU, specs, seed)
-	limit := hang * prof.TotalDyn
-	if snap != nil {
-		// The fault-free golden prefix retires one instruction per step,
-		// so the skipped prefix maps one-for-one onto budget.
-		limit -= snap.Dyn
-	}
-	status := p.Run(limit)
+	// An attempt that rejoins the golden run exits as the golden run
+	// does, with its results. Only an attempt Safeguard never activated
+	// in can rejoin (running a kernel maps the scratch stack, a heuristic
+	// patch allocates heap, a restoring policy keeps its checkpoint hook
+	// installed, and any other activation kills the run), so it is never
+	// examined, whatever its status.
+	status, armed, _ := drive(p.CPU, prof, specs, seed, hangFactor*prof.TotalDyn, nil)
 	a := AttemptResult{Index: i}
-	fired := false
-	for _, st := range armed {
-		fired = fired || st.Fired
-	}
-	if !fired {
+	if !slices.ContainsFunc(armed, func(st *Armed) bool { return st.Fired }) {
 		return a, nil // program finished before any occurrence came up
 	}
 	sg := p.SG
@@ -401,7 +346,7 @@ func (e *CoverageExperiment) runAttempt(i int, prof *profiler.Profile, smp *samp
 		return a, nil
 	}
 	a.Recovered = true
-	if sameResults(p.Results(), prof.Golden) {
+	if slices.Equal(p.Results(), prof.Golden) {
 		a.Clean = true
 		if k == 1 {
 			a.Rec = specs[0]
@@ -515,10 +460,6 @@ func (e *CoverageExperiment) RunAttemptRange(prof *profiler.Profile, lo, hi int)
 	if lo < 0 || hi < lo || hi > e.AttemptBudget() {
 		return nil, fmt.Errorf("faultinject: attempt range [%d,%d) outside budget [0,%d)", lo, hi, e.AttemptBudget())
 	}
-	hang := e.HangFactor
-	if hang == 0 {
-		hang = 4
-	}
 	targets := e.TargetImages
 	if len(targets) == 0 {
 		targets = []string{e.App.Name}
@@ -527,16 +468,9 @@ func (e *CoverageExperiment) RunAttemptRange(prof *profiler.Profile, lo, hi int)
 	if err != nil {
 		return nil, err
 	}
-	atts := make([]AttemptResult, hi-lo)
-	err = parallel.ForEach(hi-lo, e.Workers, func(j int) error {
-		a, err := e.runAttempt(lo+j, prof, smp, hang)
-		atts[j] = a
-		return err
+	return runRange(lo, hi, e.Workers, func(i int) (AttemptResult, error) {
+		return e.runAttempt(i, prof, smp)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return atts, nil
 }
 
 // RunWaves is the experiment's wave loop, shared by Run and the shard

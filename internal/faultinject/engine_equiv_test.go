@@ -82,9 +82,9 @@ func TestCampaignEngineEquivalenceWarmStart(t *testing.T) {
 }
 
 // TestCoverageEngineEquivalence pins the protected path: Safeguard
-// recovery (trap handlers, recovery-kernel sub-CPUs riding the StopPC
-// sentinel, checkpoint rollback restores) must classify every trial
-// identically on every interpreter tier.
+// recovery (trap handlers, recovery-kernel sub-CPUs on the Step loop,
+// checkpoint rollback restores) must classify every trial identically
+// on every interpreter tier.
 func TestCoverageEngineEquivalence(t *testing.T) {
 	bin := buildWorkload(t, "HPCCG", 0, true)
 	run := func(tier machine.InterpTier) *CoverageResult {

@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"sync/atomic"
 
 	"care/internal/core"
@@ -199,12 +201,9 @@ type Armed struct {
 	Image     string
 	StaticIdx int
 	Dest      machine.DestKind
-	// OnFire, when set before the run, is invoked right after the
-	// corruption is applied (the taint tracker seeds there).
-	OnFire func(c *machine.CPU, in *machine.MInstr)
 }
 
-// TriggerKind selects how the injection point is specified.
+// Trigger selects the injection point.
 type Trigger struct {
 	// AtDyn fires after the AtDyn'th dynamic instruction retires
 	// (1-based) when >0.
@@ -240,17 +239,18 @@ func Arm(cpu *machine.CPU, trig Trigger, bits []int) *Armed {
 // unfired faults remain armed even if a checkpoint rollback rewinds the
 // dynamic-instruction clock past their trigger.
 func ArmAll(cpu *machine.CPU, specs []ArmSpec) []*Armed {
-	return armAllSeeded(cpu, specs, nil)
+	return armAllSeeded(cpu, specs, nil, nil)
 }
 
 // armAllSeeded is ArmAll with pre-seeded occurrence counters: a
 // warm-started process resumes mid-run, so the retire hook never sees
 // the skipped prefix's retirements and seed[si] must carry how many
 // times spec si's static instruction already retired in it. A nil seed
-// is the cold start. The states backing is allocated as one block and
-// the occurrence counters only when some spec needs them (the campaign
-// hot path is all AtDyn triggers).
-func armAllSeeded(cpu *machine.CPU, specs []ArmSpec, seed []uint64) []*Armed {
+// is the cold start. onFire, when non-nil, runs right after each
+// corruption lands (the taint tracker seeds there). The states backing
+// is allocated as one block and the occurrence counters only when some
+// spec needs them (the campaign hot path is all AtDyn triggers).
+func armAllSeeded(cpu *machine.CPU, specs []ArmSpec, seed []uint64, onFire func(*machine.CPU, *machine.MInstr)) []*Armed {
 	backing := make([]Armed, len(specs))
 	states := make([]*Armed, len(specs))
 	for i := range states {
@@ -298,8 +298,8 @@ func armAllSeeded(cpu *machine.CPU, specs []ArmSpec, seed []uint64) []*Armed {
 			st.StaticIdx = idx
 			st.Dest = kind
 			live--
-			if st.OnFire != nil {
-				st.OnFire(c, in)
+			if onFire != nil {
+				onFire(c, in)
 			}
 		}
 		if live == 0 {
@@ -340,9 +340,6 @@ type Campaign struct {
 	Model Model
 	// Seed drives all randomness.
 	Seed int64
-	// HangFactor multiplies the golden instruction count for the hang
-	// budget (default 4).
-	HangFactor uint64
 	// TrackPropagation attaches a taint tracker to every injected run,
 	// reproducing the paper's §2 fault-propagation trace analysis
 	// (slower: every instruction pays the shadow-state update).
@@ -492,7 +489,7 @@ type CampaignResult struct {
 	WarmStart *WarmStartStats
 }
 
-// destName names a destination kind for reports.
+// DestName names a destination kind for reports.
 func DestName(k machine.DestKind) string {
 	switch k {
 	case machine.DestIntReg:
@@ -551,10 +548,14 @@ type TrialResult struct {
 	Rec *trace.Recorder
 }
 
+// hangFactor bounds every injected run at hangFactor×TotalDyn attempts,
+// counted from _start: a run still going then is a Hang.
+const hangFactor = 4
+
 // runTrial executes the i'th injection of the campaign against a fresh
 // process. All randomness comes from a trial-local RNG derived from
 // (c.Seed, i), so trials are independent and may run concurrently.
-func (c *Campaign) runTrial(i int, prof *profiler.Profile, hang uint64) (TrialResult, error) {
+func (c *Campaign) runTrial(i int, prof *profiler.Profile) (TrialResult, error) {
 	rng := rand.New(rand.NewSource(TrialSeed(c.Seed, uint64(i))))
 	k := c.FaultsPerTrial
 	if k <= 0 {
@@ -565,29 +566,14 @@ func (c *Campaign) runTrial(i int, prof *profiler.Profile, hang uint64) (TrialRe
 		target := uint64(rng.Int63n(int64(prof.TotalDyn))) + 1
 		specs[j] = ArmSpec{Trigger: Trigger{AtDyn: target}, Bits: pickBits(rng, c.Model)}
 	}
-	minTarget := specs[0].Trigger.AtDyn
-	for _, s := range specs[1:] {
-		minTarget = min(minTarget, s.Trigger.AtDyn)
-	}
-	// Warm start: resume from the latest golden snapshot strictly before
-	// the earliest armed target. Everything up to that target is the
-	// deterministic fault-free golden prefix, so the resumed process is
-	// bit-identical to a cold one at the moment the first fault can fire.
-	snap := prof.NearestSnap(minTarget)
-	cfg := core.ProcessConfig{
+	p, seed, err := startRun(core.ProcessConfig{
 		App: c.App, Libs: c.Libs, Tier: c.Tier,
 		Protected: c.Protected, Safeguard: c.Safeguard,
-	}
-	var p *core.Process
-	var err error
-	if snap != nil {
-		p, err = core.NewProcessFromSnapshot(cfg, snap.State)
-	} else {
-		p, err = core.NewProcess(cfg)
-	}
+	}, prof, specs)
 	if err != nil {
 		return TrialResult{}, err
 	}
+	skipped := p.CPU.Dyn
 	// An unprotected campaign trial emits at most one trap stamp (the
 	// process dies at its first trap) plus the summary span; a 4-slot
 	// ring never drops and keeps the per-trial footprint small. A
@@ -602,34 +588,15 @@ func (c *Campaign) runTrial(i int, prof *profiler.Profile, hang uint64) (TrialRe
 		p.CPU.Trace = rec
 	}
 	var tracker *taint.Tracker
+	var onFire func(*machine.CPU, *machine.MInstr)
 	if c.TrackPropagation {
 		tracker = taint.Attach(p.CPU)
+		onFire = tracker.MarkDest
 	}
-	arm := func() []*Armed {
-		armed := ArmAll(p.CPU, specs)
-		if tracker != nil {
-			for _, st := range armed {
-				st.OnFire = func(cc *machine.CPU, in *machine.MInstr) {
-					tracker.MarkDest(cc, in)
-				}
-			}
-		}
-		return armed
-	}
-	// The budget is shared with the skipped prefix: in the golden prefix
-	// every step retires, so a cold trial reaching the snapshot point has
-	// spent exactly snap.Dyn of its budget. Charging it here keeps the
-	// Hang classification bit-identical between warm and cold runs.
-	budget := hang * prof.TotalDyn
-	var skipped uint64
-	if snap != nil {
-		skipped = snap.Dyn
-		budget -= skipped
-	}
-	status, armed, rejoined := drive(p.CPU, prof, minTarget, budget, arm)
+	status, armed, rejoined := drive(p.CPU, prof, specs, seed, hangFactor*prof.TotalDyn, onFire)
 	if armed == nil {
 		return TrialResult{}, fmt.Errorf("faultinject: trial %d stopped (%v) at dyn %d, before its first target %d; the golden prefix must reach it",
-			i, status, p.CPU.Dyn, minTarget)
+			i, status, p.CPU.Dyn, firstTarget(specs))
 	}
 	// Fold the safeguard's private trace (activations, phase spans, the
 	// recovered/detected counters) into the trial recorder so campaign
@@ -683,7 +650,7 @@ func (c *Campaign) runTrial(i int, prof *profiler.Profile, hang uint64) (TrialRe
 			inj.Latency = p.CPU.Dyn - last.Dyn
 		}
 	case status == machine.StatusExited:
-		if sameResults(p.Results(), prof.Golden) && p.CPU.ExitCode == prof.ExitCode {
+		if slices.Equal(p.Results(), prof.Golden) && p.CPU.ExitCode == prof.ExitCode {
 			inj.Outcome = Benign
 		} else {
 			inj.Outcome = SDC
@@ -728,36 +695,113 @@ func (c *Campaign) runTrial(i int, prof *profiler.Profile, hang uint64) (TrialRe
 	}, nil
 }
 
-// drive runs a trial CPU in budget slices until it ends: with no
-// step hook up to the instruction before the earliest fault target (so
-// the fault-free prefix runs on the fast interpreter tiers), then with
-// the faults armed (arm installs them), stopping at every later golden
-// snapshot. A slice of n attempts that returns StatusLimit charged
-// exactly n; one that retired fewer (a trap a protected binary resumed
-// from) ends short of its boundary, and the next slice runs toward the
-// same boundary. An exhausted budget is a hang, as for a single Run.
+// startRun builds the process an injected run starts from: a clone of
+// the latest golden snapshot at which every trigger still lies ahead
+// (warmSnapFor), or a cold process at _start when none does. Everything
+// before the first fault fires is the deterministic fault-free golden
+// prefix, so a clone is bit-identical to a cold process at the moment
+// the first fault can fire. It returns the occurrence seeds drive arms
+// the process with (nil for a cold start).
+func startRun(cfg core.ProcessConfig, prof *profiler.Profile, specs []ArmSpec) (*core.Process, []uint64, error) {
+	snap, seed := warmSnapFor(prof, specs)
+	if snap == nil {
+		p, err := core.NewProcess(cfg)
+		return p, nil, err
+	}
+	p, err := core.NewProcessFromSnapshot(cfg, snap.State)
+	return p, seed, err
+}
+
+// warmSnapFor picks the latest profile snapshot at which every trigger
+// still lies ahead: strictly before an AtDyn target (a snapshot taken at
+// the target has already retired it, uncorrupted), and with an
+// occurrence trigger's instruction retired fewer than Occurrence times
+// (at equality the target retirement has already happened). It returns
+// the snapshot with the per-spec occurrence seeds (how often each spec's
+// static instruction had retired by the snapshot), or (nil, nil) when
+// no snapshot is eligible (cold start). Eligibility only ever ends as
+// the run goes on, so a binary search finds the last eligible snapshot.
+func warmSnapFor(prof *profiler.Profile, specs []ArmSpec) (*profiler.SnapPoint, []uint64) {
+	countAt := func(sp *profiler.SnapPoint, trig Trigger) uint64 {
+		cnts := sp.Counts[trig.Image]
+		if trig.StaticIdx >= len(cnts) {
+			return 0
+		}
+		return cnts[trig.StaticIdx]
+	}
+	passed := func(i int) bool {
+		sp := &prof.Snaps[i]
+		for _, s := range specs {
+			if t := s.Trigger; t.AtDyn > 0 && sp.Dyn >= t.AtDyn || t.AtDyn == 0 && countAt(sp, t) >= t.Occurrence {
+				return true
+			}
+		}
+		return false
+	}
+	i := sort.Search(len(prof.Snaps), passed) - 1
+	if i < 0 {
+		return nil, nil
+	}
+	sp := &prof.Snaps[i]
+	seed := make([]uint64, len(specs))
+	for si, s := range specs {
+		seed[si] = countAt(sp, s.Trigger)
+	}
+	return sp, seed
+}
+
+// firstTarget is the earliest AtDyn target of specs, or 0 when a
+// trigger counts occurrences: which retirement is its k'th is not known
+// in advance, so such faults are armed at once.
+func firstTarget(specs []ArmSpec) uint64 {
+	var first uint64
+	for _, s := range specs {
+		if s.Trigger.AtDyn == 0 {
+			return 0
+		}
+		if first == 0 || s.Trigger.AtDyn < first {
+			first = s.Trigger.AtDyn
+		}
+	}
+	return first
+}
+
+// drive runs an injected run (a campaign trial or a coverage attempt)
+// in budget slices until it ends: with no step hook up to the
+// instruction before the first target (so the fault-free prefix runs on
+// the fast interpreter tier), then with the faults armed, stopping at
+// every later golden snapshot. The budget counts attempts from _start,
+// so a warm start has already spent cpu.Dyn of it: in the golden prefix
+// every attempt retires, and charging the skipped prefix keeps the Hang
+// classification bit-identical between warm and cold runs. A slice of n
+// attempts that returns StatusLimit charged exactly n; one that retired
+// fewer (a trap a protected binary resumed from) ends short of its
+// boundary, and the next slice runs toward the same boundary. An
+// exhausted budget is a hang, as for a single Run.
 //
-// At a snapshot stop, once every armed fault has fired, the trial is
+// At a snapshot stop, once every armed fault has fired, the run is
 // compared with the snapshot. A run's future depends only on the state
-// a snapshot holds as long as no step hook is installed, no StopPC
-// sentinel is set and no trap occurs; the golden suffix from a snapshot
-// raises no trap and exits at TotalDyn after TotalDyn-Dyn retirements
-// and the exit attempt. So a trial that matches, with budget left for
-// that suffix, would finish exactly as the golden run does: drive stops
-// it there and returns the snapshot it rejoined. A trial bound for any
-// other outcome can never match, so the early stop changes no result.
-func drive(cpu *machine.CPU, prof *profiler.Profile, minTarget, budget uint64, arm func() []*Armed) (machine.RunStatus, []*Armed, *profiler.SnapPoint) {
+// a snapshot holds as long as no step hook is installed and no trap
+// occurs; the golden suffix from a snapshot raises no trap and exits at
+// TotalDyn after TotalDyn-Dyn retirements and the exit attempt. So a
+// run that matches, with budget left for that suffix, would finish
+// exactly as the golden run does, with its results: drive stops it
+// there and returns the snapshot it rejoined. A run bound for any other
+// outcome can never match, so the early stop changes no result.
+func drive(cpu *machine.CPU, prof *profiler.Profile, specs []ArmSpec, seed []uint64, budget uint64, onFire func(*machine.CPU, *machine.MInstr)) (machine.RunStatus, []*Armed, *profiler.SnapPoint) {
+	first := firstTarget(specs)
+	budget -= cpu.Dyn
 	var armed []*Armed
 	for {
-		if armed == nil && cpu.Dyn+1 >= minTarget {
-			armed = arm()
+		if armed == nil && cpu.Dyn+1 >= first {
+			armed = armAllSeeded(cpu, specs, seed, onFire)
 		}
 		// stop is the Dyn this slice runs to (0: the end of the run); at
 		// is the snapshot taken there, if any.
 		var stop uint64
 		var at *profiler.SnapPoint
 		if armed == nil {
-			stop = minTarget - 1
+			stop = first - 1
 		} else if at = prof.NextSnap(cpu.Dyn); at != nil {
 			stop = at.Dyn
 		}
@@ -774,7 +818,7 @@ func drive(cpu *machine.CPU, prof *profiler.Profile, minTarget, budget uint64, a
 		}
 		budget -= n
 		if at != nil && cpu.Dyn == at.Dyn && budget > prof.TotalDyn-cpu.Dyn &&
-			allFired(armed) && !cpu.Hooked() && !cpu.StopPCSet && at.State.Matches(cpu) {
+			allFired(armed) && !cpu.Hooked() && at.State.Matches(cpu) {
 			return machine.StatusLimit, armed, at
 		}
 	}
@@ -902,28 +946,31 @@ func (c *Campaign) RunTrialRange(prof *profiler.Profile, lo, hi int) ([]TrialRes
 	if lo < 0 || hi < lo || hi > c.N {
 		return nil, fmt.Errorf("faultinject: trial range [%d,%d) outside campaign [0,%d)", lo, hi, c.N)
 	}
-	hang := c.HangFactor
-	if hang == 0 {
-		hang = 4
-	}
-	trials := make([]TrialResult, hi-lo)
 	var done atomic.Int64
 	done.Store(int64(lo))
-	err := parallel.ForEach(hi-lo, c.Workers, func(j int) error {
-		t, err := c.runTrial(lo+j, prof, hang)
-		if err != nil {
-			return err
-		}
-		trials[j] = t
-		if c.Progress != nil {
+	return runRange(lo, hi, c.Workers, func(i int) (TrialResult, error) {
+		t, err := c.runTrial(i, prof)
+		if err == nil && c.Progress != nil {
 			c.Progress(int(done.Add(1)), c.N)
 		}
-		return nil
+		return t, err
+	})
+}
+
+// runRange runs run(i) for every i in [lo, hi) on a pool of workers
+// goroutines and returns the results in index order, or the error of
+// the lowest failing index: the range runner behind RunTrialRange and
+// RunAttemptRange.
+func runRange[T any](lo, hi, workers int, run func(i int) (T, error)) ([]T, error) {
+	out := make([]T, hi-lo)
+	err := parallel.ForEach(hi-lo, workers, func(j int) (err error) {
+		out[j], err = run(lo + j)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return trials, nil
+	return out, nil
 }
 
 // MergeResults folds trial results — covering exactly [0, N) in index
@@ -1018,16 +1065,4 @@ func (c *Campaign) MergeResults(prof *profiler.Profile, trials []TrialResult) (*
 		}
 	}
 	return res, nil
-}
-
-func sameResults(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

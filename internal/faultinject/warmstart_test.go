@@ -258,41 +258,6 @@ func TestRestoringCampaignRollsBack(t *testing.T) {
 	}
 }
 
-// TestWarmStartHangBudgetEquivalence pins the budget condition of the
-// early stop. With HangFactor 1 a trial's budget is TotalDyn attempts,
-// one short of a fault-free run (the exit attempt retires nothing), so a
-// trial that rejoins the golden run still hangs: it may only stop early
-// when its remaining budget covers the golden suffix and the exit.
-func TestWarmStartHangBudgetEquivalence(t *testing.T) {
-	bin := buildWorkload(t, "HPCCG", 0, false)
-	run := func(warm bool, hang uint64) *CampaignResult {
-		res, err := (&Campaign{
-			App: bin, N: 40, Model: SingleBit, Seed: 3, HangFactor: hang,
-			Workers: 4, Trace: true, WarmStart: warm,
-		}).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	for _, hang := range []uint64{1, 2} {
-		cold, warm := run(false, hang), run(true, hang)
-		if !reflect.DeepEqual(scrubWarmStart(warm), cold) {
-			t.Fatalf("hang factor %d: warm result differs from cold:\n%+v\nvs\n%+v", hang, scrubWarmStart(warm), cold)
-		}
-		if !bytes.Equal(jsonlBytes(t, warm.Trace), jsonlBytes(t, cold.Trace)) {
-			t.Fatalf("hang factor %d: warm trace JSONL differs from cold", hang)
-		}
-		if hang == 1 && (cold.Outcomes[Hang] == 0 || warm.WarmStart.ConvergedTrials != 0) {
-			t.Fatalf("hang factor 1: %d hangs, %d trials stopped early; want hangs and no early stop",
-				cold.Outcomes[Hang], warm.WarmStart.ConvergedTrials)
-		}
-		if hang == 2 && warm.WarmStart.ConvergedTrials == 0 {
-			t.Fatal("hang factor 2: no trial stopped at a snapshot")
-		}
-	}
-}
-
 // TestSnapshotPassMatchesStepReference pins the hook-free snapshot
 // pass: RunWithSnapshots captures by budget slicing on the fast tier,
 // and every SnapPoint it takes must equal the state a step-by-step
@@ -357,23 +322,200 @@ func TestSnapshotPassMatchesStepReference(t *testing.T) {
 	}
 }
 
-// TestNearestSnapStrictlyPrecedes pins the eligibility rule: a snapshot
-// taken at exactly the target dyn has already retired the target
-// instruction uncorrupted, so only strictly earlier snapshots qualify.
-func TestNearestSnapStrictlyPrecedes(t *testing.T) {
-	p := &profiler.Profile{Snaps: []profiler.SnapPoint{{Dyn: 10}, {Dyn: 20}, {Dyn: 30}}}
+// driveEnd starts and drives one injected run of an unprotected binary,
+// the way campaign trials and coverage attempts run, and reports how it
+// ended: a run that rejoined the golden run counts as the golden exit
+// at TotalDyn. A profile without snapshots makes the run cold.
+func driveEnd(t *testing.T, bin *core.Binary, prof *profiler.Profile, specs []ArmSpec, budget uint64) (st machine.RunStatus, dyn uint64, rejoined bool, results []float64) {
+	t.Helper()
+	p, seed, err := startRun(core.ProcessConfig{App: bin}, prof, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, armed, at := drive(p.CPU, prof, specs, seed, budget, nil)
+	if armed == nil {
+		t.Fatalf("run of %+v ended %v at dyn %d before its faults were armed", specs, st, p.CPU.Dyn)
+	}
+	if at != nil {
+		return machine.StatusExited, prof.TotalDyn, true, prof.Golden
+	}
+	return st, p.CPU.Dyn, false, p.Results()
+}
+
+// coldProfile is prof without its snapshots: every run driven against
+// it starts at _start and runs to its end.
+func coldProfile(prof *profiler.Profile) *profiler.Profile {
+	cold := *prof
+	cold.Snaps = nil
+	return &cold
+}
+
+// TestWarmStartHangBudgetEquivalence pins the budget condition of the
+// early stop, driving runs directly at budgets of 1× and 2× TotalDyn.
+// At 1× a run has TotalDyn attempts, one short of a fault-free run (the
+// exit attempt retires nothing), so a run that rejoins the golden run
+// still hangs: it may only stop early when its remaining budget covers
+// the golden suffix and the exit. Every trial of a warm campaign is
+// replayed (its target and bits) warm and cold at both budgets, and
+// both must end with the same status at the same Dyn, hangs included.
+func TestWarmStartHangBudgetEquivalence(t *testing.T) {
+	bin := buildWorkload(t, "HPCCG", 0, false)
+	c := &Campaign{App: bin, N: 40, Model: SingleBit, Seed: 3, Workers: 4, WarmStart: true}
+	prof, err := c.Prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.runProfiled(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := coldProfile(prof)
+	for _, factor := range []uint64{1, 2} {
+		budget := factor * prof.TotalDyn
+		var hangs, rejoins int
+		for i, inj := range res.Injections {
+			specs := []ArmSpec{{Trigger: Trigger{AtDyn: inj.TargetDyn}, Bits: inj.Bits}}
+			wst, wdyn, rejoined, wres := driveEnd(t, bin, prof, specs, budget)
+			cst, cdyn, _, cres := driveEnd(t, bin, cold, specs, budget)
+			if wst != cst || wdyn != cdyn || !slices.Equal(wres, cres) {
+				t.Errorf("%d× trial %d: warm ended %v at dyn %d (rejoined %v), cold %v at dyn %d", factor, i, wst, wdyn, rejoined, cst, cdyn)
+			}
+			if rejoined {
+				rejoins++
+			}
+			if cst == machine.StatusLimit {
+				hangs++
+			}
+		}
+		t.Logf("%d× TotalDyn: %d hangs, %d rejoins of %d trials", factor, hangs, rejoins, len(res.Injections))
+		if factor == 1 && (hangs == 0 || rejoins != 0) {
+			t.Fatalf("1× TotalDyn: %d hangs, %d runs rejoined; want hangs and no rejoin", hangs, rejoins)
+		}
+		if factor == 2 && rejoins == 0 {
+			t.Fatal("2× TotalDyn: no run rejoined the golden run")
+		}
+	}
+}
+
+// TestOccurrenceTriggersRejoin drives occurrence triggers through the
+// rejoin stop. Every trial of a warm campaign that rejoined the golden
+// run is named a second way, as the occurrence trigger a coverage
+// attempt would arm: the corrupted instruction's image and static
+// index, and how often it had retired by the trial's corruption (the
+// trial span's StartDyn), counted on a profiling run. Both triggers
+// corrupt the same retirement, so their warm and cold runs must all end
+// the same way, and both warm runs must rejoin.
+func TestOccurrenceTriggersRejoin(t *testing.T) {
+	bin := buildWorkload(t, "HPCCG", 0, false)
+	c := &Campaign{App: bin, N: 40, Model: SingleBit, Seed: 11, Workers: 4, WarmStart: true}
+	prof, err := c.Prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	trials, err := c.RunTrialRange(prof, 0, c.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := coldProfile(prof)
+	budget := hangFactor * prof.TotalDyn
+	rejoined := 0
+	for _, tr := range trials {
+		if tr.ConvergedDyn == 0 {
+			continue
+		}
+		rejoined++
+		var fireDyn uint64
+		for _, s := range tr.Rec.Spans() {
+			if s.Kind == trace.KindTrial {
+				fireDyn = s.StartDyn
+			}
+		}
+		p, err := core.NewProcess(core.ProcessConfig{App: bin})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.CPU.Profile = true
+		if st := p.Run(fireDyn); st != machine.StatusLimit || p.CPU.Dyn != fireDyn {
+			t.Fatalf("trial %d: profiling run ended %v at dyn %d, want a pause at %d", tr.Index, st, p.CPU.Dyn, fireDyn)
+		}
+		var occ uint64
+		for img, cnts := range p.CPU.Counts {
+			if img.Prog.Name == tr.Inj.Image {
+				occ = cnts[tr.Inj.StaticIdx]
+			}
+		}
+		named := map[string][]ArmSpec{
+			"at-dyn": {{Trigger: Trigger{AtDyn: tr.Inj.TargetDyn}, Bits: tr.Inj.Bits}},
+			"occurrence": {{
+				Trigger: Trigger{Image: tr.Inj.Image, StaticIdx: tr.Inj.StaticIdx, Occurrence: occ},
+				Bits:    tr.Inj.Bits,
+			}},
+		}
+		for name, specs := range named {
+			wst, wdyn, wjoin, wres := driveEnd(t, bin, prof, specs, budget)
+			cst, cdyn, _, cres := driveEnd(t, bin, cold, specs, budget)
+			if !wjoin {
+				t.Errorf("trial %d (%s, occurrence %d): warm run did not rejoin; it ended %v at dyn %d", tr.Index, name, occ, wst, wdyn)
+			}
+			if wst != machine.StatusExited || cst != machine.StatusExited || wdyn != prof.TotalDyn || cdyn != prof.TotalDyn ||
+				!slices.Equal(wres, prof.Golden) || !slices.Equal(cres, prof.Golden) {
+				t.Errorf("trial %d (%s): warm ended %v at dyn %d, cold %v at dyn %d; want both the golden exit at %d",
+					tr.Index, name, wst, wdyn, cst, cdyn, prof.TotalDyn)
+			}
+		}
+	}
+	if rejoined == 0 {
+		t.Fatal("no trial of the warm campaign rejoined the golden run")
+	}
+	t.Logf("%d of %d trials rejoined", rejoined, c.N)
+}
+
+// TestWarmSnapForKeepsTriggersAhead pins the warm-start rule: the
+// latest snapshot at which every trigger still lies ahead. A snapshot
+// taken at exactly an AtDyn target has already retired the target
+// instruction uncorrupted, so only strictly earlier snapshots qualify,
+// and with several faults the earliest target decides. An occurrence
+// trigger's seed (its instruction's count at the snapshot) must stay
+// strictly below the occurrence.
+func TestWarmSnapForKeepsTriggersAhead(t *testing.T) {
+	snap := func(dyn, count uint64) profiler.SnapPoint {
+		return profiler.SnapPoint{Dyn: dyn, Counts: map[string][]uint64{"app": {7, 0, count}}}
+	}
+	prof := &profiler.Profile{Snaps: []profiler.SnapPoint{snap(10, 3), snap(20, 5), snap(30, 5)}}
+	at := func(dyn uint64) ArmSpec { return ArmSpec{Trigger: Trigger{AtDyn: dyn}} }
+	occ := func(idx int, k uint64) ArmSpec {
+		return ArmSpec{Trigger: Trigger{Image: "app", StaticIdx: idx, Occurrence: k}}
+	}
 	for _, tc := range []struct {
-		dyn  uint64
-		want uint64 // 0 = nil
+		name  string
+		specs []ArmSpec
+		want  uint64   // the snapshot's Dyn; 0 = cold start
+		seed  []uint64 // the occurrence seeds (AtDyn specs seed 0)
 	}{
-		{5, 0}, {10, 0}, {11, 10}, {20, 10}, {30, 20}, {31, 30}, {1 << 30, 30},
+		{"at-5", []ArmSpec{at(5)}, 0, nil},
+		{"at-10", []ArmSpec{at(10)}, 0, nil},
+		{"at-11", []ArmSpec{at(11)}, 10, []uint64{0}},
+		{"at-20", []ArmSpec{at(20)}, 10, []uint64{0}},
+		{"at-30", []ArmSpec{at(30)}, 20, []uint64{0}},
+		{"at-31", []ArmSpec{at(31)}, 30, []uint64{0}},
+		{"at-far", []ArmSpec{at(1 << 30)}, 30, []uint64{0}},
+		{"two-faults-earliest-second", []ArmSpec{at(31), at(15)}, 10, []uint64{0, 0}},
+		{"two-faults-earliest-first", []ArmSpec{at(25), at(1 << 30)}, 20, []uint64{0, 0}},
+		{"occurrence-at-seed", []ArmSpec{occ(2, 3)}, 0, nil},
+		{"occurrence-above-seed", []ArmSpec{occ(2, 4)}, 10, []uint64{3}},
+		{"occurrence-equals-later-seed", []ArmSpec{occ(2, 5)}, 10, []uint64{3}},
+		{"occurrence-above-every-seed", []ArmSpec{occ(2, 6)}, 30, []uint64{5}},
+		{"occurrence-first-of-many", []ArmSpec{occ(0, 7)}, 0, nil},
+		{"occurrence-not-yet-run", []ArmSpec{occ(1, 1)}, 30, []uint64{0}},
+		{"occurrence-and-at-dyn", []ArmSpec{occ(2, 6), at(25)}, 20, []uint64{5, 0}},
+		{"two-occurrences", []ArmSpec{occ(2, 6), occ(2, 5)}, 10, []uint64{3, 3}},
 	} {
-		got := p.NearestSnap(tc.dyn)
+		sp, seed := warmSnapFor(prof, tc.specs)
 		switch {
-		case tc.want == 0 && got != nil:
-			t.Errorf("NearestSnap(%d) = snapshot at %d, want nil", tc.dyn, got.Dyn)
-		case tc.want != 0 && (got == nil || got.Dyn != tc.want):
-			t.Errorf("NearestSnap(%d) = %v, want snapshot at %d", tc.dyn, got, tc.want)
+		case tc.want == 0 && (sp != nil || seed != nil):
+			t.Errorf("%s: warm start from %+v with seeds %v, want a cold start", tc.name, sp, seed)
+		case tc.want != 0 && (sp == nil || sp.Dyn != tc.want || !slices.Equal(seed, tc.seed)):
+			t.Errorf("%s: got snapshot %+v with seeds %v, want the snapshot at %d with seeds %v", tc.name, sp, seed, tc.want, tc.seed)
 		}
 	}
 }

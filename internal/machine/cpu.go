@@ -111,13 +111,6 @@ type CPU struct {
 	// hooks leave nil slots so installation order is stable.
 	afterHooks []StepHook
 
-	// StopPC, when StopPCSet, exits the CPU cleanly when control
-	// reaches that address. Safeguard uses it as the return-address
-	// sentinel when calling a recovery kernel (the libffi analogue).
-	// Like a step hook, a set sentinel keeps Run on the Step loop.
-	StopPC    Word
-	StopPCSet bool
-
 	// Status is the current run status.
 	Status RunStatus
 	// PendingTrap is the fatal trap after StatusTrapped.
@@ -516,11 +509,6 @@ func (c *CPU) Step() {
 		cnts[idx]++
 	}
 	c.PC = nextPC
-	if c.StopPCSet && c.PC == c.StopPC {
-		c.Status = StatusExited
-		c.ExitCode = c.R[R0]
-		return
-	}
 	for i := 0; i < len(c.afterHooks); i++ {
 		if h := c.afterHooks[i]; h != nil {
 			h(c, img, idx, in)
@@ -531,20 +519,19 @@ func (c *CPU) Step() {
 // Run steps the CPU until it exits, traps, blocks, or retires `limit`
 // additional instructions (0 means no limit). It returns the status.
 //
-// When no step hook is installed, no StopPC sentinel is set and Tier
-// is not TierStep, Run executes through the predecoded superblock
-// engine, which batches budget and Dyn accounting and materialises PC
-// lazily; see engine.go. The instructions the engine punts (host calls,
-// abort/halt, malformed operands, and any instruction at a misaligned
-// PC) run one Step each. A sentinel run (a recovery kernel: a handful
-// of instructions in a freshly decoded library) goes to the Step loop
-// like a hooked one, so it never pays for the Program's µop plan. The
-// budget is charged per attempted instruction on both tiers — a
-// trapped-and-resumed instruction consumes budget without retiring —
-// so hang classifications and checkpoint cadences are identical
-// whichever loop executes. Hook-installation state is re-checked every
-// iteration: a trap handler that installs a hook mid-run deopts Run to
-// the Step loop at the next block boundary.
+// When no step hook is installed and Tier is not TierStep, Run executes
+// through the predecoded superblock engine, which batches budget and
+// Dyn accounting and materialises PC lazily; see engine.go. The
+// instructions the engine punts (host calls, abort/halt, malformed
+// operands, and any instruction at a misaligned PC) run one Step each.
+// A TierStep run never builds the Program's µop plan, which is why
+// recovery kernels (a handful of instructions in a freshly decoded
+// library) run on it. The budget is charged per attempted instruction
+// on both tiers — a trapped-and-resumed instruction consumes budget
+// without retiring — so hang classifications and checkpoint cadences
+// are identical whichever loop executes. Hook-installation state is
+// re-checked every iteration: a trap handler that installs a hook
+// mid-run deopts Run to the Step loop at the next block boundary.
 func (c *CPU) Run(limit uint64) RunStatus {
 	if c.Status == StatusLimit {
 		// A budget pause is resumable (schedulers slice with it).
@@ -559,7 +546,7 @@ func (c *CPU) Run(limit uint64) RunStatus {
 			c.Status = StatusLimit
 			break
 		}
-		if c.Tier != TierStep && !c.Hooked() && !c.StopPCSet {
+		if c.Tier != TierStep && !c.Hooked() {
 			n, punt := c.runSuper(budget)
 			budget -= n
 			if !punt {

@@ -283,18 +283,6 @@ func TestConditionalBranches(t *testing.T) {
 	}
 }
 
-func TestStopPC(t *testing.T) {
-	cpu, _ := asm(t, []MInstr{
-		{Op: MMovImm, Rd: R0, Imm: 99},
-		{Op: MJmp, Target: 0x7eee00000000},
-		{Op: MHalt},
-	})
-	cpu.StopPC, cpu.StopPCSet = 0x7eee00000000, true
-	if st := cpu.Run(10); st != StatusExited || cpu.ExitCode != 99 {
-		t.Fatalf("%v exit=%d", st, cpu.ExitCode)
-	}
-}
-
 func TestProfilingCounts(t *testing.T) {
 	// Loop 5 times.
 	code := []MInstr{

@@ -36,11 +36,10 @@
 // PC and returns to Run's dispatch, exactly like an image exit.
 //
 // Eligibility is re-checked by Run before every engine call: any
-// installed step hook (fault arming, taint, checkpoint cadences) or a
-// return-address sentinel (a recovery-kernel call) deopts to the
-// per-instruction loop, and a hook installed mid-run by a trap handler
-// takes effect at the next block boundary because traps always return
-// to Run's dispatch loop.
+// installed step hook (fault arming, taint, checkpoint cadences) deopts
+// to the per-instruction loop, and a hook installed mid-run by a trap
+// handler takes effect at the next block boundary because traps always
+// return to Run's dispatch loop.
 //
 // Loads and stores go through per-µop memory inline caches: each
 // memory-access µop owns one icEntry slot per CPU remembering the last
@@ -785,8 +784,7 @@ func (c *CPU) superTrap(base Word, entry, i int, done uint64, img *Image, sig Si
 // Run steps such a PC one instruction at a time, re-entering here after
 // each, until a taken branch realigns it.
 //
-// Callers guarantee budget > 0, that no step hooks are installed and
-// that no return-address sentinel is set.
+// Callers guarantee budget > 0 and that no step hooks are installed.
 func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 	img := c.cur
 	if img == nil || !img.Contains(c.PC) {

@@ -355,13 +355,6 @@ func TestEngineMisalignedTrapPC(t *testing.T) {
 				t.Fatalf("want SIGSEGV at 0x%x, got %v (%+v)", stretch+8, fast.Status, tr)
 			}
 		}},
-		{"stop-mid-stretch", at(0x30000, func(c *CPU) {
-			c.StopPC, c.StopPCSet = stretch+16, true
-		}), 0, func(t *testing.T, fast, _ *CPU) {
-			if fast.Status != StatusExited || fast.PC != stretch+16 {
-				t.Fatalf("want a stop at 0x%x, got %v at 0x%x", stretch+16, fast.Status, fast.PC)
-			}
-		}},
 		// compareCPUs does not compare profile counts.
 		{"profile-counts", at(0x30000, func(c *CPU) { c.Profile = true }), 0, func(t *testing.T, fast, step *CPU) {
 			fc, sc := fast.Counts[fast.Images[0]], step.Counts[step.Images[0]]
@@ -389,42 +382,37 @@ func TestEngineMisalignedTrapPC(t *testing.T) {
 	}
 }
 
-// TestEngineStopPCMidBlock plants the stop sentinel on a branch target
-// in the middle of the hot loop: driven by either fast arm, the run
-// must exit on the same retirement as the Step loop, not at the next
-// block boundary. The engine has no sentinel check; Run keeps a
-// sentinel run on the Step loop, and this fails if it ever stops doing
-// so.
-func TestEngineStopPCMidBlock(t *testing.T) {
-	for _, stopIdx := range []int{3, 10, 15} {
-		t.Run(fmt.Sprintf("idx%d", stopIdx), func(t *testing.T) {
-			setup := func(c *CPU) {
-				mapData(t)(c)
-				c.StopPC = AppCodeBase + Word(8*stopIdx)
-				c.StopPCSet = true
-			}
-			runDual(t, loopProgram(5), setup, 0)
-		})
-	}
-}
-
-// TestSentinelRunSkipsEngine: a run with the StopPC sentinel set (a
-// recovery-kernel call) executes on the Step loop on every tier, so it
-// never builds the Program's µop plan, and it stops on the same
-// retirement as a plain loop of Step calls, or runs to the same exit
-// when it never reaches the sentinel.
+// TestSentinelRunSkipsEngine: a TierStep run, which is how a recovery
+// kernel runs until it returns to its unmapped return sentinel, never
+// builds the Program's µop plan, and it ends on the same attempt as a
+// plain loop of Step calls, whether it exits or ends on the SIGILL
+// fetch trap at the sentinel.
 func TestSentinelRunSkipsEngine(t *testing.T) {
-	for _, stop := range []Word{AppCodeBase + 8*3, AppCodeBase + 8*10, AppCodeBase + 8*15, 0x7eee00000000} {
-		t.Run(fmt.Sprintf("0x%x", stop), func(t *testing.T) {
-			run, step := dualAsm(t, loopProgram(5), func(c *CPU) {
-				mapData(t)(c)
-				c.StopPC, c.StopPCSet = stop, true
-			}, TierSuperblock)
-			if st := run.Run(0); st != StatusExited {
-				t.Fatalf("sentinel run ended %v", st)
+	const sentinel = 0x7eee00000000
+	toSentinel := append(loopProgram(5)[:15:15],
+		MInstr{Op: MMovImm, Rd: R0, Imm: 99},
+		MInstr{Op: MMovImm, Rd: R1, Imm: sentinel},
+		MInstr{Op: MPush, Ra: R1},
+		MInstr{Op: MRet},
+	)
+	for _, tc := range []struct {
+		name string
+		code []MInstr
+		want RunStatus
+	}{
+		{"exit", loopProgram(5), StatusExited},
+		{"ret-to-sentinel", toSentinel, StatusTrapped},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run, step := dualAsm(t, tc.code, mapData(t), TierStep)
+			if st := run.Run(0); st != tc.want {
+				t.Fatalf("TierStep run ended %v, want %v", st, tc.want)
 			}
 			if run.Images[0].Prog.ublocks != nil {
-				t.Error("a sentinel run built the µop plan")
+				t.Error("a TierStep run built the µop plan")
+			}
+			if tr := run.PendingTrap; tc.want == StatusTrapped && (tr.Sig != SigILL || tr.PC != sentinel || run.R[R0] != 99) {
+				t.Errorf("want SIGILL at 0x%x with R0 99, got %+v with R0 %d", sentinel, tr, run.R[R0])
 			}
 			for step.Status == StatusRunning {
 				step.Step()
@@ -890,8 +878,7 @@ func TestEngineDemotedBranchParity(t *testing.T) {
 
 // TestEngineStackICCallRet drives a call/ret ladder plus push/pop
 // traffic through the shared stack-segment inline cache, including a
-// StopPC planted on a ret target and a faulting call after SP is
-// corrupted out of the stack segment.
+// faulting call after SP is corrupted out of the stack segment.
 func TestEngineStackICCallRet(t *testing.T) {
 	ladder := []MInstr{
 		{Op: MMovImm, Rd: R5, Imm: 40},
@@ -913,12 +900,6 @@ func TestEngineStackICCallRet(t *testing.T) {
 		for limit := uint64(1); limit <= 30; limit += 3 {
 			runDual(t, ladder, nil, limit)
 		}
-	})
-	t.Run("stop-on-ret-target", func(t *testing.T) {
-		runDual(t, ladder, func(c *CPU) {
-			c.StopPC = AppCodeBase + 8*7 // pop after the nested call returns
-			c.StopPCSet = true
-		}, 0)
 	})
 	t.Run("call-faults-off-stack", func(t *testing.T) {
 		runDual(t, []MInstr{

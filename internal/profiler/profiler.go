@@ -17,7 +17,7 @@ import (
 
 // SnapPoint is one golden-run machine snapshot, captured at a periodic
 // dyn cadence so that fault-injection trials can warm-start from the
-// nearest snapshot before their injection point instead of re-executing
+// latest snapshot before their injection point instead of re-executing
 // the shared prefix. The snapshot's memory image is frozen
 // copy-on-write, so one SnapPoint is safely shared by every concurrent
 // trial that clones it.
@@ -48,20 +48,6 @@ type Profile struct {
 	// Snaps are the periodic golden-run snapshots in ascending Dyn
 	// order (empty unless the profile was taken with RunWithSnapshots).
 	Snaps []SnapPoint
-}
-
-// NearestSnap returns the latest snapshot strictly before dyn, or nil.
-// Strictness matters: a snapshot taken at exactly dyn has already
-// retired (uncorrupted) the instruction an AtDyn=dyn fault targets.
-func (p *Profile) NearestSnap(dyn uint64) *SnapPoint {
-	var best *SnapPoint
-	for i := range p.Snaps {
-		if p.Snaps[i].Dyn >= dyn {
-			break
-		}
-		best = &p.Snaps[i]
-	}
-	return best
 }
 
 // NextSnap returns the earliest snapshot strictly after dyn, or nil.

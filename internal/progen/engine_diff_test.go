@@ -178,51 +178,10 @@ func TestEngineDifferentialFaulted(t *testing.T) {
 	}
 }
 
-// TestEngineDifferentialStopPC plants the stop sentinel at a PC sampled
-// mid-run: every tier must exit on the same retirement with the same
-// state (the Safeguard recovery-kernel return path depends on this).
-func TestEngineDifferentialStopPC(t *testing.T) {
-	for _, opt := range []int{0, 1} {
-		// Sample a mid-run PC from a sliced step-loop run; scan seeds for
-		// a program long enough to still be running at the probe point.
-		var bin *core.Binary
-		var stop machine.Word
-		for seed := int64(1); seed <= 20; seed++ {
-			b := buildSeed(t, seed, opt)
-			probe := newProc(t, b, machine.TierStep)
-			if probe.Run(2000) == machine.StatusLimit {
-				bin, stop = b, probe.CPU.PC
-				break
-			}
-		}
-		if bin == nil {
-			t.Fatal("no generated program runs past the probe point")
-		}
-		t.Run(fmt.Sprintf("O%d", opt), func(t *testing.T) {
-			run := func(tier machine.InterpTier) *core.Process {
-				p := newProc(t, bin, tier)
-				p.CPU.StopPC = stop
-				p.CPU.StopPCSet = true
-				p.Run(10_000_000)
-				return p
-			}
-			step := run(machine.TierStep)
-			for _, tier := range diffTiers {
-				fast := run(tier)
-				if fast.CPU.Status != machine.StatusExited {
-					t.Fatalf("%v: stop sentinel not taken: %v", tier, fast.CPU.Status)
-				}
-				requireSameMachineState(t, fast, step)
-			}
-		})
-	}
-}
-
 // TestEngineDifferentialShapes generates the dispatch-stressing shapes
 // — dense branch chains, call/ret ladders, tight self-loops — that
 // specifically exercise superblock entry/exit and the stack-segment
-// inline cache, and runs each clean, faulted, and with a StopPC probe
-// on both tiers.
+// inline cache, and runs each clean and faulted on both tiers.
 func TestEngineDifferentialShapes(t *testing.T) {
 	shapes := Options{DenseBranches: 24, CallLadderDepth: 6, TightLoops: 8}
 	seeds := 4
@@ -261,28 +220,6 @@ func TestEngineDifferentialShapes(t *testing.T) {
 					fast, frec := run(tier)
 					requireSameMachineState(t, fast, step)
 					requireSameTraceJSONL(t, frec, srec, tier)
-				}
-			})
-			t.Run(fmt.Sprintf("seed%d/O%d/stop-pc", seed, opt), func(t *testing.T) {
-				probe := newProc(t, bin, machine.TierStep)
-				if probe.Run(1500) != machine.StatusLimit {
-					t.Skip("program too short for the probe point")
-				}
-				stop := probe.CPU.PC
-				run := func(tier machine.InterpTier) *core.Process {
-					p := newProc(t, bin, tier)
-					p.CPU.StopPC = stop
-					p.CPU.StopPCSet = true
-					p.Run(10_000_000)
-					return p
-				}
-				step := run(machine.TierStep)
-				for _, tier := range diffTiers {
-					fast := run(tier)
-					if fast.CPU.Status != machine.StatusExited {
-						t.Fatalf("%v: stop sentinel not taken: %v", tier, fast.CPU.Status)
-					}
-					requireSameMachineState(t, fast, step)
 				}
 			})
 		}

@@ -645,8 +645,9 @@ func (sg *Safeguard) fetchParams(c *machine.CPU, t *machine.Trap, e *rtable.Entr
 	return args, true
 }
 
-// retSentinel is the fake return address pushed under a kernel call; the
-// sub-CPU halts cleanly when control returns to it.
+// retSentinel is the fake return address pushed under a kernel call. No
+// image maps it, so the kernel's return ends its run with a SIGILL fetch
+// trap at exactly this PC.
 const retSentinel machine.Word = 0x0000_7eee_0000_0000
 
 // maxKernelSteps bounds recovery-kernel execution.
@@ -654,9 +655,12 @@ const maxKernelSteps = 1 << 20
 
 // runKernel executes a recovery kernel on a scratch CPU sharing the
 // process's memory (signal-handler-on-altstack semantics). It returns
-// the recomputed effective address. The return-address sentinel keeps
-// the kernel on the Step loop whatever the process's tier: a kernel is
-// a handful of instructions, not worth predecoding its whole library.
+// the recomputed effective address, the kernel's R0 when it returns to
+// retSentinel; the SIGILL fetch trap there is the only trap that counts
+// as a return, and any other end (another trap, an exit, the step
+// budget) is an error. The kernel runs on the Step loop whatever the
+// process's tier: it is a handful of instructions, not worth
+// predecoding its whole library.
 func (sg *Safeguard) runKernel(c *machine.CPU, lib *machine.Program, symbol string, args []machine.Word) (machine.Word, error) {
 	entry, ok := lib.FuncEntry(symbol)
 	if !ok {
@@ -694,15 +698,14 @@ func (sg *Safeguard) runKernel(c *machine.CPU, lib *machine.Program, symbol stri
 		return 0, f
 	}
 	sub.PC = entry
-	sub.StopPC, sub.StopPCSet = retSentinel, true
-	switch sub.Run(maxKernelSteps) {
-	case machine.StatusExited:
-		return sub.R[machine.R0], nil
-	case machine.StatusTrapped:
-		return 0, sub.PendingTrap
-	default:
-		return 0, fmt.Errorf("safeguard: kernel did not finish (%v)", sub.Status)
+	sub.Tier = machine.TierStep
+	if sub.Run(maxKernelSteps) != machine.StatusTrapped {
+		return 0, fmt.Errorf("safeguard: kernel did not return (%v)", sub.Status)
 	}
+	if t := sub.PendingTrap; t.Sig != machine.SigILL || t.PC != retSentinel {
+		return 0, t
+	}
+	return sub.R[machine.R0], nil
 }
 
 // patch updates the faulting instruction's memory operand so that its
