@@ -133,7 +133,7 @@ func (lw *lowering) lowerInstr(in *ir.Instr) error {
 		return nil
 
 	case in.Op == ir.OpGEP:
-		if foldOnlyGEP(lw.live, in) {
+		if foldOnlyGEP(lw.uses, in) {
 			return nil // folded into each memory access
 		}
 		rd := lw.destInt(in, machine.R0)
@@ -237,7 +237,7 @@ func (lw *lowering) emitAddr(baseV, idxV ir.Value, size int64, rd machine.Reg) {
 // and returns the machine memory operand, folding a fold-only GEP into
 // base+index*scale+disp form.
 func (lw *lowering) memOperand(ptr ir.Value) (base, index machine.Reg, scale uint8, disp int64) {
-	if g, ok := ptr.(*ir.Instr); ok && g.Op == ir.OpGEP && foldOnlyGEP(lw.live, g) {
+	if g, ok := ptr.(*ir.Instr); ok && g.Op == ir.OpGEP && foldOnlyGEP(lw.uses, g) {
 		base = lw.getInt(g.Ops[0], machine.R1)
 		if k, isK := g.Ops[1].(*ir.Const); isK {
 			return base, machine.NoReg, 0, k.I * g.Size
@@ -271,7 +271,7 @@ func (lw *lowering) lowerCall(in *ir.Instr) error {
 		if n > 0 {
 			lw.emitHome(machine.MInstr{Op: machine.MAdd, Rd: machine.SP, Ra: machine.SP, UseImm: true, Imm: 8 * n})
 		}
-		if in.Typ != ir.Void && len(lw.live.Uses(in)) > 0 {
+		if in.Typ != ir.Void && len(lw.uses.Uses(in)) > 0 {
 			if in.Typ == ir.F64 {
 				lw.finishFloat(in, 0)
 			} else {
@@ -291,7 +291,7 @@ func (lw *lowering) lowerCall(in *ir.Instr) error {
 	if n > 0 {
 		lw.emitHome(machine.MInstr{Op: machine.MAdd, Rd: machine.SP, Ra: machine.SP, UseImm: true, Imm: 8 * n})
 	}
-	if in.Typ != ir.Void && len(lw.live.Uses(in)) > 0 {
+	if in.Typ != ir.Void && len(lw.uses.Uses(in)) > 0 {
 		if in.Typ == ir.F64 {
 			lw.emitHome(machine.MInstr{Op: machine.MBitIF, Fd: 0, Ra: machine.R0})
 			lw.finishFloat(in, 0)

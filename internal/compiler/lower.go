@@ -198,7 +198,7 @@ func (c *compilation) resolveCalls() error {
 type lowering struct {
 	c     *compilation
 	f     *ir.Func
-	live  *ir.Liveness
+	uses  *ir.DefUse
 	alloc *allocation
 
 	curLoc ir.Loc
@@ -225,15 +225,20 @@ func (c *compilation) lowerFunc(f *ir.Func) error {
 	if err := ir.VerifyFunc(f); err != nil {
 		return fmt.Errorf("after edge split: %w", err)
 	}
-	live := ir.ComputeLiveness(f)
+	// Only O1's interval builder reads live-in/live-out sets; O0 homes
+	// every used value in a slot and needs the use lists alone.
+	var uses *ir.DefUse
 	var alloc *allocation
 	if c.opts.OptLevel >= 1 {
+		live := ir.ComputeLiveness(f)
+		uses = live.DefUse
 		alloc = allocateO1(f, live)
 	} else {
-		alloc = allocateO0(f, live)
+		uses = ir.ComputeDefUse(f)
+		alloc = allocateO0(f, uses)
 	}
 	lw := &lowering{
-		c: c, f: f, live: live, alloc: alloc,
+		c: c, f: f, uses: uses, alloc: alloc,
 		slotOff:    map[ir.Value]int64{},
 		allocaOff:  map[*ir.Instr]int64{},
 		savedOff:   map[machine.Reg]int64{},

@@ -60,11 +60,11 @@ var (
 // of a load/store, in which case instruction selection folds it into the
 // memory operands and it needs no home (the x86 "CISC merge" the paper
 // discusses).
-func foldOnlyGEP(l *ir.Liveness, g *ir.Instr) bool {
+func foldOnlyGEP(du *ir.DefUse, g *ir.Instr) bool {
 	if g.Op != ir.OpGEP {
 		return false
 	}
-	uses := l.Uses(g)
+	uses := du.Uses(g)
 	if len(uses) == 0 {
 		return false // dead; needsHome will reject anyway
 	}
@@ -79,26 +79,26 @@ func foldOnlyGEP(l *ir.Liveness, g *ir.Instr) bool {
 
 // needsHome reports whether an instruction's result must be stored
 // somewhere between definition and uses.
-func needsHome(l *ir.Liveness, in *ir.Instr) bool {
+func needsHome(du *ir.DefUse, in *ir.Instr) bool {
 	if in.Typ == ir.Void || in.Op == ir.OpAlloca {
 		return false
 	}
-	if len(l.Uses(in)) == 0 {
+	if len(du.Uses(in)) == 0 {
 		return false
 	}
-	return !foldOnlyGEP(l, in)
+	return !foldOnlyGEP(du, in)
 }
 
 // allocateO0 assigns a frame slot to every value needing a home, the
 // clang -O0 discipline.
-func allocateO0(f *ir.Func, l *ir.Liveness) *allocation {
+func allocateO0(f *ir.Func, du *ir.DefUse) *allocation {
 	a := &allocation{homes: map[ir.Value]home{}, intervals: map[ir.Value][2]int{}}
 	for _, p := range f.Params {
 		a.homes[p] = home{kind: hkArg}
 	}
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			if needsHome(l, in) {
+			if needsHome(du, in) {
 				a.homes[in] = home{kind: hkSlot}
 			}
 		}
@@ -222,7 +222,7 @@ func allocateO1(f *ir.Func, l *ir.Liveness) *allocation {
 	eligible := map[ir.Value]bool{}
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			if needsHome(l, in) {
+			if needsHome(l.DefUse, in) {
 				eligible[in] = true
 				a.homes[in] = home{kind: hkSlot} // default: spilled
 			}

@@ -1,27 +1,98 @@
 package ir
 
+// DefUse holds the use lists of one function's instructions and
+// arguments: what O0 lowering reads to decide which values need a home.
+// It is the cheap half of liveness; the live-in/live-out fixpoint is
+// Liveness's.
+type DefUse struct {
+	Fn        *Func
+	instrUses [][]*Instr // by Instr.ID
+	argUses   [][]*Instr // by Arg.Index
+}
+
+// ComputeDefUse renumbers f and collects every instruction's and
+// argument's users (phi users included).
+func ComputeDefUse(f *Func) *DefUse {
+	f.Renumber()
+	du := &DefUse{Fn: f, instrUses: make([][]*Instr, f.NumInstrs()), argUses: make([][]*Instr, len(f.Params))}
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			for _, op := range in.Ops {
+				if l := du.list(op); l != nil {
+					*l = append(*l, in)
+				}
+			}
+		}
+	}
+	return du
+}
+
+// list returns the use list of v, or nil for a value DefUse does not
+// track (constants, globals, values of another function).
+func (du *DefUse) list(v Value) *[]*Instr {
+	switch x := v.(type) {
+	case *Instr:
+		if x.Parent != nil && x.Parent.Fn == du.Fn && x.ID < len(du.instrUses) {
+			return &du.instrUses[x.ID]
+		}
+	case *Arg:
+		if x.Index < len(du.argUses) && du.Fn.Params[x.Index] == x {
+			return &du.argUses[x.Index]
+		}
+	}
+	return nil
+}
+
+// Uses returns the instructions that use v (phi users included).
+func (du *DefUse) Uses(v Value) []*Instr {
+	if l := du.list(v); l != nil {
+		return *l
+	}
+	return nil
+}
+
+// HasNonLocalUse reports whether v has a use outside its defining block
+// (phi uses count as non-local, since they occur on an edge). Arguments
+// with any use in a non-entry block are non-local. The paper relies on
+// this property to guarantee that machine-dependent lowering does not
+// fold the value away, keeping it retrievable for recovery.
+func (du *DefUse) HasNonLocalUse(v Value) bool {
+	var home *Block
+	switch d := v.(type) {
+	case *Instr:
+		home = d.Parent
+	case *Arg:
+		home = du.Fn.Entry()
+	default:
+		return false
+	}
+	for _, u := range du.Uses(v) {
+		if u.Op == OpPhi || u.Parent != home {
+			return true
+		}
+	}
+	return false
+}
+
 // Liveness holds the result of an SSA liveness analysis over one
 // function. Armor consults it to decide which values are guaranteed to
 // still be materialised (in a register or stack slot) at a memory-access
-// instruction, and therefore eligible as recovery-kernel parameters.
+// instruction, and therefore eligible as recovery-kernel parameters;
+// O1's interval builder reads its block sets.
 type Liveness struct {
-	Fn      *Func
+	*DefUse
 	liveOut map[*Block]map[Value]bool
 	liveIn  map[*Block]map[Value]bool
-	pos     map[*Instr]int // position within parent block
-	uses    map[Value][]*Instr
 }
 
-// ComputeLiveness runs the backward dataflow analysis. The function must
-// verify (or at least be renumbered and in SSA form).
+// ComputeLiveness collects the use lists and runs the backward dataflow
+// fixpoint. The function must verify (or at least be renumbered and in
+// SSA form).
 func ComputeLiveness(f *Func) *Liveness {
-	f.Renumber()
 	l := &Liveness{
-		Fn:      f,
+		DefUse:  ComputeDefUse(f),
 		liveOut: map[*Block]map[Value]bool{},
 		liveIn:  map[*Block]map[Value]bool{},
-		pos:     map[*Instr]int{},
-		uses:    map[Value][]*Instr{},
 	}
 	trackable := func(v Value) bool {
 		switch v.(type) {
@@ -45,13 +116,11 @@ func ComputeLiveness(f *Func) *Liveness {
 		}
 	}
 	for _, b := range f.Blocks {
-		for ii, in := range b.Instrs {
-			l.pos[in] = ii
+		for _, in := range b.Instrs {
 			for oi, op := range in.Ops {
 				if !trackable(op) {
 					continue
 				}
-				l.uses[op] = append(l.uses[op], in)
 				if in.Op == OpPhi {
 					p := in.Blocks[oi]
 					if phiUse[p] == nil {
@@ -114,15 +183,19 @@ func (l *Liveness) LiveAt(v Value, at *Instr) bool {
 		return false
 	}
 	b := at.Parent
-	p, ok := l.pos[at]
-	if !ok || b == nil || b.Fn != l.Fn {
+	if b == nil || b.Fn != l.Fn || len(b.Instrs) == 0 {
+		return false
+	}
+	// Renumber gave the block consecutive IDs, so at sits at index p.
+	p := at.ID - b.Instrs[0].ID
+	if p < 0 || p >= len(b.Instrs) || b.Instrs[p] != at {
 		return false
 	}
 	if d, isInstr := v.(*Instr); isInstr {
 		if d.Parent == nil || d.Parent.Fn != l.Fn {
 			return false
 		}
-		if d.Parent == b && l.pos[d] >= p {
+		if d.Parent == b && d.ID >= at.ID {
 			return false // not yet defined at this point
 		}
 	}
@@ -139,32 +212,6 @@ func (l *Liveness) LiveAt(v Value, at *Instr) bool {
 		}
 	}
 	return l.liveOut[b][v]
-}
-
-// Uses returns the instructions that use v (phi users included).
-func (l *Liveness) Uses(v Value) []*Instr { return l.uses[v] }
-
-// HasNonLocalUse reports whether v has a use outside its defining block
-// (phi uses count as non-local, since they occur on an edge). Arguments
-// with any use in a non-entry block are non-local. The paper relies on
-// this property to guarantee that machine-dependent lowering does not
-// fold the value away, keeping it retrievable for recovery.
-func (l *Liveness) HasNonLocalUse(v Value) bool {
-	var home *Block
-	switch d := v.(type) {
-	case *Instr:
-		home = d.Parent
-	case *Arg:
-		home = l.Fn.Entry()
-	default:
-		return false
-	}
-	for _, u := range l.uses[v] {
-		if u.Op == OpPhi || u.Parent != home {
-			return true
-		}
-	}
-	return false
 }
 
 // LiveOut exposes the live-out set of a block (read-only use intended).

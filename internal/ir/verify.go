@@ -33,6 +33,7 @@ func VerifyFunc(f *Func) error {
 	for _, b := range f.Blocks {
 		blockSet[b] = true
 	}
+	preds := f.Preds()
 	names := map[string]bool{}
 	for _, b := range f.Blocks {
 		if b.Terminator() == nil {
@@ -56,7 +57,7 @@ func VerifyFunc(f *Func) error {
 				}
 				names[in.Name] = true
 			}
-			if err := verifyInstr(f, b, in, blockSet); err != nil {
+			if err := verifyInstr(f, b, in, blockSet, preds[b]); err != nil {
 				return err
 			}
 		}
@@ -73,7 +74,9 @@ func prevNonPhi(b *Block, ii int) bool {
 	return false
 }
 
-func verifyInstr(f *Func, b *Block, in *Instr, blocks map[*Block]bool) error {
+// verifyInstr checks one instruction of block b, whose predecessors are
+// preds.
+func verifyInstr(f *Func, b *Block, in *Instr, blocks map[*Block]bool, preds []*Block) error {
 	ctx := func(format string, args ...any) error {
 		return fmt.Errorf("%s: %s: %s", b.Name, in.Op, fmt.Sprintf(format, args...))
 	}
@@ -173,7 +176,6 @@ func verifyInstr(f *Func, b *Block, in *Instr, blocks map[*Block]bool) error {
 		if len(in.Ops) == 0 || len(in.Ops) != len(in.Blocks) {
 			return ctx("phi incoming mismatch: %d values, %d blocks", len(in.Ops), len(in.Blocks))
 		}
-		preds := f.Preds()[b]
 		if len(preds) != len(in.Blocks) {
 			return ctx("phi has %d incomings for %d predecessors", len(in.Blocks), len(preds))
 		}

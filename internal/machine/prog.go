@@ -86,7 +86,7 @@ func (p *Program) FuncEntry(name string) (Word, bool) {
 // those numbers into what it encodes. Meeting Program's types at init
 // gives them the same numbers in every process, so a program encodes to
 // the same bytes (and a recovery library has the same size) whatever
-// other gob codec ran first, the store's manifests included.
+// other gob codec ran first in the process.
 func init() {
 	if err := gob.NewEncoder(io.Discard).Encode(&Program{}); err != nil {
 		panic(err)

@@ -238,16 +238,27 @@ func (p pool) verify(prof *profiler.Profile) error {
 	return nil
 }
 
-// close shuts every worker down gracefully and reports the first
-// failure.
+// close shuts every worker down gracefully, each on its own goroutine,
+// so the workers exit and are reaped side by side rather than one after
+// another. It returns once every worker is reaped, with the failure of
+// the lowest-numbered shard that failed.
 func (p pool) close() error {
-	var first error
-	for _, w := range p {
-		if err := w.close(); err != nil && first == nil {
-			first = err
+	errs := make([]error, len(p))
+	var wg sync.WaitGroup
+	for s, w := range p {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[s] = w.close()
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	return first
+	return nil
 }
 
 // kill tears every worker down (a no-op for workers already closed).

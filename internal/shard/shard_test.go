@@ -2,12 +2,15 @@ package shard
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -368,6 +371,48 @@ func TestKillUnblocksInProcessWorker(t *testing.T) {
 	case <-killed:
 	case <-time.After(time.Minute):
 		t.Fatal("kill did not return: the worker is still blocked writing its error frame")
+	}
+}
+
+// discard is a worker's stdin that swallows frames.
+type discard struct{}
+
+func (discard) Write(b []byte) (int, error) { return len(b), nil }
+func (discard) Close() error                { return nil }
+
+// TestPoolCloseReapsConcurrently: pool.close sends every worker its
+// exit frame and reaps them side by side. Each fake worker's exit waits
+// until all three are exiting at once, which a one-at-a-time close
+// would never reach; worker 1's exit fails. close must return only
+// after every worker is reaped, with worker 1's failure.
+func TestPoolCloseReapsConcurrently(t *testing.T) {
+	var exiting sync.WaitGroup
+	var reaped atomic.Int32
+	exiting.Add(3)
+	p := make(pool, 3)
+	for s := range p {
+		p[s] = &worker{in: discard{}, wait: func() error {
+			exiting.Done()
+			exiting.Wait()
+			reaped.Add(1)
+			if s == 1 {
+				return errors.New("exit status 3")
+			}
+			return nil
+		}}
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- p.close() }()
+	select {
+	case err := <-closed:
+		if err == nil || !strings.Contains(err.Error(), "exit status 3") {
+			t.Fatalf("close = %v, want worker 1's exit failure", err)
+		}
+		if n := reaped.Load(); n != 3 {
+			t.Fatalf("close returned with %d of 3 workers reaped", n)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("close did not return: workers were not reaped concurrently")
 	}
 }
 

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,7 +15,7 @@ import (
 // never to a wrong profile. The store is an accelerator, not an
 // authority.
 
-func storedProfile(t *testing.T) (*Store, Key) {
+func storedProfile(t testing.TB) (*Store, Key) {
 	t.Helper()
 	s := openT(t)
 	key := Key{Kind: "campaign", Workload: "HPCCG", Seed: 7, WarmStart: true}
@@ -58,7 +59,7 @@ func wantFallback(t *testing.T, s *Store, key Key) {
 }
 
 // readManifest decodes the manifest stored under key.
-func readManifest(t *testing.T, s *Store, key Key) *profileManifest {
+func readManifest(t testing.TB, s *Store, key Key) *profileManifest {
 	t.Helper()
 	b, err := os.ReadFile(s.manifestPath(key.ID()))
 	if err != nil {
@@ -78,11 +79,15 @@ func rewriteManifest(t *testing.T, s *Store, key Key, rot func(*profileManifest)
 	t.Helper()
 	man := readManifest(t, s, key)
 	rot(man)
-	b, err := encodeManifest(man)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(s.manifestPath(key.ID()), b, 0o644); err != nil {
+	writePayload(t, s, key, appendManifest(nil, man))
+}
+
+// writePayload stores payload as the manifest under key, behind its
+// valid checksum.
+func writePayload(t *testing.T, s *Store, key Key, payload []byte) {
+	t.Helper()
+	sum := HashBytes(payload)
+	if err := os.WriteFile(s.manifestPath(key.ID()), append(sum[:], payload...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -159,8 +164,8 @@ func TestCorruptManifestFile(t *testing.T) {
 }
 
 // TestCorruptManifestPayloadRot: rot inside the payload with the
-// checksum recomputed over it gets past the checksum to the gob decoder
-// and the checks behind it. Every such load must end in an error or a
+// checksum recomputed over it gets past the checksum to the payload
+// decoder and the checks behind it. Every such load must end in an error or a
 // profile, never a panic.
 func TestCorruptManifestPayloadRot(t *testing.T) {
 	s, key := storedProfile(t)
@@ -177,10 +182,7 @@ func TestCorruptManifestPayloadRot(t *testing.T) {
 		for _, x := range []byte{0x01, 0x80, 0xff} {
 			rotted := bytes.Clone(payload)
 			rotted[off] ^= x
-			sum := HashBytes(rotted)
-			if err := os.WriteFile(path, append(sum[:], rotted...), 0o644); err != nil {
-				t.Fatal(err)
-			}
+			writePayload(t, s, key, rotted)
 			prof, err := s.GetProfile(key)
 			if (prof == nil) == (err == nil) {
 				t.Fatalf("payload byte %d ^ %#x: profile=%v err=%v, want exactly one of them", off, x, prof != nil, err)
@@ -192,6 +194,37 @@ func TestCorruptManifestPayloadRot(t *testing.T) {
 		}
 	}
 	t.Logf("%d of %d rotted payloads decoded to a profile", loaded, loads)
+}
+
+// TestCorruptManifestPayloadFraming: a payload whose checksum holds but
+// whose framing does not is refused by the decoder: a list length that
+// runs past the payload (the key's name list claiming 2^40 names, or
+// the last lists of a payload cut short) and bytes left over after the
+// last snapshot.
+func TestCorruptManifestPayloadFraming(t *testing.T) {
+	for _, tc := range []struct {
+		name, wantErr string
+		rot           func([]byte) []byte
+	}{
+		{"length-past-end", "runs past", func(p []byte) []byte {
+			return append(binary.AppendUvarint(nil, 1<<40), p[1:]...)
+		}},
+		{"cut-short", "runs past", func(p []byte) []byte { return p[:len(p)-len(p)/3] }},
+		{"trailing-bytes", "past its end", func(p []byte) []byte { return append(p, 0) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, key := storedProfile(t)
+			b, err := os.ReadFile(s.manifestPath(key.ID()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			writePayload(t, s, key, tc.rot(bytes.Clone(b[len(Hash{}):])))
+			wantFallback(t, s, key)
+			if _, err := s.GetProfile(key); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("error %v, want one mentioning %q", err, tc.wantErr)
+			}
+		})
+	}
 }
 
 func TestCorruptManifestKeyMismatch(t *testing.T) {

@@ -2,10 +2,11 @@ package store
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -17,14 +18,15 @@ import (
 )
 
 // A manifest file holds the SHA-256 of its payload in its first 32
-// bytes, then the payload: a profileManifest encoded with encoding/gob.
-// The checksum is verified before a byte of the payload is decoded,
-// since gob's decoder is not hardened against adversarial input. The
+// bytes, then the payload: a profileManifest in the flat binary layout
+// of appendManifest. The checksum is verified before a byte of the
+// payload is decoded, and the decoder is hardened besides: every length
+// is checked against the bytes left before anything is allocated. The
 // format is part of the file name, so an entry written in any other
-// format (the per-page blob tables of .v3 manifests, the JSON manifests
-// before them) is simply absent: a clean golden miss that the run
-// rewrites as one pack.
-const manifestExt = ".v4"
+// format (the gob manifests of .v4, the per-page blob tables of .v3,
+// the JSON manifests before them) is simply absent: a clean golden miss
+// that the run rewrites.
+const manifestExt = ".v5"
 
 // segRef points one memory segment into the profile's pack, one entry
 // per machine page: the index of a page of the pack (see
@@ -42,9 +44,7 @@ type segRef struct {
 
 // snapManifest is one golden-run snapshot with its memory image
 // replaced by segment references. Dyn is both the snapshot's position
-// in the golden run and its CPU's retired count, stored once. The
-// register files are arrays, so gob itself rejects one of another
-// length.
+// in the golden run and its CPU's retired count, stored once.
 type snapManifest struct {
 	Dyn        uint64
 	R          [machine.NumReg]machine.Word
@@ -85,16 +85,11 @@ type profileManifest struct {
 }
 
 // encodeManifest renders a manifest file: checksum, then payload.
-func encodeManifest(man *profileManifest) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Write(make([]byte, len(Hash{})))
-	if err := gob.NewEncoder(&buf).Encode(man); err != nil {
-		return nil, err
-	}
-	b := buf.Bytes()
+func encodeManifest(man *profileManifest) []byte {
+	b := appendManifest(make([]byte, len(Hash{})), man)
 	sum := HashBytes(b[len(Hash{}):])
 	copy(b, sum[:])
-	return b, nil
+	return b
 }
 
 // decodeManifest inverts encodeManifest, rejecting a file whose payload
@@ -107,11 +102,412 @@ func decodeManifest(b []byte) (*profileManifest, error) {
 	if HashBytes(b[n:]) != Hash(b[:n]) {
 		return nil, errors.New("store: manifest fails its checksum")
 	}
-	man := new(profileManifest)
-	if err := gob.NewDecoder(bytes.NewReader(b[n:])).Decode(man); err != nil {
-		return nil, fmt.Errorf("store: decode manifest: %w", err)
+	return decodePayload(b[n:])
+}
+
+// appendManifest appends the payload layout: the echoed key, the pack
+// and its page bounds (each bound as its signed step from the previous
+// one), the golden run's totals, image names and counts, its result
+// stream, the .text segments, then the snapshots. Every list is
+// preceded by its length, integers are varints (signed ones zigzag),
+// floats their 8 IEEE-754 bytes, and strings a length and their bytes.
+// A snapshot's page references are coded as steps from the same page of
+// the previous snapshot, so a page nobody wrote in between costs one
+// byte, and its count vectors against the previous snapshot's (see
+// appendCounts).
+func appendManifest(b []byte, m *profileManifest) []byte {
+	k := &m.Key
+	b = appendStrs(b, []string{k.Kind, k.Workload, k.Params})
+	b = binary.AppendVarint(b, int64(k.OptLevel))
+	b = appendStrs(b, k.Defenses)
+	b = binary.AppendVarint(b, k.Seed)
+	b = binary.AppendUvarint(b, k.SnapEvery)
+	b = appendBool(b, k.WarmStart)
+	b = append(b, m.Pack[:]...)
+	b = binary.AppendUvarint(b, uint64(len(m.Bounds)))
+	prev := 0
+	for _, v := range m.Bounds {
+		b = binary.AppendVarint(b, int64(v-prev))
+		prev = v
 	}
-	return man, nil
+	b = binary.AppendUvarint(b, m.TotalDyn)
+	b = binary.AppendUvarint(b, m.ExitCode)
+	b = appendStrs(b, m.Images)
+	b = appendCounts(b, m.Counts, nil)
+	b = appendFloats(b, m.Golden)
+	b = binary.AppendUvarint(b, uint64(len(m.Text)))
+	for i := range m.Text {
+		b = appendSeg(b, &m.Text[i], nil)
+	}
+	b = binary.AppendUvarint(b, uint64(len(m.Snaps)))
+	var last *snapManifest
+	for i := range m.Snaps {
+		sm := &m.Snaps[i]
+		b = binary.AppendUvarint(b, sm.Dyn)
+		for _, r := range sm.R {
+			b = binary.AppendUvarint(b, uint64(r))
+		}
+		for _, f := range sm.F {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+		}
+		b = binary.AppendUvarint(b, uint64(sm.PC))
+		b = binary.AppendVarint(b, int64(sm.Step))
+		b = binary.AppendUvarint(b, uint64(sm.HeapNext))
+		b = binary.AppendUvarint(b, uint64(len(sm.Segs)))
+		for j := range sm.Segs {
+			b = appendSeg(b, &sm.Segs[j], last.seg(j))
+		}
+		b = appendFloats(b, sm.EnvResults)
+		b = appendStrs(b, sm.EnvPrinted)
+		b = appendCounts(b, sm.Counts, last.counts())
+		last = sm
+	}
+	return b
+}
+
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
+func appendStrs(b []byte, ss []string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(ss)))
+	for _, s := range ss {
+		b = binary.AppendUvarint(b, uint64(len(s)))
+		b = append(b, s...)
+	}
+	return b
+}
+
+func appendFloats(b []byte, fs []float64) []byte {
+	b = binary.AppendUvarint(b, uint64(len(fs)))
+	for _, f := range fs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+	}
+	return b
+}
+
+// appendCounts codes each count vector against the same vector of prev
+// (zeros where prev has none): each count's step from prev, as its
+// difference from the previous count's step. The instructions of one
+// basic block run equally often, so most entries are 0.
+func appendCounts(b []byte, counts, prev [][]uint64) []byte {
+	b = binary.AppendUvarint(b, uint64(len(counts)))
+	for j, c := range counts {
+		b = binary.AppendUvarint(b, uint64(len(c)))
+		var pv []uint64
+		if j < len(prev) {
+			pv = prev[j]
+		}
+		var last uint64
+		for i, v := range c {
+			if i < len(pv) {
+				v -= pv[i]
+			}
+			b = binary.AppendVarint(b, int64(v-last))
+			last = v
+		}
+	}
+	return b
+}
+
+// appendSeg codes each page reference as its step from the same page of
+// prev (-1, the zero page, where prev has none).
+func appendSeg(b []byte, r, prev *segRef) []byte {
+	b = binary.AppendUvarint(b, uint64(r.Base))
+	b = binary.AppendUvarint(b, uint64(len(r.Name)))
+	b = append(b, r.Name...)
+	b = binary.AppendVarint(b, int64(r.Size))
+	b = append(b, byte(r.Domain))
+	b = binary.AppendUvarint(b, uint64(len(r.Pages)))
+	for i, id := range r.Pages {
+		b = binary.AppendVarint(b, int64(id-prev.page(i)))
+	}
+	return b
+}
+
+// seg returns segment j of the snapshot, nil for a nil snapshot or one
+// with fewer segments.
+func (sm *snapManifest) seg(j int) *segRef {
+	if sm == nil || j >= len(sm.Segs) {
+		return nil
+	}
+	return &sm.Segs[j]
+}
+
+// counts returns the snapshot's count vectors, nil for a nil snapshot.
+func (sm *snapManifest) counts() [][]uint64 {
+	if sm == nil {
+		return nil
+	}
+	return sm.Counts
+}
+
+// page returns page reference i of the segment, -1 (the zero page) for
+// a nil segment or one with fewer pages.
+func (r *segRef) page(i int) int {
+	if r == nil || i >= len(r.Pages) {
+		return -1
+	}
+	return r.Pages[i]
+}
+
+// Minimum encoded sizes, which bound every list length before the list
+// is allocated: a count or page reference is at least one varint byte,
+// a float eight bytes, a string or list its length byte, a segment five
+// bytes and a snapshot its register files (the integer ones a varint
+// each, the float ones eight bytes each) plus eight bytes.
+const (
+	minSegBytes  = 5
+	minSnapBytes = machine.NumReg + 8*machine.NumFReg + 8
+)
+
+// payloadReader decodes a manifest payload. The first error sticks and
+// empties the reader: later reads return zero values and lengths of 0,
+// so the decode loops wind down without touching the rest of the
+// payload. It copies what it keeps, so the decoded manifest holds no
+// reference into the payload.
+type payloadReader struct {
+	b       []byte
+	err     error
+	scratch []int64
+}
+
+func (r *payloadReader) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+	r.b = nil
+}
+
+func (r *payloadReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.b)
+	switch {
+	case n == 0:
+		r.fail(errors.New("store: manifest varint runs past the payload"))
+	case n < 0:
+		r.fail(errors.New("store: manifest varint overflows 64 bits"))
+	default:
+		r.b = r.b[n:]
+	}
+	return v
+}
+
+// varint reads a zigzag-coded signed varint (binary.AppendVarint).
+func (r *payloadReader) varint() int64 {
+	u := r.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// steps reads n signed varints into the reader's scratch buffer, valid
+// until the next call. Count and page steps are one byte almost
+// everywhere, and those are decoded in line.
+func (r *payloadReader) steps(n int) []int64 {
+	if cap(r.scratch) < n {
+		r.scratch = make([]int64, n)
+	}
+	d := r.scratch[:n]
+	b := r.b
+	for i := range d {
+		if len(b) > 0 && b[0] < 0x80 {
+			d[i] = int64(b[0]>>1) ^ -int64(b[0]&1)
+			b = b[1:]
+			continue
+		}
+		r.b = b
+		d[i] = r.varint()
+		b = r.b
+	}
+	r.b = b
+	return d
+}
+
+// take consumes the next n bytes, nil once the payload is short.
+func (r *payloadReader) take(n int) []byte {
+	if n > len(r.b) {
+		r.fail(fmt.Errorf("store: manifest field of %d bytes runs past the %d payload bytes left", n, len(r.b)))
+		return nil
+	}
+	v := r.b[:n]
+	r.b = r.b[n:]
+	return v
+}
+
+// length reads a list length and checks that the bytes left can hold
+// that many elements of at least min bytes each.
+func (r *payloadReader) length(min int) int {
+	n := r.uvarint()
+	if n > uint64(len(r.b)/min) {
+		r.fail(fmt.Errorf("store: manifest list of %d runs past the %d payload bytes left", n, len(r.b)))
+		return 0
+	}
+	return int(n)
+}
+
+// str reads a string, returning prev itself when the bytes equal it, so
+// a name repeated from the previous snapshot allocates nothing.
+func (r *payloadReader) str(prev string) string {
+	b := r.take(r.length(1))
+	if string(b) == prev {
+		return prev
+	}
+	return string(b)
+}
+
+func (r *payloadReader) strs() []string {
+	n := r.length(1)
+	if n == 0 {
+		return nil
+	}
+	ss := make([]string, n)
+	for i := range ss {
+		ss[i] = r.str("")
+	}
+	return ss
+}
+
+func (r *payloadReader) float() float64 {
+	b := r.take(8)
+	if b == nil {
+		return 0
+	}
+	return math.Float64frombits(binary.LittleEndian.Uint64(b))
+}
+
+func (r *payloadReader) floats() []float64 {
+	n := r.length(8)
+	if n == 0 {
+		return nil
+	}
+	fs := make([]float64, n)
+	for i := range fs {
+		fs[i] = r.float()
+	}
+	return fs
+}
+
+func (r *payloadReader) counts(prev [][]uint64) [][]uint64 {
+	n := r.length(1)
+	if n == 0 {
+		return nil
+	}
+	counts := make([][]uint64, n)
+	for j := range counts {
+		k := r.length(1)
+		if k == 0 {
+			continue
+		}
+		var pv []uint64
+		if j < len(prev) {
+			pv = prev[j]
+		}
+		c := make([]uint64, k)
+		var step uint64
+		for i, d := range r.steps(k) {
+			step += uint64(d)
+			c[i] = step
+			if i < len(pv) {
+				c[i] += pv[i]
+			}
+		}
+		counts[j] = c
+	}
+	return counts
+}
+
+// segs reads a segment list, coded against prev's (nil for the .text
+// list and the first snapshot).
+func (r *payloadReader) segs(prev *snapManifest) []segRef {
+	n := r.length(minSegBytes)
+	if n == 0 {
+		return nil
+	}
+	segs := make([]segRef, n)
+	for j := range segs {
+		p, s := prev.seg(j), &segs[j]
+		s.Base = machine.Word(r.uvarint())
+		if p != nil {
+			s.Name = r.str(p.Name)
+		} else {
+			s.Name = r.str("")
+		}
+		s.Size = int(r.varint())
+		if d := r.take(1); d != nil {
+			s.Domain = machine.DomainID(d[0])
+		}
+		s.Pages = make([]int, r.length(1))
+		for i, d := range r.steps(len(s.Pages)) {
+			s.Pages[i] = p.page(i) + int(d)
+		}
+	}
+	return segs
+}
+
+// decodePayload inverts appendManifest. A payload that ends early, has
+// a list longer than its remaining bytes could hold, or has bytes left
+// over is refused.
+func decodePayload(b []byte) (*profileManifest, error) {
+	r := &payloadReader{b: b}
+	m := new(profileManifest)
+	k := &m.Key
+	if key := r.strs(); len(key) == 3 {
+		k.Kind, k.Workload, k.Params = key[0], key[1], key[2]
+	} else {
+		r.fail(fmt.Errorf("store: manifest key has %d of 3 names", len(key)))
+	}
+	k.OptLevel = int(r.varint())
+	k.Defenses = r.strs()
+	k.Seed = r.varint()
+	k.SnapEvery = r.uvarint()
+	if w := r.take(1); w != nil {
+		k.WarmStart = w[0] != 0
+	}
+	copy(m.Pack[:], r.take(len(Hash{})))
+	if n := r.length(1); n > 0 {
+		m.Bounds = make([]int, n)
+		prev := 0
+		for i := range m.Bounds {
+			prev += int(r.varint())
+			m.Bounds[i] = prev
+		}
+	}
+	m.TotalDyn = r.uvarint()
+	m.ExitCode = r.uvarint()
+	m.Images = r.strs()
+	m.Counts = r.counts(nil)
+	m.Golden = r.floats()
+	m.Text = r.segs(nil)
+	if n := r.length(minSnapBytes); n > 0 {
+		m.Snaps = make([]snapManifest, n)
+		var last *snapManifest
+		for i := range m.Snaps {
+			sm := &m.Snaps[i]
+			sm.Dyn = r.uvarint()
+			for j := range sm.R {
+				sm.R[j] = machine.Word(r.uvarint())
+			}
+			for j := range sm.F {
+				sm.F[j] = r.float()
+			}
+			sm.PC = machine.Word(r.uvarint())
+			sm.Step = int(r.varint())
+			sm.HeapNext = machine.Word(r.uvarint())
+			sm.Segs = r.segs(last)
+			sm.EnvResults = r.floats()
+			sm.EnvPrinted = r.strs()
+			sm.Counts = r.counts(last.counts())
+			last = sm
+		}
+	}
+	if len(r.b) > 0 {
+		r.fail(fmt.Errorf("store: manifest payload has %d bytes past its end", len(r.b)))
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	return m, nil
 }
 
 // countsIn lays counts out in the order of images, nil for an image
@@ -296,11 +692,7 @@ func (s *Store) PutProfile(key Key, prof *profiler.Profile, text []TextImage) er
 	if err := s.putBlob(man.Pack, pack); err != nil {
 		return err
 	}
-	b, err := encodeManifest(&man)
-	if err != nil {
-		return fmt.Errorf("store: encode manifest: %w", err)
-	}
-	if err := atomicWrite(s.manifestPath(key.ID()), b); err != nil {
+	if err := atomicWrite(s.manifestPath(key.ID()), encodeManifest(&man)); err != nil {
 		return fmt.Errorf("store: write manifest: %w", err)
 	}
 	return nil
@@ -353,6 +745,12 @@ func (s *Store) loadProfile(key Key, b []byte) (*profiler.Profile, error) {
 	if err != nil {
 		return nil, err
 	}
+	return man.profile(pack)
+}
+
+// profile slices the manifest's snapshot pages out of its verified pack.
+// The manifest must have passed check.
+func (man *profileManifest) profile(pack []byte) (*profiler.Profile, error) {
 	bounds := man.Bounds
 	if len(bounds) == 0 || bounds[0] != 0 || bounds[len(bounds)-1] != len(pack) {
 		return nil, fmt.Errorf("store: page bounds do not span the %d-byte pack", len(pack))
@@ -368,55 +766,50 @@ func (s *Store) loadProfile(key Key, b []byte) (*profiler.Profile, error) {
 		Golden:   man.Golden,
 		ExitCode: man.ExitCode,
 	}
-	// The .text pages are packed for the record only and never
-	// referenced here.
-	page := func(r segRef, i int) ([]byte, error) {
-		id := r.Pages[i]
-		if id == -1 {
-			return nil, nil
-		}
-		if id < 0 || id >= len(bounds)-1 {
-			return nil, fmt.Errorf("store: segment %s page %d references page %d of %d", r.Name, i, id, len(bounds)-1)
-		}
+	// Every snapshot page is one of these slices (the .text pages are
+	// packed for the record only and never referenced here), and every
+	// snapshot's page slots come from one allocation.
+	packed := make([][]byte, len(bounds)-1)
+	for id := range packed {
 		hi := bounds[id+1]
-		return pack[bounds[id]:hi:hi], nil
+		packed[id] = pack[bounds[id]:hi:hi]
 	}
-	for i, sm := range man.Snaps {
+	n := 0
+	for i := range man.Snaps {
+		for _, r := range man.Snaps[i].Segs {
+			n += len(r.Pages)
+		}
+	}
+	slots := make([][]byte, n)
+	prof.Snaps = make([]profiler.SnapPoint, len(man.Snaps))
+	for i := range man.Snaps {
+		sm := &man.Snaps[i]
 		st := &checkpoint.Snapshot{
-			Mem:        &machine.Snapshot{HeapNext: sm.HeapNext},
+			Mem:        &machine.Snapshot{HeapNext: sm.HeapNext, Segs: make([]machine.SegSnapshot, len(sm.Segs))},
 			CPU:        machine.Context{R: sm.R, F: sm.F, PC: sm.PC, Dyn: sm.Dyn},
 			Step:       sm.Step,
 			EnvResults: sm.EnvResults,
 			EnvPrinted: sm.EnvPrinted,
 		}
-		n := 0
-		for _, r := range sm.Segs {
-			n += len(r.Pages)
-		}
-		pages := make([][]byte, n)
-		for _, r := range sm.Segs {
+		for j, r := range sm.Segs {
 			k := len(r.Pages)
-			seg := machine.SegSnapshot{
-				Base:   r.Base,
-				Name:   r.Name,
-				Size:   r.Size,
-				Pages:  pages[:k:k],
-				Domain: r.Domain,
-			}
-			pages = pages[k:]
-			for j := range seg.Pages {
-				d, err := page(r, j)
-				if err != nil {
-					return nil, err
+			seg := &st.Mem.Segs[j]
+			*seg = machine.SegSnapshot{Base: r.Base, Name: r.Name, Size: r.Size, Pages: slots[:k:k], Domain: r.Domain}
+			slots = slots[k:]
+			for p, id := range r.Pages {
+				switch {
+				case id == -1:
+				case id < 0 || id >= len(packed):
+					return nil, fmt.Errorf("store: segment %s page %d references page %d of %d", r.Name, p, id, len(packed))
+				default:
+					seg.Pages[p] = packed[id]
 				}
-				seg.Pages[j] = d
 			}
 			if err := seg.Validate(); err != nil {
 				return nil, fmt.Errorf("store: snapshot %d: %w", i, err)
 			}
-			st.Mem.Segs = append(st.Mem.Segs, seg)
 		}
-		prof.Snaps = append(prof.Snaps, profiler.SnapPoint{Dyn: sm.Dyn, State: st, Counts: countsMap(man.Images, sm.Counts)})
+		prof.Snaps[i] = profiler.SnapPoint{Dyn: sm.Dyn, State: st, Counts: countsMap(man.Images, sm.Counts)}
 	}
 	return prof, nil
 }

@@ -104,8 +104,8 @@ const (
 //
 //	<dir>/blobs/<hh>/<hash>    content-addressed payloads: one pack of
 //	                           memory and .text pages per profile
-//	<dir>/manifests/<id>.v4    golden-run profile manifests, by Key.ID
-//	                           (checksummed gob, see manifestExt)
+//	<dir>/manifests/<id>.v5    golden-run profile manifests, by Key.ID
+//	                           (checksummed flat binary, see manifestExt)
 //	<dir>/traces/<id>.jsonl    sealed campaign trace exports
 //	<dir>/seals/<id>.json      Merkle seals over the trace exports
 //

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"maps"
 	"math"
@@ -15,7 +16,7 @@ import (
 	"care/internal/profiler"
 )
 
-func openT(t *testing.T) *Store {
+func openT(t testing.TB) *Store {
 	t.Helper()
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -314,13 +315,23 @@ func TestProfileHitReadsOnePack(t *testing.T) {
 }
 
 // TestOtherFormatManifestIsAMiss: a manifest where earlier stores
-// wrote theirs (JSON, format 2, at manifests/<id>.json) is no entry of
-// this format: the lookup is a clean miss, not corruption, the
-// inventory skips it, and storing the profile again adds an entry that
-// loads.
+// wrote theirs (JSON, format 2, at manifests/<id>.json, and checksummed
+// gob at manifests/<id>.v4) is no entry of this format: the lookup is a
+// clean miss, not corruption, the inventory skips it, and storing the
+// profile again adds an entry that loads.
 func TestOtherFormatManifestIsAMiss(t *testing.T) {
 	s := openT(t)
 	key := Key{Kind: "campaign", Workload: "HPCCG", Seed: 3, WarmStart: true}
+	var v4 bytes.Buffer
+	v4.Write(make([]byte, len(Hash{})))
+	if err := gob.NewEncoder(&v4).Encode(&profileManifest{Key: key, Bounds: []int{0}, TotalDyn: 200}); err != nil {
+		t.Fatal(err)
+	}
+	sum := HashBytes(v4.Bytes()[len(Hash{}):])
+	copy(v4.Bytes(), sum[:])
+	if err := os.WriteFile(filepath.Join(s.Dir(), "manifests", key.ID()+".v4"), v4.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	h, err := s.PutBlob([]byte("shared-cow-segment-bytes"))
 	if err != nil {
 		t.Fatal(err)
