@@ -86,7 +86,7 @@ func main() {
 	maxRollbacks := flag.Int("max-rollbacks", 0, "whole-process rollback budget per rank (0 = default of 2; with -domain-rewind)")
 	maxDomainRewinds := flag.Int("max-domain-rewinds", 0, "domain-rewind budget per domain per rank (0 = default of 2; with -domain-rewind)")
 	warmStart := flag.Bool("warmstart", false, "warm-start the recoverable-injection search from golden-run snapshots (results are identical)")
-	snapEvery := flag.Uint64("snap-every", 0, "golden-run snapshot cadence in dynamic instructions (0 = TotalDyn/64+1; only with -warmstart)")
+	snapEvery := flag.Uint64("snap-every", 0, "golden-run snapshot cadence in dynamic instructions (0 = about 63 snapshots, TotalDyn/64+1 apart; only with -warmstart)")
 	interp := flag.String("interp", "superblock", "interpreter tier for every rank: superblock (fused engine) or step (legacy per-instruction loop; results are identical)")
 	shards := flag.Int("shards", 1, "split the recoverable-injection search over this many worker subprocesses (the found injection is identical for any value)")
 	shardCmd := flag.String("shard-cmd", "", "worker command for -shards, space-separated (default: this binary with -shard-serve)")

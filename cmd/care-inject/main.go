@@ -141,7 +141,7 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write the merged campaign trace as JSONL to this file (Rank = workload index)")
 	storeDir := flag.String("store", "", "persistent artifact store directory: cache golden-run profiles across runs (a second identical campaign skips the golden run) and seal per-campaign traces; results stay byte-identical")
 	warmStart := flag.Bool("warmstart", false, "clone trials from golden-run snapshots instead of replaying the fault-free prefix (results are identical)")
-	snapEvery := flag.Uint64("snap-every", 0, "golden-run snapshot cadence in dynamic instructions (0 = TotalDyn/64+1; only with -warmstart)")
+	snapEvery := flag.Uint64("snap-every", 0, "golden-run snapshot cadence in dynamic instructions (0 = about 63 snapshots, TotalDyn/64+1 apart; only with -warmstart)")
 	interp := flag.String("interp", "superblock", "interpreter tier for trial processes: superblock (fused engine) or step (legacy per-instruction loop; results are identical)")
 	shards := flag.Int("shards", 1, "split each campaign's trial index space over this many worker subprocesses (results are byte-identical for any value)")
 	shardCmd := flag.String("shard-cmd", "", "worker command for -shards, space-separated (default: this binary with -shard-serve)")

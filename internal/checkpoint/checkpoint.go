@@ -67,7 +67,8 @@ func (s *Snapshot) Apply(c *machine.CPU) {
 // integer registers, PC and Dyn, the floating-point registers and the
 // result stream compared by bit pattern (so +0/-0 and NaN payloads
 // differ), the print stream, and the writable memory
-// (machine.Memory.Matches). Code is immutable and not compared. With no
+// (machine.Memory.Matches, which leaves out a scratch stack the
+// snapshot lacks). Code is immutable and not compared. With no
 // step hook or trap, that state alone determines the rest of a run, so
 // a match means the CPU will retrace the snapshotted run from here on.
 func (s *Snapshot) Matches(c *machine.CPU) bool {

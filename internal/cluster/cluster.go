@@ -112,7 +112,9 @@ type SearchOptions struct {
 	// snapshots (faultinject.CoverageExperiment.WarmStart); the found
 	// injection is identical either way.
 	WarmStart bool
-	// SnapEvery is the snapshot cadence (0 = TotalDyn/64+1).
+	// SnapEvery is the snapshot cadence in retired instructions (0 =
+	// the default cadence of about TotalDyn/64+1; see
+	// faultinject.Campaign.SnapEvery).
 	SnapEvery uint64
 	// Tier selects the interpreter tier the search attempts run on;
 	// the found injection is identical on every tier.
@@ -126,9 +128,9 @@ type SearchOptions struct {
 	ShardExec []string
 	Build     shard.BuildSpec
 	// Store caches the search's golden-run profile across runs and
-	// attempts (each attempt reuses the same binary, so after the first
-	// attempt populates the entry the rest are cache hits), keyed from
-	// Build plus the attempt seed. Nil disables.
+	// experiments, keyed from Build plus the search seed: every
+	// experiment of a search profiles the same binary, so after the
+	// first populates the entry the rest are cache hits. Nil disables.
 	Store *store.Store
 }
 
@@ -145,7 +147,9 @@ func FindRecoverableInjection(bin *core.Binary, seed int64, opts SearchOptions) 
 		}
 		if opts.Store != nil {
 			exp.Store = opts.Store
-			exp.StoreKey = opts.Build.Key("coverage", exp.Seed, opts.WarmStart, opts.SnapEvery)
+			// The golden profile does not depend on the experiment's
+			// seed, so one entry serves them all.
+			exp.StoreKey = opts.Build.Key("coverage", seed, opts.WarmStart, opts.SnapEvery)
 		}
 		res, err := shard.RunCoverage(exp, opts.Build)
 		if res != nil && len(res.RecoveredInjections) > 0 {

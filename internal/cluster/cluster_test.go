@@ -1,12 +1,15 @@
 package cluster
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"care/internal/core"
 	"care/internal/defense"
 	"care/internal/machine"
+	"care/internal/shard"
+	"care/internal/store"
 	"care/internal/workloads"
 )
 
@@ -178,5 +181,38 @@ func TestClusterTierEquivalence(t *testing.T) {
 		if a != b {
 			t.Errorf("superblock span %d differs (Wall scrubbed):\n %+v\n %+v", i, a, b)
 		}
+	}
+}
+
+// TestSearchSharesOneStoreEntry: every experiment of a recoverable-
+// injection search profiles the same binary, so the search keeps one
+// store entry, keyed by its own seed, and its later experiments hit it.
+// HPCCG O1 at search seed 30 finds no clean recovery in its first
+// experiment, so the search runs a second one: one golden miss, one
+// hit, and the injection a storeless search finds.
+func TestSearchSharesOneStoreEntry(t *testing.T) {
+	spec := shard.BuildSpec{Workload: "HPCCG", Params: workloads.Params{NX: 5, NY: 5, NZ: 4, Steps: 12},
+		OptLevel: 1, Defenses: []string{"care"}}
+	bin, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := FindRecoverableInjection(bin, 30, SearchOptions{WarmStart: true, Store: st, Build: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := FindRecoverableInjection(bin, 30, SearchOptions{WarmStart: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("search with a store found %+v, without %+v", got, want)
+	}
+	if misses, hits := st.Counter(store.CounterGoldenMisses), st.Counter(store.CounterGoldenHits); misses != 1 || hits != 1 {
+		t.Fatalf("search recorded %d golden misses and %d hits, want 1 and 1", misses, hits)
 	}
 }

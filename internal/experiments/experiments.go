@@ -192,18 +192,19 @@ type ArmorRow struct {
 }
 
 // ArmorStudy builds every evaluated workload with CARE and reports the
-// Table 8 statistics.
+// Table 8 statistics. The Compile and Armor columns are wall-measured,
+// so the workloads build one at a time: concurrent builds would time
+// each other's contention.
 func ArmorStudy(opt int, p workloads.Params, evaluatedOnly bool) ([]ArmorRow, error) {
 	ws := workloads.All()
 	if evaluatedOnly {
 		ws = workloads.Evaluated()
 	}
 	rows := make([]ArmorRow, len(ws))
-	err := parallel.ForEach(len(ws), 0, func(i int) error {
-		w := ws[i]
+	for i, w := range ws {
 		bin, err := core.Build(w.Module(p), core.BuildOptions{OptLevel: opt, Defenses: []string{"care"}})
 		if err != nil {
-			return fmt.Errorf("%s: %w", w.Name, err)
+			return nil, fmt.Errorf("%s: %w", w.Name, err)
 		}
 		s := bin.DefenseStats["care"]
 		lp := 0.0
@@ -220,10 +221,6 @@ func ArmorStudy(opt int, p workloads.Params, evaluatedOnly bool) ([]ArmorRow, er
 			TableBytes:  len(bin.RecoveryTable),
 			LibBytes:    len(bin.RecoveryLib),
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return rows, nil
 }

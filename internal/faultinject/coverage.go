@@ -65,7 +65,8 @@ type CoverageExperiment struct {
 	// cannot reproduce.
 	WarmStart bool
 	// SnapEvery is the snapshot cadence in retired instructions
-	// (warm-start only; 0 picks TotalDyn/64+1).
+	// (warm-start only; 0 picks the default cadence of about
+	// TotalDyn/64+1, as on Campaign.SnapEvery).
 	SnapEvery uint64
 	// Tier selects the interpreter tier every attempt runs on (results
 	// are identical on every tier; see Campaign.Tier).
@@ -89,7 +90,7 @@ type CoverageExperiment struct {
 	// traces.
 	Progress func(done, total int) `json:"-"`
 	// Store and StoreKey cache the golden-run profile across runs,
-	// exactly as on Campaign: a verified hit skips the golden passes, a
+	// exactly as on Campaign: a verified hit skips the golden run, a
 	// miss or corrupt entry runs cold and repopulates. The key's
 	// cadence fields are pinned from the experiment's effective
 	// warm-start (which the Safeguard policy can suppress), so entries
@@ -315,12 +316,17 @@ func (e *CoverageExperiment) runAttempt(i int, prof *profiler.Profile, smp *samp
 		return AttemptResult{}, err
 	}
 	// An attempt that rejoins the golden run exits as the golden run
-	// does, with its results. Only an attempt Safeguard never activated
-	// in can rejoin (running a kernel maps the scratch stack, a heuristic
-	// patch allocates heap, a restoring policy keeps its checkpoint hook
-	// installed, and any other activation kills the run), so it is never
-	// examined, whatever its status.
-	status, armed, _ := drive(p.CPU, prof, specs, seed, hangFactor*prof.TotalDyn, nil)
+	// does, with its results: one Safeguard never activated in, which is
+	// never examined, or one a recovery kernel repaired (the kernel's
+	// scratch stack is no part of the comparison; see
+	// machine.Memory.Matches). A heuristic patch allocates heap and a
+	// restoring policy keeps its checkpoint hook installed, so neither
+	// rejoins, and any other activation kills the run.
+	status, armed, rejoined := drive(p.CPU, prof, specs, seed, hangFactor*prof.TotalDyn, nil)
+	results := p.Results()
+	if rejoined != nil {
+		status, results = machine.StatusExited, prof.Golden
+	}
 	a := AttemptResult{Index: i}
 	if !slices.ContainsFunc(armed, func(st *Armed) bool { return st.Fired }) {
 		return a, nil // program finished before any occurrence came up
@@ -346,7 +352,7 @@ func (e *CoverageExperiment) runAttempt(i int, prof *profiler.Profile, smp *samp
 		return a, nil
 	}
 	a.Recovered = true
-	if slices.Equal(p.Results(), prof.Golden) {
+	if slices.Equal(results, prof.Golden) {
 		a.Clean = true
 		if k == 1 {
 			a.Rec = specs[0]
@@ -414,10 +420,10 @@ func (e *CoverageExperiment) Run() (*CoverageResult, error) {
 	return e.runProfiled(prof)
 }
 
-// Prepare validates the experiment and performs its golden pass (plus
-// the warm-start snapshot pass when it applies), returning the profile
-// attempts run against. Run calls it implicitly; every shard worker
-// calls it too (see Campaign.Prepare).
+// Prepare validates the experiment and performs its golden pass (which
+// also captures the warm-start snapshots when they apply), returning
+// the profile attempts run against. Run calls it implicitly; every
+// shard worker calls it too (see Campaign.Prepare).
 func (e *CoverageExperiment) Prepare() (*profiler.Profile, error) {
 	if e.Trials <= 0 {
 		return nil, fmt.Errorf("faultinject: coverage Trials must be positive")

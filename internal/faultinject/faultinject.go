@@ -369,9 +369,10 @@ type Campaign struct {
 	// CoverageExperiment.
 	WarmStart bool
 	// SnapEvery is the snapshot cadence in retired instructions
-	// (warm-start only). 0 picks TotalDyn/64+1: at most 64 snapshots,
-	// bounding the frozen-image memory while capping the re-executed
-	// prefix at ~1/64 of the run per trial.
+	// (warm-start only). 0 picks the default cadence of about
+	// TotalDyn/64+1 (profiler.RunWithDefaultSnapshots): at most 63
+	// snapshots, bounding the frozen-image memory while capping the
+	// re-executed prefix at ~1/64 of the run per trial.
 	SnapEvery uint64
 	// Tier selects the interpreter tier every trial runs on
 	// (superblock or step; the zero value is the fused superblock
@@ -419,7 +420,7 @@ type Campaign struct {
 	Progress func(done, total int) `json:"-"`
 	// Store, when non-nil, caches the golden-run profile (and its
 	// warm-start snapshots) under StoreKey: Prepare consults the store
-	// first and a verified hit skips both golden passes entirely; a
+	// first and a verified hit skips the golden run entirely; a
 	// miss runs cold and populates the entry. Corruption degrades to
 	// the cold path (the store charges its own fallback counter) — the
 	// campaign result, including the exported trace JSONL, is
@@ -786,8 +787,13 @@ func firstTarget(specs []ArmSpec) uint64 {
 // TotalDyn after TotalDyn-Dyn retirements and the exit attempt. So a
 // run that matches, with budget left for that suffix, would finish
 // exactly as the golden run does, with its results: drive stops it
-// there and returns the snapshot it rejoined. A run bound for any other
-// outcome can never match, so the early stop changes no result.
+// there and returns the snapshot it rejoined, and callers take that as
+// the golden exit. A run the Safeguard repaired can match too: the
+// scratch stack its recovery kernel mapped is no part of the
+// comparison (machine.Memory.Matches), and the golden suffix never
+// reaches the handler that would read the Safeguard's own state. A run
+// bound for any other outcome can never match, so the early stop
+// changes no result.
 func drive(cpu *machine.CPU, prof *profiler.Profile, specs []ArmSpec, seed []uint64, budget uint64, onFire func(*machine.CPU, *machine.MInstr)) (machine.RunStatus, []*Armed, *profiler.SnapPoint) {
 	first := firstTarget(specs)
 	budget -= cpu.Dyn
@@ -845,11 +851,11 @@ func (c *Campaign) Run() (*CampaignResult, error) {
 	return c.runProfiled(prof)
 }
 
-// Prepare validates the campaign and performs its golden pass (plus the
-// warm-start snapshot pass when enabled), returning the profile trials
-// run against. Run calls it implicitly; every shard worker calls it
-// too, so a sharded campaign's processes all derive the same profile
-// (or load it from a shared store) without shipping it.
+// Prepare validates the campaign and performs its golden pass (which
+// also captures the warm-start snapshots when enabled), returning the
+// profile trials run against. Run calls it implicitly; every shard
+// worker calls it too, so a sharded campaign's processes all derive the
+// same profile (or load it from a shared store) without shipping it.
 func (c *Campaign) Prepare() (*profiler.Profile, error) {
 	if c.N <= 0 {
 		return nil, fmt.Errorf("faultinject: campaign N must be positive")
@@ -860,11 +866,11 @@ func (c *Campaign) Prepare() (*profiler.Profile, error) {
 
 // prepareProfile is the golden pass Campaign.Prepare and
 // CoverageExperiment.Prepare share. A verified store hit under the
-// effective key skips it entirely. Otherwise the golden run profiles
-// the binary; a warm start adds a second pass that captures snapshots
-// every snapEvery retirements (0 = TotalDyn/64+1), taken from a
-// separate run so the profiling pass stays identical to a cold one's;
-// and the fresh profile populates the store. A corrupt entry charges
+// effective key skips it entirely. Otherwise one profiling run derives
+// the profile: a cold campaign's takes no snapshots, and a warm one's
+// captures them in the same run, every snapEvery retirements or, when
+// snapEvery is 0, on the default cadence (see Campaign.SnapEvery). The
+// fresh profile populates the store. A corrupt entry charges
 // store.fallback inside the store and degrades to the same cold path.
 func prepareProfile(app *core.Binary, libs []*core.Binary, st *store.Store, key store.Key, warm bool, snapEvery uint64) (*profiler.Profile, error) {
 	// Pin the snapshot cadence onto the key from the campaign's own
@@ -882,24 +888,18 @@ func prepareProfile(app *core.Binary, libs []*core.Binary, st *store.Store, key 
 			return prof, nil
 		}
 	}
-	prof, err := profiler.Run(app, libs, 0)
+	var prof *profiler.Profile
+	var err error
+	switch {
+	case !warm:
+		prof, err = profiler.Run(app, libs, 0)
+	case snapEvery > 0:
+		prof, err = profiler.RunWithSnapshots(app, libs, 0, snapEvery)
+	default:
+		prof, err = profiler.RunWithDefaultSnapshots(app, libs)
+	}
 	if err != nil {
 		return nil, err
-	}
-	if warm {
-		every := snapEvery
-		if every == 0 {
-			every = prof.TotalDyn/64 + 1
-		}
-		sprof, err := profiler.RunWithSnapshots(app, libs, 0, every)
-		if err != nil {
-			return nil, err
-		}
-		if sprof.TotalDyn != prof.TotalDyn {
-			return nil, fmt.Errorf("faultinject: snapshot pass retired %d dyn, golden run %d; workload is nondeterministic and cannot warm-start",
-				sprof.TotalDyn, prof.TotalDyn)
-		}
-		prof = sprof
 	}
 	if st != nil {
 		populateStore(st, key, prof, app, libs)

@@ -225,7 +225,7 @@ func TestCampaignStoreKeySeparatesCadence(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The warm run must NOT have hit the cold entry (which has no
-	// snapshots): it misses, runs its own golden passes, and warm-starts.
+	// snapshots): it misses, runs its own golden pass, and warm-starts.
 	if n := s2.Counter(store.CounterGoldenHits); n != 0 {
 		t.Fatalf("warm run hit the cold entry (golden-hits = %d)", n)
 	}

@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -198,28 +199,59 @@ func TestWarmStartMultiFaultEquivalence(t *testing.T) {
 // trials: a CARE build under the Safeguard runtime, whose trials may
 // trap, recover and resume before they rejoin the golden run. Safeguard
 // phase spans carry measured wall times, so the traces are compared on
-// their deterministic skeleton.
+// their deterministic skeleton. A trial a recovery kernel repaired must
+// be able to rejoin too: the kernel's scratch stack is no part of the
+// state comparison.
 func TestWarmStartProtectedEquivalence(t *testing.T) {
 	bin := buildWorkload(t, "HPCCG", 0, true)
-	run := func(warm bool) *CampaignResult {
-		res, err := (&Campaign{
+	camp := func(warm bool) *Campaign {
+		return &Campaign{
 			App: bin, N: 24, Model: SingleBit, Seed: 11,
 			Workers: 4, Trace: true, Protected: true, WarmStart: warm,
-		}).Run()
-		if err != nil {
-			t.Fatal(err)
 		}
-		return res
 	}
-	cold, warm := run(false), run(true)
-	w, c := *scrubWarmStart(warm), *cold
-	w.Trace, c.Trace = nil, nil
-	if !reflect.DeepEqual(w, c) {
-		t.Fatalf("protected warm result differs from cold:\n%+v\nvs\n%+v", w, c)
+	cold, err := camp(false).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The warm campaign runs as Run does, keeping its trial results.
+	c := camp(true)
+	prof, err := c.Prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	trials, err := c.RunTrialRange(prof, 0, c.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := c.MergeResults(prof, trials)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, cc := *scrubWarmStart(warm), *cold
+	w.Trace, cc.Trace = nil, nil
+	if !reflect.DeepEqual(w, cc) {
+		t.Fatalf("protected warm result differs from cold:\n%+v\nvs\n%+v", w, cc)
 	}
 	requireTraceSkeletonEqual(t, warm.Trace, cold.Trace)
 	if warm.WarmStart.ConvergedTrials == 0 {
 		t.Fatalf("protected campaign stopped no trial at a snapshot: %+v", warm.WarmStart)
+	}
+	recovered, rejoined := 0, 0
+	for _, tr := range trials {
+		if !slices.ContainsFunc(tr.Rec.Spans(), func(s trace.Span) bool {
+			return s.Kind == trace.KindActivation && s.Outcome == string(safeguard.Recovered)
+		}) {
+			continue
+		}
+		recovered++
+		if tr.ConvergedDyn > 0 {
+			rejoined++
+		}
+	}
+	t.Logf("%d of %d kernel-recovered trials rejoined the golden run", rejoined, recovered)
+	if rejoined == 0 {
+		t.Fatalf("no kernel-recovered trial of %d rejoined the golden run", recovered)
 	}
 }
 
@@ -264,7 +296,10 @@ func TestRestoringCampaignRollsBack(t *testing.T) {
 // reference loop holds at the same cadence point — Dyn, registers, PC,
 // result and print streams and memory bytes (Snapshot.Matches), and the
 // execution counts. Cadence 1 cuts a slice at every instruction, 7 cuts
-// superblocks at odd places, and a cadence past the end takes none.
+// superblocks at odd places, and a cadence past the end takes none. The
+// default cadence (RunWithDefaultSnapshots) thins a power-of-two grid as
+// it runs; its arm runs HPCCG at its default size, long enough to thin
+// once, and checks each kept snapshot at its own Dyn.
 func TestSnapshotPassMatchesStepReference(t *testing.T) {
 	w, err := workloads.Get("HPCCG")
 	if err != nil {
@@ -275,49 +310,72 @@ func TestSnapshotPassMatchesStepReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	type pass struct {
+		name string
+		bin  *core.Binary
+		prof *profiler.Profile
+		// at reports whether the pass captured at dyn.
+		at func(dyn uint64) bool
+	}
+	var passes []pass
 	for _, bin := range []*core.Binary{tinyBinary(t), hpccg} {
 		for _, every := range []uint64{1, 7, 1 << 40} {
 			prof, err := profiler.RunWithSnapshots(bin, nil, 0, every)
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := core.NewProcess(core.ProcessConfig{App: bin})
-			if err != nil {
-				t.Fatal(err)
+			if every == 1 && len(prof.Snaps) != int(prof.TotalDyn) || every == 1<<40 && len(prof.Snaps) != 0 {
+				t.Fatalf("%s/%d: %d snapshots over %d dyn", bin.Name, every, len(prof.Snaps), prof.TotalDyn)
 			}
-			c := p.CPU
-			c.Profile = true
-			k := 0
-			for c.Status == machine.StatusRunning {
-				before := c.Dyn
-				c.Step()
-				if c.Dyn == before || c.Dyn%every != 0 {
-					continue
-				}
-				if k == len(prof.Snaps) {
-					t.Fatalf("%s/%d: reference reached cadence point %d, the pass captured only %d snapshots", bin.Name, every, c.Dyn, k)
-				}
-				sp := &prof.Snaps[k]
-				if sp.Dyn != c.Dyn || !sp.State.Matches(c) {
-					t.Fatalf("%s/%d: snapshot %d (dyn %d) differs from the reference state at dyn %d", bin.Name, every, k, sp.Dyn, c.Dyn)
-				}
-				for img, cnts := range c.Counts {
-					if !slices.Equal(sp.Counts[img.Prog.Name], cnts) {
-						t.Fatalf("%s/%d: snapshot %d execution counts of %s differ", bin.Name, every, k, img.Prog.Name)
-					}
-				}
-				if len(sp.Counts) != len(c.Counts) {
-					t.Fatalf("%s/%d: snapshot %d has counts for %d images, reference %d", bin.Name, every, k, len(sp.Counts), len(c.Counts))
-				}
-				k++
+			passes = append(passes, pass{fmt.Sprintf("%s/%d", bin.Name, every), bin, prof,
+				func(dyn uint64) bool { return dyn%every == 0 }})
+		}
+	}
+	def := buildWorkload(t, "HPCCG", 0, false)
+	prof, err := profiler.RunWithDefaultSnapshots(def, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prof.Snaps) != 63 {
+		t.Fatalf("default cadence took %d snapshots over %d dyn, want 63", len(prof.Snaps), prof.TotalDyn)
+	}
+	passes = append(passes, pass{def.Name + "/default", def, prof, func(dyn uint64) bool {
+		return slices.ContainsFunc(prof.Snaps, func(sp profiler.SnapPoint) bool { return sp.Dyn == dyn })
+	}})
+	for _, ps := range passes {
+		p, err := core.NewProcess(core.ProcessConfig{App: ps.bin})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := p.CPU
+		c.Profile = true
+		k := 0
+		for c.Status == machine.StatusRunning {
+			before := c.Dyn
+			c.Step()
+			if c.Dyn == before || !ps.at(c.Dyn) {
+				continue
 			}
-			if c.Status != machine.StatusExited || c.Dyn != prof.TotalDyn || k != len(prof.Snaps) {
-				t.Fatalf("%s/%d: reference ended %v at dyn %d after %d cadence points; pass: %d dyn, %d snapshots",
-					bin.Name, every, c.Status, c.Dyn, k, prof.TotalDyn, len(prof.Snaps))
+			if k == len(ps.prof.Snaps) {
+				t.Fatalf("%s: reference reached cadence point %d, the pass captured only %d snapshots", ps.name, c.Dyn, k)
 			}
-			if every == 1 && k != int(prof.TotalDyn) || every == 1<<40 && k != 0 {
-				t.Fatalf("%s/%d: %d snapshots over %d dyn", bin.Name, every, k, prof.TotalDyn)
+			sp := &ps.prof.Snaps[k]
+			if sp.Dyn != c.Dyn || !sp.State.Matches(c) {
+				t.Fatalf("%s: snapshot %d (dyn %d) differs from the reference state at dyn %d", ps.name, k, sp.Dyn, c.Dyn)
 			}
+			for img, cnts := range c.Counts {
+				if !slices.Equal(sp.Counts[img.Prog.Name], cnts) {
+					t.Fatalf("%s: snapshot %d execution counts of %s differ", ps.name, k, img.Prog.Name)
+				}
+			}
+			if len(sp.Counts) != len(c.Counts) {
+				t.Fatalf("%s: snapshot %d has counts for %d images, reference %d", ps.name, k, len(sp.Counts), len(c.Counts))
+			}
+			k++
+		}
+		if c.Status != machine.StatusExited || c.Dyn != ps.prof.TotalDyn || k != len(ps.prof.Snaps) {
+			t.Fatalf("%s: reference ended %v at dyn %d after %d cadence points; pass: %d dyn, %d snapshots",
+				ps.name, c.Status, c.Dyn, k, ps.prof.TotalDyn, len(ps.prof.Snaps))
 		}
 	}
 }
@@ -523,31 +581,74 @@ func TestWarmSnapForKeepsTriggersAhead(t *testing.T) {
 // TestWarmStartCoverageEquivalence asserts the §5 coverage path under
 // warm start: occurrence-triggered faults fire on exactly the same
 // retirement as cold thanks to the pre-seeded occurrence counters, so
-// every logical field matches (only wall-clock timings may differ).
+// every logical field matches (only wall-clock timings may differ). The
+// second shape is the benchmark's injection search (GTC-P, search seed
+// 75), whose recovered attempts rejoin the golden run once the recovery
+// kernel has run: each of its clean recoveries is driven again warm and
+// must rejoin.
 func TestWarmStartCoverageEquivalence(t *testing.T) {
-	bin := buildWorkload(t, "HPCCG", 0, true)
-	run := func(warm bool) *CoverageResult {
-		res, err := (&CoverageExperiment{
-			App: bin, Trials: 12, Model: SingleBit, Seed: 21,
-			RecordInjections: true, Workers: 4, WarmStart: warm,
-		}).Run()
-		if err != nil {
-			t.Fatal(err)
+	gtcp, err := workloads.Get("GTC-P")
+	if err != nil {
+		t.Fatal(err)
+	}
+	search, err := core.Build(gtcp.Module(workloads.Params{NX: 5, NY: 5, NZ: 4, Steps: 12}),
+		core.BuildOptions{Defenses: []string{"care"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		exp    CoverageExperiment
+		rejoin bool
+	}{
+		{"HPCCG", CoverageExperiment{App: buildWorkload(t, "HPCCG", 0, true), Trials: 12, Seed: 21}, false},
+		{"GTC-P-search", CoverageExperiment{App: search, Trials: 4, MaxAttempts: 400, Seed: 75}, true},
+	} {
+		run := func(warm bool) (*CoverageResult, *profiler.Profile) {
+			e := tc.exp
+			e.Model, e.RecordInjections, e.Workers, e.WarmStart = SingleBit, true, 4, warm
+			prof, err := e.Prepare()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := e.runProfiled(prof)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res, prof
 		}
-		return res
+		cold, _ := run(false)
+		warm, prof := run(true)
+		scrub := func(r *CoverageResult) CoverageResult {
+			c := *r
+			c.Events = nil
+			c.TrialRecoveryTimes = nil
+			c.Trace = nil // compared separately, with Wall times scrubbed
+			return c
+		}
+		if a, b := scrub(warm), scrub(cold); !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: warm coverage differs from cold:\n%+v\nvs\n%+v", tc.name, a, b)
+		}
+		requireTraceSkeletonEqual(t, warm.Trace, cold.Trace)
+		if !tc.rejoin {
+			continue
+		}
+		rejoined := 0
+		for _, spec := range warm.RecoveredInjections {
+			specs := []ArmSpec{spec}
+			p, seed, err := startRun(core.ProcessConfig{App: search, Protected: true}, prof, specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, at := drive(p.CPU, prof, specs, seed, hangFactor*prof.TotalDyn, nil); at != nil && len(p.SG.Events()) > 0 {
+				rejoined++
+			}
+		}
+		t.Logf("%s: %d of %d clean recoveries rejoin", tc.name, rejoined, len(warm.RecoveredInjections))
+		if rejoined == 0 {
+			t.Fatalf("%s: none of %d clean recoveries rejoined the golden run", tc.name, len(warm.RecoveredInjections))
+		}
 	}
-	cold, warm := run(false), run(true)
-	scrub := func(r *CoverageResult) CoverageResult {
-		c := *r
-		c.Events = nil
-		c.TrialRecoveryTimes = nil
-		c.Trace = nil // compared separately, with Wall times scrubbed
-		return c
-	}
-	if a, b := scrub(warm), scrub(cold); !reflect.DeepEqual(a, b) {
-		t.Fatalf("warm coverage differs from cold:\n%+v\nvs\n%+v", a, b)
-	}
-	requireTraceSkeletonEqual(t, warm.Trace, cold.Trace)
 }
 
 // TestWarmStartCoverageRollbackGuard pins the rollback interaction:

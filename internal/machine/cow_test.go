@@ -389,4 +389,52 @@ func TestMemoryMatchesSnapshot(t *testing.T) {
 	if r.Matches(sn) {
 		t.Fatal("memory with another heap pointer matches")
 	}
+
+	// A recovery kernel maps and writes the scratch stack, as
+	// safeguard.runKernel does. The snapshot has nothing mapped there,
+	// so the extra segment is no part of the comparison.
+	scratchBase := ScratchStackTop - ScratchStackSize
+	withScratch := func() *Memory {
+		r := restored()
+		if _, err := r.Map(scratchBase, ScratchStackSize, "sigaltstack"); err != nil {
+			t.Fatal(err)
+		}
+		if f := r.Write(ScratchStackTop-8, 0xdead); f != nil {
+			t.Fatal(f)
+		}
+		return r
+	}
+	if !withScratch().Matches(sn) {
+		t.Fatal("memory with a scratch stack the snapshot lacks does not match")
+	}
+	// It still refuses a difference anywhere else.
+	r = withScratch()
+	if f := r.Write(base+PageSize, 9); f != nil {
+		t.Fatal(f)
+	}
+	if r.Matches(sn) {
+		t.Fatal("a changed word matches beside a scratch stack")
+	}
+	// An extra writable segment outside the scratch domain, just below
+	// it, is compared as ever.
+	r = restored()
+	if _, err := r.Map(scratchBase-PageSize, PageSize, "lib.data"); err != nil {
+		t.Fatal(err)
+	}
+	if ClassifyDomain(scratchBase-PageSize) == DomainScratch || r.Matches(sn) {
+		t.Fatal("memory with an extra segment outside the scratch domain matches")
+	}
+	// A scratch segment the snapshot holds too is compared byte for byte.
+	ssn := withScratch().Snapshot()
+	r = NewMemory()
+	r.Restore(ssn)
+	if !r.Matches(ssn) {
+		t.Fatal("restored memory with a scratch stack does not match its snapshot")
+	}
+	if f := r.Write(ScratchStackTop-16, 1); f != nil {
+		t.Fatal(f)
+	}
+	if r.Matches(ssn) {
+		t.Fatal("scratch stacks with different bytes match")
+	}
 }

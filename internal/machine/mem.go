@@ -565,6 +565,12 @@ func (m *Memory) Restore(sn *Snapshot) {
 // equal without being read, so the comparison costs only the pages the
 // memory materialised since it last shared them. It only reads, so
 // concurrent comparisons against one shared snapshot are safe.
+//
+// A writable scratch-domain segment the snapshot lacks (the
+// sigaltstack a recovery kernel maps) is skipped: the snapshot has
+// nothing mapped there, so a run from its state that raises no trap
+// never touches that range, and a memory holding the segment besides
+// goes on alike.
 func (m *Memory) Matches(sn *Snapshot) bool {
 	if m.heapNext != sn.HeapNext {
 		return false
@@ -572,6 +578,9 @@ func (m *Memory) Matches(sn *Snapshot) bool {
 	i := 0
 	for _, s := range m.segs {
 		if s.ro {
+			continue
+		}
+		if s.Domain == DomainScratch && (i == len(sn.Segs) || sn.Segs[i].Base != s.Base) {
 			continue
 		}
 		if i == len(sn.Segs) {

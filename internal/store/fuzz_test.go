@@ -12,8 +12,9 @@ import (
 )
 
 // hpccgPayload returns the manifest payload of a real warm profile: the
-// HPCCG 8x8x8 O0 binary with the campaign path's default cadence
-// (TotalDyn/64+1, 63 snapshots), its .text packed alongside.
+// HPCCG 8x8x8 O0 binary with the campaign path's default snapshots (63
+// of them, profiler.RunWithDefaultSnapshots), its .text packed
+// alongside.
 func hpccgPayload(tb testing.TB) []byte {
 	tb.Helper()
 	w, err := workloads.Get("HPCCG")
@@ -24,11 +25,7 @@ func hpccgPayload(tb testing.TB) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cold, err := profiler.Run(bin, nil, 0)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	prof, err := profiler.RunWithSnapshots(bin, nil, 0, cold.TotalDyn/64+1)
+	prof, err := profiler.RunWithDefaultSnapshots(bin, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
