@@ -19,6 +19,7 @@ import (
 	"care/internal/faultinject"
 	"care/internal/machine"
 	"care/internal/safeguard"
+	"care/internal/shard"
 	"care/internal/workloads"
 )
 
@@ -102,7 +103,7 @@ func BenchmarkTable8ArmorStats(b *testing.B) {
 
 func coverageBench(b *testing.B, name string, opt int, model faultinject.Model, cfg safeguard.Config) *faultinject.CoverageResult {
 	b.Helper()
-	bin, err := experiments.BuildWorkload(name, workloads.Params{}, opt, []string{"care"})
+	bin, err := shard.BuildSpec{Workload: name, OptLevel: opt, Defenses: []string{"care"}}.Build()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func BenchmarkFigure12DoubleFlipCoverage(b *testing.B) {
 // BENCH_interp.json.
 func BenchmarkGoldenRun(b *testing.B) {
 	for _, opt := range []int{0, 1} {
-		bin, err := experiments.BuildWorkload("HPCCG", workloads.Params{}, opt, nil)
+		bin, err := shard.BuildSpec{Workload: "HPCCG", OptLevel: opt}.Build()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -253,7 +254,7 @@ func BenchmarkGoldenRun(b *testing.B) {
 // BenchmarkSafeguardIdleOverhead is the §5.2 zero-runtime-overhead
 // claim: a protected fault-free run vs an unprotected one.
 func BenchmarkSafeguardIdleOverhead(b *testing.B) {
-	prot, err := experiments.BuildWorkload("HPCCG", workloads.Params{}, 0, []string{"care"})
+	prot, err := shard.BuildSpec{Workload: "HPCCG", Defenses: []string{"care"}}.Build()
 	if err != nil {
 		b.Fatal(err)
 	}

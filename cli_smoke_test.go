@@ -10,9 +10,11 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
+	"care/internal/experiments"
 	"care/internal/trace"
 )
 
@@ -38,6 +40,25 @@ func buildCLIs(t *testing.T, names ...string) map[string]string {
 	return bins
 }
 
+// requireUsageError runs a built binary that must refuse its arguments:
+// exit status 2, the one-line message msg on stderr, nothing on stdout.
+func requireUsageError(t *testing.T, msg, bin string, args ...string) {
+	t.Helper()
+	cmd := exec.Command(bin, args...)
+	var stdout, stderr strings.Builder
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	var exit *exec.ExitError
+	if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("%s %v: %v, want exit status 2", filepath.Base(bin), args, err)
+	}
+	if stderr.String() != msg+"\n" {
+		t.Errorf("stderr %q, want %q", stderr.String(), msg+"\n")
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("stdout %q, want nothing", stdout.String())
+	}
+}
+
 // runCLI executes a built binary and returns its stdout.
 func runCLI(t *testing.T, bin string, args ...string) string {
 	t.Helper()
@@ -54,7 +75,7 @@ func TestCLISmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs binaries")
 	}
-	bins := buildCLIs(t, "care-inject", "care-trace", "care-report")
+	bins := buildCLIs(t, "care-inject", "care-coverage", "care-trace", "care-report")
 	traceOut := filepath.Join(t.TempDir(), "campaign.jsonl")
 
 	t.Run("care-inject", func(t *testing.T) {
@@ -84,18 +105,50 @@ func TestCLISmoke(t *testing.T) {
 	})
 
 	t.Run("care-inject-unknown-tier", func(t *testing.T) {
-		cmd := exec.Command(bins["care-inject"], "-interp", "block", "-n", "1", "-workload", "HPCCG")
-		var stdout, stderr strings.Builder
-		cmd.Stdout, cmd.Stderr = &stdout, &stderr
-		var exit *exec.ExitError
-		if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Fatalf("unknown tier: %v, want exit status 2", err)
+		requireUsageError(t, `machine: unknown interpreter tier "block" (want superblock or step)`,
+			bins["care-inject"], "-interp", "block", "-n", "1", "-workload", "HPCCG")
+	})
+
+	// Both CLIs parse -model with faultinject.ParseModel, so a typo is
+	// refused instead of running the single-bit model.
+	t.Run("care-coverage-unknown-model", func(t *testing.T) {
+		requireUsageError(t, `faultinject: unknown fault model "triple" (want single or double)`,
+			bins["care-coverage"], "-model", "triple", "-trials", "1", "-workload", "HPCCG")
+	})
+
+	// A -defense arm runs the manifestation study's campaign: it shards
+	// (the BLAS target included) and honours -faults.
+	t.Run("care-inject-defense-shards", func(t *testing.T) {
+		args := []string{"-defense", "care", "-workload", "BLAS", "-n", "12", "-seed", "11", "-shards"}
+		if one, two := runCLI(t, bins["care-inject"], append(args, "1")...), runCLI(t, bins["care-inject"], append(args, "2")...); one != two {
+			t.Errorf("-shards 2 printed\n%s\nwant the -shards 1 tables\n%s", two, one)
 		}
-		if want := `machine: unknown interpreter tier "block" (want superblock or step)` + "\n"; stderr.String() != want {
-			t.Errorf("stderr %q, want %q", stderr.String(), want)
+	})
+	t.Run("care-inject-defense-faults", func(t *testing.T) {
+		args := []string{"-defense", "care", "-workload", "HPCCG", "-n", "40", "-seed", "11", "-faults"}
+		if one, three := runCLI(t, bins["care-inject"], append(args, "1")...), runCLI(t, bins["care-inject"], append(args, "3")...); one == three {
+			t.Errorf("-faults 3 printed the -faults 1 tables:\n%s", one)
 		}
-		if stdout.Len() != 0 {
-			t.Errorf("stdout %q, want nothing", stdout.String())
+	})
+
+	// -defense -store seals each target's campaign trace under the key
+	// of that target's golden-profile manifest.
+	t.Run("care-inject-defense-store", func(t *testing.T) {
+		dir := t.TempDir()
+		runCLI(t, bins["care-inject"], "-defense", "care", "-n", "4", "-seed", "11", "-store", dir)
+		ids := func(sub, ext string) []string {
+			names, err := filepath.Glob(filepath.Join(dir, sub, "*"+ext))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, n := range names {
+				names[i] = strings.TrimSuffix(filepath.Base(n), ext)
+			}
+			return names
+		}
+		traces, manifests := ids("traces", ".jsonl"), ids("manifests", ".v5")
+		if targets := len(experiments.DefenseNames()); len(traces) != targets || !slices.Equal(traces, manifests) {
+			t.Errorf("%d targets: trace IDs %v, want the manifest IDs %v", targets, traces, manifests)
 		}
 	})
 

@@ -30,9 +30,10 @@ func main() {
 	workers := flag.Int("workers", 0, "concurrent injection workers (0 = one per CPU; results are identical for any value)")
 	flag.Parse()
 
-	m := faultinject.SingleBit
-	if *model == "double" {
-		m = faultinject.DoubleBit
+	m, err := faultinject.ParseModel(*model)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	e := faultinject.CoverageExperiment{
 		Trials: *trials, Model: m, Seed: *seed, Workers: *workers,

@@ -28,9 +28,11 @@
 // golden profile itself, from the -store directory when one is given,
 // and the coordinator merges the streamed results in index order — the
 // tables and -trace-out JSONL are byte-identical to a single-process run
-// (wall-clock fields aside), which the CI determinism jobs diff. -defense
-// does not shard: its BLAS target links a library no worker can
-// rebuild.
+// (wall-clock fields aside), which the CI determinism jobs diff.
+//
+// The manifestation study and a -defense arm run the same campaign,
+// built once from the flags, so -faults, -domains, -warmstart, -store
+// and -shards apply to both alike.
 package main
 
 import (
@@ -157,12 +159,6 @@ func main() {
 		}
 		return
 	}
-	if *shards > 1 && *def != "" {
-		// The defense study's BLAS target links a library that a worker
-		// cannot rebuild from a shard.BuildSpec.
-		fmt.Fprintln(os.Stderr, "-shards is not supported with -defense")
-		os.Exit(2)
-	}
 	var shardExec []string
 	if *shards > 1 {
 		shardExec = shardExecArgv(*shardCmd)
@@ -221,13 +217,9 @@ func main() {
 		}()
 	}
 
-	m := faultinject.SingleBit
-	switch *model {
-	case "single":
-	case "double":
-		m = faultinject.DoubleBit
-	default:
-		fmt.Fprintln(os.Stderr, "unknown -model; want single or double")
+	m, err := faultinject.ParseModel(*model)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	// One shared validation point for the escalation budgets (the same
@@ -242,41 +234,11 @@ func main() {
 		names = experiments.DefenseNames()
 	}
 	if *workload != "all" {
-		// "BLAS" is the defense study's shared-library target, not a
-		// registered workload.
-		if !(*def != "" && *workload == "BLAS") {
-			if _, err := workloads.Get(*workload); err != nil {
-				log.Fatal(err)
-			}
-		}
+		// An unknown name fails its build (shard.BuildSpec.Build).
 		names = []string{*workload}
 	}
 
-	if *def != "" {
-		// Single bake-off arm: identical campaign machinery to the
-		// manifestation study, but on builds defended by the given list.
-		arm := experiments.DefenseArm{Name: strings.Join(defs, "+"), Defenses: defs}
-		cells, err := experiments.DefenseStudy(names, []experiments.DefenseArm{arm}, *opt, workloads.Params{},
-			faultinject.Campaign{
-				N: *n, Model: m, Seed: *seed, Workers: *workers, Trace: *traceOut != "",
-				WarmStart: *warmStart, SnapEvery: *snapEvery, Tier: tier,
-				Progress: heartbeat(*progress, "trials"), Store: st,
-			}, false)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Print(experiments.FormatDefenseStudy(cells))
-		if *traceOut != "" {
-			traces := make([]*trace.Recorder, len(cells))
-			for i := range cells {
-				traces[i] = cells[i].Res.Trace
-			}
-			writeTrace(*traceOut, traces)
-		}
-		return
-	}
-
-	if *domainRewind {
+	if *domainRewind && *def == "" {
 		// Domain-rewind policy campaign: multi-fault trials on protected
 		// builds, with the full escalation chain ending in domain rewind
 		// before whole-process rollback.
@@ -307,16 +269,36 @@ func main() {
 		return
 	}
 
-	rows, err := experiments.OutcomeStudy(names, *opt, workloads.Params{}, faultinject.Campaign{
+	camp := faultinject.Campaign{
 		N: *n, FaultsPerTrial: *faults, Model: m, Seed: *seed, Workers: *workers,
 		Trace: *traceOut != "" || *domains || st != nil, WarmStart: *warmStart, SnapEvery: *snapEvery,
 		Tier: tier, Domains: *domains, Shards: *shards, ShardExec: shardExec,
 		Progress: heartbeat(*progress, "trials"), Store: st,
-	})
-	if err != nil {
-		log.Fatal(err)
 	}
-	fmt.Print(experiments.FormatOutcomeTables(rows))
+	// One campaign result per name, in names order: the manifestation
+	// study's rows, or the cells of a single bake-off arm (the same
+	// campaign on builds defended by the given list).
+	results := make([]*faultinject.CampaignResult, len(names))
+	if *def != "" {
+		arm := experiments.DefenseArm{Name: strings.Join(defs, "+"), Defenses: defs}
+		cells, err := experiments.DefenseStudy(names, []experiments.DefenseArm{arm}, *opt, workloads.Params{}, camp, false)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Print(experiments.FormatDefenseStudy(cells))
+		for i := range cells {
+			results[i] = cells[i].Res
+		}
+	} else {
+		rows, err := experiments.OutcomeStudy(names, *opt, workloads.Params{}, camp)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Print(experiments.FormatOutcomeTables(rows))
+		for i := range rows {
+			results[i] = rows[i].Res
+		}
+	}
 
 	if *warmStart {
 		// Warm-start accounting goes to stderr so stdout stays
@@ -324,8 +306,8 @@ func main() {
 		// prefix the warm trials skipped, and the golden suffix skipped by
 		// trials that rejoined the golden run at a snapshot.
 		var total faultinject.WarmStartStats
-		for _, r := range rows {
-			if ws := r.Res.WarmStart; ws != nil {
+		for _, res := range results {
+			if ws := res.WarmStart; ws != nil {
 				total.Snapshots += ws.Snapshots
 				total.WarmTrials += ws.WarmTrials
 				total.SkippedDyn += ws.SkippedDyn
@@ -342,18 +324,18 @@ func main() {
 		// + Merkle seal), keyed exactly like the golden-run manifest so
 		// the inventory row joins profile, snapshots and seal. The seal
 		// is what care-report -diff localises divergence with.
-		for _, r := range rows {
-			key := shard.BuildSpec{Workload: r.Workload, OptLevel: *opt}.Key("campaign", *seed, *warmStart, *snapEvery)
-			if _, err := st.PutTrace(key, r.Res.Trace); err != nil {
-				fmt.Fprintf(os.Stderr, "store: seal %s: %v\n", r.Workload, err)
+		for i, name := range names {
+			key := shard.BuildSpec{Workload: name, OptLevel: *opt, Defenses: defs}.Key("campaign", *seed, *warmStart, *snapEvery)
+			if _, err := st.PutTrace(key, results[i].Trace); err != nil {
+				fmt.Fprintf(os.Stderr, "store: seal %s: %v\n", name, err)
 			}
 		}
 	}
 
 	if *traceOut != "" {
-		traces := make([]*trace.Recorder, len(rows))
-		for i := range rows {
-			traces[i] = rows[i].Res.Trace
+		traces := make([]*trace.Recorder, len(results))
+		for i, res := range results {
+			traces[i] = res.Trace
 		}
 		writeTrace(*traceOut, traces)
 	}

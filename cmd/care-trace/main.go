@@ -14,10 +14,9 @@ import (
 	"log"
 	"sort"
 
-	"care/internal/experiments"
 	"care/internal/faultinject"
 	"care/internal/machine"
-	"care/internal/workloads"
+	"care/internal/shard"
 )
 
 func main() {
@@ -26,7 +25,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	flag.Parse()
 
-	bin, err := experiments.BuildWorkload(*workload, workloads.Params{}, 0, nil)
+	bin, err := shard.BuildSpec{Workload: *workload}.Build()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func main() {
 	// Inject only into library code: this is what requires rebuilding
 	// the library with CARE (footnote 3 of the paper).
 	exp := &faultinject.CoverageExperiment{
-		App: drv, Libs: []*core.Binary{lib},
+		App:          drv,
 		TargetImages: []string{"libblas"},
 		Trials:       30, Seed: 77,
 	}
@@ -44,7 +44,7 @@ func main() {
 
 	// And the combined driver+library experiment of Table 9.
 	both := &faultinject.CoverageExperiment{
-		App: drv, Libs: []*core.Binary{lib},
+		App:          drv,
 		TargetImages: []string{"sblat1", "libblas"},
 		Trials:       30, Seed: 78,
 	}

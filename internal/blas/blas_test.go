@@ -32,9 +32,11 @@ func buildPair(t testing.TB, opt int, protected bool) (lib, drv *core.Binary) {
 	return lib, drv
 }
 
-func runPair(t testing.TB, lib, drv *core.Binary, protected bool) (*core.Process, machine.RunStatus) {
+// runPair runs the driver with the library it was linked against (its
+// Deps).
+func runPair(t testing.TB, drv *core.Binary, protected bool) (*core.Process, machine.RunStatus) {
 	t.Helper()
-	p, err := core.NewProcess(core.ProcessConfig{App: drv, Libs: []*core.Binary{lib}, Protected: protected})
+	p, err := core.NewProcess(core.ProcessConfig{App: drv, Protected: protected})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +58,8 @@ func TestSblat1Differential(t *testing.T) {
 		}
 	}
 	for _, opt := range []int{0, 1} {
-		lib, drv := buildPair(t, opt, false)
-		p, st := runPair(t, lib, drv, false)
+		_, drv := buildPair(t, opt, false)
+		p, st := runPair(t, drv, false)
 		if st != machine.StatusExited {
 			t.Fatalf("O%d: %v (%v)", opt, st, p.CPU.PendingTrap)
 		}
@@ -77,8 +79,8 @@ func TestSblat1Differential(t *testing.T) {
 // TestReferenceValues spot-checks routine semantics against independent
 // Go implementations.
 func TestReferenceValues(t *testing.T) {
-	lib, drv := buildPair(t, 0, false)
-	p, st := runPair(t, lib, drv, false)
+	_, drv := buildPair(t, 0, false)
+	p, st := runPair(t, drv, false)
 	if st != machine.StatusExited {
 		t.Fatal(st)
 	}
@@ -143,7 +145,7 @@ func TestBLASCoverage(t *testing.T) {
 		t.Fatalf("missing kernels: lib=%d drv=%d", lib.DefenseStats["care"].NumKernels, drv.DefenseStats["care"].NumKernels)
 	}
 	exp := &faultinject.CoverageExperiment{
-		App: drv, Libs: []*core.Binary{lib},
+		App:          drv,
 		TargetImages: []string{"sblat1", "libblas"},
 		Trials:       30, Seed: 99,
 	}

@@ -75,6 +75,9 @@ type Binary struct {
 	Census armor.CensusRow
 	// Module is the post-defense IR (for analyses).
 	Module *ir.Module
+	// Deps are the library binaries Build linked the image against, in
+	// the order given. NewProcess loads an app's Deps before the app.
+	Deps []*Binary
 }
 
 // Protected reports whether the binary carries recovery artifacts.
@@ -86,7 +89,8 @@ func (b *Binary) Protected() bool { return len(b.RecoveryTable) > 0 }
 func (b *Binary) Defended() bool { return b.Protected() || b.Detects }
 
 // Build compiles a main-executable module with CARE. deps are
-// previously built library binaries the module links against.
+// previously built library binaries the module links against; the
+// returned Binary records them as its Deps.
 func Build(m *ir.Module, opts BuildOptions, deps ...*Binary) (*Binary, error) {
 	var copts compiler.Options
 	if opts.IsLib {
@@ -119,7 +123,7 @@ func Build(m *ir.Module, opts BuildOptions, deps ...*Binary) (*Binary, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 
-	bin := &Binary{Name: m.Name, Module: m}
+	bin := &Binary{Name: m.Name, Module: m, Deps: deps}
 	// Census before instrumentation: the census describes the program's
 	// own address computations, not the checks a defense inserts.
 	bin.Census = armor.Census(m)
@@ -203,10 +207,8 @@ func recoveryLibIndex(opts BuildOptions) int {
 
 // ProcessConfig assembles a process.
 type ProcessConfig struct {
-	// App is the main executable.
+	// App is the main executable; its Deps load with it.
 	App *Binary
-	// Libs are additional images the app links against.
-	Libs []*Binary
 	// Protected attaches Safeguard.
 	Protected bool
 	// Safeguard tunes the runtime (zero value = paper configuration).
@@ -233,9 +235,10 @@ type Process struct {
 }
 
 // newLoadedProcess assembles the address space shared by the cold and
-// warm process paths: a fresh memory with every image loaded (read-only
-// .text shared across processes, globals mapped copy-on-write) and
-// attached to a new CPU, plus the Safeguard units of protected images.
+// warm process paths: a fresh memory with the app's Deps and then the
+// app loaded (read-only .text shared across processes, globals mapped
+// copy-on-write) and attached to a new CPU, plus the Safeguard units of
+// protected images.
 func newLoadedProcess(cfg ProcessConfig) (*Process, []*safeguard.Unit, error) {
 	if cfg.App == nil {
 		return nil, nil, fmt.Errorf("core: no app binary")
@@ -266,7 +269,7 @@ func newLoadedProcess(cfg ProcessConfig) (*Process, []*safeguard.Unit, error) {
 		}
 		return img, nil
 	}
-	for _, lb := range cfg.Libs {
+	for _, lb := range cfg.App.Deps {
 		if _, err := loadOne(lb); err != nil {
 			return nil, nil, err
 		}

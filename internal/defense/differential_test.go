@@ -38,9 +38,9 @@ type runOutput struct {
 	printed []string
 }
 
-func run(t *testing.T, bin *core.Binary, libs []*core.Binary, tier machine.InterpTier) runOutput {
+func run(t *testing.T, bin *core.Binary, tier machine.InterpTier) runOutput {
 	t.Helper()
-	p, err := core.NewProcess(core.ProcessConfig{App: bin, Libs: libs, Tier: tier})
+	p, err := core.NewProcess(core.ProcessConfig{App: bin, Tier: tier})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestDefensesPreserveWorkloadSemantics(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := run(t, golden, nil, machine.TierSuperblock)
+			want := run(t, golden, machine.TierSuperblock)
 			if want.status != machine.StatusExited {
 				t.Fatalf("undefended golden run did not exit: %v", want.status)
 			}
@@ -107,7 +107,7 @@ func TestDefensesPreserveWorkloadSemantics(t *testing.T) {
 				}
 				for _, tier := range machine.Tiers() {
 					label := fmt.Sprintf("%s/%s", listName(defs), tier)
-					requireSameOutput(t, label, run(t, bin, nil, tier), want)
+					requireSameOutput(t, label, run(t, bin, tier), want)
 				}
 			}
 		})
@@ -125,7 +125,7 @@ func TestDefensesPreserveBLASSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := run(t, gdrv, []*core.Binary{glib}, machine.TierSuperblock)
+	want := run(t, gdrv, machine.TierSuperblock)
 	if want.status != machine.StatusExited {
 		t.Fatalf("undefended golden run did not exit: %v", want.status)
 	}
@@ -140,7 +140,7 @@ func TestDefensesPreserveBLASSemantics(t *testing.T) {
 		}
 		for _, tier := range machine.Tiers() {
 			label := fmt.Sprintf("%s/%s", listName(defs), tier)
-			requireSameOutput(t, label, run(t, drv, []*core.Binary{lib}, tier), want)
+			requireSameOutput(t, label, run(t, drv, tier), want)
 		}
 	}
 }
@@ -158,7 +158,7 @@ func TestDefensesPreserveProgenSemantics(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := run(t, golden, nil, machine.TierStep)
+				want := run(t, golden, machine.TierStep)
 				for _, defs := range rivalLists {
 					bin, err := core.Build(progen.Generate(seed, progen.Options{}), core.BuildOptions{OptLevel: opt, Defenses: defs})
 					if err != nil {
@@ -166,7 +166,7 @@ func TestDefensesPreserveProgenSemantics(t *testing.T) {
 					}
 					for _, tier := range machine.Tiers() {
 						label := fmt.Sprintf("O%d/%s/%s", opt, listName(defs), tier)
-						requireSameOutput(t, label, run(t, bin, nil, tier), want)
+						requireSameOutput(t, label, run(t, bin, tier), want)
 					}
 				}
 			}

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"care/internal/blas"
 	"care/internal/core"
 	"care/internal/defense"
 	"care/internal/faultinject"
@@ -91,25 +90,6 @@ func (c *DefenseCell) SDCRate() float64 {
 	return float64(c.Res.Outcomes[faultinject.SDC]) / float64(c.Res.N)
 }
 
-// buildDefenseTarget builds one workload under one defense list.
-// "BLAS" is the shared-library target: the BLAS library plus the
-// sblat1 driver, both defended.
-func buildDefenseTarget(name string, p workloads.Params, opt int, defenses []string) (*core.Binary, []*core.Binary, error) {
-	if name == "BLAS" {
-		lib, err := core.BuildLib(blas.Library(), opt, 0, defenses)
-		if err != nil {
-			return nil, nil, fmt.Errorf("BLAS lib: %w", err)
-		}
-		drv, err := core.Build(blas.Sblat1(5), core.BuildOptions{OptLevel: opt, Defenses: defenses}, lib)
-		if err != nil {
-			return nil, nil, fmt.Errorf("BLAS driver: %w", err)
-		}
-		return drv, []*core.Binary{lib}, nil
-	}
-	bin, err := BuildWorkload(name, p, opt, defenses)
-	return bin, nil, err
-}
-
 // DefenseNames returns the bake-off's default target list: the five
 // evaluated mini-apps plus the BLAS library driver.
 func DefenseNames() []string {
@@ -117,17 +97,17 @@ func DefenseNames() []string {
 }
 
 // DefenseStudy runs the rival-defense bake-off: every arm (nil =
-// DefenseArms) builds every named workload and faces a copy of campaign
-// c (same seed, same fault model, same trial RNG streams), so the arms
-// differ only in the defense under test. Each cell sets only the
-// campaign's App, Libs, StoreKey and Protected, which attaches the
-// Safeguard (configured by c.Safeguard) to defended arms. Under the
-// paper's one-shot policy (the zero c.Safeguard) a detection trap is a
-// fail-stop and CARE repairs in place — the paper's configurations.
-// Cells come back in (names, arms) order and are bit-identical for
-// every c.Workers value; c.Trace additionally keeps machine-level trap
-// stamps. The campaigns run in this process: the BLAS target links a
-// library that no shard worker can rebuild.
+// DefenseArms) builds every named workload ("BLAS" included; see
+// shard.BuildSpec) and faces a copy of campaign c (same seed, same
+// fault model, same trial RNG streams), so the arms differ only in the
+// defense under test. Each cell sets only the campaign's App, StoreKey
+// and Protected, which attaches the Safeguard (configured by
+// c.Safeguard) to defended arms, and runs through shard.RunCampaign
+// like every other study. Under the paper's one-shot policy (the zero
+// c.Safeguard) a detection trap is a fail-stop and CARE repairs in
+// place — the paper's configurations. Cells come back in (names, arms)
+// order and are bit-identical for every c.Workers and c.Shards value;
+// c.Trace additionally keeps machine-level trap stamps.
 //
 // measureRates adds the wall-clock golden-run throughput per
 // interpreter tier (DefenseCell.Rates) — wall-based and excluded from
@@ -140,7 +120,8 @@ func DefenseStudy(names []string, arms []DefenseArm, opt int, p workloads.Params
 	progress := cellProgress(c.Progress, cap(cells), c.N)
 	for _, name := range names {
 		for _, arm := range arms {
-			app, libs, err := buildDefenseTarget(name, p, opt, arm.Defenses)
+			build := shard.BuildSpec{Workload: name, Params: p, OptLevel: opt, Defenses: arm.Defenses}
+			app, err := build.Build()
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", name, arm.Name, err)
 			}
@@ -149,20 +130,17 @@ func DefenseStudy(names []string, arms []DefenseArm, opt int, p workloads.Params
 				Arm:        arm.Name,
 				CodeInstrs: len(app.Prog.Code),
 			}
-			for _, b := range append([]*core.Binary{app}, libs...) {
+			for _, b := range append([]*core.Binary{app}, app.Deps...) {
 				for _, s := range b.DefenseStats {
 					cell.InsertedInstrs += s.InsertedInstrs
 					cell.Kernels += s.NumKernels
 				}
 			}
 			camp := c
-			camp.App, camp.Libs, camp.Protected = app, libs, app.Defended()
+			camp.App, camp.Protected = app, app.Defended()
 			camp.Progress = progress[len(cells)]
-			// BLAS is no registered workload, so this spec only keys the
-			// store.
-			key := shard.BuildSpec{Workload: name, Params: p, OptLevel: opt, Defenses: arm.Defenses}
-			camp.StoreKey = key.Key("campaign", c.Seed, c.WarmStart, c.SnapEvery)
-			res, err := camp.Run()
+			camp.StoreKey = build.Key("campaign", c.Seed, c.WarmStart, c.SnapEvery)
+			res, err := shard.RunCampaign(&camp, build)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", name, arm.Name, err)
 			}
@@ -170,7 +148,7 @@ func DefenseStudy(names []string, arms []DefenseArm, opt int, p workloads.Params
 			if measureRates {
 				cell.Rates = map[machine.InterpTier]float64{}
 				for _, tier := range machine.Tiers() {
-					rate, err := goldenRate(app, libs, tier)
+					rate, err := goldenRate(app, tier)
 					if err != nil {
 						return nil, fmt.Errorf("%s/%s %s: %w", name, arm.Name, tier, err)
 					}
@@ -238,8 +216,8 @@ func FormatDefenseBuild(rows []DefenseBuildRow) string {
 
 // goldenRate measures one fault-free run's throughput in Minstr/s on
 // the given tier (wall-based; report-only).
-func goldenRate(app *core.Binary, libs []*core.Binary, tier machine.InterpTier) (float64, error) {
-	proc, err := core.NewProcess(core.ProcessConfig{App: app, Libs: libs, Tier: tier})
+func goldenRate(app *core.Binary, tier machine.InterpTier) (float64, error) {
+	proc, err := core.NewProcess(core.ProcessConfig{App: app, Tier: tier})
 	if err != nil {
 		return 0, err
 	}

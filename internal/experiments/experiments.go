@@ -22,12 +22,6 @@ import (
 	"care/internal/workloads"
 )
 
-// BuildWorkload compiles a named workload with the given defense list
-// (nil = undefended; see internal/defense for the registered passes).
-func BuildWorkload(name string, p workloads.Params, opt int, defenses []string) (*core.Binary, error) {
-	return shard.BuildSpec{Workload: name, Params: p, OptLevel: opt, Defenses: defenses}.Build()
-}
-
 // OutcomeRow is one workload's row of Tables 2+3+4 (or 10+11 under the
 // double-bit model).
 type OutcomeRow struct {
@@ -416,19 +410,20 @@ type BLASRow struct {
 
 // BLASStudy reproduces Table 9 (§5.5): experiment e against the
 // CARE-protected BLAS library and its sblat1 driver, injecting into
-// both images. The study sets only App, Libs, TargetImages and
-// StoreKey; e carries trials, model, seed, workers and the Safeguard
-// configuration (zero value = the paper's).
+// both images. The study sets only App, TargetImages and StoreKey and
+// runs through shard.RunCoverage; e carries trials, model, seed,
+// workers and the Safeguard configuration (zero value = the paper's).
 func BLASStudy(opt int, e faultinject.CoverageExperiment) (*BLASRow, error) {
-	drv, libs, err := buildDefenseTarget("BLAS", workloads.Params{}, opt, []string{"care"})
+	build := shard.BuildSpec{Workload: "BLAS", OptLevel: opt, Defenses: []string{"care"}}
+	drv, err := build.Build()
 	if err != nil {
 		return nil, err
 	}
-	lib := libs[0]
-	e.App, e.Libs = drv, libs
+	lib := drv.Deps[0]
+	e.App = drv
 	e.TargetImages = []string{"sblat1", "libblas"}
-	e.StoreKey = shard.BuildSpec{Workload: "BLAS", OptLevel: opt, Defenses: []string{"care"}}.Key("coverage", e.Seed, e.WarmStart, e.SnapEvery)
-	res, err := e.Run()
+	e.StoreKey = build.Key("coverage", e.Seed, e.WarmStart, e.SnapEvery)
+	res, err := shard.RunCoverage(&e, build)
 	if err != nil && res == nil {
 		return nil, err
 	}

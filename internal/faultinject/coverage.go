@@ -21,10 +21,9 @@ import (
 // that manifest as SIGSEGV, and measure Safeguard's recovery rate
 // (Figure 7 / Figure 12) and recovery time (Figure 9 / Table 9).
 type CoverageExperiment struct {
-	// App is a CARE-protected build.
+	// App is a CARE-protected build; its Deps (linked, possibly
+	// protected libraries) load with it.
 	App *core.Binary `json:"-"`
-	// Libs are linked (possibly protected) library binaries.
-	Libs []*core.Binary `json:"-"`
 	// TargetImages restricts injection to the named images; empty means
 	// the application image only (the paper's §5 setup — recovering
 	// library faults requires the library to be built with CARE, §5.5).
@@ -309,7 +308,7 @@ func (e *CoverageExperiment) runAttempt(i int, prof *profiler.Profile, smp *samp
 		}
 	}
 	p, seed, err := startRun(core.ProcessConfig{
-		App: e.App, Libs: e.Libs, Protected: true, Safeguard: e.Safeguard,
+		App: e.App, Protected: true, Safeguard: e.Safeguard,
 		Tier: e.Tier,
 	}, prof, specs)
 	if err != nil {
@@ -432,7 +431,7 @@ func (e *CoverageExperiment) Prepare() (*profiler.Profile, error) {
 		return nil, err
 	}
 	warm := e.WarmStart && !e.Safeguard.Policy.NeedsStore()
-	return prepareProfile(e.App, e.Libs, e.Store, e.StoreKey, warm, e.SnapEvery)
+	return prepareProfile(e.App, e.Store, e.StoreKey, warm, e.SnapEvery)
 }
 
 // AttemptBudget is the experiment's attempt index space [0, budget):

@@ -50,6 +50,16 @@ func (m Model) String() string {
 	return "single-bit-flip"
 }
 
+// ParseModel parses a -model flag value: "single" or "double".
+func ParseModel(s string) (Model, error) {
+	for i, n := range [...]string{"single", "double"} {
+		if s == n {
+			return Model(i), nil
+		}
+	}
+	return SingleBit, fmt.Errorf("faultinject: unknown fault model %q (want single or double)", s)
+}
+
 // Outcome classifies an injection (Table 2 columns).
 type Outcome int
 
@@ -324,10 +334,8 @@ func pickBits(rng *rand.Rand, model Model) []int {
 
 // Campaign is a §2-style manifestation study over one binary.
 type Campaign struct {
-	// App is an unprotected build of the workload.
+	// App is the binary under test; its Deps load with it.
 	App *core.Binary `json:"-"`
-	// Libs are linked library binaries (optional).
-	Libs []*core.Binary `json:"-"`
 	// N is the number of injections (one per run).
 	N int
 	// FaultsPerTrial is the multi-fault model: every trial arms this
@@ -568,7 +576,7 @@ func (c *Campaign) runTrial(i int, prof *profiler.Profile) (TrialResult, error) 
 		specs[j] = ArmSpec{Trigger: Trigger{AtDyn: target}, Bits: pickBits(rng, c.Model)}
 	}
 	p, seed, err := startRun(core.ProcessConfig{
-		App: c.App, Libs: c.Libs, Tier: c.Tier,
+		App: c.App, Tier: c.Tier,
 		Protected: c.Protected, Safeguard: c.Safeguard,
 	}, prof, specs)
 	if err != nil {
@@ -861,7 +869,7 @@ func (c *Campaign) Prepare() (*profiler.Profile, error) {
 		return nil, fmt.Errorf("faultinject: campaign N must be positive")
 	}
 	warm := c.WarmStart && !(c.Protected && c.Safeguard.Policy.NeedsStore())
-	return prepareProfile(c.App, c.Libs, c.Store, c.StoreKey, warm, c.SnapEvery)
+	return prepareProfile(c.App, c.Store, c.StoreKey, warm, c.SnapEvery)
 }
 
 // prepareProfile is the golden pass Campaign.Prepare and
@@ -872,7 +880,7 @@ func (c *Campaign) Prepare() (*profiler.Profile, error) {
 // snapEvery is 0, on the default cadence (see Campaign.SnapEvery). The
 // fresh profile populates the store. A corrupt entry charges
 // store.fallback inside the store and degrades to the same cold path.
-func prepareProfile(app *core.Binary, libs []*core.Binary, st *store.Store, key store.Key, warm bool, snapEvery uint64) (*profiler.Profile, error) {
+func prepareProfile(app *core.Binary, st *store.Store, key store.Key, warm bool, snapEvery uint64) (*profiler.Profile, error) {
 	// Pin the snapshot cadence onto the key from the campaign's own
 	// fields, so an entry with snapshots can never be confused with one
 	// without, even if the caller filled the key inconsistently.
@@ -892,28 +900,28 @@ func prepareProfile(app *core.Binary, libs []*core.Binary, st *store.Store, key 
 	var err error
 	switch {
 	case !warm:
-		prof, err = profiler.Run(app, libs, 0)
+		prof, err = profiler.Run(app, nil, 0)
 	case snapEvery > 0:
-		prof, err = profiler.RunWithSnapshots(app, libs, 0, snapEvery)
+		prof, err = profiler.RunWithSnapshots(app, nil, 0, snapEvery)
 	default:
-		prof, err = profiler.RunWithDefaultSnapshots(app, libs)
+		prof, err = profiler.RunWithDefaultSnapshots(app)
 	}
 	if err != nil {
 		return nil, err
 	}
 	if st != nil {
-		populateStore(st, key, prof, app, libs)
+		populateStore(st, key, prof, app)
 	}
 	return prof, nil
 }
 
 // populateStore caches a freshly derived profile, offering the sealed
-// .text images of the app and its libraries for blob dedup. Store
-// errors are deliberately non-fatal: a read-only or full store costs
-// the next run a cache miss, never this run its result.
-func populateStore(s *store.Store, key store.Key, prof *profiler.Profile, app *core.Binary, libs []*core.Binary) {
+// .text images of the app and its Deps for blob dedup. Store errors are
+// deliberately non-fatal: a read-only or full store costs the next run
+// a cache miss, never this run its result.
+func populateStore(s *store.Store, key store.Key, prof *profiler.Profile, app *core.Binary) {
 	var text []store.TextImage
-	for _, b := range append([]*core.Binary{app}, libs...) {
+	for _, b := range append([]*core.Binary{app}, app.Deps...) {
 		if b != nil && b.Prog != nil {
 			if img := b.Prog.CodeImage(); len(img) > 0 {
 				text = append(text, store.TextImage{Name: b.Prog.Name, Data: img})

@@ -332,7 +332,7 @@ func TestSnapshotPassMatchesStepReference(t *testing.T) {
 		}
 	}
 	def := buildWorkload(t, "HPCCG", 0, false)
-	prof, err := profiler.RunWithDefaultSnapshots(def, nil)
+	prof, err := profiler.RunWithDefaultSnapshots(def)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package profiler
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -61,20 +62,32 @@ func (p *Profile) NextSnap(dyn uint64) *SnapPoint {
 	return &p.Snaps[i]
 }
 
-// Run executes the binary (with optional extra library binaries) to
-// completion with profiling enabled. limit bounds the run (0 = none).
+// Run executes the binary, with the libraries it was built against
+// (core.Binary.Deps), to completion with profiling enabled. limit
+// bounds the run (0 = none). libs must be nil: the parameter stays only
+// because the benchmark harness (perfbench/probe.go) passes nil.
 func Run(app *core.Binary, libs []*core.Binary, limit uint64) (*Profile, error) {
-	return run(app, libs, limit, 0, false)
+	if libs != nil {
+		return nil, errLibs
+	}
+	return run(app, limit, 0, false)
 }
+
+// errLibs refuses a library list passed beside the app: a process loads
+// exactly the libraries the app was linked against, its Deps.
+var errLibs = errors.New("profiler: libs must be nil (a process loads the app's Deps)")
 
 // RunWithSnapshots is Run plus periodic machine snapshots: every
 // snapEvery retired instructions the golden process is checkpointed
 // (frozen copy-on-write, so each capture costs O(pages), with the byte
 // copying deferred to the pages the run actually dirties before the
 // next capture). snapEvery == 0 disables capture; the profile is
-// then identical to Run's.
+// then identical to Run's. libs must be nil, as for Run.
 func RunWithSnapshots(app *core.Binary, libs []*core.Binary, limit, snapEvery uint64) (*Profile, error) {
-	return run(app, libs, limit, snapEvery, false)
+	if libs != nil {
+		return nil, errLibs
+	}
+	return run(app, limit, snapEvery, false)
 }
 
 // The default snapshot cadence. A warm campaign wants a snapshot every
@@ -101,8 +114,8 @@ const (
 // snapshot whenever the run spans cadenceSnaps grid steps, so the
 // profile keeps (TotalDyn-1)/E snapshots, as a pass on the cadence E
 // itself would; a shorter run keeps fewer.
-func RunWithDefaultSnapshots(app *core.Binary, libs []*core.Binary) (*Profile, error) {
-	prof, err := run(app, libs, 0, gridStep, true)
+func RunWithDefaultSnapshots(app *core.Binary) (*Profile, error) {
+	prof, err := run(app, 0, gridStep, true)
 	if err != nil {
 		return nil, err
 	}
@@ -122,8 +135,8 @@ func RunWithDefaultSnapshots(app *core.Binary, libs []*core.Binary) (*Profile, e
 // given; one that retired fewer (a trapped and resumed attempt) ends
 // short of its boundary, and the next slice runs toward the same
 // boundary.
-func run(app *core.Binary, libs []*core.Binary, limit, step uint64, thin bool) (*Profile, error) {
-	p, err := core.NewProcess(core.ProcessConfig{App: app, Libs: libs})
+func run(app *core.Binary, limit, step uint64, thin bool) (*Profile, error) {
+	p, err := core.NewProcess(core.ProcessConfig{App: app})
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"care/internal/blas"
 	"care/internal/core"
 	"care/internal/workloads"
 )
@@ -29,7 +30,7 @@ func TestDefaultSnapshotsProfile(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prof, err := RunWithDefaultSnapshots(bin, nil)
+			prof, err := RunWithDefaultSnapshots(bin)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,5 +121,38 @@ func TestDefaultCadenceShortRuns(t *testing.T) {
 		if got := dyns(onCadence(tc.snaps, tc.every, tc.total)); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("onCadence(%v, every %d, total %d) = %v, want %v", dyns(tc.snaps), tc.every, tc.total, got, tc.want)
 		}
+	}
+}
+
+// TestLibsComeFromDeps: a driver built against a library profiles with
+// that library loaded from its Deps (the library's instructions are
+// counted), and Run and RunWithSnapshots refuse a library list passed
+// beside the app.
+func TestLibsComeFromDeps(t *testing.T) {
+	lib, err := core.BuildLib(blas.Library(), 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drv, err := core.Build(blas.Sblat1(4), core.BuildOptions{}, lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := Run(drv, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var libDyn uint64
+	for _, n := range prof.Counts[lib.Prog.Name] {
+		libDyn += n
+	}
+	if libDyn == 0 {
+		t.Fatalf("no %s instruction counted; images profiled: %d", lib.Prog.Name, len(prof.Counts))
+	}
+	libs := []*core.Binary{lib}
+	if _, err := Run(drv, libs, 0); err == nil {
+		t.Error("Run accepted a library list beside the app")
+	}
+	if _, err := RunWithSnapshots(drv, libs, 0, 1000); err == nil {
+		t.Error("RunWithSnapshots accepted a library list beside the app")
 	}
 }

@@ -100,14 +100,25 @@ func TestRanges(t *testing.T) {
 // campaign run through the shard coordinator — any shard × worker
 // combination, results round-tripping the wire encoding — produces a
 // CampaignResult DeepEqual to the single-process run and byte-identical
-// scrubbed trace JSONL.
+// scrubbed trace JSONL. The BLAS-care rows run a protected library
+// target: every worker links the sblat1 driver against libblas rebuilt
+// from the spec alone.
 func TestCampaignShardEquivalenceInProcess(t *testing.T) {
-	build := BuildSpec{Workload: "HPCCG"}
+	requireShardEquivalence(t, BuildSpec{Workload: "HPCCG"},
+		[]struct{ shards, workers int }{{1, 1}, {2, 1}, {3, 2}, {8, 1}, {24, 1}, {64, 2}})
+	t.Run("BLAS-care", func(t *testing.T) {
+		requireShardEquivalence(t, BuildSpec{Workload: "BLAS", Defenses: []string{"care"}},
+			[]struct{ shards, workers int }{{1, 1}, {3, 2}, {8, 1}})
+	})
+}
+
+func requireShardEquivalence(t *testing.T, build BuildSpec, cases []struct{ shards, workers int }) {
+	t.Helper()
 	bin := buildSpecOrDie(t, build)
 	base := func() *faultinject.Campaign {
 		return &faultinject.Campaign{
 			App: bin, N: 24, Model: faultinject.SingleBit, Seed: 7,
-			Workers: 2, Trace: true, Domains: true,
+			Workers: 2, Trace: true, Domains: true, Protected: bin.Defended(),
 		}
 	}
 	single, err := base().Run()
@@ -115,9 +126,7 @@ func TestCampaignShardEquivalenceInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantJSONL := scrubJSONL(t, single.Trace)
-	for _, tc := range []struct{ shards, workers int }{
-		{1, 1}, {2, 1}, {3, 2}, {8, 1}, {24, 1}, {64, 2},
-	} {
+	for _, tc := range cases {
 		t.Run(fmt.Sprintf("shards=%d,workers=%d", tc.shards, tc.workers), func(t *testing.T) {
 			c := base()
 			c.Shards = tc.shards
@@ -139,39 +148,41 @@ func TestCampaignShardEquivalenceInProcess(t *testing.T) {
 // TestCampaignShardSubprocess runs the same contract through real
 // worker subprocesses speaking the stdin/stdout frame protocol, with
 // warm-start on, so every worker captures its own golden snapshots and
-// its trials clone them.
+// its trials clone them — on HPCCG and on the protected BLAS library
+// target.
 func TestCampaignShardSubprocess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
 	}
 	t.Setenv("CARE_SHARD_SERVE", "1")
-	build := BuildSpec{Workload: "HPCCG"}
-	bin := buildSpecOrDie(t, build)
-	base := func() *faultinject.Campaign {
-		return &faultinject.Campaign{
-			App: bin, N: 18, Model: faultinject.SingleBit, Seed: 11,
-			Workers: 1, Trace: true, WarmStart: true,
+	for _, build := range []BuildSpec{{Workload: "HPCCG"}, {Workload: "BLAS", Defenses: []string{"care"}}} {
+		bin := buildSpecOrDie(t, build)
+		base := func() *faultinject.Campaign {
+			return &faultinject.Campaign{
+				App: bin, N: 18, Model: faultinject.SingleBit, Seed: 11,
+				Workers: 1, Trace: true, WarmStart: true, Protected: bin.Defended(),
+			}
 		}
-	}
-	single, err := base().Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := base()
-	c.Shards = 3
-	c.ShardExec = selfExec()
-	res, err := RunCampaign(c, build)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := scrubCampaign(single), scrubCampaign(res); !reflect.DeepEqual(a, b) {
-		t.Fatalf("subprocess-sharded result differs from single-process:\n%+v\nvs\n%+v", b, a)
-	}
-	if want, got := scrubJSONL(t, single.Trace), scrubJSONL(t, res.Trace); got != want {
-		t.Fatalf("subprocess-sharded trace JSONL differs (%d vs %d bytes)", len(got), len(want))
-	}
-	if res.WarmStart == nil || res.WarmStart.WarmTrials == 0 {
-		t.Fatalf("warm-start stats lost in sharded run: %+v", res.WarmStart)
+		single, err := base().Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := base()
+		c.Shards = 3
+		c.ShardExec = selfExec()
+		res, err := RunCampaign(c, build)
+		if err != nil {
+			t.Fatalf("%s: %v", build.Workload, err)
+		}
+		if a, b := scrubCampaign(single), scrubCampaign(res); !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: subprocess-sharded result differs from single-process:\n%+v\nvs\n%+v", build.Workload, b, a)
+		}
+		if want, got := scrubJSONL(t, single.Trace), scrubJSONL(t, res.Trace); got != want {
+			t.Fatalf("%s: subprocess-sharded trace JSONL differs (%d vs %d bytes)", build.Workload, len(got), len(want))
+		}
+		if res.WarmStart == nil || res.WarmStart.WarmTrials == 0 {
+			t.Fatalf("%s: warm-start stats lost in sharded run: %+v", build.Workload, res.WarmStart)
+		}
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 // never cross the wire: the binaries are rebuilt from the BuildSpec,
 // the store is reopened from WorkerSpec.StoreDir, and the shard knobs
 // and the heartbeat belong to the coordinator.
-var coordinatorOnly = []string{"App", "Libs", "Progress", "ShardExec", "Shards", "Store"}
+var coordinatorOnly = []string{"App", "Progress", "ShardExec", "Shards", "Store"}
 
 // crossing returns the exported fields of cfg's type that the spec
 // frame carries.
@@ -216,6 +216,9 @@ func TestBuildSpecKeyIDs(t *testing.T) {
 			"c4714fd5c7d5b6558ee13ea8abfd2ea186fc4fe87dce0032457978564eb9ae43"},
 		{"defense-BLAS", BuildSpec{Workload: "BLAS", Defenses: []string{"care"}}.Key("campaign", 11, true, 0),
 			"3fc7e1f5e40d6e2d6a9f0de2ed618e74e5bfbb29ca134546c733971ab7a7d3ac"},
+		// experiments.BLASStudy's key in care-report's Table 9 section.
+		{"coverage-BLAS", BuildSpec{Workload: "BLAS", Defenses: []string{"care"}}.Key("coverage", 6, false, 0),
+			"f933019b3d3545644de4db8f36aa15fb4b0830ad6f7ab355448975db28bf761e"},
 	} {
 		if got := tc.key.ID(); got != tc.id {
 			t.Errorf("%s: key %+v has ID %s, want %s", tc.name, tc.key, got, tc.id)

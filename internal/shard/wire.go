@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 
+	"care/internal/blas"
 	"care/internal/core"
 	"care/internal/faultinject"
 	"care/internal/profiler"
@@ -31,9 +32,11 @@ import (
 // to the coordinator's — only the spec crosses the process boundary,
 // never the binary itself.
 type BuildSpec struct {
-	// Workload names the registered workload (workloads.Get).
+	// Workload names the registered workload (workloads.Get), or "BLAS":
+	// the §5.5 shared-library target, the libblas library plus the
+	// sblat1 driver linked against it.
 	Workload string
-	// Params are the workload's build parameters.
+	// Params are the workload's build parameters (unused by "BLAS").
 	Params workloads.Params
 	// OptLevel is the compiler optimisation level (0 or 1).
 	OptLevel int
@@ -43,13 +46,23 @@ type BuildSpec struct {
 }
 
 // Build compiles the spec's binary. Exposed so CLIs can share the
-// exact build path the workers use.
+// exact build path the workers use. For "BLAS" both images are built
+// with the spec's options, and the driver comes back with the library
+// as its Deps.
 func (b BuildSpec) Build() (*core.Binary, error) {
+	opts := core.BuildOptions{OptLevel: b.OptLevel, Defenses: b.Defenses}
+	if b.Workload == "BLAS" {
+		lib, err := core.BuildLib(blas.Library(), b.OptLevel, 0, b.Defenses)
+		if err != nil {
+			return nil, fmt.Errorf("BLAS lib: %w", err)
+		}
+		return core.Build(blas.Sblat1(5), opts, lib)
+	}
 	w, err := workloads.Get(b.Workload)
 	if err != nil {
 		return nil, err
 	}
-	return core.Build(w.Module(b.Params), core.BuildOptions{OptLevel: b.OptLevel, Defenses: b.Defenses})
+	return core.Build(w.Module(b.Params), opts)
 }
 
 // Key is the store key of a campaign or coverage search (kind

@@ -25,7 +25,7 @@ func hpccgPayload(tb testing.TB) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	prof, err := profiler.RunWithDefaultSnapshots(bin, nil)
+	prof, err := profiler.RunWithDefaultSnapshots(bin)
 	if err != nil {
 		tb.Fatal(err)
 	}
