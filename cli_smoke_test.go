@@ -146,7 +146,7 @@ func TestCLISmoke(t *testing.T) {
 			}
 			return names
 		}
-		traces, manifests := ids("traces", ".jsonl"), ids("manifests", ".v5")
+		traces, manifests := ids("traces", ".jsonl"), ids("manifests", ".v6")
 		if targets := len(experiments.DefenseNames()); len(traces) != targets || !slices.Equal(traces, manifests) {
 			t.Errorf("%d targets: trace IDs %v, want the manifest IDs %v", targets, traces, manifests)
 		}

@@ -85,8 +85,7 @@ func main() {
 	domains := flag.Bool("domains", false, "print per-domain rewind counters from the faulty-job traces on stderr")
 	maxRollbacks := flag.Int("max-rollbacks", 0, "whole-process rollback budget per rank (0 = default of 2; with -domain-rewind)")
 	maxDomainRewinds := flag.Int("max-domain-rewinds", 0, "domain-rewind budget per domain per rank (0 = default of 2; with -domain-rewind)")
-	warmStart := flag.Bool("warmstart", false, "warm-start the recoverable-injection search from golden-run snapshots (results are identical)")
-	snapEvery := flag.Uint64("snap-every", 0, "golden-run snapshot cadence in dynamic instructions (0 = about 63 snapshots, TotalDyn/64+1 apart; only with -warmstart)")
+	warmStart := flag.Bool("warmstart", false, "warm-start the recoverable-injection search from golden-run snapshots, about 63 of them TotalDyn/64+1 apart (results are identical)")
 	interp := flag.String("interp", "superblock", "interpreter tier for every rank: superblock (fused engine) or step (legacy per-instruction loop; results are identical)")
 	shards := flag.Int("shards", 1, "split the recoverable-injection search over this many worker subprocesses (the found injection is identical for any value)")
 	shardCmd := flag.String("shard-cmd", "", "worker command for -shards, space-separated (default: this binary with -shard-serve)")
@@ -163,7 +162,7 @@ func main() {
 		Params: workloads.Params{NX: 5, NY: 5, NZ: 4, Steps: 12}, OptLevel: *opt,
 		Ranks: *ranks, ThreadsPerRank: *threads, Seed: *seed, Tier: tier, Workers: *workers,
 	}
-	search := cluster.SearchOptions{WarmStart: *warmStart, SnapEvery: *snapEvery, Tier: tier, Shards: *shards}
+	search := cluster.SearchOptions{WarmStart: *warmStart, Tier: tier, Shards: *shards}
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir)
 		if err != nil {

@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	care-inject [-n 1000] [-faults 1] [-model single|double] [-workload all|NAME] [-opt 0] [-seed 1] [-workers 0] [-defense LIST] [-domains] [-domain-rewind] [-max-rollbacks 0] [-max-domain-rewinds 0] [-trace-out FILE] [-store DIR] [-warmstart] [-snap-every N] [-interp superblock|step] [-shards 1] [-shard-cmd CMD] [-progress] [-cpuprofile FILE] [-memprofile FILE]
+//	care-inject [-n 1000] [-faults 1] [-model single|double] [-workload all|NAME] [-opt 0] [-seed 1] [-workers 0] [-defense LIST] [-domains] [-domain-rewind] [-max-rollbacks 0] [-max-domain-rewinds 0] [-trace-out FILE] [-store DIR] [-warmstart] [-interp superblock|step] [-shards 1] [-shard-cmd CMD] [-progress] [-cpuprofile FILE] [-memprofile FILE]
 //
 // With -store DIR campaigns consult a persistent content-addressed
 // artifact store: golden-run profiles (snapshots + sealed .text) are
@@ -142,8 +142,7 @@ func main() {
 	maxDomainRewinds := flag.Int("max-domain-rewinds", 0, "domain-rewind budget per domain (0 = default of 2; domain-rewind mode)")
 	traceOut := flag.String("trace-out", "", "write the merged campaign trace as JSONL to this file (Rank = workload index)")
 	storeDir := flag.String("store", "", "persistent artifact store directory: cache golden-run profiles across runs (a second identical campaign skips the golden run) and seal per-campaign traces; results stay byte-identical")
-	warmStart := flag.Bool("warmstart", false, "clone trials from golden-run snapshots instead of replaying the fault-free prefix (results are identical)")
-	snapEvery := flag.Uint64("snap-every", 0, "golden-run snapshot cadence in dynamic instructions (0 = about 63 snapshots, TotalDyn/64+1 apart; only with -warmstart)")
+	warmStart := flag.Bool("warmstart", false, "clone trials from golden-run snapshots, about 63 of them TotalDyn/64+1 apart, instead of replaying the fault-free prefix (results are identical)")
 	interp := flag.String("interp", "superblock", "interpreter tier for trial processes: superblock (fused engine) or step (legacy per-instruction loop; results are identical)")
 	shards := flag.Int("shards", 1, "split each campaign's trial index space over this many worker subprocesses (results are byte-identical for any value)")
 	shardCmd := flag.String("shard-cmd", "", "worker command for -shards, space-separated (default: this binary with -shard-serve)")
@@ -252,8 +251,8 @@ func main() {
 			[]experiments.PolicySpec{spec},
 			faultinject.CoverageExperiment{
 				Trials: *n, FaultsPerTrial: *faults, Model: m, Seed: *seed, Workers: *workers, Tier: tier,
-				WarmStart: *warmStart, SnapEvery: *snapEvery,
-				Shards: *shards, ShardExec: shardExec, Progress: heartbeat(*progress, "trials"), Store: st,
+				WarmStart: *warmStart, Shards: *shards, ShardExec: shardExec,
+				Progress: heartbeat(*progress, "trials"), Store: st,
 			})
 		if err != nil {
 			log.Fatal(err)
@@ -271,7 +270,7 @@ func main() {
 
 	camp := faultinject.Campaign{
 		N: *n, FaultsPerTrial: *faults, Model: m, Seed: *seed, Workers: *workers,
-		Trace: *traceOut != "" || *domains || st != nil, WarmStart: *warmStart, SnapEvery: *snapEvery,
+		Trace: *traceOut != "" || *domains || st != nil, WarmStart: *warmStart,
 		Tier: tier, Domains: *domains, Shards: *shards, ShardExec: shardExec,
 		Progress: heartbeat(*progress, "trials"), Store: st,
 	}
@@ -325,7 +324,7 @@ func main() {
 		// the inventory row joins profile, snapshots and seal. The seal
 		// is what care-report -diff localises divergence with.
 		for i, name := range names {
-			key := shard.BuildSpec{Workload: name, OptLevel: *opt, Defenses: defs}.Key("campaign", *seed, *warmStart, *snapEvery)
+			key := shard.BuildSpec{Workload: name, OptLevel: *opt, Defenses: defs}.Key("campaign", *seed, *warmStart)
 			if _, err := st.PutTrace(key, results[i].Trace); err != nil {
 				fmt.Fprintf(os.Stderr, "store: seal %s: %v\n", name, err)
 			}

@@ -72,12 +72,6 @@ type Options struct {
 	// liveness, modelling a naive extractor whose parameters may be
 	// unfetchable at run time.
 	IgnoreLiveness bool
-	// MaxKernelInstrs caps the cloned slice size; 0 means unlimited.
-	MaxKernelInstrs int
-	// NoEquivalences disables the Figure-11 extension: induction
-	// variables then carry no affine-equivalence metadata and remain
-	// unrecoverable when corrupted (the paper's published behaviour).
-	NoEquivalences bool
 }
 
 // Run executes the Armor pass over an application module. The module is
@@ -101,10 +95,7 @@ func Run(app *ir.Module, opts Options) (*Result, error) {
 		live := ir.ComputeLiveness(f)
 		res.Stats.LivenessTime += time.Since(tl)
 		ex := &extractor{live: live, simple: simple, opts: opts}
-		var eqIdx *equivIndex
-		if !opts.NoEquivalences {
-			eqIdx = buildEquivIndex(f)
-		}
+		eqIdx := buildEquivIndex(f)
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
 				if !in.IsMemAccess() {
@@ -118,10 +109,6 @@ func Run(app *ir.Module, opts Options) (*Result, error) {
 				}
 				params, stmts, ok := ex.extract(in)
 				if !ok {
-					res.Stats.SkippedUnavailable++
-					continue
-				}
-				if opts.MaxKernelInstrs > 0 && len(stmts) > opts.MaxKernelInstrs {
 					res.Stats.SkippedUnavailable++
 					continue
 				}
@@ -142,11 +129,9 @@ func Run(app *ir.Module, opts Options) (*Result, error) {
 					rp := rtable.Param{
 						Name:    nameOf(p),
 						IsFloat: p.Type() == ir.F64,
+						Equivs:  eqIdx.equivsFor(p, in, live),
 					}
-					if eqIdx != nil {
-						rp.Equivs = eqIdx.equivsFor(p, in, live)
-						res.Stats.NumEquivalences += len(rp.Equivs)
-					}
+					res.Stats.NumEquivalences += len(rp.Equivs)
 					entry.Params = append(entry.Params, rp)
 				}
 				res.Table.Add(entry)

@@ -178,21 +178,6 @@ func TestIgnoreLivenessRegistersMoreKernels(t *testing.T) {
 	}
 }
 
-func TestMaxKernelInstrsCap(t *testing.T) {
-	res, err := Run(buildFixture(t), Options{MaxKernelInstrs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range res.Kernels.Funcs {
-		if len(f.Blocks) == 0 {
-			continue
-		}
-		if n := len(f.Blocks[0].Instrs) - 1; n > 1 { // minus the ret
-			t.Errorf("%s has %d instrs despite cap", f.Name, n)
-		}
-	}
-}
-
 func TestDuplicateKeysRejected(t *testing.T) {
 	m := buildFixture(t)
 	// Force two memory accesses to share a debug key.
@@ -324,14 +309,5 @@ func TestInductionEquivalenceDetection(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("no equivalence on any parameter")
-	}
-
-	// With NoEquivalences, nothing is registered.
-	res2, err := Run(m, Options{NoEquivalences: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Stats.NumEquivalences != 0 {
-		t.Fatal("NoEquivalences ignored")
 	}
 }

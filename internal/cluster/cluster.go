@@ -112,10 +112,6 @@ type SearchOptions struct {
 	// snapshots (faultinject.CoverageExperiment.WarmStart); the found
 	// injection is identical either way.
 	WarmStart bool
-	// SnapEvery is the snapshot cadence in retired instructions (0 =
-	// the default cadence of about TotalDyn/64+1; see
-	// faultinject.Campaign.SnapEvery).
-	SnapEvery uint64
 	// Tier selects the interpreter tier the search attempts run on;
 	// the found injection is identical on every tier.
 	Tier machine.InterpTier
@@ -141,15 +137,14 @@ func FindRecoverableInjection(bin *core.Binary, seed int64, opts SearchOptions) 
 	for attempt := 0; attempt < 8; attempt++ {
 		exp := &faultinject.CoverageExperiment{
 			App: bin, Trials: 4, Seed: seed + int64(attempt),
-			MaxAttempts: 400, RecordInjections: true,
-			WarmStart: opts.WarmStart, SnapEvery: opts.SnapEvery,
+			MaxAttempts: 400, RecordInjections: true, WarmStart: opts.WarmStart,
 			Tier: opts.Tier, Shards: opts.Shards, ShardExec: opts.ShardExec,
 		}
 		if opts.Store != nil {
 			exp.Store = opts.Store
 			// The golden profile does not depend on the experiment's
 			// seed, so one entry serves them all.
-			exp.StoreKey = opts.Build.Key("coverage", seed, opts.WarmStart, opts.SnapEvery)
+			exp.StoreKey = opts.Build.Key("coverage", seed, opts.WarmStart)
 		}
 		res, err := shard.RunCoverage(exp, opts.Build)
 		if res != nil && len(res.RecoveredInjections) > 0 {

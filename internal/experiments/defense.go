@@ -139,7 +139,7 @@ func DefenseStudy(names []string, arms []DefenseArm, opt int, p workloads.Params
 			camp := c
 			camp.App, camp.Protected = app, app.Defended()
 			camp.Progress = progress[len(cells)]
-			camp.StoreKey = build.Key("campaign", c.Seed, c.WarmStart, c.SnapEvery)
+			camp.StoreKey = build.Key("campaign", c.Seed, c.WarmStart)
 			res, err := shard.RunCampaign(&camp, build)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", name, arm.Name, err)

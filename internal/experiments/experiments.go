@@ -51,7 +51,7 @@ func OutcomeStudy(names []string, opt int, p workloads.Params, c faultinject.Cam
 		}
 		cell := c
 		cell.App, cell.Progress = bin, progress[i]
-		cell.StoreKey = build.Key("campaign", c.Seed, c.WarmStart, c.SnapEvery)
+		cell.StoreKey = build.Key("campaign", c.Seed, c.WarmStart)
 		res, err := shard.RunCampaign(&cell, build)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
@@ -259,7 +259,7 @@ func CoverageStudy(names []string, p workloads.Params, e faultinject.CoverageExp
 		}
 		cell := e
 		cell.App = bin
-		cell.StoreKey = build.Key("coverage", e.Seed, e.WarmStart, e.SnapEvery)
+		cell.StoreKey = build.Key("coverage", e.Seed, e.WarmStart)
 		res, err := shard.RunCoverage(&cell, build)
 		if err != nil && res == nil {
 			return fmt.Errorf("%s O%d: %w", name, opt, err)
@@ -422,7 +422,7 @@ func BLASStudy(opt int, e faultinject.CoverageExperiment) (*BLASRow, error) {
 	lib := drv.Deps[0]
 	e.App = drv
 	e.TargetImages = []string{"sblat1", "libblas"}
-	e.StoreKey = build.Key("coverage", e.Seed, e.WarmStart, e.SnapEvery)
+	e.StoreKey = build.Key("coverage", e.Seed, e.WarmStart)
 	res, err := shard.RunCoverage(&e, build)
 	if err != nil && res == nil {
 		return nil, err

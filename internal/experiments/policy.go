@@ -112,7 +112,7 @@ func PolicyStudy(names []string, opt int, p workloads.Params, specs []PolicySpec
 		}
 		cell := e
 		cell.App, cell.Safeguard, cell.Progress = bin, spec.Safeguard, progress[i]
-		cell.StoreKey = build.Key("coverage", e.Seed, e.WarmStart, e.SnapEvery)
+		cell.StoreKey = build.Key("coverage", e.Seed, e.WarmStart)
 		res, err := shard.RunCoverage(&cell, build)
 		if err != nil && res == nil {
 			return fmt.Errorf("%s/%s: %w", name, spec.Name, err)

@@ -54,19 +54,16 @@ type CoverageExperiment struct {
 	// for every worker count.
 	Workers int
 	// WarmStart clones each attempt from the latest golden-run snapshot
-	// whose execution counts precede every armed occurrence trigger,
-	// pre-seeding the arming hook with the snapshot's counts so faults
-	// fire at exactly the dyn they would in a cold run, and ends an
-	// attempt whose faults have fired at the first later snapshot whose
-	// state it equals, as Campaign.WarmStart does. Ignored when the
-	// policy needs a checkpoint store (Rollback or DomainRewind): those
-	// stages checkpoint each process at _start, which a mid-run clone
-	// cannot reproduce.
+	// (taken by the golden run itself, on the fixed cadence
+	// Campaign.WarmStart describes) whose execution counts precede every
+	// armed occurrence trigger, pre-seeding the arming hook with the
+	// snapshot's counts so faults fire at exactly the dyn they would in
+	// a cold run, and ends an attempt whose faults have fired at the
+	// first later snapshot whose state it equals, as Campaign.WarmStart
+	// does. Ignored when the policy needs a checkpoint store (Rollback
+	// or DomainRewind): those stages checkpoint each process at _start,
+	// which a mid-run clone cannot reproduce.
 	WarmStart bool
-	// SnapEvery is the snapshot cadence in retired instructions
-	// (warm-start only; 0 picks the default cadence of about
-	// TotalDyn/64+1, as on Campaign.SnapEvery).
-	SnapEvery uint64
 	// Tier selects the interpreter tier every attempt runs on (results
 	// are identical on every tier; see Campaign.Tier).
 	Tier machine.InterpTier
@@ -91,9 +88,9 @@ type CoverageExperiment struct {
 	// Store and StoreKey cache the golden-run profile across runs,
 	// exactly as on Campaign: a verified hit skips the golden run, a
 	// miss or corrupt entry runs cold and repopulates. The key's
-	// cadence fields are pinned from the experiment's effective
-	// warm-start (which the Safeguard policy can suppress), so entries
-	// with and without snapshots never collide.
+	// WarmStart is pinned from the experiment's effective warm-start
+	// (which the Safeguard policy can suppress), so entries with and
+	// without snapshots never collide.
 	Store    *store.Store `json:"-"`
 	StoreKey store.Key
 }
@@ -431,7 +428,7 @@ func (e *CoverageExperiment) Prepare() (*profiler.Profile, error) {
 		return nil, err
 	}
 	warm := e.WarmStart && !e.Safeguard.Policy.NeedsStore()
-	return prepareProfile(e.App, e.Store, e.StoreKey, warm, e.SnapEvery)
+	return prepareProfile(e.App, e.Store, e.StoreKey, warm)
 }
 
 // AttemptBudget is the experiment's attempt index space [0, budget):

@@ -367,21 +367,18 @@ type Campaign struct {
 	// strictly before its earliest injection target instead of
 	// re-executing the shared prefix from _start, and ends a trial whose
 	// faults have fired at the first later snapshot whose state it equals
-	// (it is Benign; see drive). The campaign result — including the
-	// exported trace JSONL — is bit-identical to a cold campaign for
-	// every worker count (the skipped prefix is deterministic and
-	// fault-free, and the skipped suffix is the golden one); only
-	// CampaignResult.WarmStart, which lives beside the trace, records the
-	// shortcuts. Ignored for a Protected campaign whose policy needs a
-	// checkpoint store (Rollback or DomainRewind), as on
-	// CoverageExperiment.
+	// (it is Benign; see drive). The golden run takes its own snapshots,
+	// about 63 of them TotalDyn/64+1 apart
+	// (profiler.RunWithDefaultSnapshots): that bounds the frozen-image
+	// memory while capping the re-executed prefix at ~1/64 of the run
+	// per trial. The campaign result — including the exported trace
+	// JSONL — is bit-identical to a cold campaign for every worker count
+	// (the skipped prefix is deterministic and fault-free, and the
+	// skipped suffix is the golden one); only CampaignResult.WarmStart,
+	// which lives beside the trace, records the shortcuts. Ignored for a
+	// Protected campaign whose policy needs a checkpoint store (Rollback
+	// or DomainRewind), as on CoverageExperiment.
 	WarmStart bool
-	// SnapEvery is the snapshot cadence in retired instructions
-	// (warm-start only). 0 picks the default cadence of about
-	// TotalDyn/64+1 (profiler.RunWithDefaultSnapshots): at most 63
-	// snapshots, bounding the frozen-image memory while capping the
-	// re-executed prefix at ~1/64 of the run per trial.
-	SnapEvery uint64
 	// Tier selects the interpreter tier every trial runs on
 	// (superblock or step; the zero value is the fused superblock
 	// default). The campaign result — including the exported trace
@@ -436,9 +433,9 @@ type Campaign struct {
 	Store *store.Store `json:"-"`
 	// StoreKey identifies this campaign's cache entry; it must pin
 	// every input the golden run depends on (workload, build options,
-	// defenses) plus the snapshot cadence. Ignored when Store is nil or
-	// the key's Workload is empty (an unkeyed campaign never touches
-	// the index).
+	// defenses). Prepare sets its WarmStart from the campaign's
+	// effective warm start. Ignored when Store is nil or the key's
+	// Workload is empty (an unkeyed campaign never touches the index).
 	StoreKey store.Key
 }
 
@@ -869,25 +866,22 @@ func (c *Campaign) Prepare() (*profiler.Profile, error) {
 		return nil, fmt.Errorf("faultinject: campaign N must be positive")
 	}
 	warm := c.WarmStart && !(c.Protected && c.Safeguard.Policy.NeedsStore())
-	return prepareProfile(c.App, c.Store, c.StoreKey, warm, c.SnapEvery)
+	return prepareProfile(c.App, c.Store, c.StoreKey, warm)
 }
 
 // prepareProfile is the golden pass Campaign.Prepare and
 // CoverageExperiment.Prepare share. A verified store hit under the
 // effective key skips it entirely. Otherwise one profiling run derives
-// the profile: a cold campaign's takes no snapshots, and a warm one's
-// captures them in the same run, every snapEvery retirements or, when
-// snapEvery is 0, on the default cadence (see Campaign.SnapEvery). The
-// fresh profile populates the store. A corrupt entry charges
-// store.fallback inside the store and degrades to the same cold path.
-func prepareProfile(app *core.Binary, st *store.Store, key store.Key, warm bool, snapEvery uint64) (*profiler.Profile, error) {
-	// Pin the snapshot cadence onto the key from the campaign's own
-	// fields, so an entry with snapshots can never be confused with one
-	// without, even if the caller filled the key inconsistently.
-	key.WarmStart, key.SnapEvery = warm, 0
-	if warm {
-		key.SnapEvery = snapEvery
-	}
+// the profile: a cold campaign's takes no snapshots (profiler.Run),
+// and a warm one's captures them in the same run on the fixed cadence
+// (profiler.RunWithDefaultSnapshots). The fresh profile populates the
+// store. A corrupt entry charges store.fallback inside the store and
+// degrades to the same cold path.
+func prepareProfile(app *core.Binary, st *store.Store, key store.Key, warm bool) (*profiler.Profile, error) {
+	// Pin WarmStart onto the key from the campaign's own fields, so an
+	// entry with snapshots can never be confused with one without, even
+	// if the caller filled the key inconsistently.
+	key.WarmStart = warm
 	if key.Workload == "" {
 		st = nil // an unkeyed campaign never touches the index
 	}
@@ -898,13 +892,10 @@ func prepareProfile(app *core.Binary, st *store.Store, key store.Key, warm bool,
 	}
 	var prof *profiler.Profile
 	var err error
-	switch {
-	case !warm:
-		prof, err = profiler.Run(app, nil, 0)
-	case snapEvery > 0:
-		prof, err = profiler.RunWithSnapshots(app, nil, 0, snapEvery)
-	default:
+	if warm {
 		prof, err = profiler.RunWithDefaultSnapshots(app)
+	} else {
+		prof, err = profiler.Run(app, nil, 0)
 	}
 	if err != nil {
 		return nil, err

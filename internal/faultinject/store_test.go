@@ -207,7 +207,7 @@ func TestCoverageStoreCacheHit(t *testing.T) {
 
 // TestCampaignStoreKeySeparatesCadence: a cold entry and a warm entry
 // under the same campaign key must not collide (the effective key pins
-// WarmStart/SnapEvery).
+// WarmStart).
 func TestCampaignStoreKeySeparatesCadence(t *testing.T) {
 	bin := buildWorkload(t, "HPCCG", 0, false)
 	key := store.Key{Kind: "campaign", Workload: "HPCCG", Seed: 21}

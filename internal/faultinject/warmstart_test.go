@@ -121,23 +121,34 @@ func TestWarmStartCampaignEquivalence(t *testing.T) {
 // trial is compared with the golden run after every instruction once
 // its fault fired), a prime stride, and a stride past the end of the
 // run (zero snapshots, so every trial falls back to a cold start and
-// none can stop early). All must reproduce the cold result.
+// none can stop early). A campaign always takes the fixed cadence, so
+// each profile comes from profiler.RunWithSnapshots and the warm trials
+// run against it through RunTrialRange and MergeResults. All must
+// reproduce the cold result.
 func TestWarmStartSnapshotCadences(t *testing.T) {
 	bin := tinyBinary(t)
-	run := func(warm bool, every uint64) *CampaignResult {
-		res, err := (&Campaign{
-			App: bin, N: 16, Model: SingleBit, Seed: 7,
-			Workers: 4, Trace: true, WarmStart: warm, SnapEvery: every,
-		}).Run()
+	campaign := func(warm bool) *Campaign {
+		return &Campaign{App: bin, N: 16, Model: SingleBit, Seed: 7, Workers: 4, Trace: true, WarmStart: warm}
+	}
+	cold, err := campaign(false).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldJSON := jsonlBytes(t, cold.Trace)
+	for _, every := range []uint64{1, 7, 1 << 40} {
+		prof, err := profiler.RunWithSnapshots(bin, nil, 0, every)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
-	}
-	cold := run(false, 0)
-	coldJSON := jsonlBytes(t, cold.Trace)
-	for _, every := range []uint64{1, 7, 1 << 40} {
-		warm := run(true, every)
+		c := campaign(true)
+		trials, err := c.RunTrialRange(prof, 0, c.N)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm, err := c.MergeResults(prof, trials)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !reflect.DeepEqual(scrubWarmStart(warm), cold) {
 			t.Fatalf("cadence %d: warm result differs from cold:\n%+v\nvs\n%+v",
 				every, scrubWarmStart(warm), cold)

@@ -63,31 +63,36 @@ func (p *Profile) NextSnap(dyn uint64) *SnapPoint {
 }
 
 // Run executes the binary, with the libraries it was built against
-// (core.Binary.Deps), to completion with profiling enabled. limit
-// bounds the run (0 = none). libs must be nil: the parameter stays only
-// because the benchmark harness (perfbench/probe.go) passes nil.
+// (core.Binary.Deps), to completion with profiling enabled. A cold
+// campaign profiles with it. libs must be nil and limit 0: the
+// parameters stay only because the benchmark harness
+// (perfbench/probe.go) passes those values.
 func Run(app *core.Binary, libs []*core.Binary, limit uint64) (*Profile, error) {
-	if libs != nil {
-		return nil, errLibs
+	if libs != nil || limit != 0 {
+		return nil, errHarnessArgs
 	}
-	return run(app, limit, 0, false)
+	return run(app, 0, false)
 }
 
-// errLibs refuses a library list passed beside the app: a process loads
-// exactly the libraries the app was linked against, its Deps.
-var errLibs = errors.New("profiler: libs must be nil (a process loads the app's Deps)")
+// errHarnessArgs refuses the values Run and RunWithSnapshots keep only
+// for the benchmark harness: a process loads exactly the libraries the
+// app was linked against, its Deps, and a profile needs a run that
+// exits, so it takes no budget.
+var errHarnessArgs = errors.New("profiler: libs must be nil and limit 0 (a process loads the app's Deps; a profile runs to its exit)")
 
-// RunWithSnapshots is Run plus periodic machine snapshots: every
-// snapEvery retired instructions the golden process is checkpointed
-// (frozen copy-on-write, so each capture costs O(pages), with the byte
-// copying deferred to the pages the run actually dirties before the
-// next capture). snapEvery == 0 disables capture; the profile is
-// then identical to Run's. libs must be nil, as for Run.
-func RunWithSnapshots(app *core.Binary, libs []*core.Binary, limit, snapEvery uint64) (*Profile, error) {
-	if libs != nil {
-		return nil, errLibs
+// RunWithSnapshots is Run plus a machine snapshot whenever the retired
+// count reaches a positive multiple of every (frozen copy-on-write, so
+// each capture costs O(pages), with the byte copying deferred to the
+// pages the run actually dirties before the next capture). every == 0
+// disables capture; the profile is then identical to Run's. Campaigns
+// take their snapshots with RunWithDefaultSnapshots; this explicit
+// cadence serves the benchmark harness and tests that sweep cadences.
+// libs and limit are refused as for Run.
+func RunWithSnapshots(app *core.Binary, libs []*core.Binary, limit, every uint64) (*Profile, error) {
+	if libs != nil || limit != 0 {
+		return nil, errHarnessArgs
 	}
-	return run(app, limit, snapEvery, false)
+	return run(app, every, false)
 }
 
 // The default snapshot cadence. A warm campaign wants a snapshot every
@@ -107,15 +112,15 @@ const (
 )
 
 // RunWithDefaultSnapshots is Run plus snapshots on the default cadence,
-// from the same single run: it captures on the doubling grid (see
-// gridStep), then keeps, for each k >= 1 with k·E < TotalDyn (E =
-// TotalDyn/cadenceSnaps+1), the latest grid snapshot at or before k·E.
-// Since the final grid step is at most E, every k finds its own
-// snapshot whenever the run spans cadenceSnaps grid steps, so the
-// profile keeps (TotalDyn-1)/E snapshots, as a pass on the cadence E
-// itself would; a shorter run keeps fewer.
+// from the same single run; a warm campaign profiles with it. It
+// captures on the doubling grid (see gridStep), then keeps, for each
+// k >= 1 with k·E < TotalDyn (E = TotalDyn/cadenceSnaps+1), the latest
+// grid snapshot at or before k·E. Since the final grid step is at most
+// E, every k finds its own snapshot whenever the run spans cadenceSnaps
+// grid steps, so the profile keeps (TotalDyn-1)/E snapshots, as a pass
+// on the cadence E itself would; a shorter run keeps fewer.
 func RunWithDefaultSnapshots(app *core.Binary) (*Profile, error) {
-	prof, err := run(app, 0, gridStep, true)
+	prof, err := run(app, gridStep, true)
 	if err != nil {
 		return nil, err
 	}
@@ -134,8 +139,8 @@ func RunWithDefaultSnapshots(app *core.Binary) (*Profile, error) {
 // multiple of the step. A slice charges exactly the attempts it was
 // given; one that retired fewer (a trapped and resumed attempt) ends
 // short of its boundary, and the next slice runs toward the same
-// boundary.
-func run(app *core.Binary, limit, step uint64, thin bool) (*Profile, error) {
+// boundary. Without a step the run is one unbudgeted slice.
+func run(app *core.Binary, step uint64, thin bool) (*Profile, error) {
 	p, err := core.NewProcess(core.ProcessConfig{App: app})
 	if err != nil {
 		return nil, err
@@ -143,19 +148,16 @@ func run(app *core.Binary, limit, step uint64, thin bool) (*Profile, error) {
 	c := p.CPU
 	c.Profile = true
 	prof := &Profile{Counts: map[string][]uint64{}}
-	left := limit // unspent budget; 0 means unlimited
 	var st machine.RunStatus
 	for {
-		n := left
+		var n uint64 // 0 runs to the end
 		if step > 0 {
-			if k := step - c.Dyn%step; n == 0 || k < n {
-				n = k
-			}
+			n = step - c.Dyn%step
 		}
 		if st = p.Run(n); st != machine.StatusLimit {
 			break
 		}
-		if step > 0 && c.Dyn > 0 && c.Dyn%step == 0 {
+		if c.Dyn > 0 && c.Dyn%step == 0 {
 			prof.Snaps = append(prof.Snaps, SnapPoint{
 				Dyn:    c.Dyn,
 				State:  checkpoint.Capture(c, 0),
@@ -164,11 +166,6 @@ func run(app *core.Binary, limit, step uint64, thin bool) (*Profile, error) {
 			if thin && len(prof.Snaps) == gridHeld {
 				prof.Snaps = evenMultiples(prof.Snaps)
 				step *= 2
-			}
-		}
-		if limit > 0 {
-			if left -= n; left == 0 {
-				break
 			}
 		}
 	}

@@ -126,8 +126,9 @@ func TestDefaultCadenceShortRuns(t *testing.T) {
 
 // TestLibsComeFromDeps: a driver built against a library profiles with
 // that library loaded from its Deps (the library's instructions are
-// counted), and Run and RunWithSnapshots refuse a library list passed
-// beside the app.
+// counted), and Run and RunWithSnapshots refuse the values they keep
+// only for the benchmark harness: a library list passed beside the app,
+// and a budget, even one past the end of the run.
 func TestLibsComeFromDeps(t *testing.T) {
 	lib, err := core.BuildLib(blas.Library(), 0, 0, nil)
 	if err != nil {
@@ -154,5 +155,12 @@ func TestLibsComeFromDeps(t *testing.T) {
 	}
 	if _, err := RunWithSnapshots(drv, libs, 0, 1000); err == nil {
 		t.Error("RunWithSnapshots accepted a library list beside the app")
+	}
+	limit := 2 * prof.TotalDyn
+	if _, err := Run(drv, nil, limit); err == nil {
+		t.Error("Run accepted a budget")
+	}
+	if _, err := RunWithSnapshots(drv, nil, limit, 1000); err == nil {
+		t.Error("RunWithSnapshots accepted a budget")
 	}
 }

@@ -159,8 +159,6 @@ type Config struct {
 	// recovery is impossible, redirect the access to a zero-filled
 	// bit-bucket page and continue (may introduce SDCs; ablation).
 	Heuristic bool
-	// HandleBus also attempts recovery for SIGBUS (off in the paper).
-	HandleBus bool
 	// InductionRecovery enables the Figure-11 extension: when the
 	// scope check proves a kernel input contaminated, attempt to
 	// reconstruct a corrupted induction variable from an affine sibling
@@ -454,7 +452,7 @@ func (sg *Safeguard) handle(c *machine.CPU, t *machine.Trap) machine.TrapAction 
 		ev.Outcome = DefenseDetected
 		return sg.escalate(c, t, ev)
 	}
-	if t.Sig != machine.SigSEGV && !(sg.cfg.HandleBus && t.Sig == machine.SigBUS) {
+	if t.Sig != machine.SigSEGV {
 		ev.Outcome = WrongSignal
 		sg.record(c.Dyn, ev)
 		return machine.TrapKill

@@ -194,8 +194,7 @@ func requireCrossed(t *testing.T, want, got any) {
 // TestBuildSpecKeyIDs pins the store key IDs BuildSpec.Key derives. The
 // ID addresses a cached golden profile and a sealed trace, so a key
 // that moves turns every existing store entry into a miss. The values
-// are the IDs the store already holds for these campaigns; a cold key
-// drops its cadence.
+// are the IDs the store already holds for these campaigns.
 func TestBuildSpecKeyIDs(t *testing.T) {
 	hpccg := BuildSpec{Workload: "HPCCG"}
 	for _, tc := range []struct {
@@ -203,21 +202,21 @@ func TestBuildSpecKeyIDs(t *testing.T) {
 		key  store.Key
 		id   string
 	}{
-		{"campaign-cold", hpccg.Key("campaign", 9, false, 0),
+		{"campaign-cold", hpccg.Key("campaign", 9, false),
 			"ab9465a55583de47834d28369ef6285665d2802f9f964d7ce7a82b8627cd8316"},
-		{"campaign-cold-cadence", hpccg.Key("campaign", 9, false, 50000),
-			"ab9465a55583de47834d28369ef6285665d2802f9f964d7ce7a82b8627cd8316"},
-		{"campaign-warm-cadence", hpccg.Key("campaign", 9, true, 50000),
-			"fdcb4a8c7ee17cfddff4897a9597f6264537956cc739239b77db2887fe6398ed"},
+		// The CI store smoke's campaign (care-inject -workload HPCCG
+		// -seed 9 -warmstart -store DIR).
+		{"campaign-warm", hpccg.Key("campaign", 9, true),
+			"dc79fb357027b20ec6d51f5dae8aded3b35071aaf9fc7c1ca0560163d98c5200"},
 		{"coverage-care", BuildSpec{
 			Workload: "HPCCG", Params: workloads.Params{NX: 5, NY: 5, NZ: 4, Steps: 12},
 			OptLevel: 1, Defenses: []string{"care"},
-		}.Key("coverage", 3, true, 0),
+		}.Key("coverage", 3, true),
 			"c4714fd5c7d5b6558ee13ea8abfd2ea186fc4fe87dce0032457978564eb9ae43"},
-		{"defense-BLAS", BuildSpec{Workload: "BLAS", Defenses: []string{"care"}}.Key("campaign", 11, true, 0),
+		{"defense-BLAS", BuildSpec{Workload: "BLAS", Defenses: []string{"care"}}.Key("campaign", 11, true),
 			"3fc7e1f5e40d6e2d6a9f0de2ed618e74e5bfbb29ca134546c733971ab7a7d3ac"},
 		// experiments.BLASStudy's key in care-report's Table 9 section.
-		{"coverage-BLAS", BuildSpec{Workload: "BLAS", Defenses: []string{"care"}}.Key("coverage", 6, false, 0),
+		{"coverage-BLAS", BuildSpec{Workload: "BLAS", Defenses: []string{"care"}}.Key("coverage", 6, false),
 			"f933019b3d3545644de4db8f36aa15fb4b0830ad6f7ab355448975db28bf761e"},
 	} {
 		if got := tc.key.ID(); got != tc.id {

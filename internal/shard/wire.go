@@ -67,23 +67,21 @@ func (b BuildSpec) Build() (*core.Binary, error) {
 
 // Key is the store key of a campaign or coverage search (kind
 // "campaign" or "coverage") over this build: the workload, its
-// parameters as canonical JSON, the build options and the campaign seed.
-// Like Prepare, it pins the snapshot cadence to 0 unless warm, so the
-// key a caller seals a trace under is the one the golden profile was
-// cached under.
-func (b BuildSpec) Key(kind string, seed int64, warm bool, snapEvery uint64) store.Key {
+// parameters as canonical JSON, the build options, the campaign seed
+// and whether the profile carries warm-start snapshots (always on the
+// fixed cadence, so nothing else about them needs keying). It is the
+// key Prepare caches the golden profile under, and so the one a caller
+// seals the campaign's trace under.
+func (b BuildSpec) Key(kind string, seed int64, warm bool) store.Key {
 	pj, err := json.Marshal(b.Params)
 	if err != nil {
 		// workloads.Params is a plain value type; Marshal cannot fail.
 		panic(fmt.Sprintf("shard: marshal params: %v", err))
 	}
-	if !warm {
-		snapEvery = 0
-	}
 	return store.Key{
 		Kind: kind, Workload: b.Workload, Params: string(pj),
 		OptLevel: b.OptLevel, Defenses: b.Defenses,
-		Seed: seed, SnapEvery: snapEvery, WarmStart: warm,
+		Seed: seed, WarmStart: warm,
 	}
 }
 

@@ -23,10 +23,11 @@ import (
 // payload is decoded, and the decoder is hardened besides: every length
 // is checked against the bytes left before anything is allocated. The
 // format is part of the file name, so an entry written in any other
-// format (the gob manifests of .v4, the per-page blob tables of .v3,
-// the JSON manifests before them) is simply absent: a clean golden miss
-// that the run rewrites.
-const manifestExt = ".v5"
+// format (the .v5 layout, which also echoed a snapshot cadence, the gob
+// manifests of .v4, the per-page blob tables of .v3, the JSON manifests
+// before them) is simply absent: a clean golden miss that the run
+// rewrites.
+const manifestExt = ".v6"
 
 // segRef points one memory segment into the profile's pack, one entry
 // per machine page: the index of a page of the pack (see
@@ -121,7 +122,6 @@ func appendManifest(b []byte, m *profileManifest) []byte {
 	b = binary.AppendVarint(b, int64(k.OptLevel))
 	b = appendStrs(b, k.Defenses)
 	b = binary.AppendVarint(b, k.Seed)
-	b = binary.AppendUvarint(b, k.SnapEvery)
 	b = appendBool(b, k.WarmStart)
 	b = append(b, m.Pack[:]...)
 	b = binary.AppendUvarint(b, uint64(len(m.Bounds)))
@@ -460,7 +460,6 @@ func decodePayload(b []byte) (*profileManifest, error) {
 	k.OptLevel = int(r.varint())
 	k.Defenses = r.strs()
 	k.Seed = r.varint()
-	k.SnapEvery = r.uvarint()
 	if w := r.take(1); w != nil {
 		k.WarmStart = w[0] != 0
 	}
@@ -605,8 +604,8 @@ func (s *Store) manifestPath(id string) string {
 // by backing-array identity before their contents are compared, so a
 // page nobody wrote between two snapshots is looked up once per
 // profile, not once per snapshot. Profiles with the same pages (the
-// campaigns of one build and cadence that differ only in Key.Seed)
-// share one pack file.
+// campaigns of one build that differ only in Key.Seed) share one pack
+// file.
 func (s *Store) PutProfile(key Key, prof *profiler.Profile, text []TextImage) error {
 	images := make([]string, 0, len(prof.Counts))
 	for name := range prof.Counts {

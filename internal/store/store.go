@@ -57,10 +57,10 @@ type Key struct {
 	// not depend on it, but keying on it keeps one entry per campaign,
 	// which is what the trace index is organised by.
 	Seed int64 `json:"seed"`
-	// SnapEvery and WarmStart pin the snapshot cadence: a warm entry
-	// carries snapshots a cold one does not.
-	SnapEvery uint64 `json:"snap_every,omitempty"`
-	WarmStart bool   `json:"warm_start,omitempty"`
+	// WarmStart separates a warm entry, which carries the golden run's
+	// snapshots (on the one fixed cadence, so the key need not name
+	// it), from a cold one, which carries none.
+	WarmStart bool `json:"warm_start,omitempty"`
 }
 
 // ID is the key's index address: the SHA-256 of its canonical JSON.
@@ -104,7 +104,7 @@ const (
 //
 //	<dir>/blobs/<hh>/<hash>    content-addressed payloads: one pack of
 //	                           memory and .text pages per profile
-//	<dir>/manifests/<id>.v5    golden-run profile manifests, by Key.ID
+//	<dir>/manifests/<id>.v6    golden-run profile manifests, by Key.ID
 //	                           (checksummed flat binary, see manifestExt)
 //	<dir>/traces/<id>.jsonl    sealed campaign trace exports
 //	<dir>/seals/<id>.json      Merkle seals over the trace exports

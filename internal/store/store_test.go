@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"encoding/json"
 	"maps"
@@ -61,13 +62,12 @@ func TestBlobRoundTripAndDedup(t *testing.T) {
 }
 
 func TestKeyIDDistinguishesFields(t *testing.T) {
-	base := Key{Kind: "campaign", Workload: "HPCCG", Params: `{"n":16}`, Seed: 9, SnapEvery: 0, WarmStart: true}
+	base := Key{Kind: "campaign", Workload: "HPCCG", Params: `{"n":16}`, Seed: 9, WarmStart: true}
 	ids := map[string]string{base.ID(): "base"}
 	for name, k := range map[string]Key{
 		"seed":     {Kind: "campaign", Workload: "HPCCG", Params: `{"n":16}`, Seed: 10, WarmStart: true},
 		"workload": {Kind: "campaign", Workload: "CG", Params: `{"n":16}`, Seed: 9, WarmStart: true},
 		"defense":  {Kind: "campaign", Workload: "HPCCG", Params: `{"n":16}`, Seed: 9, WarmStart: true, Defenses: []string{"care"}},
-		"cadence":  {Kind: "campaign", Workload: "HPCCG", Params: `{"n":16}`, Seed: 9, WarmStart: true, SnapEvery: 500},
 		"cold":     {Kind: "campaign", Workload: "HPCCG", Params: `{"n":16}`, Seed: 9},
 		"opt":      {Kind: "campaign", Workload: "HPCCG", Params: `{"n":16}`, Seed: 9, WarmStart: true, OptLevel: 2},
 		"kind":     {Kind: "coverage", Workload: "HPCCG", Params: `{"n":16}`, Seed: 9, WarmStart: true},
@@ -315,13 +315,15 @@ func TestProfileHitReadsOnePack(t *testing.T) {
 }
 
 // TestOtherFormatManifestIsAMiss: a manifest where earlier stores
-// wrote theirs (JSON, format 2, at manifests/<id>.json, and checksummed
-// gob at manifests/<id>.v4) is no entry of this format: the lookup is a
-// clean miss, not corruption, the inventory skips it, and storing the
-// profile again adds an entry that loads.
+// wrote theirs (JSON, format 2, at manifests/<id>.json, checksummed gob
+// at manifests/<id>.v4, and the flat layout with the key's snapshot
+// cadence at manifests/<id>.v5) is no entry of this format: the lookup
+// is a clean miss, not corruption, the inventory skips it, and storing
+// the profile again adds an entry that loads.
 func TestOtherFormatManifestIsAMiss(t *testing.T) {
 	s := openT(t)
 	key := Key{Kind: "campaign", Workload: "HPCCG", Seed: 3, WarmStart: true}
+	plantV5(t, s, key, fakeProfile())
 	var v4 bytes.Buffer
 	v4.Write(make([]byte, len(Hash{})))
 	if err := gob.NewEncoder(&v4).Encode(&profileManifest{Key: key, Bounds: []int{0}, TotalDyn: 200}); err != nil {
@@ -371,6 +373,30 @@ func TestOtherFormatManifestIsAMiss(t *testing.T) {
 		t.Fatalf("rewritten entry does not load: %v", err)
 	}
 	sameProfile(t, got, fakeProfile())
+}
+
+// plantV5 writes prof under key as a .v5 store did: this format's
+// payload with the key's snapshot cadence, a uvarint 0, after its seed,
+// checksummed like this format.
+func plantV5(t *testing.T, s *Store, key Key, prof *profiler.Profile) {
+	t.Helper()
+	tmp := openT(t)
+	if err := tmp.PutProfile(key, prof, nil); err != nil {
+		t.Fatal(err)
+	}
+	v6, err := os.ReadFile(tmp.manifestPath(key.ID()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := v6[len(Hash{}):]
+	head := appendStrs(nil, []string{key.Kind, key.Workload, key.Params})
+	head = appendStrs(binary.AppendVarint(head, int64(key.OptLevel)), key.Defenses)
+	n := len(binary.AppendVarint(head, key.Seed))
+	v5 := slices.Concat(payload[:n], []byte{0}, payload[n:])
+	sum := HashBytes(v5)
+	if err := os.WriteFile(filepath.Join(s.Dir(), "manifests", key.ID()+".v5"), slices.Concat(sum[:], v5), 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestGetProfileCleanMiss(t *testing.T) {
